@@ -29,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fabric"
-	"repro/internal/iig"
 	"repro/internal/ingest"
 	"repro/internal/qcbin"
 	"repro/internal/qodg"
@@ -71,6 +70,31 @@ func ftCircuit(tb testing.TB, name string) *circuit.Circuit {
 	return c
 }
 
+// estimateCircuit is one estimate end to end on a materialized circuit:
+// Analyze (into ar when non-nil), then EstimateAnalysis.
+func estimateCircuit(est *core.Estimator, c *circuit.Circuit, ar *analysis.Arena) (*core.Result, error) {
+	var a *analysis.Analysis
+	var err error
+	if ar != nil {
+		a, err = ar.Analyze(c)
+	} else {
+		a, err = analysis.Analyze(c)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return est.EstimateAnalysis(a, ar)
+}
+
+// qodgOf is c's dependency graph as the estimator builds it.
+func qodgOf(b *testing.B, c *circuit.Circuit) *qodg.Graph {
+	a, err := analysis.Analyze(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a.QODG
+}
+
 // BenchmarkTable2 times LEQA (the estimator) per benchmark — the left half
 // of Table 3's runtime columns and the inputs to Table 2.
 func BenchmarkTable2(b *testing.B) {
@@ -84,7 +108,7 @@ func BenchmarkTable2(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := est.Estimate(c); err != nil {
+				if _, err := estimateCircuit(est, c, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -141,7 +165,7 @@ func BenchmarkEstimate(b *testing.B) {
 		b.Fatal(err)
 	}
 	// One warm-up estimate yields the model key this workload resolves to.
-	res, err := est.Estimate(c)
+	res, err := estimateCircuit(est, c, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -158,7 +182,7 @@ func BenchmarkEstimate(b *testing.B) {
 	b.Run("Memoized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := est.Estimate(c); err != nil {
+			if _, err := estimateCircuit(est, c, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -201,13 +225,13 @@ func BenchmarkEstimateWarm(b *testing.B) {
 		}
 		b.Run("Arena/"+sanitize(name), func(b *testing.B) {
 			ar := analysis.NewArena()
-			if _, err := est.EstimateArena(c, ar); err != nil {
+			if _, err := estimateCircuit(est, c, ar); err != nil {
 				b.Fatal(err) // warm the arena outside the timed loop
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := est.EstimateArena(c, ar); err != nil {
+				if _, err := estimateCircuit(est, c, ar); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -215,7 +239,7 @@ func BenchmarkEstimateWarm(b *testing.B) {
 		b.Run("Fresh/"+sanitize(name), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := est.Estimate(c); err != nil {
+				if _, err := estimateCircuit(est, c, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -224,7 +248,7 @@ func BenchmarkEstimateWarm(b *testing.B) {
 }
 
 // BenchmarkLongestPath isolates the critical-path phase of an estimate: the
-// serial oracle sweep against the level-partitioned parallel relaxation
+// serial sweep against the level-partitioned parallel relaxation
 // (forced to 4 workers, and at the machine's automatic setting). On a
 // single-core host the auto dispatcher stays serial and Parallel4 mostly
 // measures coordination overhead; the ≥1.5× target applies at
@@ -235,11 +259,7 @@ func BenchmarkLongestPath(b *testing.B) {
 		names = append(names, "gf2^256mult")
 	}
 	for _, name := range names {
-		c := ftCircuit(b, name)
-		g, err := qodg.Build(c)
-		if err != nil {
-			b.Fatal(err)
-		}
+		g := qodgOf(b, ftCircuit(b, name))
 		w := g.NewWeights(func(gt circuit.Gate) float64 {
 			if gt.Type == circuit.CNOT {
 				return 1000.5
@@ -247,9 +267,10 @@ func BenchmarkLongestPath(b *testing.B) {
 			return 100.25
 		})
 		b.Run("Serial/"+sanitize(name), func(b *testing.B) {
+			s := &qodg.PathScratch{MaxWorkers: 1}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := g.LongestPathSerial(w); err != nil {
+				if _, err := g.LongestPathInto(w, s); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -277,15 +298,11 @@ func BenchmarkLongestPath(b *testing.B) {
 
 // BenchmarkLongestPathMulti isolates the multi-weight kernel against its
 // per-column serial baseline: K columns relaxed in one adjacency traversal
-// (SoA dist/from slabs) versus K separate LongestPathSerial sweeps that each
-// stream the graph again. The win is memory-bound — the adjacency and level
+// (SoA dist/from slabs) versus K separate serial single-column sweeps that
+// each stream the graph again. The win is memory-bound — the adjacency and level
 // index are read once instead of K times — so it holds on a single core.
 func BenchmarkLongestPathMulti(b *testing.B) {
-	c := ftCircuit(b, "gf2^128mult")
-	g, err := qodg.Build(c)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := qodgOf(b, ftCircuit(b, "gf2^128mult"))
 	for _, k := range []int{2, 6} {
 		ws := make([]qodg.Weights, k)
 		for col := range ws {
@@ -307,10 +324,11 @@ func BenchmarkLongestPathMulti(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("PerColumn/K%d", k), func(b *testing.B) {
+			s := &qodg.PathScratch{MaxWorkers: 1}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, w := range ws {
-					if _, err := g.LongestPathSerial(w); err != nil {
+					if _, err := g.LongestPathInto(w, s); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -334,7 +352,7 @@ func BenchmarkSweep(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			for _, c := range circuits {
-				if _, err := est.Estimate(c); err != nil {
+				if _, err := estimateCircuit(est, c, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -347,7 +365,7 @@ func BenchmarkSweep(b *testing.B) {
 		}
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			results, err := runner.Run(ctx, circuits)
+			results, err := runner.SweepGridSources(ctx, leqa.CircuitSources(circuits), []leqa.Params{p})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -361,11 +379,11 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkAnalyze measures the circuit-analysis front end on a
-// Shor-scale workload (gf2^128mult, 246k FT operations): the fused
-// single-pass CSR build against the pre-refactor two-pass reference
-// builders (per-node append slices + sort/dedup for the QODG, per-qubit
-// neighbor maps for the IIG), and against the standalone CSR builders as
-// the two-scan/no-maps midpoint.
+// Shor-scale workload (gf2^128mult, 246k FT operations): the serial fused
+// CSR build, and the build with its fill pass forced into shard gangs
+// regardless of GOMAXPROCS or the auto-dispatch threshold — on a
+// single-core host the stitch-overhead bound (the gang serializes, leaving
+// only the sharding bookkeeping), on a multi-core host the speedup claim.
 func BenchmarkAnalyze(b *testing.B) {
 	c := ftCircuit(b, "gf2^128mult")
 	b.Run("FusedCSR", func(b *testing.B) {
@@ -376,15 +394,15 @@ func BenchmarkAnalyze(b *testing.B) {
 			}
 		}
 	})
-	// Forced shard gangs regardless of GOMAXPROCS or the auto-dispatch
-	// threshold: on a single-core host this is the stitch-overhead bound
-	// (the gang serializes, leaving only the sharding bookkeeping), on a
-	// multi-core host the speedup claim.
+	saved := analysis.ShardThreshold
+	analysis.ShardThreshold = 1
+	defer func() { analysis.ShardThreshold = saved }()
 	for _, shards := range []int{2, 4} {
 		b.Run(fmt.Sprintf("ShardedCSR%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := analysis.AnalyzeSharded(c, shards); err != nil {
+				ar := &analysis.Arena{MaxShards: shards} // fresh buffers every call
+				if _, err := ar.Analyze(c); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -392,31 +410,9 @@ func BenchmarkAnalyze(b *testing.B) {
 	}
 	b.Run("ShardedArena4", func(b *testing.B) {
 		b.ReportAllocs()
-		ar := analysis.NewArena()
+		ar := &analysis.Arena{MaxShards: 4}
 		for i := 0; i < b.N; i++ {
-			if _, err := ar.AnalyzeSharded(c, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("TwoPassCSR", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := qodg.Build(c); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := iig.Build(c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("LegacyTwoPass", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := qodg.BuildReference(c); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := iig.BuildReference(c); err != nil {
+			if _, err := ar.Analyze(c); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -460,7 +456,7 @@ func BenchmarkAnalyzeStream(b *testing.B) {
 				}
 				a, err := analysis.Analyze(parsed)
 				// The materialized flow holds both the circuit and its
-				// analysis (the analysis references the circuit anyway).
+				// analysis.
 				return []any{parsed, a}, err
 			}), "retained-B")
 		})
@@ -656,7 +652,7 @@ func BenchmarkSweepGrid(b *testing.B) {
 		ctx := context.Background()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cells, err := runner.SweepGrid(ctx, circuits, paramSets)
+			cells, err := runner.SweepGridSources(ctx, leqa.CircuitSources(circuits), paramSets)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -676,7 +672,7 @@ func BenchmarkSweepGrid(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, c := range circuits {
-					if _, err := est.Estimate(c); err != nil {
+					if _, err := estimateCircuit(est, c, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -688,8 +684,8 @@ func BenchmarkSweepGrid(b *testing.B) {
 // BenchmarkSweepGridBatched times the batched estimate phase of one grid
 // row — 1 circuit × 6 parameter columns, the §4.2 design-space shape — with
 // the analysis and the zone-model memo warmed outside the loop so the
-// measurement isolates what PR 9 fuses: per-column EstimateAnalysisArena
-// (the BENCH_8 baseline, K weight builds + K critical-path sweeps) against
+// measurement isolates what the batch fuses: per-column EstimateAnalysis
+// (K one-column batches: K weight fills + K critical-path sweeps) against
 // one EstimateAnalysisBatch call (one weight scan + one multi-weight
 // traversal). MemoCold/MemoWarm time a whole by-ref grid cell without and
 // with a result-memo hit; the warm cell skips analyze and estimate
@@ -717,7 +713,7 @@ func BenchmarkSweepGridBatched(b *testing.B) {
 		if ests[j], err = core.New(p, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ests[j].EstimateAnalysisArena(a, nil); err != nil {
+		if _, err := ests[j].EstimateAnalysis(a, nil); err != nil {
 			b.Fatal(err) // warm the zone-model memo for every column
 		}
 	}
@@ -739,7 +735,7 @@ func BenchmarkSweepGridBatched(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, est := range ests {
-				if _, err := est.EstimateAnalysisArena(a, ar); err != nil {
+				if _, err := est.EstimateAnalysis(a, ar); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -804,7 +800,7 @@ func BenchmarkFigure5QueueModel(b *testing.B) {
 	c := ftCircuit(b, "gf2^16mult")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Estimate(c); err != nil {
+		if _, err := estimateCircuit(est, c, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -825,7 +821,7 @@ func BenchmarkTruncation(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := est.Estimate(c); err != nil {
+				if _, err := estimateCircuit(est, c, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -846,7 +842,7 @@ func BenchmarkScalingLEQA(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := est.Estimate(c); err != nil {
+				if _, err := estimateCircuit(est, c, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -932,26 +928,26 @@ func measureSpeedup(tb testing.TB, c *circuit.Circuit, p fabric.Params, reps int
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := mapper.Map(c); err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := est.Estimate(c); err != nil {
-		tb.Fatal(err)
-	}
-	t0 := time.Now()
-	for i := 0; i < reps; i++ {
-		if _, err := mapper.Map(c); err != nil {
+	// Each tool's time is its fastest of reps runs after one warm-up:
+	// interference from the rest of the host only ever adds time.
+	fastest := func(run func() error) time.Duration {
+		if err := run(); err != nil {
 			tb.Fatal(err)
 		}
-	}
-	qsprDur := time.Since(t0)
-	t1 := time.Now()
-	for i := 0; i < reps; i++ {
-		if _, err := est.Estimate(c); err != nil {
-			tb.Fatal(err)
+		var best time.Duration
+		for i := 0; i < reps; i++ {
+			t0 := time.Now()
+			if err := run(); err != nil {
+				tb.Fatal(err)
+			}
+			if d := time.Since(t0); i == 0 || d < best {
+				best = d
+			}
 		}
+		return best
 	}
-	leqaDur := time.Since(t1)
+	qsprDur := fastest(func() error { _, err := mapper.Map(c); return err })
+	leqaDur := fastest(func() error { _, err := estimateCircuit(est, c, nil); return err })
 	return float64(qsprDur) / float64(leqaDur)
 }
 

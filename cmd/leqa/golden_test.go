@@ -44,7 +44,7 @@ func TestGoldenBaselineCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := runner.SweepGrid(context.Background(), circuits, paramSets)
+	cells, err := runner.SweepGridSources(context.Background(), leqa.CircuitSources(circuits), paramSets)
 	if err != nil {
 		t.Fatal(err)
 	}

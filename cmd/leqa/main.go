@@ -202,27 +202,39 @@ func run() error {
 	defer stop()
 	if *timeout > 0 {
 		// The same cancellation path the leqad service uses: the deadline
-		// propagates into SweepGrid, hung cells carry the context error
+		// propagates into SweepGridSources, hung cells carry the context error
 		// and the run exits non-zero instead of wedging.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
 
-	// Inputs split into materialized circuits and lazy stream sources.
-	// When every input is materialized the batch engine runs exactly as
-	// before; one streamed input switches the whole run to the source
-	// engine (materialized circuits ride along as in-memory streams).
-	circuits := make([]*leqa.Circuit, 0, flag.NArg())
+	// A store directory turns repeat invocations into "parse once, estimate
+	// forever": every input is digested and resolved against the persisted
+	// .qca images, so only never-seen circuits pay for analysis.
+	storeOpt, err := leqa.StoreOptionsFromEnv(leqa.AnalysisStoreOptions{})
+	if err != nil {
+		return err
+	}
+	if *storeDir != "" {
+		storeOpt.Dir = *storeDir
+	}
+	if *storeMem >= 0 {
+		storeOpt.MemEntries = *storeMem
+	}
+	if *storeDisk >= 0 {
+		storeOpt.MaxDiskBytes = *storeDisk
+	}
+
+	// Every input is one source of a single sweep: stdin and files over the
+	// materialization budget stream lazily, the rest load (and lower to the
+	// FT set) up front.
 	sources := make([]leqa.Source, 0, flag.NArg())
-	streaming := false
 	for _, arg := range flag.Args() {
 		if src, ok, err := streamedInput(arg, *maxMem); err != nil {
 			return err
 		} else if ok {
 			sources = append(sources, src)
-			circuits = append(circuits, nil)
-			streaming = true
 			continue
 		}
 		c, err := loadOrGenerate(arg)
@@ -238,8 +250,15 @@ func run() error {
 				return err
 			}
 		}
-		circuits = append(circuits, c)
-		sources = append(sources, leqa.CircuitSource(c))
+		src := leqa.CircuitSource(c)
+		if storeOpt.Dir != "" {
+			// An in-memory CircuitSource bypasses the store; as a plain
+			// stream the circuit is digested and stored like a file.
+			src = leqa.Source{Name: c.Name, Open: func() (leqa.GateStream, error) {
+				return leqa.NewCircuitStream(c), nil
+			}}
+		}
+		sources = append(sources, src)
 	}
 
 	// The parameter matrix: grids × capacities × speeds, each axis falling
@@ -273,30 +292,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// A store directory turns repeat invocations into "parse once, estimate
-	// forever": every input is digested and resolved against the persisted
-	// .qca images, so only never-seen circuits pay for analysis. The sources
-	// engine carries materialized circuits through the store too.
-	storeOpt, err := leqa.StoreOptionsFromEnv(leqa.AnalysisStoreOptions{})
-	if err != nil {
-		return err
-	}
-	if *storeDir != "" {
-		storeOpt.Dir = *storeDir
-	}
-	if *storeMem >= 0 {
-		storeOpt.MemEntries = *storeMem
-	}
-	if *storeDisk >= 0 {
-		storeOpt.MaxDiskBytes = *storeDisk
-	}
 	if storeOpt.Dir != "" {
 		st, err := leqa.NewAnalysisStore(storeOpt)
 		if err != nil {
 			return err
 		}
 		runner.SetAnalysisStore(st)
-		streaming = true
 	}
 	// -trace attaches a request-style trace to the run: the engine records
 	// ingest/analyze/estimate spans (with store outcomes and shard counts)
@@ -307,12 +308,7 @@ func run() error {
 		tr = trace.New(trace.Generate())
 		ctx = trace.NewContext(ctx, tr)
 	}
-	var cells []leqa.GridCell
-	if streaming {
-		cells, err = runner.SweepGridSources(ctx, sources, paramSets)
-	} else {
-		cells, err = runner.SweepGrid(ctx, circuits, paramSets)
-	}
+	cells, err := runner.SweepGridSources(ctx, sources, paramSets)
 	if tr != nil {
 		defer fmt.Fprint(os.Stderr, tr.Breakdown())
 	}

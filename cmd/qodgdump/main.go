@@ -6,9 +6,9 @@
 //
 //	qodgdump [-iig] [-both] <circuit.qc | benchmark-name>
 //
-// By default only the QODG is dumped; -iig dumps only the IIG. Each graph
-// is built only when its output is requested — and when both are (-both),
-// the fused analysis layer builds the pair in a single pass.
+// By default only the QODG is dumped; -iig dumps only the IIG, -both both.
+// One analysis builds the pair, so the circuit must be decomposed to one-
+// and two-qubit gates (-ft, on by default, does that).
 package main
 
 import (
@@ -20,8 +20,6 @@ import (
 	"repro/internal/benchgen"
 	"repro/internal/circuit"
 	"repro/internal/decompose"
-	"repro/internal/iig"
-	"repro/internal/qodg"
 )
 
 func main() {
@@ -59,37 +57,19 @@ func run() error {
 		}
 	}
 
-	wantQODG := !*dumpIIG || *both
-	wantIIG := *dumpIIG || *both
-
-	// Build only what will be printed; a combined request shares one pass.
-	var g *qodg.Graph
-	var ig *iig.Graph
-	switch {
-	case wantQODG && wantIIG:
-		a, err := analysis.Analyze(c)
-		if err != nil {
-			return err
-		}
-		g, ig = a.QODG, a.IIG
-	case wantQODG:
-		if g, err = qodg.Build(c); err != nil {
-			return err
-		}
-	default:
-		if ig, err = iig.Build(c); err != nil {
+	// One analysis builds both graphs; print the ones asked for.
+	a, err := analysis.Analyze(c)
+	if err != nil {
+		return err
+	}
+	if !*dumpIIG || *both {
+		if err := a.QODG.WriteDOT(os.Stdout, c.Name); err != nil {
 			return err
 		}
 	}
-
-	if wantQODG {
-		if err := g.WriteDOT(os.Stdout, c.Name); err != nil {
-			return err
-		}
-	}
-	if wantIIG {
+	if *dumpIIG || *both {
 		fmt.Printf("graph %q {\n", c.Name+"_iig")
-		for _, e := range ig.Edges() {
+		for _, e := range a.IIG.Edges() {
 			fmt.Printf("  q%d -- q%d [label=\"%d\"];\n", e.A, e.B, e.Weight)
 		}
 		fmt.Println("}")

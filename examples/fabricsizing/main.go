@@ -45,7 +45,11 @@ func main() {
 	}
 
 	// One batch over the cross product {circuit} × sizes.
-	cells, err := leqa.SweepGrid(context.Background(), []*leqa.Circuit{c}, paramSets)
+	runner, err := leqa.NewRunner(base, leqa.EstimateOptions{}, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cells, err := runner.SweepGridSources(context.Background(), []leqa.Source{leqa.CircuitSource(c)}, paramSets)
 	if err != nil {
 		log.Fatal(err)
 	}

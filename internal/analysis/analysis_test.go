@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/iig"
+	"repro/internal/oracle"
 	"repro/internal/qodg"
 )
 
@@ -93,10 +94,30 @@ func assertIIGEqual(t *testing.T, name string, got, want *iig.Graph) {
 	}
 }
 
+// estimate runs Algorithm 1 on c through Analyze and EstimateAnalysis, in
+// ar's buffers when ar is non-nil.
+func estimate(t testing.TB, est *core.Estimator, c *circuit.Circuit, ar *analysis.Arena) *core.Result {
+	t.Helper()
+	var a *analysis.Analysis
+	var err error
+	if ar != nil {
+		a, err = ar.Analyze(c)
+	} else {
+		a, err = analysis.Analyze(c)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", c.Name, err)
+	}
+	res, err := est.EstimateAnalysis(a, ar)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Name, err)
+	}
+	return res
+}
+
 // TestAnalyzeMatchesReferenceBuilders is the structural half of the
-// equivalence suite: across the paper benchmarks, the fused CSR pass must
-// produce graphs node/edge/weight-identical to both the pre-refactor
-// reference builders and the standalone CSR builders.
+// equivalence suite: across the paper benchmarks, the fused CSR passes must
+// produce graphs node/edge/weight-identical to the reference builders.
 func TestAnalyzeMatchesReferenceBuilders(t *testing.T) {
 	for _, name := range suite(t) {
 		c := ftCircuit(t, name)
@@ -104,27 +125,16 @@ func TestAnalyzeMatchesReferenceBuilders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		refG, err := qodg.BuildReference(c)
+		refG, err := oracle.QODG(c)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		refIG, err := iig.BuildReference(c)
+		refIG, err := oracle.IIG(c)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		assertQODGEqual(t, name, a.QODG, refG)
 		assertIIGEqual(t, name, a.IIG, refIG)
-
-		soloG, err := qodg.Build(c)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		soloIG, err := iig.Build(c)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		assertQODGEqual(t, name, soloG, refG)
-		assertIIGEqual(t, name, soloIG, refIG)
 	}
 }
 
@@ -138,19 +148,17 @@ func TestEstimateMatchesReferenceGraphs(t *testing.T) {
 	}
 	for _, name := range suite(t) {
 		c := ftCircuit(t, name)
-		fused, err := est.Estimate(c)
+		fused := estimate(t, est, c, nil)
+		refG, err := oracle.QODG(c)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		refG, err := qodg.BuildReference(c)
+		refIG, err := oracle.IIG(c)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		refIG, err := iig.BuildReference(c)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		ref, err := est.EstimateGraphs(c, refG, refIG)
+		refA := analysis.Restore(c.Name, c.NumQubits(), c.NumGates(), c.IsFT(), refG, refIG, nil)
+		ref, err := est.EstimateAnalysis(refA, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -196,11 +204,11 @@ func TestAnalyzeEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		refG, err := qodg.BuildReference(c)
+		refG, err := oracle.QODG(c)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		refIG, err := iig.BuildReference(c)
+		refIG, err := oracle.IIG(c)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}

@@ -153,7 +153,7 @@ func (ap *Appender) Snapshot() *Analysis {
 	copy(nodes, ap.nodes)
 	for k, t := range ap.types {
 		gi := ap.baseGates + k
-		nodes[gi+1] = qodg.Node{ID: qodg.NodeID(gi + 1), Op: circuit.Gate{Type: t}, GateIndex: gi}
+		nodes[gi+1] = qodg.Node{ID: qodg.NodeID(gi + 1), Op: qodg.Op{Type: t}, GateIndex: gi}
 	}
 	nodes[n-1] = qodg.Node{ID: end, GateIndex: -1}
 

@@ -35,7 +35,7 @@ func TestAppenderMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		wantRes, err := est.EstimateAnalysis(want)
+		wantRes, err := est.EstimateAnalysis(want, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -58,7 +58,7 @@ func TestAppenderMatchesBatch(t *testing.T) {
 		}
 		assertQODGEqual(t, name, got.QODG, want.QODG)
 		assertIIGEqual(t, name, got.IIG, want.IIG)
-		gotRes, err := est.EstimateAnalysis(got)
+		gotRes, err := est.EstimateAnalysis(got, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -103,7 +103,7 @@ func TestAppenderIncrementalChunks(t *testing.T) {
 		}
 		assertQODGEqual(t, c.Name, snap.QODG, want.QODG)
 		assertIIGEqual(t, c.Name, snap.IIG, want.IIG)
-		res, err := est.EstimateAnalysis(want)
+		res, err := est.EstimateAnalysis(want, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestAppenderIncrementalChunks(t *testing.T) {
 	// Re-estimate every retained snapshot after all appends: later appends
 	// must not have mutated earlier snapshots.
 	for i, snap := range snaps {
-		got, err := est.EstimateAnalysis(snap)
+		got, err := est.EstimateAnalysis(snap, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,24 +8,24 @@ import (
 )
 
 // Arena is the reusable scratch state of the estimate hot path: every
-// buffer Analyze and the critical-path sweep would otherwise allocate per
-// call — node array, degree arrays, CSR adjacency, DepScanner state, IIG
-// incidence, the weight vector and the longest-path dist/from/level index —
-// owned once and recycled across circuits. A zero Arena is ready to use;
-// buffers grow to the largest circuit seen and stay warm, so a steady-state
-// worker analyzes and estimates with near-zero heap allocation.
+// buffer the analysis passes and the critical-path sweep would otherwise
+// allocate per call — node array, degree arrays, CSR adjacency, DepScanner
+// state, IIG incidence, the weight slab and the longest-path dist/from/level
+// index — owned once and recycled across circuits. A zero Arena is ready to
+// use; buffers grow to the largest circuit seen and stay warm, so a
+// steady-state worker analyzes and estimates with near-zero heap allocation.
 //
 // An Arena is not safe for concurrent use. The Analysis returned by
-// (*Arena).Analyze aliases arena memory and is valid only until the next
-// Analyze on the same arena; estimator Results derived from it do not alias
-// the arena and stay valid forever.
+// (*Arena).Analyze or (*Arena).AnalyzeStream aliases arena memory and is
+// valid only until the next analysis on the same arena; estimator Results
+// derived from it do not alias the arena and stay valid forever.
 type Arena struct {
-	// MaxShards caps the shard count of the parallel analysis build for
-	// calls through this arena; 0 means GOMAXPROCS, 1 forces the serial
-	// pass. leqa.Runner sets it (together with Path().MaxWorkers) to the
-	// arena's share of the cores, so pool concurrency and shard gangs
-	// divide the machine instead of multiplying against it. Purely a
-	// performance knob — results are bitwise identical at every setting.
+	// MaxShards caps the shard count of the parallel fill pass for calls
+	// through this arena; 0 means GOMAXPROCS, 1 forces the serial pass.
+	// leqa.Runner sets it (together with Path().MaxWorkers) to the arena's
+	// share of the cores, so pool concurrency and shard gangs divide the
+	// machine instead of multiplying against it. Purely a performance knob —
+	// results are bitwise identical at every setting.
 	MaxShards int
 
 	scan             qodg.DepScanner
@@ -35,23 +35,21 @@ type Arena struct {
 	succOff, predOff []int32
 	succ, pred       []qodg.NodeID
 	iigOff, iigNbr   []int32
+	cs               CircuitStream // Analyze's stream, so it costs no allocation
 
 	qg         qodg.Graph
 	igs        iig.Scratch
 	a          Analysis
 	lastWriter []qodg.NodeID
 
-	// Per-shard scratch of the parallel build: one sub-arena per shard
-	// (scanner, boundary records) plus the merged last-writer seed and the
-	// shard cut table, all recycled so the sharded pass stays at the serial
-	// arena path's steady-state allocation count.
+	// Per-shard scratch of the parallel fill pass: one sub-arena per shard
+	// (scanner, boundary records) plus the merged last-writer seed, recycled
+	// so the sharded pass stays near the serial pass's allocation count.
 	shards []shardScratch
 	seed   []qodg.NodeID
-	cuts   []int
 
-	weights qodg.Weights
-	multiW  []float64
-	path    qodg.PathScratch
+	multiW []float64
+	path   qodg.PathScratch
 }
 
 // NewArena returns an empty arena. Equivalent to new(Arena); provided so
@@ -61,19 +59,12 @@ func NewArena() *Arena { return new(Arena) }
 // Analyze is analysis.Analyze into the arena: identical validation, graph
 // topology and error behavior, but every backing array comes from the
 // arena. The returned Analysis (and both its graphs) aliases arena memory —
-// treat it as borrowed until the next Analyze on this arena.
+// treat it as borrowed until the next analysis on this arena.
 func (ar *Arena) Analyze(c *circuit.Circuit) (*Analysis, error) {
-	return analyze(c, ar)
+	return analyzeCircuit(c, ar, 0)
 }
 
-// WeightsFor builds the node weight vector for g in the arena's reusable
-// buffer — the allocation-free counterpart of qodg.Graph.NewWeights.
-func (ar *Arena) WeightsFor(g *qodg.Graph, weightOf func(circuit.Gate) float64) qodg.Weights {
-	ar.weights = g.NewWeightsInto(ar.weights, weightOf)
-	return ar.weights
-}
-
-// Path returns the arena's longest-path scratch for qodg.LongestPathInto.
+// Path returns the arena's longest-path scratch for the qodg sweeps.
 func (ar *Arena) Path() *qodg.PathScratch { return &ar.path }
 
 // MultiWeightSlab returns a reusable interleaved weight slab for a k-column
@@ -84,12 +75,4 @@ func (ar *Arena) Path() *qodg.PathScratch { return &ar.path }
 func (ar *Arena) MultiWeightSlab(g *qodg.Graph, k int) []float64 {
 	ar.multiW = csr.Grow(ar.multiW, g.NumNodes()*k)
 	return ar.multiW
-}
-
-// growClear resizes buf to n and zeroes it — degree arrays must start the
-// counting pass at zero.
-func growClear(buf []int32, n int) []int32 {
-	buf = csr.Grow(buf, n)
-	clear(buf)
-	return buf
 }

@@ -49,12 +49,8 @@ func TestArenaEstimateBitwiseIdenticalToFresh(t *testing.T) {
 	arena := make([]*core.Result, len(arenaSuite))
 	for i, name := range arenaSuite {
 		c := ftCircuit(t, name)
-		if fresh[i], err = est.Estimate(c); err != nil {
-			t.Fatal(err)
-		}
-		if arena[i], err = est.EstimateArena(c, ar); err != nil {
-			t.Fatal(err)
-		}
+		fresh[i] = estimate(t, est, c, nil)
+		arena[i] = estimate(t, est, c, ar)
 	}
 	// Every arena result must match its fresh twin bitwise — compared only
 	// after ALL estimates ran, so aliasing of earlier results by later
@@ -82,11 +78,11 @@ func TestArenaEstimateAnalysisArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := est.EstimateAnalysis(a)
+		want, err := est.EstimateAnalysis(a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := est.EstimateAnalysisArena(a, ar)
+		got, err := est.EstimateAnalysis(a, ar)
 		if err != nil {
 			t.Fatal(err)
 		}

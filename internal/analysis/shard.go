@@ -1,23 +1,18 @@
 package analysis
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/circuit"
-	"repro/internal/csr"
-	"repro/internal/iig"
 	"repro/internal/qodg"
 )
 
-// ShardThreshold is the gate count at or above which Analyze (and the fill
-// pass of AnalyzeStream) shards the fused counting/fill passes across a
-// worker gang. Below it — or with a single-worker budget — the serial pass
-// wins outright. The sharded build is bitwise identical to the serial one by
-// construction; the threshold is a performance knob, never a correctness
-// one.
+// ShardThreshold is the gate count at or above which the analysis fill pass
+// shards across a worker gang. Below it — or with a single-worker budget —
+// the serial pass wins outright. The sharded build is bitwise identical to
+// the serial one by construction; the threshold is a performance knob,
+// never a correctness one.
 //
 // The variable is read without synchronization on every analysis: tune it at
 // program start, before any concurrent estimates run. For per-call control
@@ -45,7 +40,7 @@ func planShards(nGates, budget int) int {
 	return k
 }
 
-// ShardPlan reports the shard count Analyze will use for a circuit of
+// ShardPlan reports the shard count the fill pass will use for a circuit of
 // nGates gates under ar's worker budget (1 means a serial build; ar may be
 // nil for the whole-machine budget) — exposed so observability layers can
 // annotate analyze spans without re-deriving the plan.
@@ -86,31 +81,26 @@ type boundaryRec struct {
 }
 
 // shardScratch is one shard's sub-arena: the forked dependency scanner, the
-// boundary-edge records, and the shard's slice of the validation outcome.
-// Recycled across analyses when owned by an Arena.
+// boundary-edge records, and the shard's first replay failure. Recycled
+// across analyses when owned by an Arena.
 type shardScratch struct {
-	scan qodg.DepScanner
-	recs []boundaryRec
-	ft   bool
-	// valErr/arityErr carry the shard's first per-gate validation and
-	// arity failures; the stitch reports them with the serial pass's
-	// priority (any validation error anywhere outranks any arity error).
-	valErr, arityErr error
+	scan   qodg.DepScanner
+	recs   []boundaryRec
+	valErr error
 }
 
 func (sc *shardScratch) reset(numQ int) {
 	sc.scan.ResetPending(numQ)
 	sc.recs = sc.recs[:0]
-	sc.ft = true
-	sc.valErr, sc.arityErr = nil, nil
+	sc.valErr = nil
 }
 
 // gang is the fork-join helper for one sharded analysis: k-1 workers
-// spawned on first use and reused across the analysis's phases (count,
-// fill, sort), so the whole parallel build costs a fixed handful of
-// allocations — one gang, one channel, one worker closure, one closure
-// per phase — keeping warm-arena sharded estimates near the serial
-// path's steady-state alloc budget. Not safe for concurrent run calls;
+// spawned on first use and reused across the analysis's phases (fill,
+// sort), so the whole parallel build costs a fixed handful of allocations —
+// one gang, one channel, one worker closure, one closure per phase —
+// keeping warm-arena sharded estimates near the serial path's steady-state
+// alloc budget. Not safe for concurrent run calls;
 // one gang belongs to one analysis call and must be closed when it
 // returns.
 type gang struct {
@@ -161,310 +151,5 @@ func (g *gang) run(f func(i int)) {
 func (g *gang) close() {
 	if g.started {
 		close(g.start)
-	}
-}
-
-// AnalyzeSharded is Analyze with a forced shard count, bypassing the
-// ShardThreshold/GOMAXPROCS auto-dispatch — the hook the equivalence suite
-// and benchmarks use to drive the parallel machinery on any circuit and any
-// host. shards ≤ 1 forces the serial pass.
-func AnalyzeSharded(c *circuit.Circuit, shards int) (*Analysis, error) {
-	if shards <= 1 {
-		return analyzeSerial(c, nil)
-	}
-	return analyzeShardedCuts(c, nil, evenCutsInto(nil, len(c.Gates), shards))
-}
-
-// AnalyzeSharded is the arena-backed forced-shard analysis; see the
-// package-level AnalyzeSharded.
-func (ar *Arena) AnalyzeSharded(c *circuit.Circuit, shards int) (*Analysis, error) {
-	if shards <= 1 {
-		return analyzeSerial(c, ar)
-	}
-	ar.cuts = evenCutsInto(ar.cuts, len(c.Gates), shards)
-	return analyzeShardedCuts(c, ar, ar.cuts)
-}
-
-// analyzeShardedCuts is the shard-parallel fused pass: the same counting and
-// fill passes as analyzeSerial, run per shard with forked last-writer state,
-// plus a serial stitch that resolves shard-boundary edges — the k-shard
-// generalization of the merge Appender.Snapshot performs for one suffix.
-//
-// Why the result is bitwise identical to the serial pass:
-//
-//   - Every edge both of whose endpoints fall inside one shard is emitted by
-//     that shard exactly as the serial scan would (same per-gate duplicate
-//     merge, same order), and its CSR row segments belong to that shard
-//     alone, so the parallel counting/fill passes never race.
-//   - An edge whose source precedes the shard is recorded against the
-//     pending-qubit sentinel and resolved by the stitch against the merged
-//     last-writer state of all earlier shards — by induction that state
-//     equals the serial scan's state at the shard boundary, so the resolved
-//     source is the serial edge's source. In-shard sources (> the shard's
-//     first node) and resolved sources (≤ it) occupy disjoint ID ranges, so
-//     re-applying the duplicate merge only among consecutive boundary
-//     records reproduces the serial per-gate merge exactly.
-//   - A successor row fills as: in-shard targets (ascending, by the shard's
-//     own pass), then boundary targets in shard order (later shards hold
-//     strictly larger IDs), then possibly the end anchor (maximum ID) —
-//     precisely the ascending order the serial fill produces. Predecessor
-//     rows and IIG rows are sorted downstream, so only their multisets
-//     matter, which lets the IIG fill use atomic per-qubit cursors instead
-//     of per-shard bases.
-func analyzeShardedCuts(c *circuit.Circuit, ar *Arena, cuts []int) (*Analysis, error) {
-	numQ := c.NumQubits()
-	k := len(cuts) - 1
-	n := len(c.Gates) + 2
-	end := qodg.NodeID(n - 1)
-
-	var (
-		nodes                    []qodg.Node
-		succDeg, predDeg, iigDeg []int32
-		shards                   []shardScratch
-		seed                     []qodg.NodeID
-	)
-	if ar != nil {
-		ar.nodes = csr.Grow(ar.nodes, n)
-		ar.succDeg = growClear(ar.succDeg, n+1)
-		ar.predDeg = growClear(ar.predDeg, n+1)
-		ar.iigDeg = growClear(ar.iigDeg, numQ+1)
-		nodes, succDeg, predDeg, iigDeg = ar.nodes, ar.succDeg, ar.predDeg, ar.iigDeg
-		if cap(ar.shards) < k {
-			ar.shards = make([]shardScratch, k)
-		}
-		ar.shards = ar.shards[:k]
-		shards = ar.shards
-		ar.seed = csr.Grow(ar.seed, numQ)
-		seed = ar.seed
-	} else {
-		nodes = make([]qodg.Node, n)
-		succDeg = make([]int32, n+1)
-		predDeg = make([]int32, n+1)
-		iigDeg = make([]int32, numQ+1)
-		shards = make([]shardScratch, k)
-		seed = make([]qodg.NodeID, numQ)
-	}
-	nodes[0] = qodg.Node{ID: 0, GateIndex: -1}
-	nodes[n-1] = qodg.Node{ID: end, GateIndex: -1}
-
-	// Parallel counting pass: per-gate validation, node array, QODG degrees
-	// of in-shard edges, IIG incidence counts (atomic — rows are sorted
-	// downstream) and FT tracking.
-	g := newGang(k)
-	defer g.close()
-	g.run(func(si int) {
-		shards[si].countGates(c, cuts[si], cuts[si+1], numQ, nodes, succDeg, predDeg, iigDeg)
-	})
-
-	// Error stitch. Shards cover ascending gate ranges and each shard keeps
-	// its first failure of each class, so the first shard holding a failure
-	// holds the globally smallest gate index; the serial pass's priority —
-	// its up-front Circuit.Validate walks every gate before the scan sees
-	// the first over-wide one — means any validation error outranks any
-	// arity error.
-	for i := range shards {
-		if err := shards[i].valErr; err != nil {
-			return nil, err
-		}
-	}
-	for i := range shards {
-		if err := shards[i].arityErr; err != nil {
-			return nil, err
-		}
-	}
-	ft := true
-	for i := range shards {
-		ft = ft && shards[i].ft
-	}
-
-	// Boundary stitch, counting half: walk the shards in order, resolving
-	// each record against the merged last-writer state of the shards before
-	// it, dropping per-gate duplicates (consecutive records resolving to
-	// the same edge), counting the survivors, and folding the shard's own
-	// writers into the running state. Records are compacted in place so the
-	// fill half is a plain replay.
-	clear(seed)
-	prev := boundaryRec{from: -1, to: -1}
-	for si := range shards {
-		sc := &shards[si]
-		kept := sc.recs[:0]
-		for _, r := range sc.recs {
-			r.from = seed[qodg.PendingQubit(r.from)]
-			if r == prev {
-				continue
-			}
-			prev = r
-			kept = append(kept, r)
-			succDeg[r.from]++
-			predDeg[r.to]++
-		}
-		sc.recs = kept
-		for q, l := range sc.scan.Last() {
-			if !qodg.IsPending(l) {
-				seed[q] = l
-			}
-		}
-	}
-
-	// The merged state is the serial scan's final state: run the real
-	// VisitEnd on it for the end anchor's edges.
-	var scan *qodg.DepScanner
-	if ar != nil {
-		ar.scan.ResetAt(seed)
-		scan = &ar.scan
-	} else {
-		scan = qodg.NewDepScannerAt(seed)
-	}
-	count := func(from, to qodg.NodeID) {
-		succDeg[from]++
-		predDeg[to]++
-	}
-	scan.VisitEnd(end, count)
-
-	// Offsets (serial prefix sums; degree arrays become fill cursors).
-	var (
-		succOff, predOff []int32
-		succ, pred       []qodg.NodeID
-		iigOff, iigNbr   []int32
-	)
-	if ar != nil {
-		ar.succOff, ar.succ = csr.OffsetsInto(succDeg, ar.succOff, ar.succ)
-		ar.predOff, ar.pred = csr.OffsetsInto(predDeg, ar.predOff, ar.pred)
-		ar.iigOff, ar.iigNbr = csr.OffsetsInto(iigDeg, ar.iigOff, ar.iigNbr)
-		succOff, succ = ar.succOff, ar.succ
-		predOff, pred = ar.predOff, ar.pred
-		iigOff, iigNbr = ar.iigOff, ar.iigNbr
-	} else {
-		succOff, succ = csr.Offsets[qodg.NodeID](succDeg)
-		predOff, pred = csr.Offsets[qodg.NodeID](predDeg)
-		iigOff, iigNbr = csr.Offsets[int32](iigDeg)
-	}
-
-	// Parallel fill pass: every in-shard edge and IIG incidence lands in
-	// CSR storage; boundary edges wait for the stitch so successor rows
-	// keep the serial order.
-	g.run(func(si int) {
-		shards[si].fillGates(c, cuts[si], cuts[si+1], numQ, succDeg, predDeg, succ, pred, iigDeg, iigNbr)
-	})
-
-	// Boundary stitch, fill half: replay the resolved records in shard
-	// order — each successor row's cursor sits just past its in-shard
-	// targets — then the end anchor's edges.
-	for si := range shards {
-		for _, r := range shards[si].recs {
-			succ[succDeg[r.from]] = r.to
-			succDeg[r.from]++
-			pred[predDeg[r.to]] = r.from
-			predDeg[r.to]++
-		}
-	}
-	fill := func(from, to qodg.NodeID) {
-		succ[succDeg[from]] = to
-		succDeg[from]++
-		pred[predDeg[to]] = from
-		predDeg[to]++
-	}
-	scan.VisitEnd(end, fill)
-
-	// Predecessor rows are independent: sort them in parallel node chunks,
-	// then assemble without the serial re-sort FromCSRInto would run.
-	g.run(func(si int) {
-		qodg.SortPredRange(predOff, pred, si*n/k, (si+1)*n/k)
-	})
-
-	if ar != nil {
-		qodg.FromCSRSortedInto(&ar.qg, nodes, numQ, succOff, succ, predOff, pred)
-		ar.lastWriter = append(ar.lastWriter[:0], scan.Last()...)
-		ar.a = Analysis{
-			Circuit:    c,
-			Name:       c.Name,
-			Qubits:     numQ,
-			Operations: len(c.Gates),
-			FT:         ft,
-			QODG:       &ar.qg,
-			IIG:        iig.FromIncidenceScratch(numQ, iigOff, iigNbr, &ar.igs),
-			lastWriter: ar.lastWriter,
-		}
-		return &ar.a, nil
-	}
-	qg := new(qodg.Graph)
-	qodg.FromCSRSortedInto(qg, nodes, numQ, succOff, succ, predOff, pred)
-	return &Analysis{
-		Circuit:    c,
-		Name:       c.Name,
-		Qubits:     numQ,
-		Operations: len(c.Gates),
-		FT:         ft,
-		QODG:       qg,
-		IIG:        iig.FromIncidence(numQ, iigOff, iigNbr),
-		lastWriter: append([]qodg.NodeID(nil), scan.Last()...),
-	}, nil
-}
-
-// countGates is one shard's counting pass over gates [lo, hi).
-func (sc *shardScratch) countGates(c *circuit.Circuit, lo, hi, numQ int, nodes []qodg.Node, succDeg, predDeg, iigDeg []int32) {
-	sc.reset(numQ)
-	count := func(from, to qodg.NodeID) {
-		if qodg.IsPending(from) {
-			sc.recs = append(sc.recs, boundaryRec{from: from, to: to})
-			return
-		}
-		succDeg[from]++
-		predDeg[to]++
-	}
-	for i := lo; i < hi; i++ {
-		g := c.Gates[i]
-		if err := g.Validate(numQ); err != nil {
-			// Nothing past an invalid gate can be scanned safely; later
-			// validation errors in this shard have larger indices anyway.
-			sc.valErr = fmt.Errorf("circuit %q: gate %d: %w", c.Name, i, err)
-			return
-		}
-		if sc.arityErr != nil {
-			// Validation-only tail: an earlier-shard validation error would
-			// outrank our arity error, so this shard must still surface its
-			// own — but its scan output is already condemned.
-			continue
-		}
-		switch g.Arity() {
-		case 1:
-			// One-qubit operations add no IIG edges.
-		case 2:
-			a, b := g.QubitPair()
-			atomic.AddInt32(&iigDeg[a], 1)
-			atomic.AddInt32(&iigDeg[b], 1)
-		default:
-			sc.arityErr = fmt.Errorf("analysis: gate %d (%s) touches %d qubits; decompose first",
-				i, g.Type, g.Arity())
-			continue
-		}
-		sc.ft = sc.ft && g.Type.IsFT()
-		nodes[i+1] = qodg.Node{ID: qodg.NodeID(i + 1), Op: g, GateIndex: i}
-		sc.scan.VisitGate(qodg.NodeID(i+1), g, count)
-	}
-}
-
-// fillGates is one shard's fill pass over gates [lo, hi): identical scan,
-// emitting in-shard edges into the CSR cursors and leaving boundary edges to
-// the stitch (the counting pass already recorded them).
-func (sc *shardScratch) fillGates(c *circuit.Circuit, lo, hi, numQ int, succDeg, predDeg []int32, succ, pred []qodg.NodeID, iigDeg, iigNbr []int32) {
-	sc.scan.ResetPending(numQ)
-	fill := func(from, to qodg.NodeID) {
-		if qodg.IsPending(from) {
-			return
-		}
-		succ[succDeg[from]] = to
-		succDeg[from]++
-		pred[predDeg[to]] = from
-		predDeg[to]++
-	}
-	for i := lo; i < hi; i++ {
-		g := c.Gates[i]
-		if g.Arity() == 2 {
-			a, b := g.QubitPair()
-			iigNbr[atomic.AddInt32(&iigDeg[a], 1)-1] = int32(b)
-			iigNbr[atomic.AddInt32(&iigDeg[b], 1)-1] = int32(a)
-		}
-		sc.scan.VisitGate(qodg.NodeID(i+1), g, fill)
 	}
 }

@@ -37,8 +37,8 @@ func assertAnalysisEqual(t *testing.T, name string, got, want *analysis.Analysis
 }
 
 // TestAnalyzeShardedMatchesSerialOnPaperBenchmarks drives the forced-shard
-// builder across every paper benchmark and shard count and demands graphs
-// and estimates bitwise identical to the retained serial oracle.
+// fill across every paper benchmark and shard count and demands graphs and
+// estimates bitwise identical to the serial fill.
 func TestAnalyzeShardedMatchesSerialOnPaperBenchmarks(t *testing.T) {
 	est, err := core.New(fabric.Default(), core.Options{})
 	if err != nil {
@@ -46,21 +46,21 @@ func TestAnalyzeShardedMatchesSerialOnPaperBenchmarks(t *testing.T) {
 	}
 	for _, name := range suite(t) {
 		c := ftCircuit(t, name)
-		want, err := analysis.AnalyzeSerialOracle(c, nil)
+		want, err := analysis.AnalyzeSharded(c, nil, 1)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", name, err)
 		}
-		wantRes, err := est.EstimateAnalysis(want)
+		wantRes, err := est.EstimateAnalysis(want, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, k := range shardCounts {
-			got, err := analysis.AnalyzeSharded(c, k)
+			got, err := analysis.AnalyzeSharded(c, nil, k)
 			if err != nil {
 				t.Fatalf("%s/k=%d: %v", name, k, err)
 			}
 			assertAnalysisEqual(t, name, got, want)
-			gotRes, err := est.EstimateAnalysis(got)
+			gotRes, err := est.EstimateAnalysis(got, nil)
 			if err != nil {
 				t.Fatalf("%s/k=%d: %v", name, k, err)
 			}
@@ -72,7 +72,7 @@ func TestAnalyzeShardedMatchesSerialOnPaperBenchmarks(t *testing.T) {
 	}
 }
 
-// TestAnalyzeShardedArenaReuse runs the arena-backed forced-shard path
+// TestAnalyzeShardedArenaReuse runs the arena-backed forced-shard fill
 // repeatedly across circuits of different shapes, checking each result
 // against a fresh serial analysis — stale per-shard scratch must never leak
 // between calls.
@@ -82,11 +82,11 @@ func TestAnalyzeShardedArenaReuse(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, name := range names {
 			c := ftCircuit(t, name)
-			want, err := analysis.AnalyzeSerialOracle(c, nil)
+			want, err := analysis.AnalyzeSharded(c, nil, 1)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			got, err := ar.AnalyzeSharded(c, 3+round)
+			got, err := analysis.AnalyzeSharded(c, ar, 3+round)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -143,7 +143,7 @@ func randomShardCircuit(rng *rand.Rand, name string, numQ, nGates int) *circuit.
 // TestAnalyzeShardedFuzzCuts fuzzes shard boundaries on randomized circuits:
 // even cuts at every suite shard count plus adversarial cut tables —
 // empty leading/middle/trailing shards, suffix-only shards, cuts landing
-// inside same-pair runs — all compared against the serial oracle.
+// inside same-pair runs — all compared against the serial fill.
 func TestAnalyzeShardedFuzzCuts(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rounds := 24
@@ -156,13 +156,13 @@ func TestAnalyzeShardedFuzzCuts(t *testing.T) {
 		nGates := 1 + rng.Intn(400)
 		c := randomShardCircuit(rng, "fuzz", numQ, nGates)
 		n := len(c.Gates)
-		want, err := analysis.AnalyzeSerialOracle(c, nil)
+		want, err := analysis.AnalyzeSharded(c, nil, 1)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 
 		for _, k := range shardCounts {
-			got, err := analysis.AnalyzeSharded(c, k)
+			got, err := analysis.AnalyzeSharded(c, nil, k)
 			if err != nil {
 				t.Fatalf("round %d k=%d: %v", round, k, err)
 			}
@@ -188,12 +188,12 @@ func TestAnalyzeShardedFuzzCuts(t *testing.T) {
 			cutTables = append(cutTables, cuts)
 		}
 		for _, cuts := range cutTables {
-			got, err := analysis.AnalyzeShardedAtCuts(c, nil, cuts)
+			got, err := analysis.AnalyzeAtCuts(c, nil, cuts)
 			if err != nil {
 				t.Fatalf("round %d cuts %v: %v", round, cuts, err)
 			}
 			assertAnalysisEqual(t, c.Name, got, want)
-			got, err = analysis.AnalyzeShardedAtCuts(c, ar, cuts)
+			got, err = analysis.AnalyzeAtCuts(c, ar, cuts)
 			if err != nil {
 				t.Fatalf("round %d cuts %v (arena): %v", round, cuts, err)
 			}
@@ -203,9 +203,9 @@ func TestAnalyzeShardedFuzzCuts(t *testing.T) {
 }
 
 // TestAnalyzeStreamShardedMatchesSerial drives the forced-shard streamed
-// fill pass across the paper benchmarks and fuzz circuits: graphs must be
-// node/edge-identical to the serial streamed analysis (which the existing
-// suite proves equivalent to the materialized path).
+// fill pass over unvalidated circuit streams — every gate re-checked in
+// each shard — across the paper benchmarks and fuzz circuits: graphs must
+// be node/edge-identical to the serial streamed analysis.
 func TestAnalyzeStreamShardedMatchesSerial(t *testing.T) {
 	check := func(t *testing.T, c *circuit.Circuit, ar *analysis.Arena) {
 		t.Helper()
@@ -236,9 +236,10 @@ func TestAnalyzeStreamShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestAnalyzeShardedErrorSemantics checks the stitch reports the same error,
-// for the same gate, as the serial pass — including the validate-outranks-
-// arity priority when the two failures land in different shards.
+// TestAnalyzeShardedErrorSemantics checks a sharded analysis reports the
+// same error, for the same gate, as the serial one — including the
+// validate-outranks-arity priority when the two failures would land in
+// different shards.
 func TestAnalyzeShardedErrorSemantics(t *testing.T) {
 	numQ := 4
 	base := func(n int) *circuit.Circuit {
@@ -252,9 +253,9 @@ func TestAnalyzeShardedErrorSemantics(t *testing.T) {
 	t.Run("invalid-operand", func(t *testing.T) {
 		c := base(100)
 		c.Gates[70] = circuit.Gate{Type: circuit.CNOT, Controls: []int{0}, Targets: []int{99}}
-		_, wantErr := analysis.AnalyzeSerialOracle(c, nil)
+		_, wantErr := analysis.AnalyzeSharded(c, nil, 1)
 		for _, k := range shardCounts {
-			_, err := analysis.AnalyzeSharded(c, k)
+			_, err := analysis.AnalyzeSharded(c, nil, k)
 			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("k=%d: error %v, want %v", k, err, wantErr)
 			}
@@ -264,9 +265,9 @@ func TestAnalyzeShardedErrorSemantics(t *testing.T) {
 	t.Run("wide-gate", func(t *testing.T) {
 		c := base(100)
 		c.Gates[70] = circuit.NewToffoli(0, 1, 2)
-		_, wantErr := analysis.AnalyzeSerialOracle(c, nil)
+		_, wantErr := analysis.AnalyzeSharded(c, nil, 1)
 		for _, k := range shardCounts {
-			_, err := analysis.AnalyzeSharded(c, k)
+			_, err := analysis.AnalyzeSharded(c, nil, k)
 			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("k=%d: error %v, want %v", k, err, wantErr)
 			}
@@ -274,16 +275,15 @@ func TestAnalyzeShardedErrorSemantics(t *testing.T) {
 	})
 
 	t.Run("validation-outranks-arity", func(t *testing.T) {
-		// Wide gate early, invalid operand late: the serial pass's up-front
-		// Validate reports the late invalid gate before the scan ever meets
-		// the early wide one, and the sharded pass must agree even when the
-		// two land in different shards.
+		// Wide gate early, invalid operand late: Analyze's up-front Validate
+		// reports the late invalid gate before the scan ever meets the early
+		// wide one, whatever the shard count.
 		c := base(100)
 		c.Gates[10] = circuit.NewToffoli(0, 1, 2)
 		c.Gates[90] = circuit.Gate{Type: circuit.CNOT, Controls: []int{0}, Targets: []int{99}}
-		_, wantErr := analysis.AnalyzeSerialOracle(c, nil)
+		_, wantErr := analysis.AnalyzeSharded(c, nil, 1)
 		for _, k := range shardCounts {
-			_, err := analysis.AnalyzeSharded(c, k)
+			_, err := analysis.AnalyzeSharded(c, nil, k)
 			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("k=%d: error %v, want %v", k, err, wantErr)
 			}
@@ -304,7 +304,7 @@ func TestAnalyzeAutoShardDispatch(t *testing.T) {
 	names := suite(t)
 	name := names[len(names)-1]
 	c := ftCircuit(t, name)
-	want, err := analysis.AnalyzeSerialOracle(c, nil)
+	want, err := analysis.AnalyzeSharded(c, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

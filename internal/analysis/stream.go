@@ -33,13 +33,14 @@ type GateStream interface {
 	Name() string
 }
 
-// CircuitStream adapts a materialized circuit into a GateStream, letting
-// mixed batches (some circuits in memory, some on disk) run through one
-// streaming engine, and letting the equivalence suite feed the exact same
-// gates down both paths.
+// CircuitStream adapts a materialized circuit into a GateStream — the
+// form in which Analyze feeds in-memory circuits to the one builder, and in
+// which mixed batches (some circuits in memory, some on disk) share one
+// streaming engine.
 type CircuitStream struct {
-	c *circuit.Circuit
-	i int
+	c     *circuit.Circuit
+	i     int
+	valid bool // c passed Validate: the passes may skip per-gate checks
 }
 
 // NewCircuitStream returns a stream over c's gate list.
@@ -61,10 +62,55 @@ func (s *CircuitStream) Rewind() error      { s.i = -1; return nil }
 func (s *CircuitStream) NumQubits() int     { return s.c.NumQubits() }
 func (s *CircuitStream) Name() string       { return s.c.Name }
 
+// PrevalidatedGates reports whether the circuit was validated up front
+// (Analyze does so before streaming it); see PrevalidatedStream.
+func (s *CircuitStream) PrevalidatedGates() bool { return s.valid }
+
 // Register exposes the backing circuit's qubit register — the same optional
 // capability ingest.Scanner offers, letting encoders recover real qubit
 // names from a materialized stream.
 func (s *CircuitStream) Register() *circuit.Circuit { return s.c }
+
+// gateCursor reads one pass of a stream's gates. An in-memory circuit (a
+// CircuitStream or one of its segments) is read straight from its gate
+// slice: the two interface calls per gate a stream costs made analyzing a
+// materialized circuit about a quarter slower.
+type gateCursor struct {
+	src   GateStream
+	mem   bool
+	gates []circuit.Gate // the in-memory gates when mem
+	i     int
+	cur   circuit.Gate // the streamed gate when !mem
+}
+
+func newGateCursor(src GateStream) gateCursor {
+	switch s := src.(type) {
+	case *CircuitStream:
+		return gateCursor{src: src, mem: true, gates: s.c.Gates}
+	case *circuitSegment:
+		return gateCursor{src: src, mem: true, gates: s.c.Gates[s.lo:s.hi]}
+	}
+	return gateCursor{src: src}
+}
+
+// next returns the pass's next gate, nil at its end. The gate is valid
+// until the following call. Small enough to inline, so an in-memory gate
+// costs no call at all.
+func (c *gateCursor) next() *circuit.Gate {
+	if c.i < len(c.gates) {
+		c.i++
+		return &c.gates[c.i-1]
+	}
+	return c.scan()
+}
+
+func (c *gateCursor) scan() *circuit.Gate {
+	if c.mem || !c.src.Scan() {
+		return nil
+	}
+	c.cur = c.src.Gate()
+	return &c.cur
+}
 
 // SegmentedStream is a GateStream that can replay itself as concurrent
 // contiguous segments — the capability the shard-parallel fill pass of
@@ -114,6 +160,7 @@ type circuitSegment struct {
 	c      *circuit.Circuit
 	lo, hi int
 	i      int
+	valid  bool
 }
 
 func (s *circuitSegment) Scan() bool {
@@ -130,6 +177,8 @@ func (s *circuitSegment) Rewind() error      { s.i = s.lo - 1; return nil }
 func (s *circuitSegment) NumQubits() int     { return s.c.NumQubits() }
 func (s *circuitSegment) Name() string       { return s.c.Name }
 
+func (s *circuitSegment) PrevalidatedGates() bool { return s.valid }
+
 // Segments implements SegmentedStream with even cuts over the gate list.
 func (s *CircuitStream) Segments(max int) ([]GateStream, []int, error) {
 	n := len(s.c.Gates)
@@ -139,45 +188,39 @@ func (s *CircuitStream) Segments(max int) ([]GateStream, []int, error) {
 	cuts := evenCutsInto(nil, n, max)
 	segs := make([]GateStream, max)
 	for i := range segs {
-		segs[i] = &circuitSegment{c: s.c, lo: cuts[i], hi: cuts[i+1], i: cuts[i] - 1}
+		segs[i] = &circuitSegment{c: s.c, lo: cuts[i], hi: cuts[i+1], i: cuts[i] - 1, valid: s.valid}
 	}
 	return segs, cuts, nil
 }
 
-// AnalyzeStream is analysis.Analyze over a gate stream: the identical
-// fused counting and CSR fill passes, driven by two passes over src instead
-// of two loops over a materialized []Gate. The resulting graphs are
-// topology-identical to Analyze on the materialized circuit — same node
-// IDs, same CSR contents — so estimates derived from them are bitwise
-// identical; the only difference is that QODG nodes carry operand-free
-// gates (Type only, no Controls/Targets slices) and Analysis.Circuit is
-// nil. Peak memory is the analysis product itself (nodes + CSR adjacency)
-// plus one ingest chunk: the O(gates) heap of per-gate operand slices a
-// materialized []Gate drags along is never allocated.
+// AnalyzeStream builds both graphs from two passes over a gate stream: a
+// counting pass (QODG degrees, IIG incidence counts, FT tracking,
+// validation), then a fill pass (nodes, CSR adjacency, IIG incidence).
+// QODG nodes carry operand-free gates (Type only, no Controls/Targets
+// slices). Peak memory is the analysis product itself (nodes + CSR
+// adjacency) plus one ingest chunk: the O(gates) heap of per-gate operand
+// slices a materialized []Gate drags along is never allocated.
 func AnalyzeStream(src GateStream) (*Analysis, error) {
-	return analyzeStream(src, nil)
+	return analyzeStream(src, nil, 0)
 }
 
 // AnalyzeStream is the arena-backed streamed analysis: same contract as
 // AnalyzeStream, every buffer drawn from ar. The returned Analysis is
 // borrowed until ar's next use, exactly like (*Arena).Analyze.
 func (ar *Arena) AnalyzeStream(src GateStream) (*Analysis, error) {
-	return analyzeStream(src, ar)
+	return analyzeStream(src, ar, 0)
 }
 
-// analyzeStream runs the two-pass streamed analysis. With a nil arena it
-// allocates fresh immutable storage; otherwise every buffer is recycled
-// arena state. The pass structure mirrors analyze line for line: counting
-// pass (degrees, IIG incidence counts, FT tracking, validation), offsets,
-// fill pass (nodes, CSR adjacency, IIG incidence), assembly.
-func analyzeStream(src GateStream, ar *Arena) (*Analysis, error) {
-	return analyzeStreamK(src, ar, 0)
-}
+// growChunk is the minimum growth step of the counting pass's degree
+// arrays, which grow with the stream rather than once per gate.
+const growChunk = 1 << 12
 
-// analyzeStreamK is analyzeStream with a forced fill-pass shard count:
-// 0 auto-dispatches through planShards, anything larger bypasses the
-// thresholds (the equivalence suite's hook).
-func analyzeStreamK(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
+// analyzeStream runs the two-pass analysis. With a nil arena it allocates
+// fresh immutable storage; otherwise every buffer is recycled arena state.
+// forceK forces the fill pass's shard count: 0 auto-dispatches through
+// planShards, anything larger bypasses the thresholds (the equivalence
+// suite's hook).
+func analyzeStream(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 	var (
 		succDeg, predDeg, iigDeg []int32
 		scan                     *qodg.DepScanner
@@ -196,24 +239,39 @@ func analyzeStreamK(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 
 	// Counting pass. Degree arrays grow with the stream: when gate i
 	// arrives it occupies node i+1 and every edge it emits ends there, so
-	// extending the arrays one slot per gate keeps all emitted indices in
-	// range without knowing the gate count up front.
+	// keeping the arrays at least nGates+2 long keeps all emitted indices in
+	// range without knowing the gate count up front. They grow in chunks
+	// (zeroed tails) and are cut to size after the pass.
 	ft := true
 	nGates := 0
 	trusted := gatesPrevalidated(src)
-	for src.Scan() {
-		g := src.Gate()
+	q := src.NumQubits()
+	for cur := newGateCursor(src); ; {
+		gp := cur.next()
+		if gp == nil {
+			break
+		}
+		g := *gp
 		id := qodg.NodeID(nGates + 1)
-		succDeg = growKeep(succDeg, nGates+2)
-		predDeg = growKeep(predDeg, nGates+2)
-		q := src.NumQubits()
-		scan.GrowTo(q)
-		if err := validateStreamGate(src, nGates, g, q, trusted); err != nil {
-			return nil, err
+		if nGates+2 > len(succDeg) {
+			grown := max(2*len(succDeg), nGates+2, growChunk)
+			succDeg = growKeep(succDeg, grown)
+			predDeg = growKeep(predDeg, grown)
+		}
+		if !cur.mem { // an in-memory register never grows
+			q = src.NumQubits()
+			scan.GrowTo(q)
+		}
+		if !trusted || g.Arity() > 2 {
+			if err := validateStreamGate(src, nGates, g, q, trusted); err != nil {
+				return nil, err
+			}
 		}
 		if g.Arity() == 2 {
 			a, b := g.QubitPair()
-			iigDeg = growKeep(iigDeg, q)
+			if q > len(iigDeg) {
+				iigDeg = growKeep(iigDeg, max(2*len(iigDeg), q))
+			}
 			iigDeg[a]++
 			iigDeg[b]++
 		}
@@ -227,9 +285,9 @@ func analyzeStreamK(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 	numQ := src.NumQubits()
 	n := nGates + 2
 	end := qodg.NodeID(n - 1)
-	succDeg = growKeep(succDeg, n+1)
-	predDeg = growKeep(predDeg, n+1)
-	iigDeg = growKeep(iigDeg, numQ+1)
+	succDeg = growKeep(succDeg, n+1)[:n+1]
+	predDeg = growKeep(predDeg, n+1)[:n+1]
+	iigDeg = growKeep(iigDeg, numQ+1)[:numQ+1]
 	scan.GrowTo(numQ)
 	scan.VisitEnd(end, count)
 
@@ -261,9 +319,8 @@ func analyzeStreamK(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 
 	// Sharded fill pass: a segmentable source replays as concurrent
 	// contiguous segments — the counting pass has already fixed the gate
-	// count, register size and every row offset, so the fill shards exactly
-	// like the materialized builder's. Serial replay remains the fallback
-	// for non-segmentable sources and below-threshold circuits.
+	// count, register size and every row offset. Serial replay remains the
+	// fallback for non-segmentable sources and below-threshold circuits.
 	sharded := false
 	if seg, ok := src.(SegmentedStream); ok {
 		k := forceK
@@ -291,19 +348,22 @@ func analyzeStreamK(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 			predDeg[to]++
 		}
 		filled := 0
-		for src.Scan() {
-			g := src.Gate()
+		for cur := newGateCursor(src); ; {
+			gp := cur.next()
+			if gp == nil {
+				break
+			}
+			g := *gp
 			if filled >= nGates {
 				return nil, replayError(src, nGates)
 			}
-			if err := validateStreamGate(src, filled, g, numQ, trusted); err != nil {
-				return nil, err
+			if !trusted || g.Arity() > 2 {
+				if err := validateStreamGate(src, filled, g, numQ, trusted); err != nil {
+					return nil, err
+				}
 			}
 			id := qodg.NodeID(filled + 1)
-			// Operand-free node: the estimate phase reads only the gate type
-			// (weights, critical-path counts), so the Controls/Targets heap a
-			// materialized gate list retains is simply never built.
-			nodes[filled+1] = qodg.Node{ID: id, Op: circuit.Gate{Type: g.Type}, GateIndex: filled}
+			nodes[filled+1] = qodg.Node{ID: id, Op: qodg.Op{Type: g.Type}, GateIndex: filled}
 			if g.Arity() == 2 {
 				a, b := g.QubitPair()
 				iigNbr[iigDeg[a]] = int32(b)
@@ -362,14 +422,36 @@ func analyzeStreamK(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 // fillStreamSharded is the shard-parallel fill pass of analyzeStream: one
 // goroutine per stream segment runs the same scan as the serial replay with
 // shard-local pending-seeded last-writer state, in-shard edges land directly
-// in the CSR cursors (disjoint row ranges — no races), and the serial stitch
-// resolves boundary edges exactly like the materialized sharded builder.
-// Unlike that builder the row offsets already exist (the serial counting
-// pass produced them), so the stitch only replays fills, and a final check
-// that the merged last-writer state equals the counting pass's state guards
-// the whole fill against a stream that replays differently. Returns false
-// (no error) when the source declines to segment, leaving the serial
-// fallback to run.
+// in the CSR cursors (disjoint row ranges — no races), and a serial stitch
+// resolves the boundary edges — the k-shard generalization of the merge
+// Appender.Snapshot performs for one suffix. The row offsets already exist
+// (the serial counting pass produced them), so the stitch only replays
+// fills, and a final check that the merged last-writer state equals the
+// counting pass's state guards the whole fill against a stream that
+// replays differently. Returns false (no error) when the source declines to
+// segment, leaving the serial fallback to run.
+//
+// Why the result is bitwise identical to the serial fill:
+//
+//   - Every edge both of whose endpoints fall inside one shard is emitted by
+//     that shard exactly as the serial scan would (same per-gate duplicate
+//     merge, same order), and its CSR row segments belong to that shard
+//     alone, so the parallel fill never races.
+//   - An edge whose source precedes the shard is recorded against the
+//     pending-qubit sentinel and resolved by the stitch against the merged
+//     last-writer state of all earlier shards — by induction that state
+//     equals the serial scan's state at the shard boundary, so the resolved
+//     source is the serial edge's source. In-shard sources (> the shard's
+//     first node) and resolved sources (≤ it) occupy disjoint ID ranges, so
+//     re-applying the duplicate merge only among consecutive boundary
+//     records reproduces the serial per-gate merge exactly.
+//   - A successor row fills as: in-shard targets (ascending, by the shard's
+//     own pass), then boundary targets in shard order (later shards hold
+//     strictly larger IDs), then possibly the end anchor (maximum ID) —
+//     precisely the ascending order the serial fill produces. Predecessor
+//     rows and IIG rows are sorted downstream, so only their multisets
+//     matter, which lets the IIG fill use atomic per-qubit cursors instead
+//     of per-shard bases.
 func fillStreamSharded(src SegmentedStream, ar *Arena, k, nGates, numQ int,
 	nodes []qodg.Node, succDeg, predDeg, predOff []int32, succ, pred []qodg.NodeID,
 	iigDeg, iigNbr []int32, scan *qodg.DepScanner) (bool, error) {
@@ -425,18 +507,24 @@ func fillStreamSharded(src SegmentedStream, ar *Arena, k, nGates, numQ int,
 		s := segs[si]
 		i := cuts[si]
 		trusted := gatesPrevalidated(s)
-		for s.Scan() {
-			g := s.Gate()
+		for cur := newGateCursor(s); ; {
+			gp := cur.next()
+			if gp == nil {
+				break
+			}
+			g := *gp
 			if i >= cuts[si+1] {
 				sc.valErr = replayError(src, nGates)
 				return
 			}
-			if err := validateStreamGate(src, i, g, numQ, trusted); err != nil {
-				sc.valErr = err
-				return
+			if !trusted || g.Arity() > 2 {
+				if err := validateStreamGate(src, i, g, numQ, trusted); err != nil {
+					sc.valErr = err
+					return
+				}
 			}
 			id := qodg.NodeID(i + 1)
-			nodes[i+1] = qodg.Node{ID: id, Op: circuit.Gate{Type: g.Type}, GateIndex: i}
+			nodes[i+1] = qodg.Node{ID: id, Op: qodg.Op{Type: g.Type}, GateIndex: i}
 			if g.Arity() == 2 {
 				a, b := g.QubitPair()
 				iigNbr[atomic.AddInt32(&iigDeg[a], 1)-1] = int32(b)
@@ -512,9 +600,8 @@ func fillStreamSharded(src SegmentedStream, ar *Arena, k, nGates, numQ int,
 	return true, nil
 }
 
-// validateStreamGate applies the per-gate checks the materialized path gets
-// from Circuit.Validate plus the analysis-layer arity constraint, with the
-// same error shapes. It also shields the CSR cursors from a misbehaving
+// validateStreamGate applies Circuit.Validate's per-gate checks plus the
+// analysis-layer arity constraint, with the same error shapes. It also shields the CSR cursors from a misbehaving
 // stream: an out-of-range operand would otherwise corrupt rows silently.
 // Streams that advertise PrevalidatedStream skip the Gate.Validate half —
 // their decoders already ran the identical checks per gate — but keep the
@@ -540,8 +627,7 @@ func replayError(src GateStream, nGates int) error {
 }
 
 // growKeep extends buf to length n, preserving existing contents and
-// zeroing the new tail — the streaming counterpart of growClear, whose
-// whole-buffer clear would erase counts accumulated mid-pass.
+// zeroing the new tail, so counts accumulated mid-pass survive.
 func growKeep(buf []int32, n int) []int32 {
 	if n <= len(buf) {
 		return buf

@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -44,7 +45,7 @@ func TestAnalyzeStreamMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		wantRes, err := est.EstimateAnalysis(want)
+		wantRes, err := est.EstimateAnalysis(want, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -64,9 +65,6 @@ func TestAnalyzeStreamMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, label, err)
 			}
-			if got.Circuit != nil {
-				t.Errorf("%s/%s: streamed analysis retained a Circuit", name, label)
-			}
 			if got.Name != c.Name || got.Qubits != want.Qubits || got.Operations != want.Operations || got.FT != want.FT {
 				t.Fatalf("%s/%s: metadata %q/%d/%d/%v, want %q/%d/%d/%v", name, label,
 					got.Name, got.Qubits, got.Operations, got.FT,
@@ -74,7 +72,7 @@ func TestAnalyzeStreamMatchesBatch(t *testing.T) {
 			}
 			assertQODGEqual(t, name+"/"+label, got.QODG, want.QODG)
 			assertIIGEqual(t, name+"/"+label, got.IIG, want.IIG)
-			gotRes, err := est.EstimateAnalysis(got)
+			gotRes, err := est.EstimateAnalysis(got, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, label, err)
 			}
@@ -112,11 +110,11 @@ func TestArenaAnalyzeStream(t *testing.T) {
 		}
 		assertQODGEqual(t, name, got.QODG, want.QODG)
 		assertIIGEqual(t, name, got.IIG, want.IIG)
-		if fresh[i], err = est.EstimateAnalysis(want); err != nil {
+		if fresh[i], err = est.EstimateAnalysis(want, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Estimate through the same arena while the analysis borrows it.
-		if arena[i], err = est.EstimateAnalysisArena(got, ar); err != nil {
+		if arena[i], err = est.EstimateAnalysis(got, ar); err != nil {
 			t.Fatal(err)
 		}
 		sc.Close()
@@ -128,9 +126,9 @@ func TestArenaAnalyzeStream(t *testing.T) {
 	}
 }
 
-// TestEstimateStreamNonFT proves the streaming FT guard fails with the same
-// error the batch precondition produces, and that a wide non-FT gate
-// reports non-FT (not arity) — the batch path's failure priority.
+// TestEstimateStreamNonFT proves the streaming FT guard fails with the
+// error a non-FT analysis's estimate produces, names the first non-FT gate,
+// and reports a wide non-FT gate as non-FT (not arity).
 func TestEstimateStreamNonFT(t *testing.T) {
 	est, err := core.New(fabric.Default(), core.Options{})
 	if err != nil {
@@ -138,15 +136,15 @@ func TestEstimateStreamNonFT(t *testing.T) {
 	}
 	c := circuit.New("nonft", 3)
 	c.Append(circuit.NewCNOT(0, 1), circuit.NewToffoli(0, 1, 2))
-	wantErr := ""
-	if _, err := est.Estimate(c); err != nil {
-		wantErr = err.Error()
-	} else {
-		t.Fatal("batch estimate of non-FT circuit succeeded")
+	nonFT := analysis.Restore(c.Name, 3, 2, false, nil, nil, nil)
+	_, wantErr := est.EstimateAnalysis(nonFT, nil)
+	if wantErr == nil {
+		t.Fatal("estimate of a non-FT analysis succeeded")
 	}
-	_, err = est.EstimateStream(analysis.NewCircuitStream(c))
-	if err == nil || err.Error() != wantErr {
-		t.Fatalf("streamed non-FT error = %v, want %q", err, wantErr)
+	_, err = est.AnalyzeStreamFT(analysis.NewCircuitStream(c), nil)
+	var nft *core.NonFTError
+	if !errors.As(err, &nft) || err.Error() != wantErr.Error() || nft.Gate != 1 || nft.Type != circuit.Toffoli {
+		t.Fatalf("streamed non-FT error = %v (%+v), want %q at gate 1", err, nft, wantErr)
 	}
 }
 

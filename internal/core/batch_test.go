@@ -10,6 +10,7 @@ import (
 	"repro/internal/benchgen"
 	"repro/internal/circuit"
 	"repro/internal/fabric"
+	"repro/internal/oracle"
 )
 
 // batchParamSets returns six distinct fabric configurations — the §4.2
@@ -46,8 +47,34 @@ func batchEstimators(t *testing.T, sets []fabric.Params, opt Options) []*Estimat
 	return ests
 }
 
+// assertOraclePath checks res's critical path against the oracle sweep over
+// a's QODG re-weighted the way Algorithm 1 lines 19–20 define: d_CNOT +
+// L_CNOT^avg per CNOT, d_g + L_g^avg per one-qubit gate.
+func assertOraclePath(t *testing.T, label string, p fabric.Params, a *analysis.Analysis, res *Result) {
+	t.Helper()
+	w := a.QODG.NewWeights(func(g circuit.Gate) float64 {
+		if g.Type == circuit.CNOT {
+			return p.DCNOT + res.LCNOTAvg
+		}
+		d, err := p.DelayOf(g.Type)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return d + res.LOneQubitAvg
+	})
+	cp, err := oracle.LongestPath(a.QODG, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(cp.Length) != math.Float64bits(res.EstimatedLatency) ||
+		!reflect.DeepEqual(cp, res.CriticalPath) {
+		t.Fatalf("%s: critical path %v (%d nodes), oracle %v (%d nodes)", label,
+			res.EstimatedLatency, len(res.CriticalPath.Nodes), cp.Length, len(cp.Nodes))
+	}
+}
+
 // assertResultsBitwiseEqual compares two Results field by field with no
-// float tolerance — the batched path must reproduce the serial one exactly.
+// float tolerance — a column's Result must not depend on its batch.
 func assertResultsBitwiseEqual(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if math.Float64bits(got.EstimatedLatency) != math.Float64bits(want.EstimatedLatency) {
@@ -61,8 +88,9 @@ func assertResultsBitwiseEqual(t *testing.T, label string, got, want *Result) {
 // TestEstimateAnalysisBatchMatchesPerColumn is the batch contract: for every
 // paper benchmark (the small subset under -short) and six parameter columns,
 // every Result of one EstimateAnalysisBatch call must be bitwise identical
-// to its per-column EstimateAnalysisArena twin — arena and fresh-allocation
-// variants both.
+// to its one-column EstimateAnalysis twin — arena and fresh-allocation
+// variants both — whose critical path in turn matches the oracle sweep over
+// the column's re-weighted QODG.
 func TestEstimateAnalysisBatchMatchesPerColumn(t *testing.T) {
 	sets := batchParamSets(t)
 	ests := batchEstimators(t, sets, Options{})
@@ -82,10 +110,11 @@ func TestEstimateAnalysisBatchMatchesPerColumn(t *testing.T) {
 		}
 		want := make([]*Result, len(ests))
 		for j, e := range ests {
-			want[j], err = e.EstimateAnalysisArena(a, nil)
+			want[j], err = e.EstimateAnalysis(a, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertOraclePath(t, name, e.Params, a, want[j])
 		}
 		results, errs := EstimateAnalysisBatch(ests, a, ar)
 		for j := range ests {
@@ -105,8 +134,8 @@ func TestEstimateAnalysisBatchMatchesPerColumn(t *testing.T) {
 }
 
 // TestEstimateAnalysisBatchPerColumnErrors pins the error isolation: a
-// column whose params lack a gate delay fails with exactly the error the
-// serial path reports, while its neighbor columns estimate normally.
+// column whose params lack a gate delay fails with exactly the error it
+// reports alone, while its neighbor columns estimate normally.
 func TestEstimateAnalysisBatchPerColumnErrors(t *testing.T) {
 	c, err := benchgen.GenerateFT("ham7")
 	if err != nil {
@@ -131,11 +160,11 @@ func TestEstimateAnalysisBatchPerColumnErrors(t *testing.T) {
 	if results[1] != nil {
 		t.Fatal("broken column returned a Result")
 	}
-	_, wantErr := ests[1].EstimateAnalysisArena(a, nil)
+	_, wantErr := ests[1].EstimateAnalysis(a, nil)
 	if wantErr == nil || errs[1].Error() != wantErr.Error() {
 		t.Fatalf("batch error %q, serial error %q", errs[1], wantErr)
 	}
-	want, err := ests[0].EstimateAnalysisArena(a, nil)
+	want, err := ests[0].EstimateAnalysis(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +173,7 @@ func TestEstimateAnalysisBatchPerColumnErrors(t *testing.T) {
 }
 
 // TestEstimateAnalysisBatchNonFT: a non-FT analysis fails every column with
-// the single-column path's NonFTError.
+// a NonFTError.
 func TestEstimateAnalysisBatchNonFT(t *testing.T) {
 	c, err := benchgen.GenerateFT("ham7")
 	if err != nil {
@@ -155,7 +184,7 @@ func TestEstimateAnalysisBatchNonFT(t *testing.T) {
 		t.Fatal(err)
 	}
 	na := *real
-	na.FT = false // same precondition EstimateAnalysisArena guards on
+	na.FT = false // the precondition EstimateAnalysis guards on
 	a := &na
 	ests := batchEstimators(t, []fabric.Params{fabric.Default(), fabric.Default()}, Options{})
 	results, errs := EstimateAnalysisBatch(ests, a, nil)

@@ -7,13 +7,11 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/analysis"
 	"repro/internal/circuit"
 	"repro/internal/fabric"
 	"repro/internal/iig"
-	"repro/internal/ingest"
 	"repro/internal/qodg"
 	"repro/internal/tsp"
 	"repro/internal/zonemodel"
@@ -117,61 +115,17 @@ func (e *NonFTError) Error() string {
 
 func ftErr(name string) error { return &NonFTError{Circuit: name, Gate: -1} }
 
-// Estimate runs Algorithm 1 on an FT circuit.
-func (e *Estimator) Estimate(c *circuit.Circuit) (*Result, error) {
-	if !c.IsFT() {
-		return nil, ftErr(c.Name)
-	}
-	// Line 1: one fused pass builds the IIG and the QODG used at line 19.
-	a, err := analysis.Analyze(c)
-	if err != nil {
-		return nil, err
-	}
-	return e.estimate(a.Qubits, a.Operations, a.QODG, a.IIG, nil)
-}
-
-// EstimateStream runs Algorithm 1 on a streamed netlist: the fused analysis
-// passes consume the gate stream directly (analysis.AnalyzeStream), so the
-// circuit's gate list is never materialized and peak memory is the analysis
-// product plus one ingest chunk. The FT precondition is enforced gate by
-// gate as the stream flows; results are bitwise identical to Estimate on
-// the materialized circuit.
-func (e *Estimator) EstimateStream(src analysis.GateStream) (*Result, error) {
-	return e.EstimateStreamArena(src, nil)
-}
-
-// EstimateStreamArena is EstimateStream with every analysis and estimate
-// buffer drawn from ar — the steady-state ingestion path of a pooled
-// worker. A nil arena allocates fresh storage.
-func (e *Estimator) EstimateStreamArena(src analysis.GateStream, ar *analysis.Arena) (*Result, error) {
-	a, err := e.AnalyzeStreamFT(src, ar)
-	if err != nil {
-		return nil, err
-	}
-	return e.estimate(a.Qubits, a.Operations, a.QODG, a.IIG, ar)
-}
-
-// AnalyzeStreamFT is the analysis half of EstimateStreamArena on its own:
-// the stream runs behind the FT-set guard into the fused (possibly
-// shard-parallel) streamed analysis. Callers that need to time or schedule
-// the analysis and estimate phases separately — the service's phase
-// metrics — pair it with EstimateAnalysisArena; the composition is exactly
-// EstimateStreamArena.
+// AnalyzeStreamFT is line 1 of Algorithm 1 on a gate stream: the stream
+// runs behind the FT-set guard into the fused (possibly shard-parallel)
+// analysis, in ar's buffers when ar is non-nil. The first non-FT gate stops
+// the scan with a NonFTError. EstimateAnalysis and EstimateAnalysisBatch
+// run the rest of the algorithm on the result.
 func (e *Estimator) AnalyzeStreamFT(src analysis.GateStream, ar *analysis.Arena) (*analysis.Analysis, error) {
 	guard := &ftGuard{src: src}
 	if ar != nil {
 		return ar.AnalyzeStream(guard)
 	}
 	return analysis.AnalyzeStream(guard)
-}
-
-// EstimateReader runs Algorithm 1 on a .qc netlist read from r, streamed
-// through internal/ingest under opt (chunk size, spool placement and cap).
-// name labels the circuit in results and diagnostics.
-func (e *Estimator) EstimateReader(r io.Reader, name string, opt ingest.Options) (*Result, error) {
-	sc := ingest.NewScanner(r, name, opt)
-	defer sc.Close()
-	return e.EstimateStream(sc)
 }
 
 // ftGuard enforces the FT-gate-set precondition on a flowing stream: the
@@ -221,6 +175,14 @@ func (f *ftGuard) Rewind() error {
 func (f *ftGuard) NumQubits() int { return f.src.NumQubits() }
 func (f *ftGuard) Name() string   { return f.src.Name() }
 
+// PrevalidatedGates forwards the wrapped stream's validation guarantee
+// (analysis.PrevalidatedStream): the guard stops the scan, it never alters
+// a gate.
+func (f *ftGuard) PrevalidatedGates() bool {
+	p, ok := f.src.(analysis.PrevalidatedStream)
+	return ok && p.PrevalidatedGates()
+}
+
 // Segments delegates to the wrapped source so the guard never hides a
 // segmentable stream from the shard-parallel fill pass. The segments
 // themselves are not re-guarded: the counting pass runs the full stream
@@ -233,98 +195,12 @@ func (f *ftGuard) Segments(max int) ([]analysis.GateStream, []int, error) {
 	return nil, nil, nil
 }
 
-// EstimateArena is Estimate through a reusable arena: the fused analysis
-// pass, the weight vector and the critical-path sweep all run in ar's
-// recycled buffers, so a warm worker estimates with near-zero heap
-// allocation. The Result is independent of the arena (nothing it holds
-// aliases arena memory) and is bitwise identical to Estimate's.
-func (e *Estimator) EstimateArena(c *circuit.Circuit, ar *analysis.Arena) (*Result, error) {
-	if !c.IsFT() {
-		return nil, ftErr(c.Name)
-	}
-	a, err := ar.Analyze(c)
-	if err != nil {
-		return nil, err
-	}
-	return e.estimate(a.Qubits, a.Operations, a.QODG, a.IIG, ar)
-}
-
-// EstimateAnalysis runs Algorithm 1 on a previously analyzed circuit — the
-// path batch sweeps use to amortize one Analyze across many parameter sets.
-func (e *Estimator) EstimateAnalysis(a *analysis.Analysis) (*Result, error) {
-	return e.EstimateAnalysisArena(a, nil)
-}
-
-// EstimateAnalysisArena is EstimateAnalysis with the estimate-phase scratch
-// (weights, longest-path state) drawn from ar. The analysis itself may be a
-// shared immutable one or arena-borrowed; only its graphs and metadata are
-// read, so streamed analyses (Circuit == nil) work identically.
-func (e *Estimator) EstimateAnalysisArena(a *analysis.Analysis, ar *analysis.Arena) (*Result, error) {
-	if !a.FT {
-		return nil, ftErr(a.Name)
-	}
-	return e.estimate(a.Qubits, a.Operations, a.QODG, a.IIG, ar)
-}
-
-// EstimateGraphs is Estimate for callers that already built the graphs.
-func (e *Estimator) EstimateGraphs(c *circuit.Circuit, g *qodg.Graph, ig *iig.Graph) (*Result, error) {
-	if !c.IsFT() {
-		return nil, ftErr(c.Name)
-	}
-	return e.estimate(c.NumQubits(), c.NumGates(), g, ig, nil)
-}
-
-// estimate runs Algorithm 1 over prebuilt graphs; qubits and operations
-// echo the workload size into the Result (the gate list itself is not
-// needed — streamed analyses never have one). ar, when non-nil, donates
-// the weight vector and longest-path scratch; the math is identical either
-// way, so arena and fresh runs produce bitwise-equal Results.
-func (e *Estimator) estimate(qubits, operations int, g *qodg.Graph, ig *iig.Graph, ar *analysis.Arena) (*Result, error) {
-	res, err := e.scalarPhase(qubits, operations, ig)
-	if err != nil {
-		return nil, err
-	}
-	p := e.Params
-
-	// Lines 19–20: re-weight the QODG with per-op routing latencies and
-	// take the critical path (Eq. 1).
-	var werr error
-	weightOf := func(gt circuit.Gate) float64 {
-		if gt.Type == circuit.CNOT {
-			return p.DCNOT + res.LCNOTAvg
-		}
-		d, err := p.DelayOf(gt.Type)
-		if err != nil && werr == nil {
-			werr = err
-		}
-		return d + res.LOneQubitAvg
-	}
-	var weights qodg.Weights
-	var scratch *qodg.PathScratch
-	if ar != nil {
-		weights = ar.WeightsFor(g, weightOf)
-		scratch = ar.Path()
-	} else {
-		weights = g.NewWeights(weightOf)
-	}
-	if werr != nil {
-		return nil, werr
-	}
-	cp, err := g.LongestPathInto(weights, scratch)
-	if err != nil {
-		return nil, err
-	}
-	finishPath(res, cp)
-	return res, nil
-}
-
 // scalarPhase runs lines 2–18 of Algorithm 1 — everything before the QODG
 // re-weighting: the zone coverage average (Eq. 6–7), the congestion-free
 // routing latency (Eq. 12, 15–16), and the memoized zone-model terms
-// (Eq. 2–5, 8–11). The batched path runs it once per parameter column; the
-// IIG terms that depend only on the circuit repeat the identical float
-// computation per column, so single- and multi-column Results stay bitwise
-// equal.
+// (Eq. 2–5, 8–11). It runs once per parameter column; the IIG terms that
+// depend only on the circuit repeat the identical float computation per
+// column, so a column's Result never depends on the batch it ran in.
 func (e *Estimator) scalarPhase(qubits, operations int, ig *iig.Graph) (*Result, error) {
 	p := e.Params
 	res := &Result{

@@ -6,10 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/analysis"
 	"repro/internal/circuit"
 	"repro/internal/fabric"
-	"repro/internal/iig"
-	"repro/internal/qodg"
 )
 
 func defaultEstimator(t *testing.T, opt Options) *Estimator {
@@ -19,6 +18,16 @@ func defaultEstimator(t *testing.T, opt Options) *Estimator {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// estimateCircuit is Algorithm 1 end to end on a materialized circuit: the
+// FT-guarded analysis, then the estimate.
+func estimateCircuit(e *Estimator, c *circuit.Circuit) (*Result, error) {
+	a, err := e.AnalyzeStreamFT(analysis.NewCircuitStream(c), nil)
+	if err != nil {
+		return nil, err
+	}
+	return e.EstimateAnalysis(a, nil)
 }
 
 func TestNewRejectsBadParams(t *testing.T) {
@@ -33,7 +42,7 @@ func TestEstimateRejectsNonFT(t *testing.T) {
 	c := circuit.New("t", 3)
 	c.Append(circuit.NewToffoli(0, 1, 2))
 	e := defaultEstimator(t, Options{})
-	if _, err := e.Estimate(c); err == nil {
+	if _, err := estimateCircuit(e, c); err == nil {
 		t.Error("want non-FT rejection")
 	}
 }
@@ -45,7 +54,7 @@ func TestEstimateOneQubitChain(t *testing.T) {
 		c.Append(circuit.NewOneQubit(circuit.H, 0))
 	}
 	e := defaultEstimator(t, Options{})
-	res, err := e.Estimate(c)
+	res, err := estimateCircuit(e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +81,7 @@ func TestEstimateParallelChains(t *testing.T) {
 		c.Append(circuit.NewOneQubit(circuit.H, 1))
 	}
 	e := defaultEstimator(t, Options{})
-	res, err := e.Estimate(c)
+	res, err := estimateCircuit(e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +95,7 @@ func TestEstimateWithCNOTs(t *testing.T) {
 	c := circuit.New("pair", 2)
 	c.Append(circuit.NewCNOT(0, 1), circuit.NewCNOT(0, 1))
 	e := defaultEstimator(t, Options{})
-	res, err := e.Estimate(c)
+	res, err := estimateCircuit(e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +207,11 @@ func TestTruncationConvergence(t *testing.T) {
 	p := fabric.Default()
 	eTrunc, _ := New(p, Options{})              // 20 terms
 	eFull, _ := New(p, Options{Truncation: -1}) // all Q terms
-	rTrunc, err := eTrunc.Estimate(c)
+	rTrunc, err := estimateCircuit(eTrunc, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rFull, err := eFull.Estimate(c)
+	rFull, err := estimateCircuit(eFull, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +233,11 @@ func TestDisableCongestionLowersOrEqualLatency(t *testing.T) {
 	p.Grid = fabric.Grid{Width: 8, Height: 8}
 	eOn, _ := New(p, Options{})
 	eOff, _ := New(p, Options{DisableCongestion: true})
-	rOn, err := eOn.Estimate(c)
+	rOn, err := estimateCircuit(eOn, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rOff, err := eOff.Estimate(c)
+	rOff, err := estimateCircuit(eOff, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +263,7 @@ func TestLCNOTBetweenDuncongAndMaxDq(t *testing.T) {
 	p := fabric.Default()
 	p.Grid = fabric.Grid{Width: 10, Height: 10}
 	e, _ := New(p, Options{})
-	res, err := e.Estimate(c)
+	res, err := estimateCircuit(e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,31 +274,6 @@ func TestLCNOTBetweenDuncongAndMaxDq(t *testing.T) {
 	}
 	if res.LCNOTAvg < lo-1e-9 || res.LCNOTAvg > hi+1e-9 {
 		t.Errorf("L_CNOT %v outside d_q range [%v, %v]", res.LCNOTAvg, lo, hi)
-	}
-}
-
-func TestEstimateGraphsMatchesEstimate(t *testing.T) {
-	c := circuit.New("g", 4)
-	c.Append(circuit.NewCNOT(0, 1), circuit.NewOneQubit(circuit.H, 2), circuit.NewCNOT(2, 3))
-	e := defaultEstimator(t, Options{})
-	r1, err := e.Estimate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := qodg.Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ig, err := iig.Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := e.EstimateGraphs(c, g, ig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.EstimatedLatency != r2.EstimatedLatency {
-		t.Errorf("Estimate %v != EstimateGraphs %v", r1.EstimatedLatency, r2.EstimatedLatency)
 	}
 }
 
@@ -306,12 +290,12 @@ func TestMoreOpsNeverFasterProperty(t *testing.T) {
 				c.Append(circuit.NewOneQubit(circuit.H, 0))
 			}
 		}
-		r1, err := e.Estimate(c)
+		r1, err := estimateCircuit(e, c)
 		if err != nil {
 			return false
 		}
 		c.Append(circuit.NewOneQubit(circuit.T, 0))
-		r2, err := e.Estimate(c)
+		r2, err := estimateCircuit(e, c)
 		if err != nil {
 			return false
 		}
@@ -334,7 +318,7 @@ func TestConcurrentEstimatesShareModel(t *testing.T) {
 		}
 	}
 	e := defaultEstimator(t, Options{})
-	base, err := e.Estimate(c)
+	base, err := estimateCircuit(e, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +329,7 @@ func TestConcurrentEstimatesShareModel(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, err := e.Estimate(c)
+			res, err := estimateCircuit(e, c)
 			if err != nil {
 				t.Error(err)
 				return
@@ -372,7 +356,7 @@ func TestResultBookkeeping(t *testing.T) {
 	c := circuit.New("book", 3)
 	c.Append(circuit.NewCNOT(0, 1), circuit.NewOneQubit(circuit.T, 2))
 	e := defaultEstimator(t, Options{})
-	res, err := e.Estimate(c)
+	res, err := estimateCircuit(e, c)
 	if err != nil {
 		t.Fatal(err)
 	}

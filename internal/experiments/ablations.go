@@ -270,7 +270,11 @@ func FabricSizeSweep(w io.Writer, name string, p fabric.Params, sizes []int) err
 		q.Grid = g
 		paramSets = append(paramSets, q)
 	}
-	cells, err := leqa.SweepGrid(context.Background(), []*leqa.Circuit{ft}, paramSets)
+	runner, err := leqa.NewRunner(p, leqa.EstimateOptions{}, 0)
+	if err != nil {
+		return err
+	}
+	cells, err := runner.SweepGridSources(context.Background(), []leqa.Source{leqa.CircuitSource(ft)}, paramSets)
 	if err != nil {
 		return err
 	}

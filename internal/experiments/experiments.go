@@ -19,6 +19,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/qspr"
 	"repro/internal/stats"
+	"repro/leqa"
 )
 
 // forEach runs fn(i) for every i in [0, n) across a bounded worker pool,
@@ -66,12 +67,8 @@ func RunCircuit(ft *circuit.Circuit, p fabric.Params) (Row, error) {
 	}
 	qsprDur := time.Since(t0)
 
-	est, err := core.New(p, core.Options{})
-	if err != nil {
-		return Row{}, err
-	}
 	t1 := time.Now()
-	res, err := est.Estimate(ft)
+	res, err := leqa.Estimate(ft, p)
 	if err != nil {
 		return Row{}, fmt.Errorf("leqa %q: %w", ft.Name, err)
 	}

@@ -8,10 +8,10 @@
 // B_i = M_i + 1 (Eq. 6) and the fabric-wide weighted average B (Eq. 7).
 //
 // Adjacency is stored in compressed-sparse-row form: per qubit, a sorted
-// slice of distinct neighbors with a parallel weight slice. Construction
-// streams the gate list into a flat multigraph incidence array (counting
-// pass + fill pass, no per-qubit maps), then sorts each row and collapses
-// duplicate neighbors into weights in place.
+// slice of distinct neighbors with a parallel weight slice. Circuits reach
+// it through internal/analysis, whose passes stream the gate list into a
+// flat multigraph incidence array (no per-qubit maps); FromIncidence then
+// sorts each row and collapses duplicate neighbors into weights in place.
 package iig
 
 import (
@@ -19,12 +19,12 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/circuit"
 	"repro/internal/csr"
 )
 
 // Graph is the interaction intensity graph over Q logical qubits. Immutable
-// after construction; build one with Build, a Builder, or FromIncidence.
+// after construction; build one with analysis.Analyze, a Builder, or
+// FromIncidence.
 type Graph struct {
 	// Q is the number of logical qubits (nodes), including isolated ones.
 	Q int
@@ -37,51 +37,6 @@ type Graph struct {
 	adjw []int32
 	// totalWeight is Σ_ij w(e_ij) over unordered pairs.
 	totalWeight int
-}
-
-// Build constructs the IIG from a circuit: every gate touching exactly two
-// qubits contributes weight 1 to the edge between them. Gates touching three
-// or more qubits should have been decomposed already; they are rejected so
-// that silent modeling errors cannot creep in. The circuit is validated
-// first — an out-of-range operand would otherwise land in the CSR cursor
-// slots and corrupt rows silently.
-func Build(c *circuit.Circuit) (*Graph, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	q := c.NumQubits()
-	deg := make([]int32, q+1)
-	for i, gate := range c.Gates {
-		switch gate.Arity() {
-		case 1:
-			// One-qubit operations add no IIG edges.
-		case 2:
-			a, b := gate.QubitPair()
-			if a == b {
-				continue // no self loops by construction
-			}
-			deg[a]++
-			deg[b]++
-		default:
-			return nil, fmt.Errorf("iig: gate %d (%s) touches %d qubits; decompose first",
-				i, gate.Type, gate.Arity())
-		}
-	}
-	off, nbr := csr.Offsets[int32](deg)
-	for _, gate := range c.Gates {
-		if gate.Arity() != 2 {
-			continue
-		}
-		a, b := gate.QubitPair()
-		if a == b {
-			continue
-		}
-		nbr[deg[a]] = int32(b)
-		deg[a]++
-		nbr[deg[b]] = int32(a)
-		deg[b]++
-	}
-	return FromIncidence(q, off, nbr), nil
 }
 
 // Scratch holds the reusable storage of FromIncidenceScratch: the Graph
@@ -228,8 +183,8 @@ func FromCSRWeights(q int, off, nbr, wt []int32) (*Graph, error) {
 
 // Extend builds a new immutable Graph from an existing one plus extra
 // unit-weight interactions, given as flat (a, b) pairs over the same
-// register. The result is exactly what Build would produce on the
-// concatenated gate stream: each row is the sorted merge of the base's
+// register. The result is exactly the graph an analysis of the
+// concatenated gate stream builds: each row is the sorted merge of the base's
 // collapsed row with the collapsed extras. With no pairs it is a deep copy
 // — the incremental analysis appender uses that to detach a seed IIG from
 // arena-borrowed storage. Out-of-range qubits panic like Builder does.
@@ -499,55 +454,4 @@ func (g *Graph) BFSOrder() []int {
 		}
 	}
 	return order
-}
-
-// BuildReference is the pre-CSR builder (per-qubit neighbor maps), retained
-// as the independent oracle for the equivalence suite and as the baseline
-// BenchmarkAnalyze measures the fused CSR pass against. Output converts to
-// the CSR representation so results compare directly with Build.
-func BuildReference(c *circuit.Circuit) (*Graph, error) {
-	adj := make([]map[int]int, c.NumQubits())
-	for i := range adj {
-		adj[i] = make(map[int]int)
-	}
-	total := 0
-	for i, gate := range c.Gates {
-		switch gate.Arity() {
-		case 1:
-		case 2:
-			a, b := gate.QubitPair()
-			if a == b {
-				continue
-			}
-			adj[a][b]++
-			adj[b][a]++
-			total++
-		default:
-			return nil, fmt.Errorf("iig: gate %d (%s) touches %d qubits; decompose first",
-				i, gate.Type, gate.Arity())
-		}
-	}
-	g := &Graph{
-		Q:           len(adj),
-		off:         make([]int32, len(adj)+1),
-		adjw:        make([]int32, len(adj)),
-		totalWeight: total,
-	}
-	for i, row := range adj {
-		g.off[i] = int32(len(g.nbr))
-		keys := make([]int, 0, len(row))
-		sum := 0
-		for k, w := range row {
-			keys = append(keys, k)
-			sum += w
-		}
-		sort.Ints(keys)
-		for _, k := range keys {
-			g.nbr = append(g.nbr, int32(k))
-			g.wt = append(g.wt, int32(row[k]))
-		}
-		g.adjw[i] = int32(sum)
-	}
-	g.off[len(adj)] = int32(len(g.nbr))
-	return g, nil
 }

@@ -203,7 +203,7 @@ func DecodeImage(data []byte, fallbackName string) (*analysis.Analysis, error) {
 	for i := 0; i < ops; i++ {
 		nodes[i+1] = qodg.Node{
 			ID:        qodg.NodeID(i + 1),
-			Op:        circuit.Gate{Type: circuit.GateType(types[i])},
+			Op:        qodg.Op{Type: circuit.GateType(types[i])},
 			GateIndex: i,
 		}
 	}

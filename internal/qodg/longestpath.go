@@ -103,20 +103,6 @@ func (g *Graph) LongestPathInto(w Weights, s *PathScratch) (CriticalPath, error)
 	return g.recoverPath(s.dist, s.from), nil
 }
 
-// LongestPathSerial is the push-based single-threaded sweep — the original
-// algorithm, retained as the oracle the parallel relaxation must match
-// bitwise and as the small-circuit fast path.
-func (g *Graph) LongestPathSerial(w Weights) (CriticalPath, error) {
-	if len(w) != len(g.Nodes) {
-		return CriticalPath{}, fmt.Errorf("qodg: %d weights for %d nodes", len(w), len(g.Nodes))
-	}
-	n := len(g.Nodes)
-	dist := make([]float64, n)
-	from := make([]NodeID, n)
-	g.relaxSerial(w, dist, from)
-	return g.recoverPath(dist, from), nil
-}
-
 // LongestPathParallel forces the level-partitioned relaxation with the given
 // worker count regardless of ParallelThreshold and GOMAXPROCS — the
 // equivalence tests and benchmarks drive the parallel machinery through it

@@ -1,4 +1,4 @@
-package qodg
+package qodg_test
 
 import (
 	"maps"
@@ -9,11 +9,13 @@ import (
 
 	"repro/internal/benchgen"
 	"repro/internal/circuit"
+	"repro/internal/oracle"
+	"repro/internal/qodg"
 )
 
 // pathsBitwiseEqual compares two critical paths with no float tolerance:
 // the parallel sweep must reproduce the serial oracle byte for byte.
-func assertPathsBitwiseEqual(t *testing.T, label string, got, want CriticalPath) {
+func assertPathsBitwiseEqual(t *testing.T, label string, got, want qodg.CriticalPath) {
 	t.Helper()
 	if math.Float64bits(got.Length) != math.Float64bits(want.Length) {
 		t.Fatalf("%s: length %v (bits %x), want %v (bits %x)",
@@ -28,7 +30,7 @@ func assertPathsBitwiseEqual(t *testing.T, label string, got, want CriticalPath)
 	}
 }
 
-func head(n []NodeID) []NodeID {
+func head(n []qodg.NodeID) []qodg.NodeID {
 	if len(n) > 8 {
 		return n[:8]
 	}
@@ -37,18 +39,19 @@ func head(n []NodeID) []NodeID {
 
 // assertSweepStateEqual compares the full dist/from relaxation state, which
 // is strictly stronger than comparing recovered paths.
-func assertSweepStateEqual(t *testing.T, label string, g *Graph, w Weights, s *PathScratch) {
+func assertSweepStateEqual(t *testing.T, label string, g *qodg.Graph, w qodg.Weights, s *qodg.PathScratch) {
 	t.Helper()
-	n := len(g.Nodes)
-	dist := make([]float64, n)
-	from := make([]NodeID, n)
-	g.relaxSerial(w, dist, from)
-	for i := 0; i < n; i++ {
-		if math.Float64bits(dist[i]) != math.Float64bits(s.dist[i]) {
-			t.Fatalf("%s: dist[%d] = %v, serial %v", label, i, s.dist[i], dist[i])
+	dist, from, err := oracle.Relax(g, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotDist, gotFrom := s.SweepState()
+	for i := range dist {
+		if math.Float64bits(dist[i]) != math.Float64bits(gotDist[i]) {
+			t.Fatalf("%s: dist[%d] = %v, serial %v", label, i, gotDist[i], dist[i])
 		}
-		if from[i] != s.from[i] {
-			t.Fatalf("%s: from[%d] = %d, serial %d", label, i, s.from[i], from[i])
+		if from[i] != gotFrom[i] {
+			t.Fatalf("%s: from[%d] = %d, serial %d", label, i, gotFrom[i], from[i])
 		}
 	}
 }
@@ -74,7 +77,7 @@ func paperSuite(t testing.TB) []string {
 // coreWeights mimics the estimator's re-weighting: CNOTs get one latency,
 // everything else another — both chosen so different path prefixes can tie
 // exactly and the lowest-predecessor tie rule is actually exercised.
-func coreWeights(g *Graph) Weights {
+func coreWeights(g *qodg.Graph) qodg.Weights {
 	return g.NewWeights(func(gt circuit.Gate) float64 {
 		if gt.Type == circuit.CNOT {
 			return 1000.5
@@ -89,18 +92,15 @@ func coreWeights(g *Graph) Weights {
 // and per-type counts — across worker counts, with one shared scratch
 // reused across all circuits to prove stale state cannot leak through.
 func TestLongestPathParallelMatchesSerialOnPaperBenchmarks(t *testing.T) {
-	shared := new(PathScratch)
+	shared := new(qodg.PathScratch)
 	for _, name := range paperSuite(t) {
 		c, err := benchgen.GenerateFT(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := Build(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := build(t, c)
 		w := coreWeights(g)
-		want, err := g.LongestPathSerial(w)
+		want, err := oracle.LongestPath(g, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func randomCircuit(rng *rand.Rand, qubits, gates int) *circuit.Circuit {
 // (drawn from a tiny value set so max-ties are common), varied worker
 // counts, one scratch shared across every graph.
 func TestLongestPathParallelMatchesSerialOnRandomDAGs(t *testing.T) {
-	shared := new(PathScratch)
+	shared := new(qodg.PathScratch)
 	shapes := []struct{ qubits, gates int }{
 		{3, 40},      // tiny, near-serial
 		{200, 3000},  // wide and shallow
@@ -160,14 +160,11 @@ func TestLongestPathParallelMatchesSerialOnRandomDAGs(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		shape := shapes[int(seed)%len(shapes)]
 		c := randomCircuit(rng, shape.qubits, shape.gates)
-		g, err := Build(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := build(t, c)
 		w := g.NewWeights(func(gt circuit.Gate) float64 {
 			return tieValues[rng.Intn(len(tieValues))]
 		})
-		want, err := g.LongestPathSerial(w)
+		want, err := oracle.LongestPath(g, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,19 +185,16 @@ func TestLongestPathParallelMatchesSerialOnRandomDAGs(t *testing.T) {
 // the oracle, including when the threshold is forced down to drive every
 // graph through the parallel path.
 func TestLongestPathAutoThreshold(t *testing.T) {
-	defer func(old int) { ParallelThreshold = old }(ParallelThreshold)
+	defer func(old int) { qodg.ParallelThreshold = old }(qodg.ParallelThreshold)
 	c := randomCircuit(rand.New(rand.NewSource(42)), 64, 2000)
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := build(t, c)
 	w := coreWeights(g)
-	want, err := g.LongestPathSerial(w)
+	want, err := oracle.LongestPath(g, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, threshold := range []int{1, 1 << 30} {
-		ParallelThreshold = threshold
+		qodg.ParallelThreshold = threshold
 		got, err := g.LongestPath(w)
 		if err != nil {
 			t.Fatal(err)
@@ -209,9 +203,9 @@ func TestLongestPathAutoThreshold(t *testing.T) {
 	}
 	// MaxWorkers caps the fan-out (1 forces the serial sweep even above
 	// threshold); results stay identical at every setting.
-	ParallelThreshold = 1
+	qodg.ParallelThreshold = 1
 	for _, maxWorkers := range []int{1, 2} {
-		s := &PathScratch{MaxWorkers: maxWorkers}
+		s := &qodg.PathScratch{MaxWorkers: maxWorkers}
 		got, err := g.LongestPathInto(w, s)
 		if err != nil {
 			t.Fatal(err)
@@ -224,16 +218,10 @@ func TestLongestPathAutoThreshold(t *testing.T) {
 // entry point.
 func TestLongestPathWeightLengthMismatch(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(7)), 4, 10)
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := make(Weights, g.NumNodes()-1)
+	g := build(t, c)
+	bad := make(qodg.Weights, g.NumNodes()-1)
 	if _, err := g.LongestPath(bad); err == nil {
 		t.Error("LongestPath accepted a short weight vector")
-	}
-	if _, err := g.LongestPathSerial(bad); err == nil {
-		t.Error("LongestPathSerial accepted a short weight vector")
 	}
 	if _, err := g.LongestPathParallel(bad, nil, 4); err == nil {
 		t.Error("LongestPathParallel accepted a short weight vector")

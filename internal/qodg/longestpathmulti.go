@@ -15,7 +15,7 @@ import (
 // visits every edge exactly once, relaxing all K columns against it. Each
 // column's relaxation order, float expression and tie rule are identical to
 // the single-column sweep, so every column of the result is bitwise equal
-// to LongestPathSerial under that column's weights.
+// to LongestPath under that column's weights.
 
 // LongestPathMulti computes the critical path under each of K independent
 // weight columns in one traversal of the graph. Column c of the result is
@@ -80,25 +80,6 @@ func (g *Graph) LongestPathMultiStrided(wm []float64, k int, s *PathScratch) ([]
 		g.relaxRangeMulti(wm, s.distM[:n*k], s.fromM[:n*k], k, 0, n)
 	}
 	return g.recoverPaths(s.distM, s.fromM, k), nil
-}
-
-// LongestPathMultiSerial forces the serial relaxation over all K columns —
-// the batched counterpart of LongestPathSerial, with freshly allocated
-// state.
-func (g *Graph) LongestPathMultiSerial(ws []Weights) ([]CriticalPath, error) {
-	if err := g.validateColumns(ws); err != nil {
-		return nil, err
-	}
-	if len(ws) == 0 {
-		return nil, nil
-	}
-	n, k := len(g.Nodes), len(ws)
-	wm := make([]float64, n*k)
-	packColumnsInto(ws, wm)
-	dist := make([]float64, n*k)
-	from := make([]NodeID, n*k)
-	g.relaxRangeMulti(wm, dist, from, k, 0, n)
-	return g.recoverPaths(dist, from, k), nil
 }
 
 // LongestPathMultiParallel forces the level-partitioned multi-column

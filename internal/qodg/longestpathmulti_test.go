@@ -1,4 +1,4 @@
-package qodg
+package qodg_test
 
 import (
 	"math"
@@ -7,14 +7,16 @@ import (
 
 	"repro/internal/benchgen"
 	"repro/internal/circuit"
+	"repro/internal/oracle"
+	"repro/internal/qodg"
 )
 
 // columnWeights builds K distinct weight vectors for g, each with the
 // estimator's two-value shape (CNOTs one latency, everything else another)
 // scaled per column so the K critical paths genuinely differ. The values
 // still collide across path prefixes, keeping the tie rule exercised.
-func columnWeights(g *Graph, k int) []Weights {
-	ws := make([]Weights, k)
+func columnWeights(g *qodg.Graph, k int) []qodg.Weights {
+	ws := make([]qodg.Weights, k)
 	for c := 0; c < k; c++ {
 		scale := 1 + float64(c)*0.25
 		ws[c] = g.NewWeights(func(gt circuit.Gate) float64 {
@@ -30,20 +32,21 @@ func columnWeights(g *Graph, k int) []Weights {
 // assertMultiSweepStateEqual recomputes each column's dist/from with the
 // serial single-column oracle and compares it bitwise against the scratch's
 // SoA slabs — strictly stronger than comparing recovered paths.
-func assertMultiSweepStateEqual(t *testing.T, label string, g *Graph, ws []Weights, s *PathScratch) {
+func assertMultiSweepStateEqual(t *testing.T, label string, g *qodg.Graph, ws []qodg.Weights, s *qodg.PathScratch) {
 	t.Helper()
-	n := len(g.Nodes)
 	k := len(ws)
-	dist := make([]float64, n)
-	from := make([]NodeID, n)
+	distM, fromM := s.MultiSweepState()
 	for c, w := range ws {
-		g.relaxSerial(w, dist, from)
-		for v := 0; v < n; v++ {
-			if math.Float64bits(dist[v]) != math.Float64bits(s.distM[v*k+c]) {
-				t.Fatalf("%s: col %d: dist[%d] = %v, serial %v", label, c, v, s.distM[v*k+c], dist[v])
+		dist, from, err := oracle.Relax(g, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range dist {
+			if math.Float64bits(dist[v]) != math.Float64bits(distM[v*k+c]) {
+				t.Fatalf("%s: col %d: dist[%d] = %v, serial %v", label, c, v, distM[v*k+c], dist[v])
 			}
-			if from[v] != s.fromM[v*k+c] {
-				t.Fatalf("%s: col %d: from[%d] = %d, serial %d", label, c, v, s.fromM[v*k+c], from[v])
+			if from[v] != fromM[v*k+c] {
+				t.Fatalf("%s: col %d: from[%d] = %d, serial %d", label, c, v, fromM[v*k+c], from[v])
 			}
 		}
 	}
@@ -51,13 +54,13 @@ func assertMultiSweepStateEqual(t *testing.T, label string, g *Graph, ws []Weigh
 
 // assertMultiMatchesSerial checks every column of a multi-sweep result
 // against the single-column serial oracle.
-func assertMultiMatchesSerial(t *testing.T, label string, g *Graph, ws []Weights, got []CriticalPath) {
+func assertMultiMatchesSerial(t *testing.T, label string, g *qodg.Graph, ws []qodg.Weights, got []qodg.CriticalPath) {
 	t.Helper()
 	if len(got) != len(ws) {
 		t.Fatalf("%s: %d paths for %d columns", label, len(got), len(ws))
 	}
 	for c, w := range ws {
-		want, err := g.LongestPathSerial(w)
+		want, err := oracle.LongestPath(g, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,16 +75,13 @@ func assertMultiMatchesSerial(t *testing.T, label string, g *Graph, ws []Weights
 // nodes, length, per-type counts), with one scratch shared across all
 // circuits and column counts so stale slab state cannot leak through.
 func TestLongestPathMultiMatchesSerialOnPaperBenchmarks(t *testing.T) {
-	shared := new(PathScratch)
+	shared := new(qodg.PathScratch)
 	for _, name := range paperSuite(t) {
 		c, err := benchgen.GenerateFT(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := Build(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := build(t, c)
 		for _, k := range []int{1, 2, 3, 8} {
 			ws := columnWeights(g, k)
 			for _, workers := range []int{1, 2, 4, 7} {
@@ -108,7 +108,7 @@ func TestLongestPathMultiMatchesSerialOnPaperBenchmarks(t *testing.T) {
 // deviation from the lowest-predecessor tie rule in the strided kernels
 // shows up immediately.
 func TestLongestPathMultiMatchesSerialOnRandomDAGs(t *testing.T) {
-	shared := new(PathScratch)
+	shared := new(qodg.PathScratch)
 	shapes := []struct{ qubits, gates int }{
 		{3, 40},      // tiny, near-serial
 		{200, 3000},  // wide and shallow
@@ -120,12 +120,9 @@ func TestLongestPathMultiMatchesSerialOnRandomDAGs(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		shape := shapes[int(seed)%len(shapes)]
 		c := randomCircuit(rng, shape.qubits, shape.gates)
-		g, err := Build(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := build(t, c)
 		k := 1 + int(seed)%4
-		ws := make([]Weights, k)
+		ws := make([]qodg.Weights, k)
 		for col := range ws {
 			ws[col] = g.NewWeights(func(gt circuit.Gate) float64 {
 				return tieValues[rng.Intn(len(tieValues))]
@@ -139,36 +136,28 @@ func TestLongestPathMultiMatchesSerialOnRandomDAGs(t *testing.T) {
 			assertMultiMatchesSerial(t, c.Name, g, ws, got)
 			assertMultiSweepStateEqual(t, c.Name, g, ws, shared)
 		}
-		serial, err := g.LongestPathMultiSerial(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertMultiMatchesSerial(t, c.Name+"/serial", g, ws, serial)
 	}
 }
 
 // TestLongestPathMultiAutoThreshold pins the dispatch contract: the auto
-// entry point agrees with the oracle whichever side of ParallelThreshold the
+// entry point agrees with the oracle whichever side of qodg.ParallelThreshold the
 // graph lands on, and MaxWorkers=1 forces the serial multi kernel.
 func TestLongestPathMultiAutoThreshold(t *testing.T) {
-	defer func(old int) { ParallelThreshold = old }(ParallelThreshold)
+	defer func(old int) { qodg.ParallelThreshold = old }(qodg.ParallelThreshold)
 	c := randomCircuit(rand.New(rand.NewSource(42)), 64, 2000)
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := build(t, c)
 	ws := columnWeights(g, 3)
 	for _, threshold := range []int{1, 1 << 30} {
-		ParallelThreshold = threshold
+		qodg.ParallelThreshold = threshold
 		got, err := g.LongestPathMulti(ws, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertMultiMatchesSerial(t, "auto", g, ws, got)
 	}
-	ParallelThreshold = 1
+	qodg.ParallelThreshold = 1
 	for _, maxWorkers := range []int{1, 2} {
-		s := &PathScratch{MaxWorkers: maxWorkers}
+		s := &qodg.PathScratch{MaxWorkers: maxWorkers}
 		got, err := g.LongestPathMulti(ws, s)
 		if err != nil {
 			t.Fatal(err)
@@ -182,27 +171,20 @@ func TestLongestPathMultiAutoThreshold(t *testing.T) {
 // empty column set is a no-op.
 func TestLongestPathMultiValidation(t *testing.T) {
 	c := randomCircuit(rand.New(rand.NewSource(7)), 4, 10)
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := build(t, c)
 	good := coreWeights(g)
-	bad := make(Weights, g.NumNodes()-1)
-	for _, ws := range [][]Weights{{bad}, {good, bad}} {
+	bad := make(qodg.Weights, g.NumNodes()-1)
+	for _, ws := range [][]qodg.Weights{{bad}, {good, bad}} {
 		if _, err := g.LongestPathMulti(ws, nil); err == nil {
 			t.Error("LongestPathMulti accepted a short weight column")
-		}
-		if _, err := g.LongestPathMultiSerial(ws); err == nil {
-			t.Error("LongestPathMultiSerial accepted a short weight column")
 		}
 		if _, err := g.LongestPathMultiParallel(ws, nil, 4); err == nil {
 			t.Error("LongestPathMultiParallel accepted a short weight column")
 		}
 	}
-	for _, fn := range []func() ([]CriticalPath, error){
-		func() ([]CriticalPath, error) { return g.LongestPathMulti(nil, nil) },
-		func() ([]CriticalPath, error) { return g.LongestPathMultiSerial(nil) },
-		func() ([]CriticalPath, error) { return g.LongestPathMultiParallel(nil, nil, 4) },
+	for _, fn := range []func() ([]qodg.CriticalPath, error){
+		func() ([]qodg.CriticalPath, error) { return g.LongestPathMulti(nil, nil) },
+		func() ([]qodg.CriticalPath, error) { return g.LongestPathMultiParallel(nil, nil, 4) },
 	} {
 		got, err := fn()
 		if err != nil || got != nil {

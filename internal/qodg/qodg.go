@@ -31,12 +31,19 @@ type NodeID int
 // Node is one vertex of the QODG.
 type Node struct {
 	ID NodeID
-	// Op is the gate this node represents. The zero Gate (Type ==
+	// Op is the operation this node represents. The zero Op (Type ==
 	// circuit.Invalid) marks the start and end pseudo-nodes.
-	Op circuit.Gate
+	Op Op
 	// GateIndex is the index of Op in the source circuit, or -1 for the
 	// start/end nodes.
 	GateIndex int
+}
+
+// Op is what the graph keeps of a gate: its type, the only thing the
+// estimator weighs. The operands live on as the dependency edges, so nodes
+// hold no pointers and the node array costs the collector nothing.
+type Op struct {
+	Type circuit.GateType
 }
 
 // IsPseudo reports whether the node is the start or end anchor.
@@ -80,36 +87,12 @@ func (g *Graph) Pred(u NodeID) []NodeID { return g.pred[g.predOff[u]:g.predOff[u
 // OutDegree returns len(Succ(u)) without materializing the slice.
 func (g *Graph) OutDegree(u NodeID) int { return int(g.succOff[u+1] - g.succOff[u]) }
 
-// NewNodes builds the node array for a circuit: start anchor, one node per
-// gate in program order, end anchor. Shared by Build and the fused
-// analysis-layer builder.
-func NewNodes(c *circuit.Circuit) []Node {
-	return NewNodesInto(nil, c)
-}
-
-// NewNodesInto is NewNodes into a reusable buffer: buf's backing array is
-// reused when large enough, so a warm arena builds the node array without
-// allocating. Every slot is overwritten.
-func NewNodesInto(buf []Node, c *circuit.Circuit) []Node {
-	n := len(c.Gates) + 2
-	if cap(buf) < n {
-		buf = make([]Node, n)
-	}
-	buf = buf[:n]
-	buf[0] = Node{ID: 0, GateIndex: -1}
-	for i, gate := range c.Gates {
-		buf[i+1] = Node{ID: NodeID(i + 1), Op: gate, GateIndex: i}
-	}
-	buf[n-1] = Node{ID: NodeID(n - 1), GateIndex: -1}
-	return buf
-}
-
 // DepScanner streams the merged dependency edges of a circuit: for each
 // gate node it reports the set of distinct predecessor nodes (the last
 // writers of the gate's qubits), then advances the per-qubit last-writer
 // state. Running the same scan twice — a counting pass and a fill pass —
 // builds CSR adjacency without any per-node allocation; the analysis layer
-// reuses the scanner to fuse the IIG build into the same gate loop.
+// (the one graph builder) fuses the IIG build into the same gate loop.
 type DepScanner struct {
 	last    []NodeID // last node touching each qubit; 0 = start anchor
 	scratch []NodeID // per-gate distinct sources
@@ -127,11 +110,6 @@ func NewDepScannerAt(last []NodeID) *DepScanner {
 	s := &DepScanner{last: make([]NodeID, len(last))}
 	copy(s.last, last)
 	return s
-}
-
-// Reset rewinds the scanner so a second identical pass can run.
-func (s *DepScanner) Reset() {
-	clear(s.last)
 }
 
 // GrowTo extends the scanner's register to numQubits mid-scan, initializing
@@ -156,15 +134,6 @@ func (s *DepScanner) ResetFor(numQubits int) {
 	}
 	s.last = s.last[:numQubits]
 	clear(s.last)
-}
-
-// ResetAt reseeds the scanner with an explicit per-qubit last-writer state
-// (copied), resizing the register to match — the fork/merge primitive of the
-// sharded analysis builder, which seeds each shard's scanner and later
-// replays the merged state through VisitEnd. NewDepScannerAt is ResetAt on a
-// fresh scanner.
-func (s *DepScanner) ResetAt(last []NodeID) {
-	s.last = append(s.last[:0], last...)
 }
 
 // Pending is the sentinel family a shard-local scan seeds its last-writer
@@ -243,48 +212,6 @@ func (s *DepScanner) VisitEnd(end NodeID, emit func(from, to NodeID)) {
 	}
 }
 
-// Build constructs the QODG from a circuit. Dependencies follow the last
-// operation that touched each qubit; the start node feeds each qubit's first
-// operation and each qubit's final operation feeds the end node. If two
-// dependency edges connect the same ordered node pair (e.g. a CNOT followed
-// immediately by another CNOT on the same two qubits) they are merged.
-func Build(c *circuit.Circuit) (*Graph, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	nodes := NewNodes(c)
-	n := len(nodes)
-	succDeg := make([]int32, n+1)
-	predDeg := make([]int32, n+1)
-	scan := NewDepScanner(c.NumQubits())
-	count := func(from, to NodeID) {
-		succDeg[from]++
-		predDeg[to]++
-	}
-	end := NodeID(n - 1)
-	for i, gate := range c.Gates {
-		scan.VisitGate(NodeID(i+1), gate, count)
-	}
-	scan.VisitEnd(end, count)
-
-	g := &Graph{Nodes: nodes, NumQubits: c.NumQubits()}
-	g.succOff, g.succ = csr.Offsets[NodeID](succDeg)
-	g.predOff, g.pred = csr.Offsets[NodeID](predDeg)
-	fill := func(from, to NodeID) {
-		g.succ[succDeg[from]] = to
-		succDeg[from]++
-		g.pred[predDeg[to]] = from
-		predDeg[to]++
-	}
-	scan.Reset()
-	for i, gate := range c.Gates {
-		scan.VisitGate(NodeID(i+1), gate, fill)
-	}
-	scan.VisitEnd(end, fill)
-	sortPredSegments(g.predOff, g.pred)
-	return g, nil
-}
-
 // sortPredSegments orders each predecessor list ascending. Fill order is
 // qubit order, not ID order; segments are tiny (a node's in-degree is at
 // most its gate's arity; the end node's at most Q), so insertion sort wins.
@@ -308,7 +235,7 @@ func SortPredRange(off []int32, pred []NodeID, lo, hi int) {
 }
 
 // FromCSR assembles a Graph directly from prebuilt CSR arrays — the hook
-// the fused analysis layer uses after running its own counting/fill passes.
+// the analysis layer uses after running its counting/fill passes.
 // succOff/predOff must hold len(nodes)+1 offsets; successor segments must
 // already be sorted ascending (they are whenever edges were generated by a
 // DepScanner run); predecessor segments are sorted here.
@@ -348,107 +275,19 @@ func (g *Graph) CSR() (succOff []int32, succ []NodeID, predOff []int32, pred []N
 	return g.succOff, g.succ, g.predOff, g.pred
 }
 
-// BuildReference is the pre-CSR two-phase builder (per-node append slices,
-// then sort+dedup), retained as the independent oracle for the equivalence
-// suite and as the baseline BenchmarkAnalyze measures the fused CSR pass
-// against. Output is converted to the CSR representation so results compare
-// directly with Build and the analysis layer.
-func BuildReference(c *circuit.Circuit) (*Graph, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	nodes := NewNodes(c)
-	n := len(nodes)
-	succ := make([][]NodeID, n)
-	pred := make([][]NodeID, n)
-	addEdge := func(from, to NodeID) {
-		if s := succ[from]; len(s) > 0 && s[len(s)-1] == to {
-			return // consecutive duplicate (two-qubit op on same pair)
-		}
-		succ[from] = append(succ[from], to)
-		pred[to] = append(pred[to], from)
-	}
-	last := make([]NodeID, c.NumQubits())
-	for i, gate := range c.Gates {
-		id := NodeID(i + 1)
-		for _, q := range gate.Qubits() {
-			addEdge(last[q], id)
-			last[q] = id
-		}
-	}
-	end := NodeID(n - 1)
-	for q := 0; q < c.NumQubits(); q++ {
-		addEdge(last[q], end)
-	}
-	for i := range succ {
-		succ[i] = dedupSorted(succ[i])
-		pred[i] = dedupSorted(pred[i])
-	}
-	return fromAdjacency(nodes, c.NumQubits(), succ, pred), nil
-}
-
-func dedupSorted(list []NodeID) []NodeID {
-	if len(list) < 2 {
-		return list
-	}
-	for i := 1; i < len(list); i++ {
-		for j := i; j > 0 && list[j] < list[j-1]; j-- {
-			list[j], list[j-1] = list[j-1], list[j]
-		}
-	}
-	out := list[:1]
-	for _, v := range list[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func fromAdjacency(nodes []Node, numQubits int, succ, pred [][]NodeID) *Graph {
-	flatten := func(adj [][]NodeID) ([]int32, []NodeID) {
-		off := make([]int32, len(adj)+1)
-		total := 0
-		for i, list := range adj {
-			off[i] = int32(total)
-			total += len(list)
-		}
-		off[len(adj)] = int32(total)
-		flat := make([]NodeID, 0, total)
-		for _, list := range adj {
-			flat = append(flat, list...)
-		}
-		return off, flat
-	}
-	g := &Graph{Nodes: nodes, NumQubits: numQubits}
-	g.succOff, g.succ = flatten(succ)
-	g.predOff, g.pred = flatten(pred)
-	return g
-}
-
 // Weights assigns a latency to every node. Pseudo-nodes must have weight 0.
 type Weights []float64
 
 // NewWeights builds a weight vector with weightOf evaluated per operation
-// node and 0 at the pseudo-nodes.
+// node (on an operand-free gate of the node's type) and 0 at the
+// pseudo-nodes.
 func (g *Graph) NewWeights(weightOf func(circuit.Gate) float64) Weights {
-	return g.NewWeightsInto(nil, weightOf)
-}
-
-// NewWeightsInto is NewWeights into a reusable buffer: buf's backing array
-// is reused when large enough. Every slot is overwritten (pseudo-nodes get
-// an explicit 0), so a recycled buffer cannot leak stale weights.
-func (g *Graph) NewWeightsInto(buf Weights, weightOf func(circuit.Gate) float64) Weights {
-	n := len(g.Nodes)
-	if cap(buf) < n {
-		buf = make(Weights, n)
-	}
-	buf = buf[:n]
+	buf := make(Weights, len(g.Nodes))
 	for i, node := range g.Nodes {
 		if node.IsPseudo() {
 			buf[i] = 0
 		} else {
-			buf[i] = weightOf(node.Op)
+			buf[i] = weightOf(circuit.Gate{Type: node.Op.Type})
 		}
 	}
 	return buf

@@ -1,4 +1,4 @@
-package qodg
+package qodg_test
 
 import (
 	"bytes"
@@ -7,7 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/analysis"
 	"repro/internal/circuit"
+	"repro/internal/qodg"
 )
 
 // ham3ft builds the paper's Fig. 2(a) FT netlist shape: 4 simple gates plus
@@ -23,10 +25,7 @@ func linearChain(n int) *circuit.Circuit {
 func TestBuildAnchors(t *testing.T) {
 	c := circuit.New("t", 2)
 	c.Append(circuit.NewCNOT(0, 1), circuit.NewOneQubit(circuit.H, 0))
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := build(t, c)
 	if g.Start() != 0 || int(g.End()) != g.NumNodes()-1 {
 		t.Errorf("anchors wrong: start=%d end=%d n=%d", g.Start(), g.End(), g.NumNodes())
 	}
@@ -46,11 +45,8 @@ func TestBuildDependencies(t *testing.T) {
 	// H (via q0) and first CNOT (via q1).
 	c := circuit.New("t", 2)
 	c.Append(circuit.NewCNOT(0, 1), circuit.NewOneQubit(circuit.H, 0), circuit.NewCNOT(0, 1))
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasEdge := func(u, v NodeID) bool {
+	g := build(t, c)
+	hasEdge := func(u, v qodg.NodeID) bool {
 		for _, s := range g.Succ(u) {
 			if s == v {
 				return true
@@ -74,10 +70,7 @@ func TestParallelEdgeMerging(t *testing.T) {
 	// qubit-dependency edges into one.
 	c := circuit.New("t", 2)
 	c.Append(circuit.NewCNOT(0, 1), circuit.NewCNOT(1, 0))
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := build(t, c)
 	count := 0
 	for _, s := range g.Succ(1) {
 		if s == 2 {
@@ -98,10 +91,7 @@ func TestIsolatedQubitEdge(t *testing.T) {
 	// A qubit with no gates contributes a direct start->end edge.
 	c := circuit.New("t", 2)
 	c.Append(circuit.NewOneQubit(circuit.H, 0))
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := build(t, c)
 	found := false
 	for _, s := range g.Succ(0) {
 		if s == g.End() {
@@ -115,10 +105,7 @@ func TestIsolatedQubitEdge(t *testing.T) {
 
 func TestLongestPathChain(t *testing.T) {
 	c := linearChain(5)
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := build(t, c)
 	w := g.NewWeights(func(circuit.Gate) float64 { return 2 })
 	cp, err := g.LongestPath(w)
 	if err != nil {
@@ -145,10 +132,7 @@ func TestLongestPathPicksHeavierBranch(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Append(circuit.NewOneQubit(circuit.H, 1))
 	}
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := build(t, c)
 	w := g.NewWeights(func(gt circuit.Gate) float64 {
 		if gt.Type == circuit.T {
 			return 100
@@ -179,8 +163,8 @@ func TestLongestPathPicksHeavierBranch(t *testing.T) {
 }
 
 func TestLongestPathWeightLenMismatch(t *testing.T) {
-	g, _ := Build(linearChain(2))
-	if _, err := g.LongestPath(make(Weights, 1)); err == nil {
+	g := build(t, linearChain(2))
+	if _, err := g.LongestPath(make(qodg.Weights, 1)); err == nil {
 		t.Error("want weight-length error")
 	}
 }
@@ -188,7 +172,7 @@ func TestLongestPathWeightLenMismatch(t *testing.T) {
 func TestLevels(t *testing.T) {
 	c := circuit.New("t", 2)
 	c.Append(circuit.NewCNOT(0, 1), circuit.NewOneQubit(circuit.H, 0), circuit.NewOneQubit(circuit.T, 1))
-	g, _ := Build(c)
+	g := build(t, c)
 	lv := g.Levels()
 	if lv[0] != 0 {
 		t.Error("start level != 0")
@@ -202,7 +186,7 @@ func TestLevels(t *testing.T) {
 }
 
 func TestCheckAcyclic(t *testing.T) {
-	g, _ := Build(linearChain(10))
+	g := build(t, linearChain(10))
 	if err := g.CheckAcyclic(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +217,11 @@ func TestQODGRandomProperties(t *testing.T) {
 				c.Append(circuit.NewOneQubit(circuit.H, rng.Intn(n)))
 			}
 		}
-		g, err := Build(c)
+		a, err := analysis.Analyze(c)
 		if err != nil {
 			return false
 		}
+		g := a.QODG
 		if g.CheckAcyclic() != nil {
 			return false
 		}
@@ -266,17 +251,14 @@ func TestHam3QODGShape(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		c.Append(circuit.NewOneQubit(circuit.T, i%3))
 	}
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := build(t, c)
 	if g.NumNodes() != 21 {
 		t.Errorf("NumNodes = %d, want 21 (19 ops + start + end)", g.NumNodes())
 	}
 }
 
 func TestWriteDOT(t *testing.T) {
-	g, _ := Build(linearChain(2))
+	g := build(t, linearChain(2))
 	var buf bytes.Buffer
 	if err := g.WriteDOT(&buf, "chain"); err != nil {
 		t.Fatal(err)

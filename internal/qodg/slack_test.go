@@ -1,10 +1,11 @@
-package qodg
+package qodg_test
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/qodg"
 )
 
 func TestScheduleChain(t *testing.T) {
@@ -12,10 +13,7 @@ func TestScheduleChain(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Append(circuit.NewOneQubit(circuit.H, 0))
 	}
-	g, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := build(t, c)
 	w := g.NewWeights(func(circuit.Gate) float64 { return 5 })
 	s, err := g.ComputeSchedule(w)
 	if err != nil {
@@ -43,7 +41,7 @@ func TestScheduleSlackOnShortBranch(t *testing.T) {
 		c.Append(circuit.NewOneQubit(circuit.T, 0))
 	}
 	c.Append(circuit.NewOneQubit(circuit.H, 1))
-	g, _ := Build(c)
+	g := build(t, c)
 	w := g.NewWeights(func(circuit.Gate) float64 { return 10 })
 	s, err := g.ComputeSchedule(w)
 	if err != nil {
@@ -76,7 +74,7 @@ func TestScheduleMatchesLongestPath(t *testing.T) {
 		circuit.NewOneQubit(circuit.H, 3),
 		circuit.NewCNOT(2, 3),
 	)
-	g, _ := Build(c)
+	g := build(t, c)
 	w := g.NewWeights(func(gt circuit.Gate) float64 {
 		if gt.Type == circuit.CNOT {
 			return 7
@@ -111,7 +109,7 @@ func TestScheduleInvariants(t *testing.T) {
 		}
 		c.Append(circuit.NewOneQubit(circuit.T, (i*3)%5))
 	}
-	g, _ := Build(c)
+	g := build(t, c)
 	w := g.NewWeights(func(gt circuit.Gate) float64 { return float64(2 + int(gt.Type)) })
 	s, err := g.ComputeSchedule(w)
 	if err != nil {
@@ -125,7 +123,7 @@ func TestScheduleInvariants(t *testing.T) {
 			t.Fatalf("node %d ALAP beyond makespan", u)
 		}
 		// Precedence: a node finishes before its successors must start.
-		for _, v := range g.Succ(NodeID(u)) {
+		for _, v := range g.Succ(qodg.NodeID(u)) {
 			if s.ASAP[u] > s.ASAP[v]-w[v]+1e-9 {
 				t.Fatalf("ASAP precedence violated %d -> %d", u, v)
 			}
@@ -136,8 +134,8 @@ func TestScheduleInvariants(t *testing.T) {
 func TestScheduleWeightMismatch(t *testing.T) {
 	c := circuit.New("x", 1)
 	c.Append(circuit.NewOneQubit(circuit.H, 0))
-	g, _ := Build(c)
-	if _, err := g.ComputeSchedule(make(Weights, 1)); err == nil {
+	g := build(t, c)
+	if _, err := g.ComputeSchedule(make(qodg.Weights, 1)); err == nil {
 		t.Error("want weight-length error")
 	}
 }
@@ -148,7 +146,7 @@ func TestSlackHistogram(t *testing.T) {
 		c.Append(circuit.NewOneQubit(circuit.T, 0))
 	}
 	c.Append(circuit.NewOneQubit(circuit.H, 1))
-	g, _ := Build(c)
+	g := build(t, c)
 	w := g.NewWeights(func(circuit.Gate) float64 { return 10 })
 	s, _ := g.ComputeSchedule(w)
 	hist := s.SlackHistogram(g, []float64{0, 5, 50})

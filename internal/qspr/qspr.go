@@ -24,9 +24,9 @@ package qspr
 import (
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/circuit"
 	"repro/internal/fabric"
-	"repro/internal/iig"
 )
 
 // Placement selects the initial-placement strategy.
@@ -181,11 +181,11 @@ func (m *Mapper) newState(c *circuit.Circuit) (*state, error) {
 	var order []int
 	switch m.Options.Placement {
 	case PlaceSpread, PlaceClustered, PlaceSpaced:
-		ig, err := iig.Build(c)
+		a, err := analysis.Analyze(c)
 		if err != nil {
 			return nil, err
 		}
-		order = ig.BFSOrder()
+		order = a.IIG.BFSOrder()
 	case PlaceRowMajor:
 		order = make([]int, c.NumQubits())
 		for i := range order {

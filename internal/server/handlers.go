@@ -40,26 +40,15 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	var cells []leqa.GridCell
-	if req.Ref != "" {
-		// By-reference: estimate straight from the stored analysis — no
-		// netlist bytes, no parsing, no graph build.
-		src, serr := s.resolveSource(ctx, req.CircuitSpec, wantDecompose(req.Options))
-		if serr != nil {
-			s.writeError(w, serr)
-			return
-		}
-		cells, err = runner.SweepGridSources(ctx, []leqa.Source{src}, []leqa.Params{p})
-	} else {
-		c, cerr := s.resolveCircuit(ctx, req.CircuitSpec, wantDecompose(req.Options))
-		if cerr != nil {
-			s.writeError(w, cerr)
-			return
-		}
-		// One 1×1 grid cell: the same engine, memo and record schema as the
-		// batch endpoints.
-		cells, err = runner.SweepGrid(ctx, []*leqa.Circuit{c}, []leqa.Params{p})
+	src, err := s.resolveSource(ctx, req.CircuitSpec, wantDecompose(req.Options))
+	if err != nil {
+		s.writeError(w, err)
+		return
 	}
+	// One 1×1 grid cell: the same engine, memo and record schema as the
+	// batch endpoints. A by-reference source estimates straight from the
+	// stored analysis — no netlist bytes, no parsing, no graph build.
+	cells, err := runner.SweepGridSources(ctx, []leqa.Source{src}, []leqa.Params{p})
 	if len(cells) == 0 {
 		s.writeError(w, err)
 		return
@@ -171,7 +160,7 @@ func (s *Server) tryDecomposeFallback(ctx context.Context, sc ingest.Stream, nam
 		return nil, capExceeded("circuit %q has %d operations, over the server cap of %d",
 			c.Name, c.NumGates(), s.cfg.MaxGates)
 	}
-	cells, err := s.runner.SweepGrid(ctx, []*leqa.Circuit{c}, []leqa.Params{p})
+	cells, err := s.runner.SweepGridSources(ctx, []leqa.Source{leqa.CircuitSource(c)}, []leqa.Params{p})
 	if len(cells) == 0 {
 		return nil, err
 	}
@@ -295,19 +284,10 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, endpoint st
 	// Resolve every spec across the engine's pool — generation and FT
 	// lowering are the expensive half of a generated batch, so they should
 	// not serialize on the handler goroutine ahead of the first row — with
-	// the request context observed per spec. Batches holding by-reference
-	// specs resolve to lazy sources and run the source engine (store-backed
-	// analyses feed cells directly); inline-only batches keep the
-	// materialized engine.
+	// the request context observed per spec. By-reference specs resolve to
+	// store-backed analyses that feed cells directly; inline specs to
+	// in-memory circuits.
 	decompose := wantDecompose(opts)
-	hasRef := false
-	for i := range specs {
-		if specs[i].Ref != "" {
-			hasRef = true
-			break
-		}
-	}
-	resolved := make([]*leqa.Circuit, len(specs))
 	sources := make([]leqa.Source, len(specs))
 	ok := make([]bool, len(specs))
 	resolveErrs := make([]error, len(specs))
@@ -318,46 +298,26 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, endpoint st
 			names[i] = specLabel(specs[i], i)
 			return nil
 		}
-		if hasRef {
-			src, serr := s.resolveSource(ctx, specs[i], decompose)
-			if serr != nil {
-				resolveErrs[i] = serr
-				names[i] = specLabel(specs[i], i)
-				return nil
-			}
-			sources[i], names[i], ok[i] = src, src.Name, true
-			return nil
-		}
-		c, cerr := s.resolveCircuit(ctx, specs[i], decompose)
-		if cerr != nil {
-			resolveErrs[i] = cerr
+		src, serr := s.resolveSource(ctx, specs[i], decompose)
+		if serr != nil {
+			resolveErrs[i] = serr
 			names[i] = specLabel(specs[i], i)
 			return nil
 		}
-		resolved[i], names[i], ok[i] = c, c.Name, true
+		sources[i], names[i], ok[i] = src, src.Name, true
 		return nil
 	})
-	goodCircuits := make([]*leqa.Circuit, 0, len(specs))
 	goodSources := make([]leqa.Source, 0, len(specs))
 	orig := make([]int, 0, len(specs))
 	for i := range specs {
-		if !ok[i] {
-			continue
-		}
-		if hasRef {
+		if ok[i] {
 			goodSources = append(goodSources, sources[i])
-		} else {
-			goodCircuits = append(goodCircuits, resolved[i])
+			orig = append(orig, i)
 		}
-		orig = append(orig, i)
 	}
 	enc := newRowEncoder(w, r)
 	st := &batchStream{s: s, em: s.endpoints[endpoint], enc: enc, paramSets: paramSets, resolveErrs: resolveErrs, names: names, orig: orig, tr: trace.FromContext(ctx)}
-	if hasRef {
-		err = runner.SweepGridSourcesStream(ctx, goodSources, paramSets, st.engineCell)
-	} else {
-		err = runner.SweepGridStream(ctx, goodCircuits, paramSets, st.engineCell)
-	}
+	err = runner.SweepGridSourcesStream(ctx, goodSources, paramSets, st.engineCell)
 	if err == nil {
 		err = st.finish()
 	}

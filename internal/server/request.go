@@ -225,8 +225,8 @@ func (s *Server) resolveCircuit(ctx context.Context, spec client.CircuitSpec, de
 	return c, nil
 }
 
-// resolveSource turns one CircuitSpec into a lazy engine source: by-ref
-// specs resolve against the analysis store (the stored analysis feeds the
+// resolveSource turns one CircuitSpec into an engine source: by-ref specs
+// resolve against the analysis store (the stored analysis feeds the
 // estimator directly), inline and generated specs materialize through
 // resolveCircuit. Errors are per-spec, like resolveCircuit's.
 func (s *Server) resolveSource(ctx context.Context, spec client.CircuitSpec, decompose bool) (leqa.Source, error) {

@@ -112,7 +112,7 @@ func TestEstimateRawQCUpload(t *testing.T) {
 // TestGridStreamsIncrementallyInOrder is the PR's acceptance test: POST a
 // multi-circuit grid, receive the first NDJSON row while the batch is
 // provably incomplete, receive all rows in input order, and match a direct
-// Runner.SweepGrid call bitwise.
+// Runner.SweepGridSources call bitwise.
 func TestGridStreamsIncrementallyInOrder(t *testing.T) {
 	release, releaseStream := makeRelease(t)
 	firstFlushed := make(chan struct{})
@@ -202,7 +202,7 @@ func TestGridStreamsIncrementallyInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := runner.SweepGrid(context.Background(), circuits, []leqa.Params{p0, p1})
+	cells, err := runner.SweepGridSources(context.Background(), leqa.CircuitSources(circuits), []leqa.Params{p0, p1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestGridStreamsIncrementallyInOrder(t *testing.T) {
 				k, got[k].CircuitIndex, got[k].ParamsIndex, i, j)
 		}
 		if !reflect.DeepEqual(got[k], want[k]) {
-			t.Fatalf("row %d differs from direct SweepGrid:\nhttp:   %+v\ndirect: %+v", k, got[k], want[k])
+			t.Fatalf("row %d differs from direct SweepGridSources:\nhttp:   %+v\ndirect: %+v", k, got[k], want[k])
 		}
 	}
 }

@@ -127,11 +127,11 @@ func assertSameEstimate(t *testing.T, label string, a, b *analysis.Analysis) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := est.EstimateAnalysis(a)
+	ra, err := est.EstimateAnalysis(a, nil)
 	if err != nil {
 		t.Fatalf("%s: estimate(a): %v", label, err)
 	}
-	rb, err := est.EstimateAnalysis(b)
+	rb, err := est.EstimateAnalysis(b, nil)
 	if err != nil {
 		t.Fatalf("%s: estimate(b): %v", label, err)
 	}
@@ -171,11 +171,11 @@ func TestAllBenchmarksBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: disk Get: %v", name, err)
 		}
-		want, err := est.EstimateAnalysis(fresh)
+		want, err := est.EstimateAnalysis(fresh, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := est.EstimateAnalysis(loaded)
+		got, err := est.EstimateAnalysis(loaded, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

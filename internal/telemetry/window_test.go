@@ -23,9 +23,9 @@ func newFakeClock(start time.Time) *fakeClock {
 	return c
 }
 
-func (c *fakeClock) Now() time.Time              { return time.Unix(0, c.nanos.Load()) }
-func (c *fakeClock) Advance(d time.Duration)     { c.nanos.Add(int64(d)) }
-func (c *fakeClock) Set(t time.Time)             { c.nanos.Store(t.UnixNano()) }
+func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.nanos.Load()) }
+func (c *fakeClock) Advance(d time.Duration) { c.nanos.Add(int64(d)) }
+func (c *fakeClock) Set(t time.Time)         { c.nanos.Store(t.UnixNano()) }
 func (c *fakeClock) opts(l time.Duration, n int) WindowOptions {
 	return WindowOptions{Length: l, Slots: n, Clock: c.Now}
 }
@@ -216,14 +216,14 @@ func TestWindowEpochBoundaryConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	// After the walker stops, the window covers the last 4 epochs. Samples
-	// tallied at phase ≥ 16-4 are certainly inside; the merged count must
-	// be at least those and at most the total.
+	// After the walker stops, the window covers the last 4 epochs: phases
+	// 13 through 16. Samples tallied at phase ≥ 16-4+1 are certainly
+	// inside; the merged count must be at least those and at most the total.
 	var lowerBound, total uint64
 	for g := range counts {
 		for p, n := range counts[g] {
 			total += n
-			if p >= 12 {
+			if p >= 13 {
 				lowerBound += n
 			}
 		}

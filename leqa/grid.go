@@ -1,15 +1,14 @@
 package leqa
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
 )
 
-// GridCell is one (circuit, parameter-set) estimate inside a cross-product
-// sweep. Cells keep input order: the cell for circuit i under parameter set
+// GridCell is one (source, parameter-set) estimate inside a cross-product
+// sweep. Cells keep input order: the cell for source i under parameter set
 // j is always at index i·len(paramSets)+j, whichever worker ran it.
 type GridCell struct {
 	// CircuitIndex and ParamsIndex locate the cell in the cross product.
@@ -71,58 +70,4 @@ func newGridColumns(paramSets []Params) *gridColumns {
 		cols.uniq = append(cols.uniq, j)
 	}
 	return cols
-}
-
-// SweepGrid estimates the full circuits × paramSets cross product. Each
-// circuit is analyzed exactly once — the fused QODG+IIG build is
-// fabric-independent — and the resulting Analysis is shared by every
-// parameter set; the estimate phase then runs as one batched row per
-// circuit (core.EstimateAnalysisBatch), building every column's weight
-// vector in a single node scan and relaxing all columns' critical paths in
-// one multi-weight traversal. Duplicate parameter columns are deduplicated
-// by canonical fabric.ParamsKey and estimated once; the zonemodel LRU
-// further collapses the scalar phase across cells sharing a fabric
-// configuration. Cells come back in input order (circuit-major). The error
-// is non-nil when ctx was cancelled or a parameter set fails validation;
-// per-circuit and per-cell failures land in GridCell.Err.
-//
-// SweepGrid collects SweepGridStream, so the two are cell-for-cell
-// bitwise identical by construction.
-func (r *Runner) SweepGrid(ctx context.Context, circuits []*Circuit, paramSets []Params) ([]GridCell, error) {
-	cells := make([]GridCell, 0, len(circuits)*len(paramSets))
-	err := r.SweepGridStream(ctx, circuits, paramSets, func(cell GridCell) error {
-		cells = append(cells, cell)
-		return nil
-	})
-	if err != nil && len(cells) == 0 && ctx.Err() == nil {
-		return nil, err // parameter-set validation failure: nothing ran
-	}
-	return cells, err
-}
-
-// SweepGrid estimates the circuits × paramSets cross product with default
-// options and a GOMAXPROCS-sized pool — the batch counterpart of calling
-// Estimate once per pair, with each circuit analyzed exactly once.
-func SweepGrid(ctx context.Context, circuits []*Circuit, paramSets []Params) ([]GridCell, error) {
-	r, err := NewRunner(DefaultParams(), EstimateOptions{}, 0)
-	if err != nil {
-		return nil, err
-	}
-	return r.SweepGrid(ctx, circuits, paramSets)
-}
-
-// GridCells adapts single-parameter sweep results into grid cells (one
-// parameter column), so the JSON/CSV emitters cover both sweep shapes.
-func GridCells(results []SweepResult, p Params) []GridCell {
-	cells := make([]GridCell, len(results))
-	for i, sr := range results {
-		cells[i] = GridCell{
-			CircuitIndex: sr.Index,
-			Name:         sr.Name,
-			Params:       p,
-			Result:       sr.Result,
-			Err:          sr.Err,
-		}
-	}
-	return cells
 }

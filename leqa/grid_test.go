@@ -40,7 +40,7 @@ func TestSweepGridMatchesSequential(t *testing.T) {
 		circuits[i] = c
 	}
 
-	cells, err := SweepGrid(context.Background(), circuits, paramSets)
+	cells, err := sweepGrid(context.Background(), circuits, paramSets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSweepGridPerCellErrors(t *testing.T) {
 	bad.Append(circuit.NewToffoli(0, 1, 2))
 
 	paramSets := gridParamSets()
-	cells, err := SweepGrid(context.Background(), []*Circuit{good, bad}, paramSets)
+	cells, err := sweepGrid(context.Background(), []*Circuit{good, bad}, paramSets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSweepGridRejectsBadParams(t *testing.T) {
 	}
 	bad := DefaultParams()
 	bad.TMove = 0
-	if _, err := SweepGrid(context.Background(), []*Circuit{good}, []Params{DefaultParams(), bad}); err == nil {
+	if _, err := sweepGrid(context.Background(), []*Circuit{good}, []Params{DefaultParams(), bad}); err == nil {
 		t.Error("want validation error for the broken parameter set")
 	}
 }
@@ -110,7 +110,7 @@ func TestSweepGridCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := SweepGrid(ctx, []*Circuit{c, c}, gridParamSets())
+	cells, err := sweepGrid(ctx, []*Circuit{c, c}, gridParamSets())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -128,7 +128,7 @@ func TestSweepGridCancellation(t *testing.T) {
 }
 
 func TestSweepGridEmptyInputs(t *testing.T) {
-	cells, err := SweepGrid(context.Background(), nil, gridParamSets())
+	cells, err := sweepGrid(context.Background(), nil, gridParamSets())
 	if err != nil || len(cells) != 0 {
 		t.Errorf("empty circuits: cells=%d err=%v", len(cells), err)
 	}
@@ -136,28 +136,9 @@ func TestSweepGridEmptyInputs(t *testing.T) {
 	if genErr != nil {
 		t.Fatal(genErr)
 	}
-	cells, err = SweepGrid(context.Background(), []*Circuit{c}, nil)
+	cells, err = sweepGrid(context.Background(), []*Circuit{c}, nil)
 	if err != nil || len(cells) != 0 {
 		t.Errorf("empty params: cells=%d err=%v", len(cells), err)
-	}
-}
-
-func TestGridCellsAdapter(t *testing.T) {
-	c, err := GenerateFT("8bitadder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultParams()
-	results, err := Sweep(context.Background(), []*Circuit{c}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := GridCells(results, p)
-	if len(cells) != 1 || cells[0].Name != c.Name || cells[0].Result != results[0].Result {
-		t.Fatalf("adapter mismatch: %+v", cells)
-	}
-	if cells[0].Params.Grid != p.Grid {
-		t.Errorf("params not propagated")
 	}
 }
 
@@ -168,7 +149,7 @@ func TestWriteResultsEmitters(t *testing.T) {
 	}
 	bad := circuit.New("raw-toffoli", 3)
 	bad.Append(circuit.NewToffoli(0, 1, 2))
-	cells, err := SweepGrid(context.Background(), []*Circuit{c, bad}, []Params{DefaultParams()})
+	cells, err := sweepGrid(context.Background(), []*Circuit{c, bad}, []Params{DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,16 +140,24 @@ func Decompose(c *Circuit) (*Circuit, error) {
 	return decompose.ToFT(c, decompose.Options{})
 }
 
-// BuildQODG constructs the dependency graph of a circuit (Fig. 2b).
-func BuildQODG(c *Circuit) (*QODG, error) { return qodg.Build(c) }
-
-// BuildIIG constructs the interaction intensity graph of an FT circuit.
-func BuildIIG(c *Circuit) (*IIG, error) { return iig.Build(c) }
-
-// Analyze builds both graphs in one fused streaming pass over the gate
-// list — the front end Estimate and the sweep engines run, exposed for
-// callers that want to amortize one analysis across many estimates.
+// Analyze builds both graphs of a circuit — the QODG (Fig. 2b) and the IIG
+// — in one fused two-pass build: the front end Estimate and the sweep
+// engines run, exposed for callers that want the graphs or want to amortize
+// one analysis across many estimates.
 func Analyze(c *Circuit) (*Analysis, error) { return analysis.Analyze(c) }
+
+// analyzeFT is Analyze behind the FT precondition every estimate checks
+// first: a non-FT circuit fails with NonFTError before any graph is built.
+// A non-nil arena lends its buffers to the analysis.
+func analyzeFT(c *Circuit, ar *analysis.Arena) (*Analysis, error) {
+	if !c.IsFT() {
+		return nil, &NonFTError{Circuit: c.Name, Gate: -1}
+	}
+	if ar != nil {
+		return ar.Analyze(c)
+	}
+	return analysis.Analyze(c)
+}
 
 // EstimateAnalysis runs LEQA on a previously analyzed circuit.
 func EstimateAnalysis(a *Analysis, p Params, opt EstimateOptions) (*EstimateResult, error) {
@@ -157,7 +165,7 @@ func EstimateAnalysis(a *Analysis, p Params, opt EstimateOptions) (*EstimateResu
 	if err != nil {
 		return nil, err
 	}
-	return est.EstimateAnalysis(a)
+	return est.EstimateAnalysis(a, nil)
 }
 
 // ZoneModelCacheStats reports the shared zone-model memo's cumulative
@@ -176,7 +184,11 @@ func EstimateWith(c *Circuit, p Params, opt EstimateOptions) (*EstimateResult, e
 	if err != nil {
 		return nil, err
 	}
-	return est.Estimate(c)
+	a, err := analyzeFT(c, nil)
+	if err != nil {
+		return nil, err
+	}
+	return est.EstimateAnalysis(a, nil)
 }
 
 // MapActual runs the detailed scheduler/placer/router with default options.

@@ -81,18 +81,14 @@ func TestParseSaveLoadRoundTrip(t *testing.T) {
 
 func TestBuildGraphs(t *testing.T) {
 	c, _ := GenerateFT("ham3")
-	g, err := BuildQODG(c)
+	a, err := Analyze(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumNodes() != 21 {
+	if g := a.QODG; g.NumNodes() != 21 {
 		t.Errorf("QODG nodes = %d, want 21", g.NumNodes())
 	}
-	ig, err := BuildIIG(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ig.Q != 3 {
+	if ig := a.IIG; ig.Q != 3 {
 		t.Errorf("IIG Q = %d", ig.Q)
 	}
 }

@@ -35,7 +35,7 @@ func TestSweepGridDedupesDuplicateColumns(t *testing.T) {
 	p1 := DefaultParams()
 	p2 := DefaultParams()
 	p2.TMove = 150
-	cells, err := SweepGrid(context.Background(), []*Circuit{c}, []Params{p1, p2, p1.Clone(), p2.Clone()})
+	cells, err := sweepGrid(context.Background(), []*Circuit{c}, []Params{p1, p2, p1.Clone(), p2.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestResultMemoWarmGridBitwiseEqual(t *testing.T) {
 	p2.QubitSpeed = 0.002
 	paramSets := []Params{DefaultParams(), p2}
 
-	cold, err := r.SweepGrid(context.Background(), circuits, paramSets)
+	cold, err := r.SweepGridSources(context.Background(), CircuitSources(circuits), paramSets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestResultMemoWarmGridBitwiseEqual(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 4 || st.Entries != 4 {
 		t.Fatalf("cold stats = %+v, want 0 hits / 4 misses / 4 entries", st)
 	}
-	warm, err := r.SweepGrid(context.Background(), circuits, paramSets)
+	warm, err := r.SweepGridSources(context.Background(), CircuitSources(circuits), paramSets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestResultMemoSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	circuits := []*Circuit{c, c, c, c, c, c, c, c}
-	cells, err := r.SweepGrid(context.Background(), circuits, []Params{DefaultParams()})
+	cells, err := r.SweepGridSources(context.Background(), CircuitSources(circuits), []Params{DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,12 +271,12 @@ func TestResultMemoDisabledMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	memoized.SetResultMemo(NewResultMemo(0))
-	want, err := plain.SweepGrid(context.Background(), []*Circuit{c}, paramSets)
+	want, err := plain.SweepGridSources(context.Background(), CircuitSources([]*Circuit{c}), paramSets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pass := range []string{"cold", "warm"} {
-		got, err := memoized.SweepGrid(context.Background(), []*Circuit{c}, paramSets)
+		got, err := memoized.SweepGridSources(context.Background(), CircuitSources([]*Circuit{c}), paramSets)
 		if err != nil {
 			t.Fatal(err)
 		}

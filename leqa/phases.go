@@ -14,8 +14,7 @@ import (
 //
 //   - PhaseIngest — acquiring the gate source: generating a named
 //     benchmark, opening a lazy stream source, or (server-side) spooling an
-//     upload. Materialized circuits handed to Run directly have no ingest
-//     phase.
+//     upload. In-memory circuit sources have no ingest phase.
 //   - PhaseAnalyze — the fused graph build (QODG + IIG). For streamed
 //     sources this includes gate parsing: streaming fuses parse and build
 //     by design, so the parse cost is billed to the analysis that consumes

@@ -2,10 +2,12 @@ package leqa
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/benchgen"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/ingest"
@@ -52,23 +54,11 @@ func AnalyzeReader(r io.Reader, name string, opt IngestOptions) (*Analysis, erro
 	return analysis.AnalyzeStream(sc)
 }
 
-// EstimateReader runs LEQA on a .qc netlist streamed from r: parsing,
-// analysis and estimation all consume the stream directly, so peak memory
-// is independent of the gate list size. Results are bitwise identical to
-// Estimate on the materialized circuit. The netlist must already be FT —
-// decomposition needs the gate list and is a materialized-path feature.
-func EstimateReader(r io.Reader, name string, p Params, opt IngestOptions) (*EstimateResult, error) {
-	est, err := core.New(p, EstimateOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return est.EstimateReader(r, name, opt)
-}
-
-// Source lazily opens one circuit's gate stream: nothing is read, spooled
-// or analyzed until a sweep worker claims the source. Batch engines accept
-// []Source so a fleet of beyond-memory netlists can queue without their
-// combined footprint ever existing at once.
+// Source is one circuit of a sweep: an in-memory circuit, a benchmark
+// name, a netlist file or reader, or a stored analysis. Nothing is read,
+// generated, spooled or analyzed until a sweep worker claims the source, so
+// a fleet of beyond-memory netlists can queue without their combined
+// footprint ever existing at once.
 type Source struct {
 	// Name labels the circuit in results and diagnostics.
 	Name string
@@ -91,6 +81,9 @@ type Source struct {
 	// analysis store, typically. It lets the result memo probe for warm
 	// (digest, params) cells before the source is opened or analyzed.
 	Digest string
+
+	// circuit is a CircuitSource's in-memory circuit; see there.
+	circuit *Circuit
 }
 
 // FileSource streams a .qc file, naming the circuit after the file. The
@@ -112,12 +105,49 @@ func ReaderSource(name string, r io.Reader, opt IngestOptions) Source {
 	}}
 }
 
-// CircuitSource adapts an in-memory circuit so materialized and streamed
-// inputs can share one batch run.
+// CircuitSource adapts an in-memory circuit. The circuit is already
+// parsed, so it never passes through an attached analysis store: the
+// worker analyzes it in its own arena. Its content digest is computed only
+// when an attached result memo needs one.
 func CircuitSource(c *Circuit) Source {
-	return Source{Name: c.Name, Open: func() (GateStream, error) {
+	return Source{Name: c.Name, circuit: c, Open: func() (GateStream, error) {
 		return analysis.NewCircuitStream(c), nil
 	}}
+}
+
+// CircuitSources adapts every circuit with CircuitSource.
+func CircuitSources(circuits []*Circuit) []Source {
+	srcs := make([]Source, len(circuits))
+	for i, c := range circuits {
+		srcs[i] = CircuitSource(c)
+	}
+	return srcs
+}
+
+// BenchmarkSource names a built-in benchmark (gf2^16mult, hwb50ps, ...):
+// the worker that claims it synthesizes the netlist and lowers it to the
+// FT gate set, so even circuit generation runs inside the pool.
+func BenchmarkSource(name string) Source {
+	return Source{Name: name, Open: func() (GateStream, error) {
+		c, err := benchgen.GenerateFT(name)
+		if err != nil {
+			return nil, fmt.Errorf("leqa: generating %q: %w", name, err)
+		}
+		return analysis.NewCircuitStream(c), nil
+	}}
+}
+
+// digest reports the source's content digest when it is known without
+// ingesting: the pre-known Digest, or the hash of an in-memory FT circuit.
+func (s Source) digest() (string, bool) {
+	if s.Digest != "" {
+		return s.Digest, true
+	}
+	if s.circuit == nil || !s.circuit.IsFT() {
+		return "", false
+	}
+	d, err := CircuitDigest(s.circuit)
+	return d, err == nil
 }
 
 // NewCircuitStream wraps an in-memory circuit as a rewindable GateStream —
@@ -193,44 +223,13 @@ func closeStream(src GateStream) {
 	}
 }
 
-// EstimateStream estimates one gate stream through the runner's pooled
-// arenas and shared estimator: the fused analysis passes consume the stream
-// directly, ctx cancels at gate granularity, and the Result is bitwise
-// identical to the materialized path.
-func (r *Runner) EstimateStream(ctx context.Context, src GateStream) (*EstimateResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ar := r.arena()
-	defer r.release(ar)
-	return estimateStreamPhased(ctx, r.est, &ctxStream{src: src, ctx: ctx}, ar)
-}
-
-// estimateStreamPhased is EstimateStreamArena with the analyze/estimate
-// boundary reported to the phase observer; the split composition is bitwise
-// identical to the fused call.
-func estimateStreamPhased(ctx context.Context, est *core.Estimator, src GateStream, ar *analysis.Arena) (*EstimateResult, error) {
-	t := time.Now()
-	a, err := est.AnalyzeStreamFT(src, ar)
-	observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
-		if a == nil {
-			return "streamed"
-		}
-		return "streamed gates=" + itoa(a.Operations)
-	})
-	if err != nil {
-		return nil, err
-	}
-	t = time.Now()
-	res, err := est.EstimateAnalysisArena(a, ar)
-	observePhase(ctx, PhaseEstimate, t)
-	return res, err
-}
-
-// EstimateStreamWith is EstimateStream under an explicit parameter set —
-// the estimation service's overlay path, which shares the runner's arena
-// pool (and through the zone-model memo, its cached fabrics) while binding
-// per-request physics.
+// EstimateStreamWith estimates one gate stream under an explicit parameter
+// set through the runner's pooled arenas: the fused analysis passes consume
+// the stream directly (no store, no memo — the stream's digest is unknown
+// until it has been read), ctx cancels at gate granularity, and the first
+// non-FT gate stops the scan with a NonFTError. It is the estimation
+// service's raw-upload path; the zone-model memo still shares cached
+// fabrics with every other estimate.
 func (r *Runner) EstimateStreamWith(ctx context.Context, src GateStream, p Params) (*EstimateResult, error) {
 	est, err := core.New(p, r.opt)
 	if err != nil {
@@ -241,60 +240,23 @@ func (r *Runner) EstimateStreamWith(ctx context.Context, src GateStream, p Param
 	}
 	ar := r.arena()
 	defer r.release(ar)
-	return estimateStreamPhased(ctx, est, &ctxStream{src: src, ctx: ctx}, ar)
-}
-
-// estimateSource opens one lazy source and estimates its stream — the
-// per-item work of the source sweeps. With an attached analysis store (or
-// an Analysis-backed source) the stream feeds the store's digest+analyze
-// path and Algorithm 1 runs on the shared analysis; otherwise the gates
-// flow straight through the worker's arena.
-func (r *Runner) estimateSource(ctx context.Context, s Source) (*EstimateResult, error) {
-	if s.Analysis != nil || r.store != nil {
-		a, err := r.analyzeSource(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		return r.estimateShared(ctx, r.est, a)
-	}
 	t := time.Now()
-	src, err := s.Open()
-	observePhaseDetail(ctx, PhaseIngest, t, func() string { return "open=" + s.Name })
+	a, err := est.AnalyzeStreamFT(&ctxStream{src: src, ctx: ctx}, ar)
+	observePhaseDetail(ctx, PhaseAnalyze, t, func() string { return streamedDetail(a) })
 	if err != nil {
 		return nil, err
 	}
-	defer closeStream(src)
-	return r.EstimateStream(ctx, src)
+	t = time.Now()
+	res, err := est.EstimateAnalysis(a, ar)
+	observePhase(ctx, PhaseEstimate, t)
+	return res, err
 }
 
-// RunSources is Run over lazily opened gate streams: each worker opens,
-// streams and estimates its source without the gate list ever
-// materializing. Results keep input order; per-source failures land in
-// SweepResult.Err.
-func (r *Runner) RunSources(ctx context.Context, sources []Source) ([]SweepResult, error) {
-	results := make([]SweepResult, 0, len(sources))
-	err := r.RunSourcesStream(ctx, sources, func(sr SweepResult) error {
-		results = append(results, sr)
-		return nil
-	})
-	return results, err
-}
-
-// RunSourcesStream is RunSources with per-result delivery in input order.
-func (r *Runner) RunSourcesStream(ctx context.Context, sources []Source, emit func(SweepResult) error) error {
-	return r.runStream(ctx, len(sources), func(i int) SweepResult {
-		sr := SweepResult{Index: i, Name: sources[i].Name}
-		sr.Result, sr.Err = r.estimateSource(ctx, sources[i])
-		return sr
-	}, func(i int) string { return sources[i].Name }, emit)
-}
-
-// SweepGridSources estimates the sources × paramSets cross product — the
-// streamed counterpart of SweepGrid. With one parameter column each cell
-// streams straight through its worker's arena; with several, each source is
-// streamed and analyzed exactly once (by whichever worker first needs it)
-// and the shared immutable analysis feeds every column, so a beyond-memory
-// netlist is read once per run, not once per cell.
+// SweepGridSources estimates the sources × paramSets cross product and
+// collects SweepGridSourcesStream's cells, so the two are cell-for-cell
+// bitwise identical by construction. The error is non-nil when ctx was
+// cancelled or a parameter set fails validation (then no cell is
+// returned); per-source and per-cell failures land in GridCell.Err.
 func (r *Runner) SweepGridSources(ctx context.Context, sources []Source, paramSets []Params) ([]GridCell, error) {
 	cells := make([]GridCell, 0, len(sources)*len(paramSets))
 	err := r.SweepGridSourcesStream(ctx, sources, paramSets, func(cell GridCell) error {
@@ -307,12 +269,25 @@ func (r *Runner) SweepGridSources(ctx context.Context, sources []Source, paramSe
 	return cells, err
 }
 
-// SweepGridSourcesStream is SweepGridSources with per-row delivery in
-// circuit-major input order, mirroring SweepGridStream's contract: each
-// worker owns one source's whole row, analyzes it once (store-shared when a
-// store is attached) and estimates every parameter column in one batched
-// call — consulting the result memo first when the source's digest is
-// already known.
+// SweepGridSourcesStream estimates the sources × paramSets cross product —
+// the one engine behind every single estimate, sweep and grid — delivering
+// each GridCell to emit in source-major input order as soon as its row
+// completes. Each worker owns one source's whole row: it consults the
+// result memo first (when attached and the source's digest is known),
+// analyzes the source once (through the attached store for streamed
+// sources, in its own arena otherwise) and estimates every remaining
+// parameter column in one batched core.EstimateAnalysisBatch call, so the
+// QODG adjacency streams through the cache once for all columns and a
+// beyond-memory netlist is read once per run, not once per cell. Duplicate
+// parameter columns are estimated once and share the Result.
+//
+// emit runs on the caller's goroutine (safe for http.ResponseWriter and
+// other single-goroutine sinks); a non-nil emit error — a disconnected
+// client, typically — stops the feed early and is returned. Every row is
+// dispatched even after cancellation, so the stream accounts for every
+// (source, params) pair: cells that never ran carry ctx's error, and the
+// function returns ctx.Err() after the last delivery. A parameter-set
+// validation failure is returned before any work starts.
 func (r *Runner) SweepGridSourcesStream(ctx context.Context, sources []Source, paramSets []Params, emit func(GridCell) error) error {
 	ests, err := r.gridEstimators(paramSets)
 	if err != nil {
@@ -338,22 +313,8 @@ func (r *Runner) SweepGridSourcesStream(ctx context.Context, sources []Source, p
 		}
 		ar := r.arena()
 		defer r.release(ar)
-		if len(paramSets) == 1 && s.Analysis == nil && r.store == nil && (r.memo == nil || s.Digest == "") {
-			// Single column, no store, no memo probe possible: the stream
-			// feeds exactly one cell, so the whole analyze+estimate runs in
-			// this worker's arena.
-			src, err := s.Open()
-			if err != nil {
-				row[0].Err = err
-				return row
-			}
-			defer closeStream(src)
-			row[0].Result, row[0].Err = estimateStreamPhased(ctx, ests[0], &ctxStream{src: src, ctx: ctx}, ar)
-			return row
-		}
-		r.estimateRow(ctx, row, ests, cols,
-			func() (string, bool) { return s.Digest, s.Digest != "" },
-			func() (*analysis.Analysis, error) { return r.analyzeSource(ctx, s) },
+		r.estimateRow(ctx, row, ests, cols, s.digest,
+			func() (*analysis.Analysis, error) { return r.analyzeSource(ctx, s, ar) },
 			ar)
 		return row
 	}, emitRow(emit))

@@ -25,10 +25,9 @@ func writeQCFiles(t *testing.T, circuits []*leqa.Circuit) []string {
 	return paths
 }
 
-// TestSweepGridSourcesMatchesBatch proves the lazy-source grid engine —
-// mixing file-backed streams and in-memory circuits — produces cells
-// bitwise identical to the materialized SweepGrid across a multi-column
-// parameter matrix.
+// TestSweepGridSourcesMatchesBatch proves a grid mixing file-backed streams
+// and in-memory circuits produces cells bitwise identical to the all-in-
+// memory grid across a multi-column parameter matrix.
 func TestSweepGridSourcesMatchesBatch(t *testing.T) {
 	circuits := streamTestCircuits(t, "ham7", "4bitadder", "mod16adder")
 	paths := writeQCFiles(t, circuits)
@@ -42,7 +41,7 @@ func TestSweepGridSourcesMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := runner.SweepGrid(context.Background(), circuits, paramSets)
+	want, err := runner.SweepGridSources(context.Background(), leqa.CircuitSources(circuits), paramSets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +72,10 @@ func TestSweepGridSourcesMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestRunSourcesSingleColumn covers the single-column fast path (whole
-// stream analyzed and estimated in one worker arena) and per-source error
-// isolation: a missing file becomes one error row, not a batch failure.
+// TestRunSourcesSingleColumn covers single-column sweeps of streamed
+// sources (whole stream analyzed and estimated in one worker arena) and
+// per-source error isolation: a missing file becomes one error row, not a
+// batch failure.
 func TestRunSourcesSingleColumn(t *testing.T) {
 	circuits := streamTestCircuits(t, "ham7", "4bitadder")
 	paths := writeQCFiles(t, circuits)
@@ -83,7 +83,8 @@ func TestRunSourcesSingleColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := runner.Run(context.Background(), circuits)
+	cols := []leqa.Params{leqa.DefaultParams()}
+	want, err := runner.SweepGridSources(context.Background(), leqa.CircuitSources(circuits), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRunSourcesSingleColumn(t *testing.T) {
 		leqa.FileSource(filepath.Join(t.TempDir(), "missing.qc"), leqa.IngestOptions{}),
 		leqa.FileSource(paths[1], leqa.IngestOptions{}),
 	}
-	got, err := runner.RunSources(context.Background(), sources)
+	got, err := runner.SweepGridSources(context.Background(), sources, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestEstimateStreamCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := runner.EstimateStream(ctx, src); err == nil {
+	if _, err := runner.EstimateStreamWith(ctx, src, leqa.DefaultParams()); err == nil {
 		t.Fatal("want cancellation error")
 	}
 }

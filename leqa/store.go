@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/qcbin"
 	"repro/internal/store"
 	"repro/leqa/trace"
@@ -41,11 +40,11 @@ func NewAnalysisStore(opt AnalysisStoreOptions) (*AnalysisStore, error) {
 }
 
 // SetAnalysisStore attaches a content-addressed analysis store to the
-// runner's source paths (RunSources, SweepGridSources and the streams
-// beneath them): each source is digested on open, and a store hit skips
-// analysis. nil detaches. Set before concurrent runs start; the field is
-// read unsynchronized on the estimate path. Attaching a store never changes
-// results — a hit returns the same CSR content a fresh analysis builds.
+// runner's streamed sources (SweepGridSources and the stream beneath it):
+// each is digested on open, and a store hit skips analysis. nil detaches.
+// Set before concurrent runs start; the field is read unsynchronized on the
+// estimate path. Attaching a store never changes results — a hit returns
+// the same CSR content a fresh analysis builds.
 func (r *Runner) SetAnalysisStore(s *AnalysisStore) { r.store = s }
 
 // AnalysisStore reports the attached store (nil when none).
@@ -76,11 +75,12 @@ func FormatDigestRef(digest string) string { return qcbin.FormatRef(digest) }
 func WriteQCB(w io.Writer, c *Circuit) error { return qcbin.EncodeCircuit(w, c) }
 
 // analyzeSource produces one source's analysis: directly from an
-// Analysis-backed source, through the attached store when one is set (a
-// hit skips the graph build; a miss analyzes and persists), or by plain
-// streaming analysis. The heap-allocated result is safe to share across
-// workers and outlive the call.
-func (r *Runner) analyzeSource(ctx context.Context, s Source) (*analysis.Analysis, error) {
+// Analysis-backed source; in ar for an in-memory circuit; through the
+// attached store for a streamed source when one is set (a hit skips the
+// graph build; a miss analyzes and persists); otherwise by streaming the
+// source into ar behind the FT guard. An arena analysis is borrowed until
+// ar's next use.
+func (r *Runner) analyzeSource(ctx context.Context, s Source, ar *analysis.Arena) (*analysis.Analysis, error) {
 	if s.Analysis != nil {
 		// By-reference resolution: no ingest or graph build happened, but a
 		// zero-duration analyze span keeps the request's store attribution
@@ -97,6 +97,14 @@ func (r *Runner) analyzeSource(ctx context.Context, s Source) (*analysis.Analysi
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if c := s.circuit; c != nil {
+		t := time.Now()
+		a, err := analyzeFT(c, ar)
+		observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
+			return analyzeDetail("", c.NumGates(), analysis.ShardPlan(c.NumGates(), ar))
+		})
+		return a, err
 	}
 	t := time.Now()
 	src, err := s.Open()
@@ -118,27 +126,17 @@ func (r *Runner) analyzeSource(ctx context.Context, s Source) (*analysis.Analysi
 			return "store=" + outcome.String() + " gates=" + itoa(a.Operations)
 		})
 	} else {
-		a, err = analysis.AnalyzeStream(cs)
-		observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
-			if a == nil {
-				return "streamed"
-			}
-			return "streamed gates=" + itoa(a.Operations)
-		})
+		a, err = r.est.AnalyzeStreamFT(cs, ar)
+		observePhaseDetail(ctx, PhaseAnalyze, t, func() string { return streamedDetail(a) })
 	}
 	return a, err
 }
 
-// estimateShared runs Algorithm 1 on a shared (store- or caller-owned)
-// analysis through a pooled arena.
-func (r *Runner) estimateShared(ctx context.Context, est *core.Estimator, a *analysis.Analysis) (*EstimateResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// streamedDetail renders a streamed analyze span's attributes. Only built
+// under an attached trace.
+func streamedDetail(a *analysis.Analysis) string {
+	if a == nil {
+		return "streamed"
 	}
-	ar := r.arena()
-	defer r.release(ar)
-	t := time.Now()
-	res, err := est.EstimateAnalysisArena(a, ar)
-	observePhase(ctx, PhaseEstimate, t)
-	return res, err
+	return "streamed gates=" + itoa(a.Operations)
 }

@@ -36,17 +36,18 @@ func TestRunSourcesWithStore(t *testing.T) {
 		}
 	}
 
+	cols := []leqa.Params{leqa.DefaultParams()}
 	plain, err := leqa.NewRunner(leqa.DefaultParams(), leqa.EstimateOptions{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plain.RunSources(context.Background(), sources())
+	want, err := plain.SweepGridSources(context.Background(), sources(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	r, st := storeRunner(t, leqa.AnalysisStoreOptions{Dir: t.TempDir()})
-	got, err := r.RunSources(context.Background(), sources())
+	got, err := r.SweepGridSources(context.Background(), sources(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestRunSourcesWithStore(t *testing.T) {
 		t.Fatalf("first run misses = %d, want 2 (%s)", s.Misses, s)
 	}
 
-	again, err := r.RunSources(context.Background(), sources())
+	again, err := r.SweepGridSources(context.Background(), sources(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +83,7 @@ func TestRunSourcesWithStore(t *testing.T) {
 
 // TestGridSourcesWithStoreAndAnalysisSource proves a grid mixing streamed,
 // in-memory and Analysis-backed (by-reference) sources over a store matches
-// the storeless engine cell for cell — including the single-column path,
-// which the store reroutes through shared analyses.
+// the storeless engine cell for cell, with one column and with two.
 func TestGridSourcesWithStoreAndAnalysisSource(t *testing.T) {
 	circuits := streamTestCircuits(t, "ham7", "4bitadder", "mod16adder")
 	paths := writeQCFiles(t, circuits)
@@ -98,7 +98,7 @@ func TestGridSourcesWithStoreAndAnalysisSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := plain.SweepGrid(context.Background(), circuits, cols)
+		want, err := plain.SweepGridSources(context.Background(), leqa.CircuitSources(circuits), cols)
 		if err != nil {
 			t.Fatal(err)
 		}

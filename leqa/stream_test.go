@@ -42,13 +42,13 @@ func TestSweepGridStreamMatchesSweepGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := r.SweepGrid(context.Background(), circuits, paramSets)
+	want, err := r.SweepGridSources(context.Background(), leqa.CircuitSources(circuits), paramSets)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var got []leqa.GridCell
-	err = r.SweepGridStream(context.Background(), circuits, paramSets, func(cell leqa.GridCell) error {
+	err = r.SweepGridSourcesStream(context.Background(), leqa.CircuitSources(circuits), paramSets, func(cell leqa.GridCell) error {
 		got = append(got, cell)
 		return nil
 	})
@@ -80,7 +80,7 @@ func TestSweepGridStreamEmitErrorStopsStream(t *testing.T) {
 	}
 	boom := errors.New("client went away")
 	emitted := 0
-	err = r.SweepGridStream(context.Background(), circuits, paramSets, func(leqa.GridCell) error {
+	err = r.SweepGridSourcesStream(context.Background(), leqa.CircuitSources(circuits), paramSets, func(leqa.GridCell) error {
 		emitted++
 		if emitted == 2 {
 			return boom
@@ -105,7 +105,7 @@ func TestSweepGridStreamCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var got []leqa.GridCell
-	err = r.SweepGridStream(ctx, circuits, paramSets, func(cell leqa.GridCell) error {
+	err = r.SweepGridSourcesStream(ctx, leqa.CircuitSources(circuits), paramSets, func(cell leqa.GridCell) error {
 		got = append(got, cell)
 		return nil
 	})
@@ -131,7 +131,7 @@ func TestSweepGridStreamRejectsBadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.SweepGridStream(context.Background(), circuits, []leqa.Params{bad}, func(leqa.GridCell) error {
+	err = r.SweepGridSourcesStream(context.Background(), leqa.CircuitSources(circuits), []leqa.Params{bad}, func(leqa.GridCell) error {
 		t.Fatal("emit must not run when a parameter set fails validation")
 		return nil
 	})
@@ -146,13 +146,14 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r.Run(context.Background(), circuits)
+	cols := []leqa.Params{leqa.DefaultParams()}
+	want, err := r.SweepGridSources(context.Background(), leqa.CircuitSources(circuits), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []leqa.SweepResult
-	err = r.RunStream(context.Background(), circuits, func(sr leqa.SweepResult) error {
-		got = append(got, sr)
+	var got []leqa.GridCell
+	err = r.SweepGridSourcesStream(context.Background(), leqa.CircuitSources(circuits), cols, func(cell leqa.GridCell) error {
+		got = append(got, cell)
 		return nil
 	})
 	if err != nil {
@@ -169,9 +170,13 @@ func TestRunNamedStreamPerRowErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []leqa.SweepResult
-	err = r.RunNamedStream(context.Background(), names, func(sr leqa.SweepResult) error {
-		got = append(got, sr)
+	sources := make([]leqa.Source, len(names))
+	for i, name := range names {
+		sources[i] = leqa.BenchmarkSource(name)
+	}
+	var got []leqa.GridCell
+	err = r.SweepGridSourcesStream(context.Background(), sources, []leqa.Params{leqa.DefaultParams()}, func(cell leqa.GridCell) error {
+		got = append(got, cell)
 		return nil
 	})
 	if err != nil {

@@ -18,6 +18,34 @@ func sweepSuite(t *testing.T) []string {
 	return Benchmarks()
 }
 
+// sweep runs sources under one parameter set through a GOMAXPROCS Runner —
+// the single-column shape of the one engine.
+func sweep(ctx context.Context, sources []Source, p Params) ([]GridCell, error) {
+	r, err := NewRunner(p, EstimateOptions{}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return r.SweepGridSources(ctx, sources, []Params{p})
+}
+
+// sweepGrid runs circuits × paramSets through a GOMAXPROCS Runner.
+func sweepGrid(ctx context.Context, circuits []*Circuit, paramSets []Params) ([]GridCell, error) {
+	r, err := NewRunner(DefaultParams(), EstimateOptions{}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return r.SweepGridSources(ctx, CircuitSources(circuits), paramSets)
+}
+
+// benchmarkSources names built-in benchmarks as sources.
+func benchmarkSources(names []string) []Source {
+	srcs := make([]Source, len(names))
+	for i, name := range names {
+		srcs[i] = BenchmarkSource(name)
+	}
+	return srcs
+}
+
 // TestSweepMatchesSequential is the batch-engine correctness anchor: the
 // concurrent sweep over the built-in benchmarks must return estimates
 // bitwise-identical to sequential Estimate calls.
@@ -39,7 +67,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 		}
 	}
 
-	results, err := Sweep(context.Background(), circuits, p)
+	results, err := sweep(context.Background(), CircuitSources(circuits), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +78,8 @@ func TestSweepMatchesSequential(t *testing.T) {
 		if sr.Err != nil {
 			t.Fatalf("%s: %v", names[i], sr.Err)
 		}
-		if sr.Index != i || sr.Name != names[i] {
-			t.Errorf("result %d is %q (index %d), want %q", i, sr.Name, sr.Index, names[i])
+		if sr.CircuitIndex != i || sr.Name != names[i] {
+			t.Errorf("result %d is %q (index %d), want %q", i, sr.Name, sr.CircuitIndex, names[i])
 		}
 		seq := sequential[i]
 		if sr.Result.EstimatedLatency != seq.EstimatedLatency {
@@ -72,7 +100,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 func TestSweepNamedMatchesSweep(t *testing.T) {
 	names := []string{"8bitadder", "ham15"}
 	p := DefaultParams()
-	byName, err := SweepNamed(context.Background(), names, p)
+	byName, err := sweep(context.Background(), benchmarkSources(names), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +133,7 @@ func TestSweepPerCircuitErrors(t *testing.T) {
 	bad := circuit.New("raw-toffoli", 3)
 	bad.Append(circuit.NewToffoli(0, 1, 2))
 
-	results, err := Sweep(context.Background(), []*Circuit{good, bad, good}, DefaultParams())
+	results, err := sweep(context.Background(), CircuitSources([]*Circuit{good, bad, good}), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +146,7 @@ func TestSweepPerCircuitErrors(t *testing.T) {
 }
 
 func TestSweepBadGeneratorName(t *testing.T) {
-	results, err := SweepNamed(context.Background(), []string{"8bitadder", "no-such-bench"}, DefaultParams())
+	results, err := sweep(context.Background(), benchmarkSources([]string{"8bitadder", "no-such-bench"}), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +165,7 @@ func TestSweepCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Sweep(ctx, []*Circuit{c, c, c}, DefaultParams())
+	results, err := sweep(ctx, CircuitSources([]*Circuit{c, c, c}), DefaultParams())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -145,10 +173,10 @@ func TestSweepCancellation(t *testing.T) {
 		t.Fatalf("got %d results, want 3 (every slot must be accounted for)", len(results))
 	}
 	for i, sr := range results {
-		if sr.Index != i || sr.Name != c.Name {
-			t.Errorf("slot %d: index %d name %q", i, sr.Index, sr.Name)
+		if sr.CircuitIndex != i || sr.Name != c.Name {
+			t.Errorf("slot %d: index %d name %q", i, sr.CircuitIndex, sr.Name)
 		}
-		// The context was cancelled before Run, so no slot can have been
+		// The context was cancelled before the sweep, so no slot can have been
 		// estimated: each must carry the cancellation error.
 		if !errors.Is(sr.Err, context.Canceled) {
 			t.Errorf("slot %d: err = %v, want context.Canceled", i, sr.Err)
@@ -160,7 +188,7 @@ func TestSweepCancellation(t *testing.T) {
 }
 
 func TestSweepEmptyInput(t *testing.T) {
-	results, err := Sweep(context.Background(), nil, DefaultParams())
+	results, err := sweep(context.Background(), nil, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +213,11 @@ func TestRunnerSingleWorkerDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := []string{"8bitadder", "ham15"}
-	a, err := r.RunNamed(context.Background(), names)
+	a, err := r.SweepGridSources(context.Background(), benchmarkSources(names), []Params{DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.RunNamed(context.Background(), names)
+	b, err := r.SweepGridSources(context.Background(), benchmarkSources(names), []Params{DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
