@@ -305,7 +305,7 @@ func run() error {
 	// results.
 	var tr *trace.Trace
 	if *traceRun {
-		tr = trace.New(trace.Generate())
+		tr = trace.New(trace.Generate(), nil)
 		ctx = trace.NewContext(ctx, tr)
 	}
 	cells, err := runner.SweepGridSources(ctx, sources, paramSets)

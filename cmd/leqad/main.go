@@ -67,7 +67,8 @@
 //	                 estimate/sweep/grid cells skip analyze and estimate
 //	                 entirely; 0 = default or $LEQA_RESULT_MEMO_ENTRIES,
 //	                 negative disables
-//	-log-format      structured access-log format: text (default) or json
+//	-log-format      structured log format (access, batch and lifecycle
+//	                 records alike): text (default) or json
 //	-log-level       minimum log level: debug, info, warn, error
 //	-slow-request    warn-log any request at or over this duration with its
 //	                 full span breakdown (0 disables)
@@ -93,7 +94,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"os"
@@ -171,7 +171,7 @@ func run() error {
 	default:
 		return fmt.Errorf("-log-format %q: want text or json", *logFormat)
 	}
-	slogger := slog.New(handler)
+	logger := slog.New(handler)
 
 	// Parallelism thresholds: environment first, explicit flags override.
 	// Applied before the Runner exists so no estimate ever races the write.
@@ -230,7 +230,6 @@ func run() error {
 		slo = *sloSpec
 	}
 
-	logger := log.New(os.Stderr, "leqad: ", log.LstdFlags)
 	srv, err := server.New(server.Config{
 		Params:            params,
 		Options:           leqa.EstimateOptions{Truncation: *truncation, DisableCongestion: *noCongestion},
@@ -253,8 +252,7 @@ func run() error {
 		StoreMaxDiskBytes: storeOpt.MaxDiskBytes,
 		ResultMemoEntries: memoEntries,
 		Version:           version,
-		Log:               logger,
-		Logger:            slogger,
+		Logger:            logger,
 		SlowRequest:       *slowReq,
 		TraceRing:         *traceRing,
 		EnableDebug:       *enableDebug,
@@ -270,9 +268,9 @@ func run() error {
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
-			logger.Printf("debug surfaces (pprof, /debug/requests) on %s", *debugAddr)
+			logger.Info("debug surfaces (pprof, /debug/requests)", "addr", *debugAddr)
 			if err := dbg.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-				logger.Printf("debug listener: %v", err)
+				logger.Error("debug listener", "err", err)
 			}
 		}()
 		defer dbg.Close()
@@ -295,7 +293,7 @@ func run() error {
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Printf("version %s serving on %s (%d workers)", version, *addr, srv.Workers())
+		logger.Info("serving", "version", version, "addr", *addr, "workers", srv.Workers())
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
@@ -307,16 +305,16 @@ func run() error {
 	case <-ctx.Done():
 	}
 
-	logger.Printf("signal received; draining for up to %s", *drain)
+	logger.Info("signal received; draining", "drain", drain.String())
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		// Drain window expired: cancel in-flight batches and cut the
 		// remaining connections.
-		logger.Printf("drain incomplete (%v); aborting in-flight batches", err)
+		logger.Warn("drain incomplete; aborting in-flight batches", "err", err)
 		srv.Abort()
 		return httpSrv.Close()
 	}
-	logger.Printf("drained cleanly")
+	logger.Info("drained cleanly")
 	return nil
 }

@@ -44,7 +44,6 @@ func (s *Server) handleCircuitPut(w http.ResponseWriter, r *http.Request) {
 		s.spooledUploads.Add(1)
 		s.spooledBytes.Add(uint64(sp))
 	}
-	s.endpoints["circuits"].rows.Add(1)
 	writeJSON(w, http.StatusOK, circuitInfo(digest, a))
 }
 

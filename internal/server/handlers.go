@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"time"
 
@@ -57,7 +58,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, cells[0].Err)
 		return
 	}
-	s.endpoints["estimate"].rows.Add(1)
 	t := time.Now()
 	writeJSON(w, http.StatusOK, cells[0].Record())
 	trace.FromContext(ctx).Observe(trace.SpanEmit, "", t, time.Since(t))
@@ -123,7 +123,6 @@ func (s *Server) handleEstimateQC(w http.ResponseWriter, r *http.Request) {
 		s.spooledUploads.Add(1)
 		s.spooledBytes.Add(uint64(sp))
 	}
-	s.endpoints["estimate"].rows.Add(1)
 	cell := leqa.GridCell{Name: name, Params: p, Result: res}
 	t := time.Now()
 	writeJSON(w, http.StatusOK, cell.Record())
@@ -229,7 +228,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.streamBatch(w, r, "sweep", req.Circuits, []leqa.Params{p}, req.Options)
+	s.streamBatch(w, r, req.Circuits, []leqa.Params{p}, req.Options)
 }
 
 // handleGrid streams the circuits × paramSets cross product.
@@ -244,14 +243,14 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.streamBatch(w, r, "grid", req.Circuits, sets, req.Options)
+	s.streamBatch(w, r, req.Circuits, sets, req.Options)
 }
 
 // streamBatch is the shared sweep/grid path: resolve the circuit specs,
 // stream engine cells in input order as they complete, and interleave error
 // rows for specs that never became circuits — a bad row never aborts the
 // batch.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, endpoint string, specs []client.CircuitSpec, paramSets []leqa.Params, opts *client.OptionsSpec) {
+func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, specs []client.CircuitSpec, paramSets []leqa.Params, opts *client.OptionsSpec) {
 	if len(specs) == 0 {
 		s.writeError(w, badRequest("request needs at least one circuit"))
 		return
@@ -316,7 +315,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, endpoint st
 		}
 	}
 	enc := newRowEncoder(w, r)
-	st := &batchStream{s: s, em: s.endpoints[endpoint], enc: enc, paramSets: paramSets, resolveErrs: resolveErrs, names: names, orig: orig, tr: trace.FromContext(ctx)}
+	st := &batchStream{flushHook: s.cfg.FlushHook, enc: enc, paramSets: paramSets, resolveErrs: resolveErrs, names: names, orig: orig, tr: trace.FromContext(ctx)}
 	err = runner.SweepGridSourcesStream(ctx, goodSources, paramSets, st.engineCell)
 	if err == nil {
 		err = st.finish()
@@ -329,11 +328,16 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, endpoint st
 	// client hanging up mid-stream (a write error) — counts as a canceled
 	// batch: the engine stopped feeding unstarted work either way.
 	s.batchesCanceled.Add(1)
+	level, msg := slog.LevelWarn, "batch ended early"
 	if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		s.logf("batch canceled after %d of %d rows: %v", st.rows, len(specs)*len(paramSets), err)
-	} else {
-		s.logf("batch ended early after %d rows: %v", st.rows, err)
+		level, msg = slog.LevelInfo, "batch canceled"
 	}
+	s.logger.LogAttrs(r.Context(), level, msg,
+		slog.String("id", st.tr.ID()),
+		slog.Int("rows", st.rows),
+		slog.Int("cells", len(specs)*len(paramSets)),
+		slog.String("err", err.Error()),
+	)
 	enc.fail(err)
 }
 
@@ -343,8 +347,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, endpoint st
 // whenever a good circuit's first cell arrives, every failed spec before it
 // owes its rows first.
 type batchStream struct {
-	s           *Server
-	em          *endpointMetrics
+	flushHook   func(rows int) // Config.FlushHook
 	enc         rowEncoder
 	paramSets   []leqa.Params
 	resolveErrs []error // per original spec; nil for resolved circuits
@@ -397,7 +400,8 @@ func (b *batchStream) flushFailedBefore(oi int) error {
 	return nil
 }
 
-// emit writes and flushes one row, then fires the test hook. Error rows
+// emit writes and flushes one row, then fires the test hook. Each row's
+// emit span is what finishRequest counts as the request's rows. Error rows
 // carry the request's trace ID so a failed cell points straight at its
 // access-log line and /debug/requests record.
 func (b *batchStream) emit(cell leqa.GridCell) error {
@@ -411,10 +415,8 @@ func (b *batchStream) emit(cell leqa.GridCell) error {
 	}
 	b.tr.Observe(trace.SpanEmit, "", t, time.Since(t))
 	b.rows++
-	b.s.rowsStreamed.Add(1)
-	b.em.rows.Add(1)
-	if b.s.cfg.FlushHook != nil {
-		b.s.cfg.FlushHook(b.rows)
+	if b.flushHook != nil {
+		b.flushHook(b.rows)
 	}
 	return nil
 }

@@ -5,11 +5,148 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
 	"repro/leqa"
+	"repro/leqa/client"
+	"repro/leqa/trace"
 )
+
+// metricsEndpoints fixes the exposition order of the per-endpoint series;
+// the first three are the estimation endpoints.
+var metricsEndpoints = [...]string{"estimate", "sweep", "grid", "circuits", "benchmarks", "healthz"}
+
+// metricsPhases fixes the exposition order of the per-phase series.
+var metricsPhases = [...]string{trace.SpanIngest, trace.SpanAnalyze, trace.SpanEstimate}
+
+// estimationEndpoints returns the endpoints that carry rows and latency.
+func estimationEndpoints() []string { return metricsEndpoints[:3] }
+
+// latencyBucketBounds are the upper edges of the coarse lifetime latency
+// histogram; the final bucket is unbounded.
+var latencyBucketBounds = [...]time.Duration{
+	time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond, time.Second,
+}
+
+// latencySeries is one latency series behind a single observe: a lifetime
+// histogram (count/sum/max plus coarse buckets, lock-free counters) for
+// /metrics and /healthz, and the sliding window behind the *_window_*
+// summaries and SLO clauses. Both halves see every observation, so their
+// counts and sums agree.
+type latencySeries struct {
+	count    atomic.Uint64
+	sumNanos atomic.Uint64
+	maxNanos atomic.Uint64
+	buckets  [len(latencyBucketBounds) + 1]atomic.Uint64
+	win      *telemetry.Window
+}
+
+func newLatencySeries(wopt telemetry.WindowOptions) *latencySeries {
+	return &latencySeries{win: telemetry.NewWindow(wopt)}
+}
+
+func (l *latencySeries) observe(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	ns := uint64(d.Nanoseconds())
+	l.count.Add(1)
+	l.sumNanos.Add(ns)
+	for {
+		cur := l.maxNanos.Load()
+		if ns <= cur || l.maxNanos.CompareAndSwap(cur, ns) {
+			break
+		}
+	}
+	idx := len(latencyBucketBounds)
+	for i, bound := range latencyBucketBounds {
+		if d < bound {
+			idx = i
+			break
+		}
+	}
+	l.buckets[idx].Add(1)
+	l.win.Observe(d)
+}
+
+// endpointMetrics is one endpoint's request accounting, written once per
+// request by finishRequest. Every endpoint counts requests; the estimation
+// endpoints also carry rows, a latency series and windowed completion and
+// error counters (nil elsewhere — nothing reads them).
+type endpointMetrics struct {
+	requests       atomic.Uint64
+	rows           atomic.Uint64
+	latency        *latencySeries
+	windowRequests *telemetry.Counter
+	windowErrors   *telemetry.Counter
+}
+
+// record accounts one finished request: its status, the rows it emitted
+// and its arrival → last byte duration. Only replies that began
+// successfully are timed, so requests rejected before estimation
+// (malformed bodies, bad parameters, 429s) cannot drag the latency toward
+// zero; 5xx and 429 count as windowed errors.
+func (e *endpointMetrics) record(status, rows int, d time.Duration) {
+	e.requests.Add(1)
+	if e.latency == nil {
+		return
+	}
+	e.rows.Add(uint64(rows))
+	e.windowRequests.Add(1)
+	if status >= http.StatusInternalServerError || status == http.StatusTooManyRequests {
+		e.windowErrors.Add(1)
+	}
+	if status >= http.StatusOK && status < http.StatusBadRequest {
+		e.latency.observe(d)
+	}
+}
+
+// observeSpan is the Server's trace.Sink: queue spans feed the queue-wait
+// window that prices Retry-After, pipeline phases their latency series.
+// Emit spans need no sink — finishRequest counts them per request.
+func (s *Server) observeSpan(name string, d time.Duration) {
+	if name == trace.SpanQueue {
+		s.queueWait.Observe(d)
+		return
+	}
+	for i, phase := range metricsPhases {
+		if phase == name {
+			s.phaseLat[i].observe(d)
+			return
+		}
+	}
+}
+
+// estimateLatency merges the estimation endpoints' lifetime histograms into
+// the /healthz estimateLatency block.
+func (s *Server) estimateLatency() client.LatencyStats {
+	const msPerNano = 1e-6
+	st := client.LatencyStats{
+		BucketBoundsMs: make([]float64, len(latencyBucketBounds)),
+		Buckets:        make([]uint64, len(latencyBucketBounds)+1),
+	}
+	var sum, maxNs uint64
+	for _, name := range estimationEndpoints() {
+		l := s.endpoints[name].latency
+		st.Count += l.count.Load()
+		sum += l.sumNanos.Load()
+		maxNs = max(maxNs, l.maxNanos.Load())
+		for i := range l.buckets {
+			st.Buckets[i] += l.buckets[i].Load()
+		}
+	}
+	st.SumMs = float64(sum) * msPerNano
+	st.MaxMs = float64(maxNs) * msPerNano
+	if st.Count > 0 {
+		st.AvgMs = st.SumMs / float64(st.Count)
+	}
+	for i, bound := range latencyBucketBounds {
+		st.BucketBoundsMs[i] = float64(bound) * msPerNano
+	}
+	return st
+}
 
 // handleMetrics serves the Prometheus text exposition format (hand-rolled —
 // the service carries no client library): per-endpoint request, streamed-row
@@ -41,13 +178,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(bw, "# HELP leqad_request_duration_seconds Duration of successfully answered estimation requests, by endpoint.\n")
 	fmt.Fprintf(bw, "# TYPE leqad_request_duration_seconds histogram\n")
 	for _, name := range estimationEndpoints() {
-		writeHistogram(bw, "leqad_request_duration_seconds", "endpoint", name, &s.endpoints[name].latency)
+		writeHistogram(bw, "leqad_request_duration_seconds", "endpoint", name, s.endpoints[name].latency)
 	}
 
 	fmt.Fprintf(bw, "# HELP leqad_phase_duration_seconds Duration of estimation pipeline phases (ingest: source acquisition; analyze: fused graph build, including parsing for streamed netlists; estimate: Algorithm 1).\n")
 	fmt.Fprintf(bw, "# TYPE leqad_phase_duration_seconds histogram\n")
-	for _, name := range metricsPhases {
-		writeHistogram(bw, "leqad_phase_duration_seconds", "phase", name, s.phases[name])
+	for i, name := range metricsPhases {
+		writeHistogram(bw, "leqad_phase_duration_seconds", "phase", name, s.phaseLat[i])
 	}
 
 	s.writeWindowMetrics(bw)
@@ -147,9 +284,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(bw, "leqad_gomaxprocs %d\n", runtime.GOMAXPROCS(0))
 }
 
-// estimationEndpoints returns the endpoints that carry rows and latency.
-func estimationEndpoints() []string { return metricsEndpoints[:3] }
-
 // windowQuantileLabels fixes the quantile label values of the windowed
 // latency series.
 var windowQuantileLabels = []struct {
@@ -207,24 +341,24 @@ func (s *Server) writeWindowMetrics(bw *bufio.Writer) {
 	fmt.Fprintf(bw, "# HELP leqad_request_latency_window_seconds Windowed latency quantiles of successfully answered requests, by endpoint.\n")
 	fmt.Fprintf(bw, "# TYPE leqad_request_latency_window_seconds summary\n")
 	for _, name := range estimationEndpoints() {
-		writeWindowSummary(bw, "leqad_request_latency_window_seconds", "endpoint", name, s.winLat[name].Snapshot())
+		writeWindowSummary(bw, "leqad_request_latency_window_seconds", "endpoint", name, s.endpoints[name].latency.win.Snapshot())
 	}
 
 	fmt.Fprintf(bw, "# HELP leqad_window_requests Requests completed inside the sliding window, by endpoint.\n")
 	fmt.Fprintf(bw, "# TYPE leqad_window_requests gauge\n")
 	for _, name := range estimationEndpoints() {
-		fmt.Fprintf(bw, "leqad_window_requests{endpoint=%q} %d\n", name, s.winReq[name].Total())
+		fmt.Fprintf(bw, "leqad_window_requests{endpoint=%q} %d\n", name, s.endpoints[name].windowRequests.Total())
 	}
 	fmt.Fprintf(bw, "# HELP leqad_window_errors Requests failed (5xx or 429) inside the sliding window, by endpoint.\n")
 	fmt.Fprintf(bw, "# TYPE leqad_window_errors gauge\n")
 	for _, name := range estimationEndpoints() {
-		fmt.Fprintf(bw, "leqad_window_errors{endpoint=%q} %d\n", name, s.winErr[name].Total())
+		fmt.Fprintf(bw, "leqad_window_errors{endpoint=%q} %d\n", name, s.endpoints[name].windowErrors.Total())
 	}
 
 	fmt.Fprintf(bw, "# HELP leqad_phase_latency_window_seconds Windowed latency quantiles of estimation pipeline phases.\n")
 	fmt.Fprintf(bw, "# TYPE leqad_phase_latency_window_seconds summary\n")
-	for _, name := range metricsPhases {
-		writeWindowSummary(bw, "leqad_phase_latency_window_seconds", "phase", name, s.phaseWin[name].Snapshot())
+	for i, name := range metricsPhases {
+		writeWindowSummary(bw, "leqad_phase_latency_window_seconds", "phase", name, s.phaseLat[i].win.Snapshot())
 	}
 
 	if s.evaluator != nil {
@@ -271,12 +405,13 @@ func (s *Server) writeWindowMetrics(bw *bufio.Writer) {
 	}
 }
 
-// writeHistogram renders one latencyRecorder as a cumulative Prometheus
-// histogram under a single label (endpoint=... or phase=...). The recorder's
-// buckets are non-cumulative and lock-free, so a scrape racing live updates
-// can be off by in-flight observations — the standard tolerance for
-// atomically maintained histograms.
-func writeHistogram(bw *bufio.Writer, metric, label, value string, l *latencyRecorder) {
+// writeHistogram renders one latency series' lifetime histogram as a
+// cumulative Prometheus histogram under a single label (endpoint=... or
+// phase=...). The buckets are non-cumulative and lock-free, so a scrape
+// racing live updates can be off by in-flight observations — the standard
+// tolerance for atomically maintained histograms. _sum renders exactly like
+// the window summary's, so a quiescent series prints equal sums in both.
+func writeHistogram(bw *bufio.Writer, metric, label, value string, l *latencySeries) {
 	cum := uint64(0)
 	for i, bound := range latencyBucketBounds {
 		cum += l.buckets[i].Load()
@@ -284,7 +419,7 @@ func writeHistogram(bw *bufio.Writer, metric, label, value string, l *latencyRec
 	}
 	cum += l.buckets[len(latencyBucketBounds)].Load()
 	fmt.Fprintf(bw, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", metric, label, value, cum)
-	fmt.Fprintf(bw, "%s_sum{%s=%q} %g\n", metric, label, value, float64(l.sumNanos.Load())/1e9)
+	fmt.Fprintf(bw, "%s_sum{%s=%q} %g\n", metric, label, value, time.Duration(l.sumNanos.Load()).Seconds())
 	fmt.Fprintf(bw, "%s_count{%s=%q} %d\n", metric, label, value, l.count.Load())
 }
 

@@ -13,16 +13,18 @@ import (
 
 // This file is the per-request observability layer: every request through
 // ServeHTTP gets a trace.Trace in its context (correlated by X-Request-Id /
-// W3C traceparent, else a generated ID), an X-Request-Id response header, a
+// W3C traceparent, else a generated ID) whose spans also feed the server's
+// metrics through its sink, an X-Request-Id response header, a
 // Server-Timing header (or trailer, for streamed batches) carrying the
 // per-phase span breakdown, a structured slog access log, panic recovery,
-// and a snapshot in the ring behind GET /debug/requests.
+// a snapshot in the ring behind GET /debug/requests, and one accounting
+// record in the per-endpoint metrics.
 
 // observe wraps the route mux with the request observability middleware.
 func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id, _ := trace.RequestID(r.Header.Get("X-Request-Id"), r.Header.Get("Traceparent"))
-		tr := trace.New(id)
+		tr := trace.New(id, s.sink)
 		r = r.WithContext(trace.NewContext(r.Context(), tr))
 		w.Header().Set("X-Request-Id", id)
 		ow := &obsWriter{ResponseWriter: w, tr: tr}
@@ -33,7 +35,9 @@ func (s *Server) observe(next http.Handler) http.Handler {
 
 // finishRequest runs after the handler (or its panic): it recovers panics
 // into 500s, populates the Server-Timing trailer of streamed responses,
-// snapshots the trace into the debug ring, and writes the access log.
+// snapshots the trace into the debug ring, records the request once —
+// status, arrival → last byte duration and emitted rows — and writes the
+// access log, so every surface reads the same numbers.
 func (s *Server) finishRequest(w http.ResponseWriter, r *http.Request, ow *obsWriter, tr *trace.Trace) {
 	p := recover()
 	aborted := p != nil && p == http.ErrAbortHandler
@@ -77,7 +81,7 @@ func (s *Server) finishRequest(w http.ResponseWriter, r *http.Request, ow *obsWr
 		}
 	}
 	s.ring.Add(snap)
-	s.recordWindows(r, ow.status, snap.Rows, ow.bytes, time.Duration(snap.DurMs*float64(time.Millisecond)))
+	s.record(r, ow.status, snap.Rows, ow.bytes, time.Duration(snap.DurMs*float64(time.Millisecond)))
 
 	s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 		slog.String("id", tr.ID()),
@@ -191,12 +195,4 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("GET /debug/clients", s.handleDebugClients)
 	registerPprof(mux)
 	return mux
-}
-
-// observeQueue records the admission span: request arrival (the trace
-// start) → worker slot acquired.
-func observeQueue(r *http.Request) {
-	if tr := trace.FromContext(r.Context()); tr != nil {
-		tr.Observe(trace.SpanQueue, "", tr.Start(), time.Since(tr.Start()))
-	}
 }

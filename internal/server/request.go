@@ -170,12 +170,10 @@ func wantDecompose(spec *client.OptionsSpec) bool {
 // rows rather than failing the request.
 func (s *Server) resolveCircuit(ctx context.Context, spec client.CircuitSpec, decompose bool) (*leqa.Circuit, error) {
 	// Spec resolution — generation or parsing plus FT lowering — is the
-	// JSON endpoints' ingest phase: reported to the global histograms and,
-	// when the request carries a trace, as an ingest span on it.
+	// JSON endpoints' ingest phase, recorded as an ingest span on the
+	// request's trace.
 	defer func(t time.Time) {
-		d := time.Since(t)
-		leqa.ObservePhase(leqa.PhaseIngest, d)
-		trace.FromContext(ctx).Observe(trace.SpanIngest, "", t, d)
+		trace.FromContext(ctx).Observe(trace.SpanIngest, "", t, time.Since(t))
 	}(time.Now())
 	var c *leqa.Circuit
 	var err error

@@ -12,14 +12,14 @@ import (
 
 	"repro/internal/telemetry"
 	"repro/leqa/client"
+	"repro/leqa/trace"
 )
 
 // This file is the saturation-telemetry layer: bounded admission with a
 // windowed queue-wait estimate feeding Retry-After, throttle accounting by
-// reason, per-endpoint sliding-window latency/error series, bounded-
-// cardinality per-client accounting, and the SLO evaluator that scores the
-// configured objectives against the windows and flips /healthz to
-// "degraded" on sustained breach.
+// reason, bounded-cardinality per-client accounting, and the SLO evaluator
+// that scores the configured objectives against the per-endpoint windows
+// and flips /healthz to "degraded" on sustained breach.
 
 // throttleReasons fixes the exposition order of leqad_throttled_total.
 var throttleReasons = []string{
@@ -47,10 +47,11 @@ func (s *Server) throttle(reason string) {
 
 // admit acquires an estimation slot, queueing up to MaxQueue waiters for at
 // most QueueTimeout when the semaphore is full (MaxQueue 0 keeps the
-// historical immediate-429 behavior). It reports the queue wait into the
-// sliding window that prices Retry-After. The returned release must run
-// when ok; on !ok the 429 (with Retry-After) is already written unless the
-// client vanished first.
+// historical immediate-429 behavior). An admitted request records its slot
+// wait (0 when immediate) as its trace's queue span, which the server's
+// sink feeds to the sliding window that prices Retry-After. The returned
+// release must run when ok; on !ok the 429 (with Retry-After) is already
+// written unless the client vanished first.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
 	release = func() {
 		s.inflight.Add(-1)
@@ -59,7 +60,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 	select {
 	case s.sem <- struct{}{}:
 		s.inflight.Add(1)
-		s.queueWait.Observe(0)
+		trace.FromContext(r.Context()).Observe(trace.SpanQueue, "", time.Now(), 0)
 		return release, true
 	default:
 	}
@@ -74,7 +75,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 			select {
 			case s.sem <- struct{}{}:
 				s.inflight.Add(1)
-				s.queueWait.Observe(time.Since(start))
+				trace.FromContext(r.Context()).Observe(trace.SpanQueue, "", start, time.Since(start))
 				return release, true
 			case <-t.C:
 				s.reject(w, throttleQueueTimeout)
@@ -114,26 +115,6 @@ func (s *Server) retryAfter() string {
 	return fmt.Sprintf("%d", secs)
 }
 
-// endpointForPath maps a request path to its /metrics endpoint label.
-func endpointForPath(path string) string {
-	switch {
-	case path == "/v1/estimate":
-		return "estimate"
-	case path == "/v1/sweep":
-		return "sweep"
-	case path == "/v1/grid":
-		return "grid"
-	case path == "/v1/circuits" || strings.HasPrefix(path, "/v1/circuits/"):
-		return "circuits"
-	case path == "/v1/benchmarks":
-		return "benchmarks"
-	case path == "/healthz":
-		return "healthz"
-	default:
-		return ""
-	}
-}
-
 // clientKey derives the bounded-cardinality accounting key of a request: a
 // short digest of the Authorization credential when one is sent (stable per
 // token, never the secret itself), else the peer host.
@@ -149,28 +130,13 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// recordWindows feeds one finished request into the saturation telemetry:
-// windowed per-endpoint completion/error counts, the latency sketch (only
-// requests that began a successful reply, matching the cumulative
-// recorder's policy), per-client accounting for the API surface, and an SLO
-// evaluation opportunity.
-func (s *Server) recordWindows(r *http.Request, status int, rows int, bytes int64, d time.Duration) {
-	ep := endpointForPath(r.URL.Path)
-	if ep == "" {
-		return
-	}
-	if c := s.winReq[ep]; c != nil {
-		c.Add(1)
-	}
-	if status >= http.StatusInternalServerError || status == http.StatusTooManyRequests {
-		if c := s.winErr[ep]; c != nil {
-			c.Add(1)
-		}
-	}
-	if status >= http.StatusOK && status < http.StatusBadRequest {
-		if wnd := s.winLat[ep]; wnd != nil {
-			wnd.Observe(d)
-		}
+// record accounts one finished request exactly once: its endpoint's
+// counters and latency series (found from the ServeMux pattern that routed
+// it; unrouted requests have none), per-client accounting for the API
+// surface, and an SLO evaluation opportunity.
+func (s *Server) record(r *http.Request, status, rows int, bytes int64, d time.Duration) {
+	if em := s.routes[r.Pattern]; em != nil {
+		em.record(status, rows, d)
 	}
 	if strings.HasPrefix(r.URL.Path, "/v1/") {
 		s.clients.Record(clientKey(r), rows, bytes)
@@ -189,14 +155,10 @@ func (s *Server) sloSource(scope string) telemetry.ScopeStats {
 	}
 	var st telemetry.ScopeStats
 	for _, ep := range scopes {
-		if wnd := s.winLat[ep]; wnd != nil {
-			st.Latency.Merge(wnd.Snapshot())
-		}
-		if c := s.winReq[ep]; c != nil {
-			st.Requests += c.Total()
-		}
-		if c := s.winErr[ep]; c != nil {
-			st.Errors += c.Total()
+		if em := s.endpoints[ep]; em != nil && em.latency != nil {
+			st.Latency.Merge(em.latency.win.Snapshot())
+			st.Requests += em.windowRequests.Total()
+			st.Errors += em.windowErrors.Total()
 		}
 	}
 	return st
@@ -248,10 +210,11 @@ func (s *Server) saturationStats() *client.SaturationStats {
 		st.Throttled[reason] = s.throttled[reason].Load()
 	}
 	for _, ep := range estimationEndpoints() {
+		em := s.endpoints[ep]
 		st.Endpoints[ep] = client.WindowEndpointStats{
-			Requests: s.winReq[ep].Total(),
-			Errors:   s.winErr[ep].Total(),
-			Latency:  windowQuantiles(s.winLat[ep].Snapshot()),
+			Requests: em.windowRequests.Total(),
+			Errors:   em.windowErrors.Total(),
+			Latency:  windowQuantiles(em.latency.win.Snapshot()),
 		}
 	}
 	return st

@@ -30,7 +30,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"reflect"
@@ -108,8 +107,8 @@ type Config struct {
 	// into the "other" row.
 	MaxClients int
 	// Clock injects time into the sliding-window telemetry — a test seam;
-	// nil selects time.Now. Request timing and queue timeouts keep using
-	// the real clock.
+	// nil selects time.Now. Request and span timing and queue timeouts keep
+	// using the real clock.
 	Clock func() time.Time
 	// StoreDir, when non-empty, enables the analysis store's disk tier:
 	// analyses of uploaded circuits persist there as content-addressed
@@ -128,11 +127,9 @@ type Config struct {
 	ResultMemoEntries int
 	// Version is the build identifier reported by /healthz.
 	Version string
-	// Log receives request-level diagnostics; nil discards them.
-	Log *log.Logger
-	// Logger receives structured access logs, slow-request breakdowns and
-	// panic reports. nil falls back to a text handler over Log's writer
-	// when Log is set, and discards otherwise.
+	// Logger receives structured access logs, slow-request breakdowns,
+	// early batch ends and panic reports, each carrying the request ID; nil
+	// discards them.
 	Logger *slog.Logger
 	// SlowRequest, when positive, logs any request at or over this duration
 	// at warn level with its full span breakdown.
@@ -173,110 +170,34 @@ type Server struct {
 	abortBase context.CancelFunc
 
 	requests        atomic.Uint64
-	rowsStreamed    atomic.Uint64
 	batchesCanceled atomic.Uint64
-	latency         latencyRecorder
+	spooledUploads  atomic.Uint64
+	spooledBytes    atomic.Uint64
 
-	// Per-endpoint metrics behind GET /metrics; the flat counters above
-	// keep feeding /healthz unchanged.
-	endpoints      map[string]*endpointMetrics
-	spooledUploads atomic.Uint64
-	spooledBytes   atomic.Uint64
+	// Request accounting behind /metrics and /healthz (metrics.go): one
+	// endpointMetrics per exposition endpoint, reached through routes from
+	// the ServeMux pattern that served the request and written once per
+	// request by finishRequest.
+	endpoints map[string]*endpointMetrics
+	routes    map[string]*endpointMetrics // ServeMux pattern → endpoint
 
-	// Per-phase latency (ingest/analyze/estimate), fed by the process-wide
-	// leqa phase observer the newest Server registers; see New.
-	phases map[string]*latencyRecorder
-
-	// Sliding-window telemetry (saturation.go): per-endpoint latency
-	// sketches and completion/error counters, the queue-wait window pricing
-	// Retry-After, per-phase windows fed by the phase-observer tee,
-	// admission gauges, throttle counters by reason, bounded per-client
-	// accounting, and the optional SLO evaluator.
-	winLen    time.Duration
-	winLat    map[string]*telemetry.Window
-	winReq    map[string]*telemetry.Counter
-	winErr    map[string]*telemetry.Counter
-	phaseWin  map[string]*telemetry.Window
+	// Span-fed series: sink is the trace.Sink every request trace reports
+	// into (bound once here, so a request allocates nothing extra). It
+	// routes queue spans to queueWait, the window that prices Retry-After,
+	// and pipeline phases to phaseLat, in metricsPhases order.
+	sink      trace.Sink
+	phaseLat  [len(metricsPhases)]*latencySeries
 	queueWait *telemetry.Window
+
+	// Saturation telemetry (saturation.go): the window span, admission
+	// gauges, throttle counters by reason, bounded per-client accounting,
+	// and the optional SLO evaluator.
+	winLen    time.Duration
 	queued    atomic.Int64
 	inflight  atomic.Int64
 	throttled map[string]*atomic.Uint64
 	clients   *telemetry.Clients
 	evaluator *telemetry.Evaluator // nil without Config.SLO
-}
-
-// metricsEndpoints fixes the exposition order of the per-endpoint series.
-var metricsEndpoints = []string{"estimate", "sweep", "grid", "circuits", "benchmarks", "healthz"}
-
-// metricsPhases fixes the exposition order of the per-phase series.
-var metricsPhases = []string{leqa.PhaseIngest, leqa.PhaseAnalyze, leqa.PhaseEstimate}
-
-// endpointMetrics aggregates one endpoint's request/row/latency series for
-// the Prometheus-style /metrics exposition.
-type endpointMetrics struct {
-	requests atomic.Uint64
-	rows     atomic.Uint64
-	latency  latencyRecorder
-}
-
-// latencyBucketBounds are the upper edges of the coarse request-latency
-// histogram /healthz reports; the final bucket is unbounded.
-var latencyBucketBounds = [...]time.Duration{
-	time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond, time.Second,
-}
-
-// latencyRecorder accumulates per-request estimate latency with lock-free
-// counters: count/sum/max plus a coarse histogram — the cheap first slice
-// of request metrics, shared by every estimation endpoint.
-type latencyRecorder struct {
-	count    atomic.Uint64
-	sumNanos atomic.Uint64
-	maxNanos atomic.Uint64
-	buckets  [len(latencyBucketBounds) + 1]atomic.Uint64
-}
-
-func (l *latencyRecorder) observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	ns := uint64(d.Nanoseconds())
-	l.count.Add(1)
-	l.sumNanos.Add(ns)
-	for {
-		cur := l.maxNanos.Load()
-		if ns <= cur || l.maxNanos.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-	idx := len(latencyBucketBounds)
-	for i, bound := range latencyBucketBounds {
-		if d < bound {
-			idx = i
-			break
-		}
-	}
-	l.buckets[idx].Add(1)
-}
-
-func (l *latencyRecorder) snapshot() client.LatencyStats {
-	const msPerNano = 1e-6
-	st := client.LatencyStats{
-		Count:          l.count.Load(),
-		SumMs:          float64(l.sumNanos.Load()) * msPerNano,
-		MaxMs:          float64(l.maxNanos.Load()) * msPerNano,
-		BucketBoundsMs: make([]float64, len(latencyBucketBounds)),
-		Buckets:        make([]uint64, len(l.buckets)),
-	}
-	if st.Count > 0 {
-		st.AvgMs = st.SumMs / float64(st.Count)
-	}
-	for i, bound := range latencyBucketBounds {
-		st.BucketBoundsMs[i] = float64(bound) * msPerNano
-	}
-	for i := range l.buckets {
-		st.Buckets[i] = l.buckets[i].Load()
-	}
-	return st
 }
 
 // New validates the configuration and builds the service around one shared
@@ -333,6 +254,10 @@ func New(cfg Config) (*Server, error) {
 		runner.SetResultMemo(memo)
 	}
 	baseCtx, abort := context.WithCancel(context.Background())
+	logger := cfg.Logger
+	if logger == nil {
+		logger = slog.New(slog.DiscardHandler)
+	}
 	s := &Server{
 		cfg:       cfg,
 		runner:    runner,
@@ -340,36 +265,33 @@ func New(cfg Config) (*Server, error) {
 		memo:      memo,
 		sem:       make(chan struct{}, cfg.MaxConcurrent),
 		start:     time.Now(),
+		logger:    logger,
+		ring:      trace.NewRing(cfg.TraceRing),
 		baseCtx:   baseCtx,
 		abortBase: abort,
 		endpoints: make(map[string]*endpointMetrics, len(metricsEndpoints)),
 	}
+
+	// Latency series and sliding windows: every endpoint counts requests,
+	// the estimation endpoints add rows, a latency series and windowed
+	// completion/error counters; each pipeline phase gets a latency series
+	// and admission a queue-wait window — all fed by request traces.
+	wopt := telemetry.WindowOptions{Length: cfg.Window, Clock: cfg.Clock}
 	for _, name := range metricsEndpoints {
 		s.endpoints[name] = &endpointMetrics{}
 	}
-	s.phases = make(map[string]*latencyRecorder, len(metricsPhases))
-	for _, name := range metricsPhases {
-		s.phases[name] = &latencyRecorder{}
+	for _, name := range estimationEndpoints() {
+		em := s.endpoints[name]
+		em.latency = newLatencySeries(wopt)
+		em.windowRequests = telemetry.NewCounter(wopt)
+		em.windowErrors = telemetry.NewCounter(wopt)
 	}
-
-	// Sliding-window telemetry: one window/counter pair per estimation
-	// endpoint, per-phase windows, the queue-wait sketch, throttle counters
-	// and bounded per-client accounting.
-	wopt := telemetry.WindowOptions{Length: cfg.Window, Clock: cfg.Clock}
-	s.winLen = telemetry.NewWindow(wopt).Length()
-	s.winLat = make(map[string]*telemetry.Window, len(metricsEndpoints))
-	s.winReq = make(map[string]*telemetry.Counter, len(metricsEndpoints))
-	s.winErr = make(map[string]*telemetry.Counter, len(metricsEndpoints))
-	for _, name := range metricsEndpoints {
-		s.winLat[name] = telemetry.NewWindow(wopt)
-		s.winReq[name] = telemetry.NewCounter(wopt)
-		s.winErr[name] = telemetry.NewCounter(wopt)
-	}
-	s.phaseWin = make(map[string]*telemetry.Window, len(metricsPhases))
-	for _, name := range metricsPhases {
-		s.phaseWin[name] = telemetry.NewWindow(wopt)
+	for i := range s.phaseLat {
+		s.phaseLat[i] = newLatencySeries(wopt)
 	}
 	s.queueWait = telemetry.NewWindow(wopt)
+	s.winLen = s.queueWait.Length()
+	s.sink = s.observeSpan
 	s.throttled = make(map[string]*atomic.Uint64, len(throttleReasons))
 	for _, reason := range throttleReasons {
 		s.throttled[reason] = &atomic.Uint64{}
@@ -381,7 +303,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		for _, c := range clauses {
-			if c.Scope != "" && s.winLat[c.Scope] == nil {
+			if em := s.endpoints[c.Scope]; c.Scope != "" && (em == nil || em.latency == nil) {
 				return nil, fmt.Errorf("server: slo clause %q: unknown scope %q (want one of %v, or none)",
 					c.String(), c.Scope, estimationEndpoints())
 			}
@@ -393,59 +315,35 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 
-	// The phase observer is process-wide (the leqa pipeline has no handle to
-	// carry per-server state through an arena checkout); a leqad process runs
-	// one Server, and when several coexist — tests — the newest one's
-	// recorders win. The tee feeds every phase report to both the cumulative
-	// histograms and the sliding windows.
-	leqa.SetPhaseObserver(leqa.TeePhaseObservers(
-		func(phase string, d time.Duration) {
-			if l := s.phases[phase]; l != nil {
-				l.observe(d)
-			}
-		},
-		func(phase string, d time.Duration) {
-			if wnd := s.phaseWin[phase]; wnd != nil {
-				wnd.Observe(d)
-			}
-		},
-	))
-	s.logger = cfg.Logger
-	if s.logger == nil {
-		if cfg.Log != nil {
-			s.logger = slog.New(slog.NewTextHandler(cfg.Log.Writer(), nil))
-		} else {
-			s.logger = slog.New(slog.DiscardHandler)
+	mux := http.NewServeMux()
+	s.routes = make(map[string]*endpointMetrics)
+	for _, rt := range []struct {
+		pattern, endpoint string // endpoint "" is not accounted per endpoint
+		h                 http.HandlerFunc
+	}{
+		{"POST /v1/estimate", "estimate", s.withSlot(s.handleEstimate)},
+		{"POST /v1/sweep", "sweep", s.withSlot(s.handleSweep)},
+		{"POST /v1/grid", "grid", s.withSlot(s.handleGrid)},
+		{"PUT /v1/circuits", "circuits", s.withSlot(s.handleCircuitPut)},
+		{"GET /v1/circuits/{digest}", "circuits", s.handleCircuitGet},
+		{"HEAD /v1/circuits/{digest}", "circuits", s.handleCircuitGet},
+		{"GET /v1/benchmarks", "benchmarks", s.handleBenchmarks},
+		{"GET /healthz", "healthz", s.handleHealthz},
+		{"GET /metrics", "", s.handleMetrics},
+		{"GET /debug/requests", "", s.handleDebugRequests},
+		{"GET /debug/clients", "", s.handleDebugClients},
+	} {
+		mux.HandleFunc(rt.pattern, rt.h)
+		if em := s.endpoints[rt.endpoint]; em != nil {
+			s.routes[rt.pattern] = em
 		}
 	}
-	s.ring = trace.NewRing(cfg.TraceRing)
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/estimate", s.withSlot("estimate", s.handleEstimate))
-	mux.HandleFunc("POST /v1/sweep", s.withSlot("sweep", s.handleSweep))
-	mux.HandleFunc("POST /v1/grid", s.withSlot("grid", s.handleGrid))
-	mux.HandleFunc("PUT /v1/circuits", s.withSlot("circuits", s.handleCircuitPut))
-	mux.HandleFunc("GET /v1/circuits/{digest}", s.counted("circuits", s.handleCircuitGet))
-	mux.HandleFunc("HEAD /v1/circuits/{digest}", s.counted("circuits", s.handleCircuitGet))
-	mux.HandleFunc("GET /v1/benchmarks", s.counted("benchmarks", s.handleBenchmarks))
-	mux.HandleFunc("GET /healthz", s.counted("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
-	mux.HandleFunc("GET /debug/clients", s.handleDebugClients)
 	if cfg.EnableDebug {
 		registerPprof(mux)
 	}
 	s.mux = mux
 	s.handler = s.observe(mux)
 	return s, nil
-}
-
-// counted tallies an unthrottled endpoint's requests for /metrics.
-func (s *Server) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	em := s.endpoints[endpoint]
-	return func(w http.ResponseWriter, r *http.Request) {
-		em.requests.Add(1)
-		h(w, r)
-	}
 }
 
 // ServeHTTP dispatches to the service's routes through the observability
@@ -470,73 +368,20 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return ctx, func() { stop(); cancel() }
 }
 
-// statusCapture remembers the first status code a handler writes so
-// withSlot can decide whether the request did estimation work. Flush is
-// forwarded so the streaming row encoders still see an http.Flusher.
-type statusCapture struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sc *statusCapture) WriteHeader(code int) {
-	if sc.status == 0 {
-		sc.status = code
-	}
-	sc.ResponseWriter.WriteHeader(code)
-}
-
-func (sc *statusCapture) Write(b []byte) (int, error) {
-	if sc.status == 0 {
-		sc.status = http.StatusOK
-	}
-	return sc.ResponseWriter.Write(b)
-}
-
-func (sc *statusCapture) Flush() {
-	if f, ok := sc.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // withSlot gates a handler behind the concurrency semaphore: a full server
 // answers 429 (with a Retry-After priced from the windowed queue-wait
 // estimate) instead of queueing unbounded work — admit() optionally holds
-// up to MaxQueue excess requests in a bounded, timed wait first. Admitted
-// requests that start a successful reply are timed into the latency
-// recorder — from slot acquisition to the last byte written, so streamed
-// batches count their full duration. Requests rejected before estimation
-// (malformed bodies, bad parameters — any 4xx/5xx) are not recorded, so
-// probe or fuzz traffic cannot drag the metric toward zero.
-func (s *Server) withSlot(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	em := s.endpoints[endpoint]
+// up to MaxQueue excess requests in a bounded, timed wait first and records
+// the wait as the request's queue span. Timing and counting the request is
+// finishRequest's job, like every other request's.
+func (s *Server) withSlot(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		em.requests.Add(1)
 		release, ok := s.admit(w, r)
 		if !ok {
 			return
 		}
 		defer release()
-		observeQueue(r)
-		sc := &statusCapture{ResponseWriter: w}
-		t0 := time.Now()
-		// Deferred so aborted NDJSON streams — enc.fail panics with
-		// http.ErrAbortHandler to cut the connection — are still
-		// timed like their SSE equivalents.
-		defer func() {
-			if sc.status >= http.StatusOK && sc.status < http.StatusBadRequest {
-				d := time.Since(t0)
-				s.latency.observe(d)
-				em.latency.observe(d)
-			}
-		}()
-		h(sc, r)
-	}
-}
-
-// logf writes a request-level diagnostic when logging is configured.
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Log != nil {
-		s.cfg.Log.Printf(format, args...)
+		h(w, r)
 	}
 }
 
@@ -569,9 +414,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSec:       time.Since(s.start).Seconds(),
 		Workers:         s.runner.Workers(),
 		Requests:        s.requests.Load(),
-		RowsStreamed:    s.rowsStreamed.Load(),
+		RowsStreamed:    s.endpoints["sweep"].rows.Load() + s.endpoints["grid"].rows.Load(),
 		BatchesCanceled: s.batchesCanceled.Load(),
-		EstimateLatency: s.latency.snapshot(),
+		EstimateLatency: s.estimateLatency(),
 		ZoneModelCache: client.CacheStats{
 			Hits:      st.Hits,
 			Misses:    st.Misses,

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -262,7 +263,9 @@ func TestSecondRequestHitsZoneModelCache(t *testing.T) {
 func TestGridCancellationStopsBatch(t *testing.T) {
 	release, releaseStream := makeRelease(t)
 	firstFlushed := make(chan struct{})
+	logBuf := &syncBuffer{}
 	cfg := server.Config{
+		Logger: slog.New(slog.NewJSONHandler(logBuf, nil)),
 		FlushHook: func(rows int) {
 			if rows == 1 {
 				close(firstFlushed)
@@ -304,17 +307,30 @@ func TestGridCancellationStopsBatch(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	releaseStream()
 
-	// The handler must notice the cancellation, stop the batch and finish.
+	// The handler must notice the cancellation, stop the batch, log it
+	// under the request's ID and finish.
 	deadline := time.Now().Add(10 * time.Second)
+	var batchID, requestID string
 	for {
+		for _, m := range logLines(t, logBuf) {
+			switch {
+			case m["msg"] == "batch canceled" || m["msg"] == "batch ended early":
+				batchID, _ = m["id"].(string)
+			case m["msg"] == "request" && m["path"] == "/v1/grid":
+				requestID, _ = m["id"].(string)
+			}
+		}
 		h, err := c.Health(context.Background())
-		if err == nil && h.BatchesCanceled >= 1 {
+		if err == nil && h.BatchesCanceled >= 1 && batchID != "" && requestID != "" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("server never recorded the cancelled batch")
+			t.Fatalf("server never recorded and logged the cancelled batch:\n%s", logBuf.String())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if batchID != requestID {
+		t.Fatalf("batch log carries id %q, the grid request's access log %q", batchID, requestID)
 	}
 }
 

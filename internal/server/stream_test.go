@@ -223,10 +223,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestMetricsPhaseSeries drives one JSON estimate and one raw .qc upload,
 // then checks /metrics splits the pipeline into per-phase histograms with
-// every phase observed at least once: ingest (spec resolution), analyze
-// (fused graph build) and estimate (Algorithm 1). The phase observer is
-// process-global and the newest server wins it, so the test asserts
-// minimums, not exact counts.
+// exact counts: ingest (spec resolution, JSON only), analyze (fused graph
+// build) and estimate (Algorithm 1) once per request.
 func TestMetricsPhaseSeries(t *testing.T) {
 	ts, c := newTestServer(t, server.Config{})
 	if _, err := c.Estimate(context.Background(), client.EstimateRequest{
@@ -238,32 +236,14 @@ func TestMetricsPhaseSeries(t *testing.T) {
 	if _, err := c.EstimateQC(context.Background(), "phased", chunked{strings.NewReader(qc)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	for _, phase := range []string{"ingest", "analyze", "estimate"} {
-		prefix := `leqad_phase_duration_seconds_count{phase="` + phase + `"} `
-		i := strings.Index(body, prefix)
-		if i < 0 {
-			t.Fatalf("/metrics missing %q\n%s", prefix, body)
+	m := scrapeTestMetrics(t, ts, ts.URL)
+	for phase, want := range map[string]float64{"ingest": 1, "analyze": 2, "estimate": 2} {
+		lbl := map[string]string{"phase": phase}
+		if got := metricValue(t, m, "leqad_phase_duration_seconds_count", lbl); got != want {
+			t.Errorf("phase %q count = %v, want %v", phase, got, want)
 		}
-		rest := body[i+len(prefix):]
-		if j := strings.IndexByte(rest, '\n'); j >= 0 {
-			rest = rest[:j]
-		}
-		if rest == "0" {
-			t.Errorf("phase %q never observed\n%s", phase, body)
-		}
-		bucket := `leqad_phase_duration_seconds_bucket{phase="` + phase + `",le="+Inf"}`
-		if !strings.Contains(body, bucket) {
-			t.Errorf("/metrics missing %q", bucket)
+		if got := metricValue(t, m, "leqad_phase_duration_seconds_bucket", map[string]string{"phase": phase, "le": "+Inf"}); got != want {
+			t.Errorf("phase %q +Inf bucket = %v, want %v", phase, got, want)
 		}
 	}
 }

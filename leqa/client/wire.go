@@ -147,8 +147,10 @@ type MemoStats struct {
 
 // LatencyStats summarizes per-request estimate latency: every estimation
 // request (estimate/sweep/grid) that began a successful reply, timed from
-// slot acquisition to the last byte. Requests rejected up front (4xx/5xx —
-// malformed bodies, bad parameters, over-cap batches) are not counted.
+// arrival to the last byte, so a queued request's slot wait is included.
+// Requests rejected up front (4xx/5xx/429 — malformed bodies, bad
+// parameters, over-cap batches) and other endpoints (circuit uploads) are
+// not counted.
 type LatencyStats struct {
 	// Count is the number of timed requests.
 	Count uint64 `json:"count"`

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/pool"
+	"repro/leqa/trace"
 )
 
 // Streaming ingestion types, re-exported from the internal packages.
@@ -242,13 +243,13 @@ func (r *Runner) EstimateStreamWith(ctx context.Context, src GateStream, p Param
 	defer r.release(ar)
 	t := time.Now()
 	a, err := est.AnalyzeStreamFT(&ctxStream{src: src, ctx: ctx}, ar)
-	observePhaseDetail(ctx, PhaseAnalyze, t, func() string { return streamedDetail(a) })
+	observePhaseDetail(ctx, trace.SpanAnalyze, t, func() string { return streamedDetail(a) })
 	if err != nil {
 		return nil, err
 	}
 	t = time.Now()
 	res, err := est.EstimateAnalysis(a, ar)
-	observePhase(ctx, PhaseEstimate, t)
+	observePhase(ctx, trace.SpanEstimate, t)
 	return res, err
 }
 

@@ -101,14 +101,14 @@ func (r *Runner) analyzeSource(ctx context.Context, s Source, ar *analysis.Arena
 	if c := s.circuit; c != nil {
 		t := time.Now()
 		a, err := analyzeFT(c, ar)
-		observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
+		observePhaseDetail(ctx, trace.SpanAnalyze, t, func() string {
 			return analyzeDetail("", c.NumGates(), analysis.ShardPlan(c.NumGates(), ar))
 		})
 		return a, err
 	}
 	t := time.Now()
 	src, err := s.Open()
-	observePhaseDetail(ctx, PhaseIngest, t, func() string { return "open=" + s.Name })
+	observePhaseDetail(ctx, trace.SpanIngest, t, func() string { return "open=" + s.Name })
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func (r *Runner) analyzeSource(ctx context.Context, s Source, ar *analysis.Arena
 	if r.store != nil {
 		var outcome store.Outcome
 		a, _, outcome, err = r.store.GetOrAnalyzeOutcome(cs)
-		observePhaseDetail(ctx, PhaseAnalyze, t, func() string {
+		observePhaseDetail(ctx, trace.SpanAnalyze, t, func() string {
 			if a == nil {
 				return "store=" + outcome.String()
 			}
@@ -127,7 +127,7 @@ func (r *Runner) analyzeSource(ctx context.Context, s Source, ar *analysis.Arena
 		})
 	} else {
 		a, err = r.est.AnalyzeStreamFT(cs, ar)
-		observePhaseDetail(ctx, PhaseAnalyze, t, func() string { return streamedDetail(a) })
+		observePhaseDetail(ctx, trace.SpanAnalyze, t, func() string { return streamedDetail(a) })
 	}
 	return a, err
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/leqa/trace"
 )
 
 // emitRow adapts a per-cell emit callback to the row-granular pool stream.
@@ -97,7 +98,7 @@ func (r *Runner) estimateRow(ctx context.Context, row []GridCell, ests []*core.E
 			}
 			t := time.Now()
 			bres, berrs := core.EstimateAnalysisBatch(sub, a, ar)
-			observePhaseDetail(ctx, PhaseEstimate, t, func() string {
+			observePhaseDetail(ctx, trace.SpanEstimate, t, func() string {
 				d := "cols=" + itoa(len(sub))
 				if probed {
 					d += " memo=miss"
@@ -117,7 +118,7 @@ func (r *Runner) estimateRow(ctx context.Context, row []GridCell, ests []*core.E
 		// Every unique column is in flight or resident elsewhere: the row
 		// skips analyze and estimate entirely. Record the skip on the trace
 		// so a warm cell's span shows where the time didn't go.
-		observePhaseDetail(ctx, PhaseEstimate, time.Now(), func() string {
+		observePhaseDetail(ctx, trace.SpanEstimate, time.Now(), func() string {
 			return "cols=0 memo=hit"
 		})
 	}
@@ -138,7 +139,7 @@ func (r *Runner) estimateRow(ctx context.Context, row []GridCell, ests []*core.E
 			} else {
 				t := time.Now()
 				res[j], errs[j] = ests[j].EstimateAnalysis(a, ar)
-				observePhase(ctx, PhaseEstimate, t)
+				observePhase(ctx, trace.SpanEstimate, t)
 			}
 		}
 	}

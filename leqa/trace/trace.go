@@ -3,7 +3,12 @@
 // records (queue-wait, ingest, analyze, estimate, per-row emit) as one
 // request moves through the estimation pipeline, so a slow request is
 // attributable phase by phase — which circuit, which store outcome, how
-// many shards — rather than only feeding the process-global histograms.
+// many shards.
+//
+// A Trace is also the one recording path for latency metrics: New takes an
+// optional Sink that sees every span's name and duration, so the leqad
+// server feeds its per-server histograms and sliding windows from the same
+// spans its Server-Timing headers and /debug/requests records sum.
 //
 // The package is deliberately small and dependency-free: the leqa engine
 // records spans through it, the leqad server threads one Trace per HTTP
@@ -26,12 +31,24 @@ import (
 	"time"
 )
 
-// Canonical span names. The pipeline phases mirror leqa's PhaseIngest /
-// PhaseAnalyze / PhaseEstimate labels so one vocabulary spans /metrics
-// histograms, Server-Timing entries and /debug/requests records; queue and
-// emit exist only per-request.
+// Canonical span names — the one vocabulary of /metrics phase series,
+// Server-Timing entries and /debug/requests records. One estimation passes
+// through up to three pipeline phases:
+//
+//   - SpanIngest — acquiring the gate source: generating a named benchmark,
+//     opening a lazy stream source, or resolving a leqad circuit spec.
+//     In-memory circuit sources have no ingest phase.
+//   - SpanAnalyze — the fused graph build (QODG + IIG). For streamed
+//     sources this includes gate parsing: streaming fuses parse and build
+//     by design, so the parse cost is billed to the analysis that consumes
+//     it. By-reference sources record a zero-duration analyze span that
+//     carries the store outcome.
+//   - SpanEstimate — Algorithm 1 itself (weights, critical path, zone
+//     model).
+//
+// Queue and emit exist only per request.
 const (
-	SpanQueue    = "queue"    // admission: request start → worker slot
+	SpanQueue    = "queue"    // admission: wait for a worker slot (0 when immediate)
 	SpanIngest   = "ingest"   // source acquisition (generate, open, spool)
 	SpanAnalyze  = "analyze"  // fused QODG+IIG graph build (incl. parse)
 	SpanEstimate = "estimate" // Algorithm 1 itself
@@ -71,12 +88,20 @@ type PhaseTotal struct {
 	Detail string `json:"detail,omitempty"`
 }
 
+// Sink receives every span a Trace observes — name and clamped duration,
+// including spans past the MaxSpans retention cap — so aggregates built
+// from it match Totals. It runs on the recording goroutine, outside the
+// trace's lock, and must be safe for concurrent use and cheap: it sits on
+// the estimate path of every traced request.
+type Sink func(name string, d time.Duration)
+
 // Trace accumulates one request's span records. Safe for concurrent use —
 // sweep workers on several goroutines report into the same request's
 // trace. The zero value is unusable; construct with New.
 type Trace struct {
 	id    string
 	start time.Time
+	sink  Sink
 
 	mu      sync.Mutex
 	spans   []Span
@@ -92,9 +117,10 @@ type phaseAgg struct {
 }
 
 // New builds a trace identified by id (Generate one when the caller has no
-// inbound correlation ID) starting now.
-func New(id string) *Trace {
-	return &Trace{id: id, start: time.Now()}
+// inbound correlation ID) starting now. sink, when non-nil, sees every
+// span Observe records.
+func New(id string, sink Sink) *Trace {
+	return &Trace{id: id, start: time.Now(), sink: sink}
 }
 
 // ID reports the trace's correlation ID.
@@ -113,8 +139,9 @@ func (t *Trace) Start() time.Time {
 	return t.start
 }
 
-// Observe records one finished span that began at start and took d. A nil
-// trace ignores the call, so engine code can record unconditionally.
+// Observe records one finished span that began at start and took d, and
+// hands it to the trace's sink. A nil trace ignores the call, so engine
+// code can record unconditionally.
 func (t *Trace) Observe(name, detail string, start time.Time, d time.Duration) {
 	if t == nil {
 		return
@@ -122,6 +149,14 @@ func (t *Trace) Observe(name, detail string, start time.Time, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
+	t.record(name, detail, start, d)
+	if t.sink != nil {
+		t.sink(name, d)
+	}
+}
+
+// record adds one span to the retained list and the per-name totals.
+func (t *Trace) record(name, detail string, start time.Time, d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.spans) < MaxSpans {

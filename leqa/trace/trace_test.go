@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestObserveAggregatesAndRetains(t *testing.T) {
-	tr := New("abc123")
+	tr := New("abc123", nil)
 	start := tr.Start()
 	tr.Observe(SpanAnalyze, "store=miss shards=2", start, 30*time.Millisecond)
 	tr.Observe(SpanEstimate, "", start.Add(30*time.Millisecond), 10*time.Millisecond)
@@ -41,7 +42,7 @@ func TestObserveAggregatesAndRetains(t *testing.T) {
 }
 
 func TestSpanRetentionCap(t *testing.T) {
-	tr := New("cap")
+	tr := New("cap", nil)
 	for i := 0; i < MaxSpans+50; i++ {
 		tr.Observe(SpanEmit, "", tr.Start(), time.Millisecond)
 	}
@@ -57,8 +58,60 @@ func TestSpanRetentionCap(t *testing.T) {
 	}
 }
 
+// TestSinkSeesEverySpan pins the sink contract the leqad phase series rely
+// on: every Observe reaches the sink — past the MaxSpans retention cap too —
+// with the clamped duration, so per-name sink counts and sums equal Totals
+// rather than the retained span list. A nil sink records spans as before.
+func TestSinkSeesEverySpan(t *testing.T) {
+	type agg struct {
+		count int
+		sum   time.Duration
+	}
+	var mu sync.Mutex
+	seen := map[string]*agg{}
+	tr := New("sink", func(name string, d time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		a := seen[name]
+		if a == nil {
+			a = &agg{}
+			seen[name] = a
+		}
+		a.count++
+		a.sum += d
+	})
+	tr.Observe(SpanQueue, "", tr.Start(), 0)
+	tr.Observe(SpanAnalyze, "store=hit", tr.Start(), 0)
+	tr.Observe(SpanEstimate, "", tr.Start(), -time.Millisecond) // clamped to 0
+	for i := 0; i < MaxSpans+10; i++ {
+		tr.Observe(SpanEmit, "", tr.Start(), time.Microsecond)
+	}
+	if len(tr.Spans()) != MaxSpans || tr.Dropped() == 0 {
+		t.Fatalf("retained %d spans, dropped %d; want the cap exceeded", len(tr.Spans()), tr.Dropped())
+	}
+	totals := tr.Totals()
+	if len(seen) != len(totals) {
+		t.Fatalf("sink saw %d names, Totals has %d", len(seen), len(totals))
+	}
+	for _, pt := range totals {
+		a := seen[pt.Name]
+		if a == nil || a.count != pt.Count || durMs(a.sum) != pt.SumMs {
+			t.Errorf("%s: sink saw %+v, Totals has count=%d sum=%vms", pt.Name, a, pt.Count, pt.SumMs)
+		}
+	}
+	if a := seen[SpanEstimate]; a.sum != 0 {
+		t.Errorf("negative duration reached the sink unclamped: %v", a.sum)
+	}
+
+	plain := New("nil-sink", nil)
+	plain.Observe(SpanIngest, "", plain.Start(), time.Millisecond)
+	if tot := plain.Totals(); len(tot) != 1 || tot[0].Count != 1 {
+		t.Fatalf("nil-sink trace totals = %+v", tot)
+	}
+}
+
 func TestServerTimingFormat(t *testing.T) {
-	tr := New("st")
+	tr := New("st", nil)
 	tr.Observe(SpanQueue, "", tr.Start(), 100*time.Microsecond)
 	tr.Observe(SpanAnalyze, "store=hit", tr.Start(), 12*time.Millisecond)
 	got := tr.ServerTiming()
@@ -72,7 +125,7 @@ func TestServerTimingFormat(t *testing.T) {
 }
 
 func TestContextRoundTrip(t *testing.T) {
-	tr := New("ctx")
+	tr := New("ctx", nil)
 	ctx := NewContext(context.Background(), tr)
 	if FromContext(ctx) != tr {
 		t.Fatal("FromContext lost the trace")
@@ -133,7 +186,8 @@ func TestRingEvictsOldestFirst(t *testing.T) {
 }
 
 func TestConcurrentObserve(t *testing.T) {
-	tr := New("race")
+	var sunk atomic.Int64
+	tr := New("race", func(string, time.Duration) { sunk.Add(1) })
 	ring := NewRing(8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -147,13 +201,13 @@ func TestConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tot := tr.Totals(); tot[0].Count != 1600 {
-		t.Fatalf("aggregate count = %d, want 1600", tot[0].Count)
+	if tot := tr.Totals(); tot[0].Count != 1600 || sunk.Load() != 1600 {
+		t.Fatalf("aggregate count = %d, sink saw %d, want 1600", tot[0].Count, sunk.Load())
 	}
 }
 
 func TestBreakdownMentionsEveryPhase(t *testing.T) {
-	tr := New("bd")
+	tr := New("bd", nil)
 	tr.Observe(SpanIngest, "", tr.Start(), time.Millisecond)
 	tr.Observe(SpanAnalyze, "shards=3", tr.Start(), 2*time.Millisecond)
 	out := tr.Breakdown()
