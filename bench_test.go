@@ -299,12 +299,19 @@ func BenchmarkLongestPath(b *testing.B) {
 // BenchmarkLongestPathMulti isolates the multi-weight kernel against its
 // per-column serial baseline: K columns relaxed in one adjacency traversal
 // (SoA dist/from slabs) versus K separate serial single-column sweeps that
-// each stream the graph again. The win is memory-bound — the adjacency and level
-// index are read once instead of K times — so it holds on a single core.
+// each stream the graph again. Multi reads each node's K weights from a
+// packed per-node slab; ByType reads them from a (gate type × column)
+// table, the estimator's batched path, with no per-node weights at all.
+// One traversal saves the K-1 adjacency re-reads but touches K-wide rows
+// per node, so whether it beats PerColumn on one core depends on the
+// host's memory system: BENCH_9 (1 CPU) has Multi/K6 at 2.17× PerColumn,
+// while on a 2-CPU host at -cpu 1 the two were level (16.5–18.1 vs
+// 16.7–17.2 ms).
 func BenchmarkLongestPathMulti(b *testing.B) {
 	g := qodgOf(b, ftCircuit(b, "gf2^128mult"))
 	for _, k := range []int{2, 6} {
 		ws := make([]qodg.Weights, k)
+		tab := make([]float64, (int(circuit.CNOT)+1)*k) // row 0 weighs the pseudo-nodes: 0
 		for col := range ws {
 			scale := 1 + float64(col)*0.25
 			ws[col] = g.NewWeights(func(gt circuit.Gate) float64 {
@@ -313,12 +320,25 @@ func BenchmarkLongestPathMulti(b *testing.B) {
 				}
 				return 100.25 * scale
 			})
+			for t := circuit.X; t < circuit.CNOT; t++ {
+				tab[int(t)*k+col] = 100.25 * scale
+			}
+			tab[int(circuit.CNOT)*k+col] = 1000.5 * scale
 		}
 		b.Run(fmt.Sprintf("Multi/K%d", k), func(b *testing.B) {
 			s := new(qodg.PathScratch)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := g.LongestPathMulti(ws, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("ByType/K%d", k), func(b *testing.B) {
+			s := new(qodg.PathScratch)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.LongestPathMultiByType(tab, k, s); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -686,16 +706,14 @@ func BenchmarkSweepGrid(b *testing.B) {
 // the analysis and the zone-model memo warmed outside the loop so the
 // measurement isolates what the batch fuses: per-column EstimateAnalysis
 // (K one-column batches: K weight fills + K critical-path sweeps) against
-// one EstimateAnalysisBatch call (one weight scan + one multi-weight
-// traversal). MemoCold/MemoWarm time a whole by-ref grid cell without and
-// with a result-memo hit; the warm cell skips analyze and estimate
-// entirely.
+// one EstimateAnalysisBatch call (one type table + one multi-weight
+// traversal). gf2^128mult's critical path holds 3,321 of its 246,143
+// nodes, so its row barely pays for path recovery; LongPath/hwb100ps
+// times an 8-column row of a circuit whose path holds about half of its
+// 68k nodes, where recovery rivals relaxation. MemoCold/MemoWarm time a
+// whole by-ref grid cell without and with a result-memo hit; the warm cell
+// skips analyze and estimate entirely.
 func BenchmarkSweepGridBatched(b *testing.B) {
-	c := ftCircuit(b, "gf2^128mult")
-	a, err := analysis.Analyze(c)
-	if err != nil {
-		b.Fatal(err)
-	}
 	muts := []func(*fabric.Params){
 		func(p *fabric.Params) {},
 		func(p *fabric.Params) { p.Grid = fabric.Grid{Width: 90, Height: 90} },
@@ -703,33 +721,49 @@ func BenchmarkSweepGridBatched(b *testing.B) {
 		func(p *fabric.Params) { p.QubitSpeed = 0.002 },
 		func(p *fabric.Params) { p.TMove = 150 },
 		func(p *fabric.Params) { p.DCNOT = 6000 },
+		func(p *fabric.Params) { p.Grid = fabric.Grid{Width: 120, Height: 120} },
+		func(p *fabric.Params) { p.ChannelCapacity = 6 },
 	}
-	paramSets := make([]fabric.Params, len(muts))
-	ests := make([]*core.Estimator, len(muts))
-	for j, mut := range muts {
-		p := fabric.Default()
-		mut(&p)
-		paramSets[j] = p
-		if ests[j], err = core.New(p, core.Options{}); err != nil {
+	// warmRow analyzes c and builds the estimators of its first cols
+	// columns, running each once to warm the zone-model memo.
+	warmRow := func(c *circuit.Circuit, cols int) (*analysis.Analysis, []fabric.Params, []*core.Estimator) {
+		a, err := analysis.Analyze(c)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ests[j].EstimateAnalysis(a, nil); err != nil {
-			b.Fatal(err) // warm the zone-model memo for every column
+		paramSets := make([]fabric.Params, cols)
+		ests := make([]*core.Estimator, cols)
+		for j, mut := range muts[:cols] {
+			p := fabric.Default()
+			mut(&p)
+			paramSets[j] = p
+			if ests[j], err = core.New(p, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ests[j].EstimateAnalysis(a, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
+		return a, paramSets, ests
 	}
-
-	b.Run("Batched", func(b *testing.B) {
-		ar := analysis.NewArena()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, errs := core.EstimateAnalysisBatch(ests, a, ar)
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
+	batched := func(a *analysis.Analysis, ests []*core.Estimator) func(*testing.B) {
+		return func(b *testing.B) {
+			ar := analysis.NewArena()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, errs := core.EstimateAnalysisBatch(ests, a, ar)
+				for _, err := range errs {
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		}
-	})
+	}
+	c := ftCircuit(b, "gf2^128mult")
+	a, paramSets, ests := warmRow(c, 6)
+
+	b.Run("Batched", batched(a, ests))
 	b.Run("PerColumn", func(b *testing.B) {
 		ar := analysis.NewArena()
 		b.ReportAllocs()
@@ -741,6 +775,8 @@ func BenchmarkSweepGridBatched(b *testing.B) {
 			}
 		}
 	})
+	la, _, lests := warmRow(ftCircuit(b, "hwb100ps"), 8)
+	b.Run("LongPath/hwb100ps", batched(la, lests))
 
 	digest, err := leqa.CircuitDigest(c)
 	if err != nil {

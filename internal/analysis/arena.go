@@ -10,10 +10,11 @@ import (
 // Arena is the reusable scratch state of the estimate hot path: every
 // buffer the analysis passes and the critical-path sweep would otherwise
 // allocate per call — node array, degree arrays, CSR adjacency, DepScanner
-// state, IIG incidence, the weight slab and the longest-path dist/from/level
-// index — owned once and recycled across circuits. A zero Arena is ready to
-// use; buffers grow to the largest circuit seen and stay warm, so a
-// steady-state worker analyzes and estimates with near-zero heap allocation.
+// state, IIG incidence, the single-column weight vector and the
+// longest-path dist/from/level index — owned once and recycled across
+// circuits. A zero Arena is ready to use; buffers grow to the largest
+// circuit seen and stay warm, so a steady-state worker analyzes and
+// estimates with near-zero heap allocation.
 //
 // An Arena is not safe for concurrent use. The Analysis returned by
 // (*Arena).Analyze or (*Arena).AnalyzeStream aliases arena memory and is
@@ -48,8 +49,8 @@ type Arena struct {
 	shards []shardScratch
 	seed   []qodg.NodeID
 
-	multiW []float64
-	path   qodg.PathScratch
+	weights qodg.Weights
+	path    qodg.PathScratch
 }
 
 // NewArena returns an empty arena. Equivalent to new(Arena); provided so
@@ -67,12 +68,11 @@ func (ar *Arena) Analyze(c *circuit.Circuit) (*Analysis, error) {
 // Path returns the arena's longest-path scratch for the qodg sweeps.
 func (ar *Arena) Path() *qodg.PathScratch { return &ar.path }
 
-// MultiWeightSlab returns a reusable interleaved weight slab for a k-column
-// sweep over g — column c of node v at [v*k+c], the layout
-// qodg.LongestPathMultiStrided consumes. Contents unspecified: the batched
-// estimator overwrites every row in its fused node scan. The slab grows to
-// the widest (nodes × columns) batch seen and is recycled across calls.
-func (ar *Arena) MultiWeightSlab(g *qodg.Graph, k int) []float64 {
-	ar.multiW = csr.Grow(ar.multiW, g.NumNodes()*k)
-	return ar.multiW
+// WeightVector returns a reusable weight vector for a single-column sweep
+// over g, one entry per node. Contents unspecified: the estimator overwrites
+// every entry. The vector grows to the largest graph seen and is recycled
+// across calls.
+func (ar *Arena) WeightVector(g *qodg.Graph) qodg.Weights {
+	ar.weights = csr.Grow(ar.weights, g.NumNodes())
+	return ar.weights
 }

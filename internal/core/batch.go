@@ -9,7 +9,7 @@ import (
 
 // EstimateAnalysis runs lines 2–20 of Algorithm 1 on an analyzed circuit: a
 // batch of one column, so a single estimate and a column of a grid row are
-// the same computation. ar, when non-nil, donates the weight slab and the
+// the same computation. ar, when non-nil, donates the weight vector and the
 // longest-path scratch; the Result never aliases it.
 func (e *Estimator) EstimateAnalysis(a *analysis.Analysis, ar *analysis.Arena) (*Result, error) {
 	var res [1]*Result
@@ -22,10 +22,11 @@ func (e *Estimator) EstimateAnalysis(a *analysis.Analysis, ar *analysis.Arena) (
 // analysis — the estimate phase of a batched grid row. The scalar phase
 // (zone coverage, congestion, the memoized zone model) runs per column; the
 // QODG re-weighting then resolves each (column, gate type) weight once in a
-// dense type table, fills one interleaved weight slab — node v's K weights
-// contiguous at [v*K] — in a single scan down the node array, and a single
-// multi-weight traversal (qodg.LongestPathMultiStrided) relaxes every
-// column's critical path at once instead of streaming the adjacency K times.
+// dense type table, and a single multi-weight traversal
+// (qodg.LongestPathMultiByType) reads every node's K weights from that
+// table by gate type and relaxes every column's critical path at once,
+// instead of streaming the adjacency K times. No per-node weight array is
+// built for K ≥ 2.
 //
 // results[j] and errs[j] are what ests[j].EstimateAnalysis(a, ar) returns,
 // bitwise: a column's failure (non-FT analysis, zone-model error, missing
@@ -59,55 +60,19 @@ func estimateBatch(ests []*Estimator, a *analysis.Analysis, ar *analysis.Arena, 
 	g, ig := a.QODG, a.IIG
 
 	// Lines 2–18 per column. Columns sharing a fabric configuration share
-	// one zone-model computation through the zonemodel memo.
-	live := 0
-	for j, e := range ests {
-		results[j], errs[j] = e.scalarPhase(a.Qubits, a.Operations, ig)
-		if errs[j] == nil {
-			live++
-		}
-	}
-	if live == 0 {
-		return
-	}
-
-	// Lines 19–20, fused. Resolve every (column, gate type) weight before
-	// touching the node array — d_CNOT + L_CNOT^avg for CNOTs, d_g +
-	// L_g^avg otherwise — once per type instead of once per gate. Running
-	// column i's weight for type t sits at tab[t*live+i]. A column whose
+	// one zone-model computation through the zonemodel memo. A column whose
 	// fabric lacks a gate delay fails only if that gate occurs, with the
 	// error of the first such gate; finding it takes a scan of the nodes,
 	// which only such a misconfigured column pays for.
-	var tabBuf [ftTypes * stackCols]float64
-	tab := tabBuf[:]
-	if n := ftTypes * live; n > len(tab) {
-		tab = make([]float64, n)
-	}
 	var runBuf [stackCols]int
 	run := runBuf[:0]
 	for j, e := range ests {
+		results[j], errs[j] = e.scalarPhase(a.Qubits, a.Operations, ig)
 		if errs[j] != nil {
 			continue
 		}
-		i, p, res := len(run), e.Params, results[j]
-		clean := true
-		for t := circuit.GateType(0); int(t) < ftTypes; t++ {
-			if !t.IsFT() {
-				continue
-			}
-			d, err := p.DelayOf(t)
-			if err != nil {
-				clean = false
-				continue
-			}
-			if t == circuit.CNOT {
-				tab[int(t)*live+i] = d + res.LCNOTAvg
-			} else {
-				tab[int(t)*live+i] = d + res.LOneQubitAvg
-			}
-		}
-		if !clean {
-			if err := firstMissingDelay(g, p); err != nil {
+		if !hasFTDelays(e.Params) {
+			if err := firstMissingDelay(g, e.Params); err != nil {
 				results[j], errs[j] = nil, err
 				continue
 			}
@@ -119,37 +84,53 @@ func estimateBatch(ests []*Estimator, a *analysis.Analysis, ar *analysis.Arena, 
 		return
 	}
 
-	// Fill the weight slab with one row copy per node.
-	var wm []float64
-	var scratch *qodg.PathScratch
-	if ar != nil {
-		wm = ar.MultiWeightSlab(g, kr)
-		scratch = ar.Path()
-	} else {
-		wm = make([]float64, len(g.Nodes)*kr)
+	// Lines 19–20, fused. Resolve every (column, gate type) weight before
+	// touching the node array — d_CNOT + L_CNOT^avg for CNOTs, d_g +
+	// L_g^avg otherwise — once per type instead of once per gate. Run
+	// column i's weight for type t sits at tab[t*kr+i]; row 0
+	// (circuit.Invalid) stays 0 and weighs the pseudo-nodes.
+	var tabBuf [ftTypes * stackCols]float64
+	tab := tabBuf[:]
+	if n := ftTypes * kr; n > len(tab) {
+		tab = make([]float64, n)
 	}
-	for v, node := range g.Nodes {
-		row := wm[v*kr : (v+1)*kr]
-		if node.IsPseudo() {
-			clear(row)
-			continue
-		}
-		w := tab[int(node.Op.Type)*live:]
-		for c := range row {
-			row[c] = w[c]
+	tab = tab[:ftTypes*kr]
+	for i, j := range run {
+		p, res := ests[j].Params, results[j]
+		for t := circuit.GateType(0); int(t) < ftTypes; t++ {
+			if !t.IsFT() {
+				continue
+			}
+			d, err := p.DelayOf(t)
+			if err != nil {
+				continue // t occurs nowhere in g (checked above)
+			}
+			if t == circuit.CNOT {
+				tab[int(t)*kr+i] = d + res.LCNOTAvg
+			} else {
+				tab[int(t)*kr+i] = d + res.LOneQubitAvg
+			}
 		}
 	}
 
-	// One traversal for every column with a clean weight table. One column
-	// takes the single-column sweep directly, sparing the result slice.
+	// One traversal for every column. The multi kernel reads the table by
+	// gate type; one column takes the single-column sweep over a per-node
+	// weight vector instead, sparing the result slice.
+	var scratch *qodg.PathScratch
+	if ar != nil {
+		scratch = ar.Path()
+	}
 	var cps []qodg.CriticalPath
 	var err error
 	if kr == 1 {
 		var one [1]qodg.CriticalPath
-		one[0], err = g.LongestPathInto(qodg.Weights(wm), scratch)
+		var w qodg.Weights
+		if w, err = nodeWeights(a, tab, ar); err == nil {
+			one[0], err = g.LongestPathInto(w, scratch)
+		}
 		cps = one[:]
 	} else {
-		cps, err = g.LongestPathMultiStrided(wm, kr, scratch)
+		cps, err = g.LongestPathMultiByType(tab, kr, scratch)
 	}
 	if err != nil {
 		for _, j := range run {
@@ -160,6 +141,41 @@ func estimateBatch(ests []*Estimator, a *analysis.Analysis, ar *analysis.Arena, 
 	for i, j := range run {
 		finishPath(results[j], cps[i])
 	}
+}
+
+// nodeWeights expands a one-column type table into a per-node weight
+// vector, in ar's buffer when ar is non-nil. A node whose type has no
+// table row — a non-FT gate in an analysis flagged FT — fails the estimate
+// with a NonFTError rather than weighing nothing.
+func nodeWeights(a *analysis.Analysis, tab []float64, ar *analysis.Arena) (qodg.Weights, error) {
+	g := a.QODG
+	var w qodg.Weights
+	if ar != nil {
+		w = ar.WeightVector(g)
+	} else {
+		w = make(qodg.Weights, len(g.Nodes))
+	}
+	for v, node := range g.Nodes {
+		t := node.Op.Type
+		if uint(t) >= uint(len(tab)) {
+			return nil, &NonFTError{Circuit: a.Name, Gate: node.GateIndex, Type: t}
+		}
+		w[v] = tab[t]
+	}
+	return w, nil
+}
+
+// hasFTDelays reports whether p configures a delay for every FT gate type.
+func hasFTDelays(p fabric.Params) bool {
+	for t := circuit.GateType(0); int(t) < ftTypes; t++ {
+		if !t.IsFT() {
+			continue
+		}
+		if _, err := p.DelayOf(t); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // firstMissingDelay reports the error of the first gate, in node order,

@@ -133,6 +133,76 @@ func TestEstimateAnalysisBatchMatchesPerColumn(t *testing.T) {
 	}
 }
 
+// TestEstimateAnalysisBatchLongPath: an 8-column batch of hwb50ps, whose
+// critical path holds about half of its nodes (14,797 of 28,807), equals
+// eight single-column estimates bitwise — the by-type kernel's path
+// recovery on a path long enough that its per-column walk dominates.
+func TestEstimateAnalysisBatchLongPath(t *testing.T) {
+	sets := batchParamSets(t)
+	for _, mut := range []func(*fabric.Params){
+		func(p *fabric.Params) { p.Grid = fabric.Grid{Width: 120, Height: 120} },
+		func(p *fabric.Params) { p.ChannelCapacity = 6 },
+	} {
+		p := fabric.Default()
+		mut(&p)
+		sets = append(sets, p)
+	}
+	ests := batchEstimators(t, sets, Options{})
+	c, err := benchgen.GenerateFT("hwb50ps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := analysis.Analyze(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, errs := EstimateAnalysisBatch(ests, a, analysis.NewArena())
+	for j, e := range ests {
+		if errs[j] != nil {
+			t.Fatalf("col %d: %v", j, errs[j])
+		}
+		want, err := e.EstimateAnalysis(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(want.CriticalPath.Nodes); 3*n < a.QODG.NumNodes() {
+			t.Fatalf("col %d: critical path of %d of %d nodes is too short to exercise recovery", j, n, a.QODG.NumNodes())
+		}
+		assertResultsBitwiseEqual(t, "hwb50ps", results[j], want)
+	}
+}
+
+// TestEstimateRejectsNonFTNodeInFTAnalysis: an analysis flagged FT that
+// holds a non-FT node fails every column — with a NonFTError for one
+// column — rather than weighing the node 0 or panicking.
+func TestEstimateRejectsNonFTNodeInFTAnalysis(t *testing.T) {
+	c, err := benchgen.GenerateFT("ham7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := analysis.Analyze(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.QODG.Nodes[1].Op.Type = circuit.Swap // the FT flag now lies
+	var nf *NonFTError
+	for _, ar := range []*analysis.Arena{nil, analysis.NewArena()} {
+		res, err := batchEstimators(t, []fabric.Params{fabric.Default()}, Options{})[0].EstimateAnalysis(a, ar)
+		if !errors.As(err, &nf) || res != nil {
+			t.Fatalf("one column: err %v, Result returned: %v; want a NonFTError", err, res != nil)
+		}
+		if nf.Type != circuit.Swap || nf.Gate != 0 {
+			t.Fatalf("NonFTError names gate %d of type %v, want gate 0 of type SWAP", nf.Gate, nf.Type)
+		}
+		results, errs := EstimateAnalysisBatch(batchEstimators(t, batchParamSets(t), Options{}), a, ar)
+		for j := range errs {
+			if errs[j] == nil || results[j] != nil {
+				t.Fatalf("col %d: err %v, Result returned: %v; want an error", j, errs[j], results[j] != nil)
+			}
+		}
+	}
+}
+
 // TestEstimateAnalysisBatchPerColumnErrors pins the error isolation: a
 // column whose params lack a gate delay fails with exactly the error it
 // reports alone, while its neighbor columns estimate normally.

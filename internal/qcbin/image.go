@@ -157,6 +157,11 @@ func DecodeImage(data []byte, fallbackName string) (*analysis.Analysis, error) {
 		if !validOpcode(b) {
 			return nil, formatErr(r.name, int64(r.off-ops+i), "node %d: unknown opcode 0x%02x", i+1, b)
 		}
+		// The estimator trusts the FT flag: it weighs nodes by an FT-only
+		// delay table, so a non-FT node in an FT image would be mis-weighed.
+		if ftb[0] == 1 && !circuit.GateType(b).IsFT() {
+			return nil, formatErr(r.name, int64(r.off-ops+i), "node %d: non-FT gate %v in an image flagged FT", i+1, circuit.GateType(b))
+		}
 	}
 
 	n := ops + 2

@@ -3,6 +3,7 @@ package qcbin
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -320,6 +321,53 @@ func TestImageCorruption(t *testing.T) {
 	}
 }
 
+// TestImageRejectsNonFTNodeUnderFTFlag: the estimator weighs an FT
+// analysis's nodes from an FT-only delay table, so an image whose FT flag
+// covers a non-FT node must fail to decode — it once decoded cleanly, and
+// its estimate weighed the node 0.
+func TestImageRejectsNonFTNodeUnderFTFlag(t *testing.T) {
+	c, err := benchgen.GenerateFT("ham7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := analysis.AnalyzeStream(analysis.NewCircuitStream(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.FT {
+		t.Fatal("ham7 FT netlist analyzed as non-FT")
+	}
+	var buf bytes.Buffer
+	if err := EncodeImage(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	// The node-type section follows magic, version, the length-prefixed
+	// name, the qubit and operation uvarints and the FT byte; the first
+	// node's opcode is the section's first byte.
+	uvarint := func(v int) int { return len(binary.AppendUvarint(nil, uint64(v))) }
+	hdr := len(MagicQCA) + 1 + uvarint(len(a.Name)) + len(a.Name) +
+		uvarint(a.Qubits) + uvarint(a.Operations) + 1
+	if img[hdr-1] != 1 || !circuit.GateType(img[hdr]).IsFT() {
+		t.Fatalf("unexpected image layout at offset %d: % x", hdr-1, img[hdr-1:hdr+1])
+	}
+	bad := bytes.Clone(img)
+	bad[hdr] = byte(circuit.Swap)
+	var fe *FormatError
+	if _, err := DecodeImage(bad, "x"); !errors.As(err, &fe) {
+		t.Fatalf("FT image holding a SWAP node: got %v, want FormatError", err)
+	}
+	// The same node under a cleared FT flag is a valid non-FT image.
+	bad[hdr-1] = 0
+	got, err := DecodeImage(bad, "x")
+	if err != nil {
+		t.Fatalf("non-FT image holding a SWAP node: %v", err)
+	}
+	if got.FT || got.QODG.Nodes[1].Op.Type != circuit.Swap {
+		t.Fatalf("decoded FT=%v, node 1 %v; want a non-FT image with a SWAP node", got.FT, got.QODG.Nodes[1].Op.Type)
+	}
+}
+
 // TestScannerDiagnostics feeds malformed .qcb bytes and checks for clean
 // FormatErrors.
 func TestScannerDiagnostics(t *testing.T) {
@@ -470,8 +518,8 @@ func FuzzQCBin(f *testing.F) {
 }
 
 // FuzzImage throws arbitrary bytes at the Analysis image decoder: it must
-// never panic, and whatever decodes must be internally consistent enough
-// to re-encode.
+// never panic, an image flagged FT must decode to FT nodes only, and
+// whatever decodes must be internally consistent enough to re-encode.
 func FuzzImage(f *testing.F) {
 	// A small hand-built seed keeps per-exec cost low so the CI fuzz smoke
 	// actually explores mutations.
@@ -497,6 +545,13 @@ func FuzzImage(f *testing.F) {
 		got, err := DecodeImage(data, "fuzz")
 		if err != nil {
 			return
+		}
+		if got.FT {
+			for _, n := range got.QODG.Nodes {
+				if !n.IsPseudo() && !n.Op.Type.IsFT() {
+					t.Fatalf("image flagged FT decoded with a %v node", n.Op.Type)
+				}
+			}
 		}
 		var out bytes.Buffer
 		if err := EncodeImage(&out, got); err != nil {

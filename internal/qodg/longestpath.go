@@ -42,11 +42,15 @@ type PathScratch struct {
 	// every setting.
 	MaxWorkers int
 
+	// Predecessors and the recovery walk hold node IDs as int32: CSR
+	// offsets are int32, so every node ID of a graph fits.
 	dist       []float64
-	from       []NodeID
+	from       []int32
 	distM      []float64 // SoA multi-column dist: column c of node v at [v*K+c]
-	fromM      []NodeID  // SoA multi-column from, same layout
+	fromM      []int32   // SoA multi-column from, same layout
 	weightM    []float64 // SoA multi-column weights, same layout (packed columns)
+	typeTab    []float64 // the parallel by-type sweep's copy of its (gate type × column) table
+	walk       []int32   // path recovery's end→start walk
 	level      []int32   // ASAP level per node
 	levelOff   []int32   // level l's nodes sit at levelNodes[levelOff[l]:levelOff[l+1]]
 	levelCur   []int32   // counting-sort fill cursors
@@ -91,16 +95,27 @@ func (g *Graph) LongestPathInto(w Weights, s *PathScratch) (CriticalPath, error)
 	n := len(g.Nodes)
 	s.dist = grow(s.dist, n)
 	s.from = grow(s.from, n)
-	workers := runtime.GOMAXPROCS(0)
-	if s.MaxWorkers > 0 && workers > s.MaxWorkers {
-		workers = s.MaxWorkers
-	}
-	if n >= ParallelThreshold && workers > 1 {
+	if workers := s.autoWorkers(n); workers > 0 {
 		g.relaxParallel(w, s, workers)
 	} else {
 		g.relaxSerial(w, s.dist, s.from)
 	}
-	return g.recoverPath(s.dist, s.from), nil
+	return recoverPath(g, s, s.dist, s.from, 1, 0), nil
+}
+
+// autoWorkers is the dispatch rule of every auto-dispatched sweep: the
+// level-partitioned relaxation's worker count for an n-node graph, or 0
+// when the serial pass runs — below ParallelThreshold, or on a budget of
+// one core (GOMAXPROCS capped by MaxWorkers).
+func (s *PathScratch) autoWorkers(n int) int {
+	workers := runtime.GOMAXPROCS(0)
+	if s.MaxWorkers > 0 && workers > s.MaxWorkers {
+		workers = s.MaxWorkers
+	}
+	if n < ParallelThreshold || workers < 2 {
+		return 0
+	}
+	return workers
 }
 
 // LongestPathParallel forces the level-partitioned relaxation with the given
@@ -121,14 +136,14 @@ func (g *Graph) LongestPathParallel(w Weights, s *PathScratch, workers int) (Cri
 	s.dist = grow(s.dist, n)
 	s.from = grow(s.from, n)
 	g.relaxParallel(w, s, workers)
-	return g.recoverPath(s.dist, s.from), nil
+	return recoverPath(g, s, s.dist, s.from, 1, 0), nil
 }
 
 // relaxSerial runs the push relaxation over the topological node order:
 // for each node u in order, every successor edge (u,v) offers dist[u]+w[v].
 // The first offer a node sees is always taken (from[v] == -1), later offers
 // only when strictly greater — so ties resolve to the lowest-ID predecessor.
-func (g *Graph) relaxSerial(w Weights, dist []float64, from []NodeID) {
+func (g *Graph) relaxSerial(w Weights, dist []float64, from []int32) {
 	clear(dist)
 	for i := range from {
 		from[i] = -1
@@ -139,7 +154,7 @@ func (g *Graph) relaxSerial(w Weights, dist []float64, from []NodeID) {
 		for _, v := range g.Succ(NodeID(u)) {
 			if cand := du + w[v]; cand > dist[v] || from[v] == -1 {
 				dist[v] = cand
-				from[v] = NodeID(u)
+				from[v] = int32(u)
 			}
 		}
 	}
@@ -339,15 +354,15 @@ func indexLevels(level, off []int32, nodes []NodeID, prepCnt []int32, nLev, work
 // only when strictly greater" reproduces the serial push byte for byte: the
 // push visits a node's incoming edges in exactly ascending predecessor
 // order, computes the same dist[p]+w[v] sums, and breaks ties the same way.
-func (g *Graph) relaxSpan(w Weights, dist []float64, from []NodeID, span []NodeID) {
+func (g *Graph) relaxSpan(w Weights, dist []float64, from []int32, span []NodeID) {
 	for _, v := range span {
 		wv := w[v]
 		best := 0.0
-		bestFrom := NodeID(-1)
+		bestFrom := int32(-1)
 		for _, p := range g.Pred(v) {
 			if cand := dist[p] + wv; cand > best || bestFrom == -1 {
 				best = cand
-				bestFrom = p
+				bestFrom = int32(p)
 			}
 		}
 		if bestFrom != -1 {
@@ -357,42 +372,52 @@ func (g *Graph) relaxSpan(w Weights, dist []float64, from []NodeID, span []NodeI
 	}
 }
 
-// recoverPath walks the from-chain backwards from the end node, sizing the
-// path slice exactly in a first pass and filling it in place in a second —
-// no append/reverse round trip.
-func (g *Graph) recoverPath(dist []float64, from []NodeID) CriticalPath {
-	return g.recoverPathStrided(dist, from, 1, 0)
-}
+// numGateTypes sizes path recovery's per-type counters: one slot per
+// circuit.GateType up to the last one defined, so every node type a
+// circuit can hold has one.
+const numGateTypes = int(circuit.Swap) + 1
 
-// recoverPathStrided is recoverPath over one column of the SoA multi-column
-// slabs: node v's state for column col sits at dist[v*stride+col] /
-// from[v*stride+col]. Stride 1, column 0 is exactly the single-column layout.
-func (g *Graph) recoverPathStrided(dist []float64, from []NodeID, stride, col int) CriticalPath {
-	end := g.End()
-	at := func(v NodeID) NodeID { return from[int(v)*stride+col] }
-	cp := CriticalPath{
-		Length:      dist[int(end)*stride+col],
-		CountByType: make(map[circuit.GateType]int),
-	}
+// recoverPath reads one column's critical path out of the relaxation state:
+// node v's distance and predecessor sit at dist[v*stride+col] and
+// from[v*stride+col], so stride 1, column 0 is the single-column layout and
+// stride K, column c is column c of the multi-column slabs. One walk down
+// the from-chain, from the end node back to the start, fills the scratch's
+// walk buffer and counts gate types in a fixed array; the path is then
+// copied out start→end and CountByType built from the non-zero counts.
+func recoverPath(g *Graph, s *PathScratch, dist []float64, from []int32, stride, col int) CriticalPath {
+	s.walk = grow(s.walk, len(g.Nodes)) // a path visits each node at most once
+	walk := s.walk
+	var counts [numGateTypes]int
 	steps := 0
-	for v := end; ; v = at(v) {
+	for v := g.End(); ; {
+		walk[steps] = int32(v)
 		steps++
-		if v == 0 || at(v) == -1 {
+		if node := &g.Nodes[v]; !node.IsPseudo() {
+			counts[node.Op.Type]++
+		}
+		p := from[int(v)*stride+col]
+		if v == 0 || p == -1 {
 			break
 		}
+		v = NodeID(p)
 	}
-	cp.Nodes = make([]NodeID, steps)
-	i := steps - 1
-	for v := end; ; v = at(v) {
-		cp.Nodes[i] = v
-		i--
-		if v == 0 || at(v) == -1 {
-			break
+	types := 0
+	for _, c := range counts {
+		if c > 0 {
+			types++
 		}
 	}
-	for _, id := range cp.Nodes {
-		if node := g.Nodes[id]; !node.IsPseudo() {
-			cp.CountByType[node.Op.Type]++
+	cp := CriticalPath{
+		Length:      dist[int(g.End())*stride+col],
+		Nodes:       make([]NodeID, steps),
+		CountByType: make(map[circuit.GateType]int, types),
+	}
+	for i, v := range walk[:steps] {
+		cp.Nodes[steps-1-i] = NodeID(v)
+	}
+	for t, c := range counts {
+		if c > 0 {
+			cp.CountByType[circuit.GateType(t)] = c
 		}
 	}
 	return cp

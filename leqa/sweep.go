@@ -17,7 +17,7 @@ import (
 // reuse across sweeps.
 //
 // Workers draw their per-estimate scratch state (graph-build buffers,
-// weight slab, longest-path arrays) from a pool of analysis.Arenas, so a
+// weight vector, longest-path arrays) from a pool of analysis.Arenas, so a
 // warm Runner — the leqad replica serving steady traffic — performs
 // near-zero heap allocation per estimate. Results never alias arena memory.
 type Runner struct {
