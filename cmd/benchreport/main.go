@@ -71,10 +71,11 @@ type Benchmark struct {
 // defaultBench selects the estimator-side perf targets: the warm-arena
 // estimate path, the isolated critical-path sweeps (single- and
 // multi-weight), the fused analysis front end, the memoized whole-estimate
-// benchmark, the batched grid row with its result-memo cold/warm pair, and
-// the container comparison (text vs binary ingest, store-hit and by-ref
-// grid cells).
-const defaultBench = "^(BenchmarkEstimateWarm|BenchmarkLongestPath|BenchmarkLongestPathMulti|BenchmarkAnalyze|BenchmarkAnalyzeStream|BenchmarkEstimate|BenchmarkIngestBinary|BenchmarkSweepGridBatched)$"
+// benchmark, the batched grid row with its result-memo cold/warm pair, the
+// container comparison (text vs binary ingest, store-hit and by-ref grid
+// cells) and the served cold-upload path (spooled .qc bodies through a
+// warm Runner).
+const defaultBench = "^(BenchmarkEstimateWarm|BenchmarkLongestPath|BenchmarkLongestPathMulti|BenchmarkAnalyze|BenchmarkAnalyzeStream|BenchmarkEstimate|BenchmarkIngestBinary|BenchmarkSweepGridBatched|BenchmarkColdUpload)$"
 
 func main() {
 	if err := run(); err != nil {

@@ -1,5 +1,5 @@
-// Command experiments regenerates the LEQA paper's tables and figures (see
-// DESIGN.md §4 for the experiment index).
+// Command experiments regenerates the LEQA paper's tables and figures; the
+// usage below is the experiment index.
 //
 // Usage:
 //

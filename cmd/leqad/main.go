@@ -83,9 +83,10 @@
 // so a slow or failed request is attributable end to end.
 //
 // Raw .qc uploads on /v1/estimate stream through internal/ingest: the
-// netlist is parsed gate by gate and spooled to disk for the analyzer's
-// second pass, so Transfer-Encoding: chunked uploads far beyond -max-body
-// estimate in O(analysis) memory. GET /metrics exposes Prometheus-style
+// netlist is parsed once, gate by gate, and spooled to disk (under
+// -max-spool) only for the decompose fallback's rewind, so
+// Transfer-Encoding: chunked uploads far beyond -max-body estimate in
+// O(analysis) memory. GET /metrics exposes Prometheus-style
 // per-endpoint request/row/latency series; /healthz keeps its JSON schema.
 package main
 

@@ -1,11 +1,12 @@
 // Package analysis is the fused circuit-analysis front end of the
-// estimator: two passes over a circuit's gate stream produce both graphs
+// estimator: one read of a circuit's gate stream produces both graphs
 // LEQA consumes — the quantum operation dependency graph (QODG, paper §2)
 // and the interaction intensity graph (IIG, §3.1).
 //
 // Both graphs derive from the same stream, so one combined counting pass
-// and one combined fill pass assemble both CSR structures with a handful of
-// flat allocations and no per-node maps or slices. Every input — a
+// over the stream, which records each gate in 12 bytes, and one combined
+// fill pass over those records assemble both CSR structures with a handful
+// of flat allocations and no per-node maps or slices. Every input — a
 // materialized circuit, a .qc or .qcb netlist being read, a stored image's
 // replay — runs through that one builder (AnalyzeStream); Analyze is the
 // same builder over an in-memory circuit.
@@ -88,10 +89,10 @@ func analyzeCircuit(c *circuit.Circuit, ar *Arena, forceK int) (*Analysis, error
 		return nil, err
 	}
 	if ar == nil {
-		return analyzeStream(&CircuitStream{c: c, i: -1, valid: true}, nil, forceK)
+		return analyzeStream(&CircuitStream{c: c, i: -1, valid: true}, nil, forceK, nil)
 	}
 	ar.cs = CircuitStream{c: c, i: -1, valid: true}
-	a, err := analyzeStream(&ar.cs, ar, forceK)
+	a, err := analyzeStream(&ar.cs, ar, forceK, nil)
 	ar.cs = CircuitStream{} // do not pin the circuit
 	return a, err
 }

@@ -46,8 +46,8 @@ func ftCircuit(t testing.TB, name string) *circuit.Circuit {
 	return c
 }
 
-// assertQODGEqual compares two QODGs node by node: same node set, same
-// successor and predecessor lists everywhere.
+// assertQODGEqual compares two QODGs node by node: same nodes (ID, gate
+// type, gate index), same successor and predecessor lists everywhere.
 func assertQODGEqual(t *testing.T, name string, got, want *qodg.Graph) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
@@ -59,9 +59,8 @@ func assertQODGEqual(t *testing.T, name string, got, want *qodg.Graph) {
 	}
 	for u := 0; u < got.NumNodes(); u++ {
 		id := qodg.NodeID(u)
-		if got.Nodes[u].GateIndex != want.Nodes[u].GateIndex {
-			t.Fatalf("%s: node %d gate index %d, want %d",
-				name, u, got.Nodes[u].GateIndex, want.Nodes[u].GateIndex)
+		if got.Nodes[u] != want.Nodes[u] {
+			t.Fatalf("%s: node %d = %+v, want %+v", name, u, got.Nodes[u], want.Nodes[u])
 		}
 		if !slices.Equal(got.Succ(id), want.Succ(id)) {
 			t.Fatalf("%s: node %d succ %v, want %v", name, u, got.Succ(id), want.Succ(id))

@@ -127,12 +127,12 @@ func (ap *Appender) Append(gs ...circuit.Gate) error {
 				ap.nGates, g.Type, g.Arity())
 		}
 		id := qodg.NodeID(ap.nGates + 1)
-		ap.scan.VisitGate(id, g, func(from, to qodg.NodeID) {
+		r := recordOf(&g)
+		ap.scan.VisitPair(id, r.a, r.b, func(from, to qodg.NodeID) {
 			ap.extra = append(ap.extra, from, to)
 		})
-		if g.Arity() == 2 {
-			a, b := g.QubitPair()
-			ap.iigPairs = append(ap.iigPairs, int32(a), int32(b))
+		if r.b >= 0 {
+			ap.iigPairs = append(ap.iigPairs, r.a, r.b)
 		}
 		ap.types = append(ap.types, g.Type)
 		ap.ft = ap.ft && g.Type.IsFT()

@@ -9,12 +9,12 @@ import (
 
 // Arena is the reusable scratch state of the estimate hot path: every
 // buffer the analysis passes and the critical-path sweep would otherwise
-// allocate per call — node array, degree arrays, CSR adjacency, DepScanner
-// state, IIG incidence, the single-column weight vector and the
-// longest-path dist/from/level index — owned once and recycled across
-// circuits. A zero Arena is ready to use; buffers grow to the largest
-// circuit seen and stay warm, so a steady-state worker analyzes and
-// estimates with near-zero heap allocation.
+// allocate per call — gate records, node array, degree arrays, CSR
+// adjacency, DepScanner state, IIG incidence, the single-column weight
+// vector and the longest-path dist/from/level index — owned once and
+// recycled across circuits. A zero Arena is ready to use; buffers grow to
+// the largest circuit seen and stay warm, so a steady-state worker
+// analyzes and estimates with near-zero heap allocation.
 //
 // An Arena is not safe for concurrent use. The Analysis returned by
 // (*Arena).Analyze or (*Arena).AnalyzeStream aliases arena memory and is
@@ -36,6 +36,7 @@ type Arena struct {
 	succOff, predOff []int32
 	succ, pred       []qodg.NodeID
 	iigOff, iigNbr   []int32
+	recs             []gateRec     // the counting pass's gate records
 	cs               CircuitStream // Analyze's stream, so it costs no allocation
 
 	qg         qodg.Graph
@@ -43,9 +44,11 @@ type Arena struct {
 	a          Analysis
 	lastWriter []qodg.NodeID
 
-	// Per-shard scratch of the parallel fill pass: one sub-arena per shard
-	// (scanner, boundary records) plus the merged last-writer seed, recycled
-	// so the sharded pass stays near the serial pass's allocation count.
+	// Per-shard scratch of the parallel fill pass: the cut table, one
+	// sub-arena per shard (scanner, boundary records) and the merged
+	// last-writer seed, recycled so the sharded pass stays near the serial
+	// pass's allocation count.
+	cuts   []int
 	shards []shardScratch
 	seed   []qodg.NodeID
 
@@ -64,6 +67,12 @@ func NewArena() *Arena { return new(Arena) }
 func (ar *Arena) Analyze(c *circuit.Circuit) (*Analysis, error) {
 	return analyzeCircuit(c, ar, 0)
 }
+
+// Gates reports the gate count of the largest circuit the arena has
+// analyzed or swept, which its slabs are sized to: its node slab and its
+// longest-path scratch never shrink, and each holds the circuit's gates
+// plus the start and end nodes.
+func (ar *Arena) Gates() int { return max(cap(ar.nodes), ar.path.Nodes(), 2) - 2 }
 
 // Path returns the arena's longest-path scratch for the qodg sweeps.
 func (ar *Arena) Path() *qodg.PathScratch { return &ar.path }

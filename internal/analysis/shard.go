@@ -80,19 +80,17 @@ type boundaryRec struct {
 	from, to qodg.NodeID
 }
 
-// shardScratch is one shard's sub-arena: the forked dependency scanner, the
-// boundary-edge records, and the shard's first replay failure. Recycled
-// across analyses when owned by an Arena.
+// shardScratch is one shard's sub-arena: the forked dependency scanner and
+// the boundary-edge records. Recycled across analyses when owned by an
+// Arena.
 type shardScratch struct {
-	scan   qodg.DepScanner
-	recs   []boundaryRec
-	valErr error
+	scan qodg.DepScanner
+	recs []boundaryRec
 }
 
 func (sc *shardScratch) reset(numQ int) {
 	sc.scan.ResetPending(numQ)
 	sc.recs = sc.recs[:0]
-	sc.valErr = nil
 }
 
 // gang is the fork-join helper for one sharded analysis: k-1 workers

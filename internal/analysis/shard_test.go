@@ -188,12 +188,12 @@ func TestAnalyzeShardedFuzzCuts(t *testing.T) {
 			cutTables = append(cutTables, cuts)
 		}
 		for _, cuts := range cutTables {
-			got, err := analysis.AnalyzeAtCuts(c, nil, cuts)
+			got, err := analysis.AnalyzeAtCuts(analysis.NewCircuitStream(c), nil, cuts)
 			if err != nil {
 				t.Fatalf("round %d cuts %v: %v", round, cuts, err)
 			}
 			assertAnalysisEqual(t, c.Name, got, want)
-			got, err = analysis.AnalyzeAtCuts(c, ar, cuts)
+			got, err = analysis.AnalyzeAtCuts(analysis.NewCircuitStream(c), ar, cuts)
 			if err != nil {
 				t.Fatalf("round %d cuts %v (arena): %v", round, cuts, err)
 			}
@@ -203,9 +203,9 @@ func TestAnalyzeShardedFuzzCuts(t *testing.T) {
 }
 
 // TestAnalyzeStreamShardedMatchesSerial drives the forced-shard streamed
-// fill pass over unvalidated circuit streams — every gate re-checked in
-// each shard — across the paper benchmarks and fuzz circuits: graphs must
-// be node/edge-identical to the serial streamed analysis.
+// fill pass over unvalidated circuit streams — every gate re-checked by the
+// counting pass — across the paper benchmarks and fuzz circuits: graphs
+// must be node/edge-identical to the serial streamed analysis.
 func TestAnalyzeStreamShardedMatchesSerial(t *testing.T) {
 	check := func(t *testing.T, c *circuit.Circuit, ar *analysis.Arena) {
 		t.Helper()

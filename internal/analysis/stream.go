@@ -12,11 +12,11 @@ import (
 )
 
 // GateStream is the reader-driven gate source AnalyzeStream consumes: a
-// re-windable stream of validated gates, typically an ingest.Scanner over a
-// .qc file or pipe. The stream must replay identically across passes (the
-// ingest scanner guarantees this via seek or an on-disk spool); NumQubits
-// may grow while a pass runs (auto-declared qubits) and is final once a
-// pass has consumed the whole stream.
+// stream of validated gates, typically an ingest.Scanner over a .qc file or
+// pipe. AnalyzeStream reads it once; Rewind serves the consumers that need
+// another pass (digest-then-analyze, materialization). NumQubits may grow
+// while a pass runs (auto-declared qubits) and is final once a pass has
+// consumed the whole stream.
 type GateStream interface {
 	// Scan advances to the next gate; false at end of stream or error.
 	Scan() bool
@@ -40,7 +40,7 @@ type GateStream interface {
 type CircuitStream struct {
 	c     *circuit.Circuit
 	i     int
-	valid bool // c passed Validate: the passes may skip per-gate checks
+	valid bool // c passed Validate: the counting pass may skip per-gate checks
 }
 
 // NewCircuitStream returns a stream over c's gate list.
@@ -71,10 +71,10 @@ func (s *CircuitStream) PrevalidatedGates() bool { return s.valid }
 // names from a materialized stream.
 func (s *CircuitStream) Register() *circuit.Circuit { return s.c }
 
-// gateCursor reads one pass of a stream's gates. An in-memory circuit (a
-// CircuitStream or one of its segments) is read straight from its gate
-// slice: the two interface calls per gate a stream costs made analyzing a
-// materialized circuit about a quarter slower.
+// gateCursor reads one pass of a stream's gates. An in-memory circuit is
+// read straight from its gate slice: the two interface calls per gate a
+// stream costs made analyzing a materialized circuit about a quarter
+// slower.
 type gateCursor struct {
 	src   GateStream
 	mem   bool
@@ -84,11 +84,8 @@ type gateCursor struct {
 }
 
 func newGateCursor(src GateStream) gateCursor {
-	switch s := src.(type) {
-	case *CircuitStream:
+	if s, ok := src.(*CircuitStream); ok {
 		return gateCursor{src: src, mem: true, gates: s.c.Gates}
-	case *circuitSegment:
-		return gateCursor{src: src, mem: true, gates: s.c.Gates[s.lo:s.hi]}
 	}
 	return gateCursor{src: src}
 }
@@ -112,36 +109,17 @@ func (c *gateCursor) scan() *circuit.Gate {
 	return &c.cur
 }
 
-// SegmentedStream is a GateStream that can replay itself as concurrent
-// contiguous segments — the capability the shard-parallel fill pass of
-// AnalyzeStream needs. Sources that can seek (materialized circuits,
-// on-disk or spooled .qc files) implement it; AnalyzeStream falls back to
-// the serial replay for everything else.
-type SegmentedStream interface {
-	GateStream
-	// Segments splits the remaining replay into at most max contiguous
-	// segments, returning one independent GateStream per segment plus the
-	// cut table: segment i covers gates [cuts[i], cuts[i+1]), cuts[0] = 0
-	// and cuts[len(segments)] = the total gate count. The segment streams
-	// must be safe to consume from distinct goroutines concurrently. A
-	// (nil, nil, nil) return means the source cannot segment right now
-	// (e.g. a pipe not yet fully spooled) and the caller should replay
-	// serially. Segments is only meaningful after a full pass has fixed
-	// the stream's size.
-	Segments(max int) ([]GateStream, []int, error)
-}
-
 // PrevalidatedStream is an optional GateStream capability: a stream whose
 // Scan contract guarantees that every yielded gate already passes
 // circuit.Gate.Validate against the stream's register. The ingest text
-// scanner (its line parser validates each statement as it is parsed) and
+// scanner (its line parser checks each statement as it is parsed) and
 // the qcbin binary decoder (decode-time opcode, shape, range and
-// distinctness checks) both qualify, so the analysis passes skip the
+// distinctness checks) both qualify, so the counting pass skips the
 // redundant per-gate re-validation — a meaningful share of the build on
-// pre-parsed containers. The two-qubit arity cap and the replay gate-count
-// check are still enforced for every stream, and an out-of-range operand
-// from a stream that lies about this trips a bounds panic in the degree
-// arrays rather than corrupting rows silently.
+// pre-parsed containers. The two-qubit arity cap is still enforced for
+// every stream, and an out-of-range operand from a stream that lies about
+// this trips a bounds panic in the degree arrays rather than corrupting
+// rows silently.
 type PrevalidatedStream interface {
 	// PrevalidatedGates reports whether every gate the stream yields is
 	// already validated against the stream's register.
@@ -154,79 +132,66 @@ func gatesPrevalidated(src GateStream) bool {
 	return ok && p.PrevalidatedGates()
 }
 
-// circuitSegment is CircuitStream's segment: a window [lo, hi) of the gate
-// list with its own cursor, so segments advance independently.
-type circuitSegment struct {
-	c      *circuit.Circuit
-	lo, hi int
-	i      int
-	valid  bool
+// gateRec is one validated gate as the counting pass records it for the
+// fill pass: the operands, controls first, with b = -1 for a one-qubit
+// gate, and the gate type. 12 bytes against a circuit.Gate's 56 plus its
+// operand slices, and the fill pass reads them without touching the source
+// again.
+type gateRec struct {
+	a, b int32
+	t    uint8
 }
 
-func (s *circuitSegment) Scan() bool {
-	if s.i+1 >= s.hi {
-		return false
+// recordOf packs a validated gate of at most two operands into its record.
+func recordOf(g *circuit.Gate) gateRec {
+	if len(g.Controls)+len(g.Targets) == 2 {
+		a, b := g.QubitPair()
+		return gateRec{a: int32(a), b: int32(b), t: uint8(g.Type)}
 	}
-	s.i++
-	return true
+	return gateRec{a: int32(g.Targets[0]), b: -1, t: uint8(g.Type)}
 }
 
-func (s *circuitSegment) Gate() circuit.Gate { return s.c.Gates[s.i] }
-func (s *circuitSegment) Err() error         { return nil }
-func (s *circuitSegment) Rewind() error      { s.i = s.lo - 1; return nil }
-func (s *circuitSegment) NumQubits() int     { return s.c.NumQubits() }
-func (s *circuitSegment) Name() string       { return s.c.Name }
-
-func (s *circuitSegment) PrevalidatedGates() bool { return s.valid }
-
-// Segments implements SegmentedStream with even cuts over the gate list.
-func (s *CircuitStream) Segments(max int) ([]GateStream, []int, error) {
-	n := len(s.c.Gates)
-	if max < 1 {
-		max = 1
-	}
-	cuts := evenCutsInto(nil, n, max)
-	segs := make([]GateStream, max)
-	for i := range segs {
-		segs[i] = &circuitSegment{c: s.c, lo: cuts[i], hi: cuts[i+1], i: cuts[i] - 1, valid: s.valid}
-	}
-	return segs, cuts, nil
-}
-
-// AnalyzeStream builds both graphs from two passes over a gate stream: a
+// AnalyzeStream builds both graphs from one read of a gate stream: a
 // counting pass (QODG degrees, IIG incidence counts, FT tracking,
-// validation), then a fill pass (nodes, CSR adjacency, IIG incidence).
-// QODG nodes carry operand-free gates (Type only, no Controls/Targets
-// slices). Peak memory is the analysis product itself (nodes + CSR
-// adjacency) plus one ingest chunk: the O(gates) heap of per-gate operand
-// slices a materialized []Gate drags along is never allocated.
+// validation) that records every gate as a 12-byte gateRec, then a fill
+// pass over the records (nodes, CSR adjacency, IIG incidence). The stream
+// is never rewound. QODG nodes carry operand-free gates (Type only, no
+// Controls/Targets slices). Peak memory is the analysis product itself
+// (nodes + CSR adjacency) plus 12 bytes of records per gate plus one ingest
+// chunk: the O(gates) heap of per-gate operand slices a materialized
+// []Gate drags along is never allocated. The slab of a stream of unknown
+// length grows by doubling, so its capacity reaches up to 24 bytes per
+// gate, and about 36 while the last growth copies it.
 func AnalyzeStream(src GateStream) (*Analysis, error) {
-	return analyzeStream(src, nil, 0)
+	return analyzeStream(src, nil, 0, nil)
 }
 
 // AnalyzeStream is the arena-backed streamed analysis: same contract as
 // AnalyzeStream, every buffer drawn from ar. The returned Analysis is
 // borrowed until ar's next use, exactly like (*Arena).Analyze.
 func (ar *Arena) AnalyzeStream(src GateStream) (*Analysis, error) {
-	return analyzeStream(src, ar, 0)
+	return analyzeStream(src, ar, 0, nil)
 }
 
 // growChunk is the minimum growth step of the counting pass's degree
-// arrays, which grow with the stream rather than once per gate.
+// arrays and record slab, which grow with the stream rather than once per
+// gate.
 const growChunk = 1 << 12
 
-// analyzeStream runs the two-pass analysis. With a nil arena it allocates
-// fresh immutable storage; otherwise every buffer is recycled arena state.
-// forceK forces the fill pass's shard count: 0 auto-dispatches through
-// planShards, anything larger bypasses the thresholds (the equivalence
-// suite's hook).
-func analyzeStream(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
+// analyzeStream runs the counting pass over src and the fill pass over its
+// records. With a nil arena it allocates fresh immutable storage;
+// otherwise every buffer is recycled arena state. The equivalence suite
+// forces the fill pass's shard count through forceK, or its shard
+// boundaries through cuts; 0 and nil auto-dispatch through planShards into
+// even cuts.
+func analyzeStream(src GateStream, ar *Arena, forceK int, cuts []int) (*Analysis, error) {
 	var (
 		succDeg, predDeg, iigDeg []int32
+		recs                     []gateRec
 		scan                     *qodg.DepScanner
 	)
 	if ar != nil {
-		succDeg, predDeg, iigDeg = ar.succDeg[:0], ar.predDeg[:0], ar.iigDeg[:0]
+		succDeg, predDeg, iigDeg, recs = ar.succDeg[:0], ar.predDeg[:0], ar.iigDeg[:0], ar.recs[:0]
 		ar.scan.ResetFor(src.NumQubits())
 		scan = &ar.scan
 	} else {
@@ -241,12 +206,20 @@ func analyzeStream(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 	// arrives it occupies node i+1 and every edge it emits ends there, so
 	// keeping the arrays at least nGates+2 long keeps all emitted indices in
 	// range without knowing the gate count up front. They grow in chunks
-	// (zeroed tails) and are cut to size after the pass.
+	// (zeroed tails) and are cut to size after the pass. When the gate count
+	// is known (an in-memory circuit), the degree arrays and the record slab
+	// are presized to it instead; otherwise the slab doubles too.
 	ft := true
 	nGates := 0
 	trusted := gatesPrevalidated(src)
 	q := src.NumQubits()
-	for cur := newGateCursor(src); ; {
+	cur := newGateCursor(src)
+	if k := len(cur.gates); k > 0 {
+		succDeg = growKeep(succDeg, k+3)
+		predDeg = growKeep(predDeg, k+3)
+		recs = slices.Grow(recs, k)
+	}
+	for {
 		gp := cur.next()
 		if gp == nil {
 			break
@@ -267,16 +240,20 @@ func analyzeStream(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 				return nil, err
 			}
 		}
-		if g.Arity() == 2 {
-			a, b := g.QubitPair()
+		r := recordOf(&g)
+		if r.b >= 0 {
 			if q > len(iigDeg) {
 				iigDeg = growKeep(iigDeg, max(2*len(iigDeg), q))
 			}
-			iigDeg[a]++
-			iigDeg[b]++
+			iigDeg[r.a]++
+			iigDeg[r.b]++
 		}
 		ft = ft && g.Type.IsFT()
-		scan.VisitGate(id, g, count)
+		scan.VisitPair(id, r.a, r.b, count)
+		if len(recs) == cap(recs) {
+			recs = slices.Grow(recs, max(len(recs), growChunk))
+		}
+		recs = append(recs, r)
 		nGates++
 	}
 	if err := src.Err(); err != nil {
@@ -299,7 +276,7 @@ func analyzeStream(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 		nodes            []qodg.Node
 	)
 	if ar != nil {
-		ar.succDeg, ar.predDeg, ar.iigDeg = succDeg, predDeg, iigDeg
+		ar.succDeg, ar.predDeg, ar.iigDeg, ar.recs = succDeg, predDeg, iigDeg, recs
 		ar.succOff, ar.succ = csr.OffsetsInto(succDeg, ar.succOff, ar.succ)
 		ar.predOff, ar.pred = csr.OffsetsInto(predDeg, ar.predOff, ar.pred)
 		ar.iigOff, ar.iigNbr = csr.OffsetsInto(iigDeg, ar.iigOff, ar.iigNbr)
@@ -317,29 +294,28 @@ func analyzeStream(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 	nodes[0] = qodg.Node{ID: 0, GateIndex: -1}
 	nodes[n-1] = qodg.Node{ID: end, GateIndex: -1}
 
-	// Sharded fill pass: a segmentable source replays as concurrent
-	// contiguous segments — the counting pass has already fixed the gate
-	// count, register size and every row offset. Serial replay remains the
-	// fallback for non-segmentable sources and below-threshold circuits.
-	sharded := false
-	if seg, ok := src.(SegmentedStream); ok {
+	// Fill pass over the records: sharded at even cuts once the circuit is
+	// large enough to pay for a gang, serial otherwise. The counting pass
+	// has already fixed the gate count, register size and every row
+	// offset.
+	if cuts == nil {
 		k := forceK
 		if k == 0 {
 			k = planShards(nGates, shardBudget(ar))
 		}
 		if k > 1 {
-			done, err := fillStreamSharded(seg, ar, k, nGates, numQ, nodes, succDeg, predDeg, predOff, succ, pred, iigDeg, iigNbr, scan)
-			if err != nil {
-				return nil, err
+			if ar != nil {
+				ar.cuts = evenCutsInto(ar.cuts, nGates, k)
+				cuts = ar.cuts
+			} else {
+				cuts = evenCutsInto(nil, nGates, k)
 			}
-			sharded = done
 		}
 	}
-	if !sharded {
-		// Fill pass over the serially replayed stream.
-		if err := src.Rewind(); err != nil {
-			return nil, err
-		}
+	sharded := cuts != nil
+	if sharded {
+		fillSharded(recs, cuts, ar, numQ, nodes, succDeg, predDeg, predOff, succ, pred, iigDeg, iigNbr, scan)
+	} else {
 		scan.ResetFor(numQ)
 		fill := func(from, to qodg.NodeID) {
 			succ[succDeg[from]] = to
@@ -347,38 +323,16 @@ func analyzeStream(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 			pred[predDeg[to]] = from
 			predDeg[to]++
 		}
-		filled := 0
-		for cur := newGateCursor(src); ; {
-			gp := cur.next()
-			if gp == nil {
-				break
+		for i, r := range recs {
+			id := qodg.NodeID(i + 1)
+			nodes[i+1] = qodg.Node{ID: id, Op: qodg.Op{Type: circuit.GateType(r.t)}, GateIndex: i}
+			if r.b >= 0 {
+				iigNbr[iigDeg[r.a]] = r.b
+				iigDeg[r.a]++
+				iigNbr[iigDeg[r.b]] = r.a
+				iigDeg[r.b]++
 			}
-			g := *gp
-			if filled >= nGates {
-				return nil, replayError(src, nGates)
-			}
-			if !trusted || g.Arity() > 2 {
-				if err := validateStreamGate(src, filled, g, numQ, trusted); err != nil {
-					return nil, err
-				}
-			}
-			id := qodg.NodeID(filled + 1)
-			nodes[filled+1] = qodg.Node{ID: id, Op: qodg.Op{Type: g.Type}, GateIndex: filled}
-			if g.Arity() == 2 {
-				a, b := g.QubitPair()
-				iigNbr[iigDeg[a]] = int32(b)
-				iigDeg[a]++
-				iigNbr[iigDeg[b]] = int32(a)
-				iigDeg[b]++
-			}
-			scan.VisitGate(id, g, fill)
-			filled++
-		}
-		if err := src.Err(); err != nil {
-			return nil, err
-		}
-		if filled != nGates || src.NumQubits() != numQ {
-			return nil, replayError(src, nGates)
+			scan.VisitPair(id, r.a, r.b, fill)
 		}
 		scan.VisitEnd(end, fill)
 	}
@@ -419,17 +373,15 @@ func analyzeStream(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 	}, nil
 }
 
-// fillStreamSharded is the shard-parallel fill pass of analyzeStream: one
-// goroutine per stream segment runs the same scan as the serial replay with
-// shard-local pending-seeded last-writer state, in-shard edges land directly
-// in the CSR cursors (disjoint row ranges — no races), and a serial stitch
-// resolves the boundary edges — the k-shard generalization of the merge
+// fillSharded is the shard-parallel fill pass of analyzeStream: shard i
+// fills records [cuts[i], cuts[i+1]) on its own goroutine with shard-local
+// pending-seeded last-writer state, in-shard edges land directly in the CSR
+// cursors (disjoint row ranges — no races), and a serial stitch resolves
+// the boundary edges — the k-shard generalization of the merge
 // Appender.Snapshot performs for one suffix. The row offsets already exist
-// (the serial counting pass produced them), so the stitch only replays
-// fills, and a final check that the merged last-writer state equals the
-// counting pass's state guards the whole fill against a stream that
-// replays differently. Returns false (no error) when the source declines to
-// segment, leaving the serial fallback to run.
+// (the counting pass produced them), so the stitch only replays fills, and
+// scan — the counting pass's scanner — already holds the final last-writer
+// state the end anchor's edges need.
 //
 // Why the result is bitwise identical to the serial fill:
 //
@@ -452,26 +404,10 @@ func analyzeStream(src GateStream, ar *Arena, forceK int) (*Analysis, error) {
 //     rows and IIG rows are sorted downstream, so only their multisets
 //     matter, which lets the IIG fill use atomic per-qubit cursors instead
 //     of per-shard bases.
-func fillStreamSharded(src SegmentedStream, ar *Arena, k, nGates, numQ int,
+func fillSharded(recs []gateRec, cuts []int, ar *Arena, numQ int,
 	nodes []qodg.Node, succDeg, predDeg, predOff []int32, succ, pred []qodg.NodeID,
-	iigDeg, iigNbr []int32, scan *qodg.DepScanner) (bool, error) {
-	segs, cuts, err := src.Segments(k)
-	if err != nil {
-		return false, err
-	}
-	if segs == nil {
-		return false, nil
-	}
-	k = len(segs)
-	if k < 1 || len(cuts) != k+1 || cuts[0] != 0 || cuts[k] != nGates {
-		return false, replayError(src, nGates)
-	}
-	for i := 0; i < k; i++ {
-		if cuts[i] > cuts[i+1] {
-			return false, replayError(src, nGates)
-		}
-	}
-
+	iigDeg, iigNbr []int32, scan *qodg.DepScanner) {
+	k := len(cuts) - 1
 	var (
 		shards []shardScratch
 		seed   []qodg.NodeID
@@ -504,58 +440,23 @@ func fillStreamSharded(src SegmentedStream, ar *Arena, k, nGates, numQ int,
 			pred[predDeg[to]] = from
 			predDeg[to]++
 		}
-		s := segs[si]
-		i := cuts[si]
-		trusted := gatesPrevalidated(s)
-		for cur := newGateCursor(s); ; {
-			gp := cur.next()
-			if gp == nil {
-				break
-			}
-			g := *gp
-			if i >= cuts[si+1] {
-				sc.valErr = replayError(src, nGates)
-				return
-			}
-			if !trusted || g.Arity() > 2 {
-				if err := validateStreamGate(src, i, g, numQ, trusted); err != nil {
-					sc.valErr = err
-					return
-				}
-			}
+		for i := cuts[si]; i < cuts[si+1]; i++ {
+			r := recs[i]
 			id := qodg.NodeID(i + 1)
-			nodes[i+1] = qodg.Node{ID: id, Op: qodg.Op{Type: g.Type}, GateIndex: i}
-			if g.Arity() == 2 {
-				a, b := g.QubitPair()
-				iigNbr[atomic.AddInt32(&iigDeg[a], 1)-1] = int32(b)
-				iigNbr[atomic.AddInt32(&iigDeg[b], 1)-1] = int32(a)
+			nodes[i+1] = qodg.Node{ID: id, Op: qodg.Op{Type: circuit.GateType(r.t)}, GateIndex: i}
+			if r.b >= 0 {
+				iigNbr[atomic.AddInt32(&iigDeg[r.a], 1)-1] = r.b
+				iigNbr[atomic.AddInt32(&iigDeg[r.b], 1)-1] = r.a
 			}
-			sc.scan.VisitGate(id, g, fill)
-			i++
-		}
-		if err := s.Err(); err != nil {
-			sc.valErr = err
-			return
-		}
-		if i != cuts[si+1] {
-			sc.valErr = replayError(src, nGates)
+			sc.scan.VisitPair(id, r.a, r.b, fill)
 		}
 	})
-	// The counting pass validated every gate, so any shard error here means
-	// the replay diverged; shards cover ascending ranges, so the first
-	// erring shard holds the earliest failure — the serial replay's answer.
-	for i := range shards {
-		if err := shards[i].valErr; err != nil {
-			return false, err
-		}
-	}
 
 	// Boundary stitch: resolve each shard's records against the merged
 	// last-writer state of the shards before it, drop per-gate duplicates,
 	// and replay the fills in shard order — later shards append strictly
 	// larger targets, preserving the serial ascending row order. The row
-	// slots already exist: the serial counting pass counted these exact
-	// edges.
+	// slots already exist: the counting pass counted these exact edges.
 	clear(seed[:numQ])
 	prev := boundaryRec{from: -1, to: -1}
 	for si := range shards {
@@ -577,35 +478,29 @@ func fillStreamSharded(src SegmentedStream, ar *Arena, k, nGates, numQ int,
 			}
 		}
 	}
-
-	// The merged state must reproduce the counting pass's final state; a
-	// faithful replay guarantees it, anything else is a broken stream.
-	if !slices.Equal(seed[:numQ], scan.Last()) {
-		return false, replayError(src, nGates)
-	}
 	fill := func(from, to qodg.NodeID) {
 		succ[succDeg[from]] = to
 		succDeg[from]++
 		pred[predDeg[to]] = from
 		predDeg[to]++
 	}
-	scan.VisitEnd(qodg.NodeID(nGates+1), fill)
+	scan.VisitEnd(qodg.NodeID(len(recs)+1), fill)
 
 	// Predecessor rows sort in parallel chunks; the caller assembles with
 	// the no-resort constructor.
-	n := nGates + 2
+	n := len(recs) + 2
 	g.run(func(si int) {
 		qodg.SortPredRange(predOff, pred, si*n/k, (si+1)*n/k)
 	})
-	return true, nil
 }
 
 // validateStreamGate applies Circuit.Validate's per-gate checks plus the
-// analysis-layer arity constraint, with the same error shapes. It also shields the CSR cursors from a misbehaving
-// stream: an out-of-range operand would otherwise corrupt rows silently.
-// Streams that advertise PrevalidatedStream skip the Gate.Validate half —
-// their decoders already ran the identical checks per gate — but keep the
-// arity cap, which is an analysis-layer constraint, not a gate-validity one.
+// analysis-layer arity constraint, with the same error shapes. It also
+// shields the CSR cursors from a misbehaving stream: an out-of-range
+// operand would otherwise corrupt rows silently. Streams that advertise
+// PrevalidatedStream skip the Gate.Validate half — their decoders already
+// ran the identical checks per gate — but keep the arity cap, which is an
+// analysis-layer constraint, not a gate-validity one.
 func validateStreamGate(src GateStream, i int, g circuit.Gate, numQubits int, trusted bool) error {
 	if !trusted {
 		if err := g.Validate(numQubits); err != nil {
@@ -617,13 +512,6 @@ func validateStreamGate(src GateStream, i int, g circuit.Gate, numQubits int, tr
 			i, g.Type, g.Arity())
 	}
 	return nil
-}
-
-// replayError reports a stream whose second pass disagreed with its first —
-// a broken GateStream implementation, never a property of the input.
-func replayError(src GateStream, nGates int) error {
-	return fmt.Errorf("analysis: stream %q changed between passes (first pass: %d gates, %d qubits)",
-		src.Name(), nGates, src.NumQubits())
 }
 
 // growKeep extends buf to length n, preserving existing contents and

@@ -23,7 +23,7 @@ import (
 // an approximation of the exact Mastrovito function — the interaction
 // structure, dependency structure and gate counts are those of the real
 // multiplier; see GF2MultExact for a functionally exact variant used in the
-// correctness tests, and DESIGN.md §2 for the substitution note.
+// correctness tests.
 func GF2Mult(n int) (*circuit.Circuit, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("benchgen: gf2 multiplier needs n ≥ 2, got %d", n)

@@ -167,6 +167,21 @@ func TestParseQCCommentsAndBlanks(t *testing.T) {
 	}
 }
 
+// TestNamedGatesResolve pins the mnemonic table against its length index:
+// every row resolves to itself in upper, lower and mixed case.
+func TestNamedGatesResolve(t *testing.T) {
+	for _, e := range namedGates {
+		if len(e.name) > maxNamedLen || strings.ToUpper(e.name) != e.name {
+			t.Errorf("row %q: names are upper case and at most %d bytes", e.name, maxNamedLen)
+		}
+		for _, m := range []string{e.name, strings.ToLower(e.name), strings.ToLower(e.name[:1]) + e.name[1:]} {
+			if got, canon, _, _ := namedGate(m); got != e.t || canon != e.canon {
+				t.Errorf("namedGate(%q) = %s %q, want %s %q", m, got, canon, e.t, e.canon)
+			}
+		}
+	}
+}
+
 func TestParseQCCaseInsensitiveMnemonics(t *testing.T) {
 	src := ".v a b c\nBEGIN\ncnot a b\ntof a b c\nh a\nnot b\nEND\n"
 	c, err := ParseQC(strings.NewReader(src), "case")

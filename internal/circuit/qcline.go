@@ -3,6 +3,7 @@ package circuit
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // SyntaxError is the positioned diagnostic every .qc parsing front end
@@ -59,30 +60,11 @@ func NewLineParser(source string) *LineParser {
 // Rewind resets the line counter and body state so the same statement
 // stream can be parsed again. The qubit register is kept: replaying an
 // identical stream assigns identical indices (declarations and
-// auto-declarations find their existing entries), which is exactly what the
-// two-pass streaming analysis needs.
+// auto-declarations find their existing entries), which is exactly what a
+// scanner's replay pass needs.
 func (p *LineParser) Rewind() {
 	p.lineno = 0
 	p.inBody = false
-}
-
-// Line reports the 1-based number of lines consumed since construction or
-// the last Rewind.
-func (p *LineParser) Line() int { return p.lineno }
-
-// InBody reports whether the parser is inside the BEGIN/END gate body.
-func (p *LineParser) InBody() bool { return p.inBody }
-
-// ForkAt returns an independent parser positioned mid-stream: line lines
-// already consumed, the given BEGIN/END state, and a clone of the register.
-// Fed the stream's remaining lines it parses exactly as the original would
-// have — replays of an already-validated stream find every name in the
-// cloned register, so auto-declaration assigns the original indices — while
-// the private register keeps concurrent forks from ever sharing the name
-// table. This is the segment-replay primitive of the sharded streaming
-// analysis.
-func (p *LineParser) ForkAt(line int, inBody bool) *LineParser {
-	return &LineParser{reg: p.reg.Clone(), lineno: line, inBody: inBody}
 }
 
 // NumQubits reports the register size declared or auto-declared so far.
@@ -111,10 +93,10 @@ func (p *LineParser) Next(line string) (g Gate, ok bool, err error) {
 	}
 	head := p.fields[0]
 	switch {
-	case strings.EqualFold(head, "BEGIN"):
+	case foldWord(head, "BEGIN"):
 		p.inBody = true
 		return Gate{}, false, nil
-	case strings.EqualFold(head, "END"):
+	case foldWord(head, "END"):
 		p.inBody = false
 		return Gate{}, false, nil
 	case head == ".v":
@@ -173,7 +155,10 @@ func (p *LineParser) splitFields(line string) {
 	}
 }
 
-// parseGate assembles and validates the gate on the current statement line.
+// parseGate assembles the gate on the current statement line. The gate
+// passes Gate.Validate by construction: gateShape fixes the operand counts
+// per type and declare hands out in-range indices, so only operand
+// distinctness is left to check, with Validate's error text.
 func (p *LineParser) parseGate() (Gate, error) {
 	mnemonic := p.fields[0]
 	nargs := len(p.fields) - 1
@@ -190,11 +175,14 @@ func (p *LineParser) parseGate() (Gate, error) {
 	if err != nil {
 		return Gate{}, p.wrap(p.cols[0], err)
 	}
-	g := Gate{Type: t, Controls: p.ops[:nctrl:nctrl], Targets: p.ops[nctrl:]}
-	if err := g.Validate(p.reg.NumQubits()); err != nil {
-		return Gate{}, p.wrap(p.cols[0], err)
+	for i := 1; i < nargs; i++ {
+		for j := 0; j < i; j++ {
+			if p.ops[j] == p.ops[i] {
+				return Gate{}, p.errorf(p.cols[0], "gate %s: duplicate operand qubit %d", t, p.ops[i])
+			}
+		}
 	}
-	return g, nil
+	return Gate{Type: t, Controls: p.ops[:nctrl:nctrl], Targets: p.ops[nctrl:]}, nil
 }
 
 func (p *LineParser) wrap(col int, err error) error {
@@ -210,40 +198,14 @@ func (p *LineParser) errorf(col int, format string, args ...any) error {
 // Mnemonics are case-insensitive. Both ParseQC and the ingest scanner route
 // through it, so mnemonic handling and error text stay identical.
 func gateShape(mnemonic string, nargs int) (t GateType, nctrl int, err error) {
-	exact := func(t GateType, canon string, wantC, wantT int) (GateType, int, error) {
-		if nargs != wantC+wantT {
-			if wantC+wantT == 1 {
+	if named, canon, c, n := namedGate(mnemonic); named != Invalid {
+		if nargs != n {
+			if n == 1 {
 				return Invalid, 0, fmt.Errorf("gate %s: want 1 operand, have %d", canon, nargs)
 			}
-			return Invalid, 0, fmt.Errorf("gate %s: want %d operands, have %d", canon, wantC+wantT, nargs)
+			return Invalid, 0, fmt.Errorf("gate %s: want %d operands, have %d", canon, n, nargs)
 		}
-		return t, wantC, nil
-	}
-	switch {
-	case strings.EqualFold(mnemonic, "H"):
-		return exact(H, "H", 0, 1)
-	case strings.EqualFold(mnemonic, "T"):
-		return exact(T, "T", 0, 1)
-	case strings.EqualFold(mnemonic, "T*"), strings.EqualFold(mnemonic, "TDG"):
-		return exact(Tdg, "T*", 0, 1)
-	case strings.EqualFold(mnemonic, "S"):
-		return exact(S, "S", 0, 1)
-	case strings.EqualFold(mnemonic, "S*"), strings.EqualFold(mnemonic, "SDG"):
-		return exact(Sdg, "S*", 0, 1)
-	case strings.EqualFold(mnemonic, "X"), strings.EqualFold(mnemonic, "NOT"):
-		return exact(X, "X", 0, 1)
-	case strings.EqualFold(mnemonic, "Y"):
-		return exact(Y, "Y", 0, 1)
-	case strings.EqualFold(mnemonic, "Z"):
-		return exact(Z, "Z", 0, 1)
-	case strings.EqualFold(mnemonic, "CNOT"):
-		return exact(CNOT, "CNOT", 1, 1)
-	case strings.EqualFold(mnemonic, "TOF"):
-		return exact(Toffoli, "TOF", 2, 1)
-	case strings.EqualFold(mnemonic, "FRE"):
-		return exact(Fredkin, "FRE", 1, 2)
-	case strings.EqualFold(mnemonic, "SWAP"):
-		return exact(Swap, "SWAP", 0, 2)
+		return named, c, nil
 	}
 	// tN / fN forms.
 	if n, ok := mnemonicArity(mnemonic); ok {
@@ -273,6 +235,119 @@ func gateShape(mnemonic string, nargs int) (t GateType, nctrl int, err error) {
 		return MCF, n - 2, nil
 	}
 	return Invalid, 0, fmt.Errorf("unknown gate mnemonic %q", mnemonic)
+}
+
+// namedGates is the one table of named mnemonics: the upper-case name,
+// the gate type, its spelling in diagnostics, its control count and its
+// operand count. Rows are sorted by name length, which namedFrom indexes.
+var namedGates = [...]struct {
+	name        string
+	t           GateType
+	canon       string
+	nctrl, nops int
+}{
+	{"H", H, "H", 0, 1},
+	{"T", T, "T", 0, 1},
+	{"S", S, "S", 0, 1},
+	{"X", X, "X", 0, 1},
+	{"Y", Y, "Y", 0, 1},
+	{"Z", Z, "Z", 0, 1},
+	{"T*", Tdg, "T*", 0, 1},
+	{"S*", Sdg, "S*", 0, 1},
+	{"TDG", Tdg, "T*", 0, 1},
+	{"SDG", Sdg, "S*", 0, 1},
+	{"NOT", X, "X", 0, 1},
+	{"TOF", Toffoli, "TOF", 2, 3},
+	{"FRE", Fredkin, "FRE", 1, 3},
+	{"CNOT", CNOT, "CNOT", 1, 2},
+	{"SWAP", Swap, "SWAP", 0, 2},
+}
+
+// maxNamedLen is the longest name in namedGates.
+const maxNamedLen = 4
+
+// namedFrom[n] is the first row of namedGates whose name is at least n
+// bytes long, so the names of exactly n bytes are rows
+// namedFrom[n]:namedFrom[n+1].
+var namedFrom = func() (from [maxNamedLen + 2]int) {
+	i := 0
+	for n := range from {
+		for i < len(namedGates) && len(namedGates[i].name) < n {
+			i++
+		}
+		from[n] = i
+	}
+	return from
+}()
+
+// namedGate resolves a named mnemonic through namedGates; t is Invalid
+// when m names none (tN/fN forms included). Matching follows
+// strings.EqualFold. An ASCII spelling only meets the rows of its own
+// length, compared bytewise under ASCII case folding; only a spelling with
+// a non-ASCII byte runs EqualFold over the whole table, because Unicode
+// folds reach past ASCII: ſ (U+017F) folds to s, so "ſwap" names SWAP.
+func namedGate(m string) (t GateType, canon string, nctrl, nops int) {
+	if isASCII(m) {
+		if len(m) <= maxNamedLen {
+			for i := namedFrom[len(m)]; i < namedFrom[len(m)+1]; i++ {
+				if foldASCII(m, namedGates[i].name) {
+					return namedRow(i)
+				}
+			}
+		}
+		return Invalid, "", 0, 0
+	}
+	for i := range namedGates {
+		if strings.EqualFold(m, namedGates[i].name) {
+			return namedRow(i)
+		}
+	}
+	return Invalid, "", 0, 0
+}
+
+func namedRow(i int) (t GateType, canon string, nctrl, nops int) {
+	e := &namedGates[i]
+	return e.t, e.canon, e.nctrl, e.nops
+}
+
+// foldWord is strings.EqualFold(s, word) for an upper-case ASCII word,
+// decided bytewise unless s has a non-ASCII byte: a spelling that folds to
+// word through a non-ASCII rune is longer than word in bytes.
+func foldWord(s, word string) bool {
+	if len(s) == len(word) {
+		return foldASCII(s, word)
+	}
+	return len(s) > len(word) && !isASCII(s) && strings.EqualFold(s, word)
+}
+
+// foldASCII reports whether s equals the upper-case ASCII word under ASCII
+// case folding.
+func foldASCII(s, word string) bool {
+	if len(s) != len(word) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if upper(s[i]) != word[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func upper(c byte) byte {
+	if 'a' <= c && c <= 'z' {
+		return c - ('a' - 'A')
+	}
+	return c
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // mnemonicArity parses the <N> of a tN/fN mnemonic. Strict: every character

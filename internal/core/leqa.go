@@ -183,18 +183,6 @@ func (f *ftGuard) PrevalidatedGates() bool {
 	return ok && p.PrevalidatedGates()
 }
 
-// Segments delegates to the wrapped source so the guard never hides a
-// segmentable stream from the shard-parallel fill pass. The segments
-// themselves are not re-guarded: the counting pass runs the full stream
-// through the guard first, so a non-FT gate fails the analysis before any
-// fill — sharded or serial — begins.
-func (f *ftGuard) Segments(max int) ([]analysis.GateStream, []int, error) {
-	if seg, ok := f.src.(analysis.SegmentedStream); ok {
-		return seg.Segments(max)
-	}
-	return nil, nil, nil
-}
-
 // scalarPhase runs lines 2–18 of Algorithm 1 — everything before the QODG
 // re-weighting: the zone coverage average (Eq. 6–7), the congestion-free
 // routing latency (Eq. 12, 15–16), and the memoized zone-model terms

@@ -1,7 +1,7 @@
-// Package experiments regenerates every table and figure of the LEQA paper
-// (see DESIGN.md §4 for the experiment index). Each function renders a
-// formatted report to an io.Writer; cmd/experiments exposes them on the
-// command line and bench_test.go drives the same code paths under
+// Package experiments regenerates every table and figure of the LEQA paper.
+// Each function renders a formatted report to an io.Writer;
+// cmd/experiments exposes them on the command line (its package doc is the
+// experiment index) and bench_test.go drives the same code paths under
 // testing.B.
 package experiments
 

@@ -11,7 +11,8 @@
 // slice of distinct neighbors with a parallel weight slice. Circuits reach
 // it through internal/analysis, whose passes stream the gate list into a
 // flat multigraph incidence array (no per-qubit maps); FromIncidence then
-// sorts each row and collapses duplicate neighbors into weights in place.
+// sorts the rows by a counting transpose and collapses duplicate neighbors
+// into weights.
 package iig
 
 import (
@@ -40,20 +41,24 @@ type Graph struct {
 }
 
 // Scratch holds the reusable storage of FromIncidenceScratch: the Graph
-// header plus its offset/weight/degree arrays, recycled across circuits by
-// the analysis arena. A zero Scratch is ready to use.
+// header plus its offset/weight/degree arrays and the transpose buffer,
+// recycled across circuits by the analysis arena. A zero Scratch is ready to use.
 type Scratch struct {
-	g    Graph
-	adjw []int32
-	off  []int32
-	wt   []int32
+	g      Graph
+	adjw   []int32
+	off    []int32
+	wt     []int32
+	sorted []int32
 }
 
 // FromIncidence assembles a Graph from multigraph CSR incidence data: off
 // holds q+1 row offsets into nbr, and each nbr entry is one unit-weight
-// interaction endpoint (each two-qubit op appears once in either endpoint's
-// row). Rows are sorted and duplicate neighbors collapsed into weights in
-// place. The analysis layer calls this after its fused counting/fill pass.
+// interaction endpoint. The incidence must be symmetric — each two-qubit op
+// appears once in either endpoint's row, so b occurs in row a exactly as
+// often as a in row b — which is what lets the rows be sorted by a counting
+// transpose. Duplicate neighbors are collapsed into weights, written back
+// into nbr. The analysis layer calls this after its fused counting/fill
+// pass.
 func FromIncidence(q int, off []int32, nbr []int32) *Graph {
 	return fromIncidence(q, off, nbr, new(Scratch), true)
 }
@@ -86,11 +91,29 @@ func fromIncidence(q int, off []int32, nbr []int32, sc *Scratch, clone bool) *Gr
 	if clone && cap(wt) < len(nbr) {
 		wt = make([]int32, 0, len(nbr))
 	}
+	// Counting transpose: by symmetry, row u holds v once per entry u in
+	// row v, so visiting the rows in ascending order and appending each
+	// row's index to the rows of its entries lists every row in ascending
+	// order, in O(E) with no comparison sort. newOff serves as the cursors.
+	sorted := sc.sorted
+	if cap(sorted) < len(nbr) {
+		sorted = make([]int32, len(nbr))
+	}
+	sorted = sorted[:len(nbr)]
+	if !clone {
+		sc.sorted = sorted
+	}
+	copy(newOff, off[:q])
+	for v := 0; v < q; v++ {
+		for _, u := range nbr[off[v]:off[v+1]] {
+			sorted[newOff[u]] = int32(v)
+			newOff[u]++
+		}
+	}
 	w := int32(0) // compaction write cursor into nbr
 	for i := 0; i < q; i++ {
 		newOff[i] = w
-		row := nbr[off[i]:off[i+1]]
-		slices.Sort(row)
+		row := sorted[off[i]:off[i+1]]
 		g.adjw[i] = int32(len(row))
 		for k := 0; k < len(row); {
 			run := k + 1

@@ -5,8 +5,10 @@
 // plus one line plus the qubit register — independent of gate count — which
 // opens the beyond-memory workload class the ROADMAP names.
 //
-// The fused analysis front end needs two passes over the gate stream (a
-// counting pass and a CSR fill pass), so a Scanner is re-windable:
+// The analysis reads a stream once: its counting pass records every gate
+// for its fill pass. A Scanner is still re-windable, for the consumers that
+// need a second pass — the materialized decompose fallback (Materialize),
+// digest-then-analyze, encoders:
 //
 //   - sources that implement io.ReadSeeker (files) rewind with one Seek;
 //   - everything else (pipes, network bodies) is spooled to an anonymous
@@ -35,7 +37,8 @@ import (
 const (
 	// DefaultChunkBytes is the read-chunk size: large enough to amortize
 	// syscalls, small enough to be irrelevant next to any real netlist.
-	DefaultChunkBytes = 256 << 10
+	// Every Scanner allocates one, so a service pays it once per upload.
+	DefaultChunkBytes = 64 << 10
 	// DefaultMaxLineBytes caps a single .qc line, matching the 16 MiB token
 	// cap ParseQC has always imposed via bufio.Scanner.
 	DefaultMaxLineBytes = 16 << 20
@@ -106,12 +109,6 @@ type Scanner struct {
 	ownsFile  *os.File    // set by Open; closed by Close
 	extra     []io.Closer // container resources (files, inflate spools) released by Close
 	inflated  int64       // bytes a gzip container inflated to disk on this stream's behalf
-
-	// Replay checkpoints, recorded during the first complete pass so later
-	// passes can be split into concurrent segments (Segments).
-	ckpts    []checkpoint
-	ckptDone bool // a complete pass has recorded its checkpoints
-	nGates   int  // total gate count, valid once ckptDone
 }
 
 // NewScanner returns a Scanner over r. name labels the netlist in
@@ -158,9 +155,10 @@ func Open(path string, opt Options) (Stream, error) {
 // Name reports the netlist label.
 func (s *Scanner) Name() string { return s.name }
 
-// PrevalidatedGates implements analysis.PrevalidatedStream: the line parser
-// validates every gate as it is parsed (circuit.Gate.Validate against the
-// register, which only grows), so the analysis passes need not re-check.
+// PrevalidatedGates implements analysis.PrevalidatedStream: every gate the
+// line parser emits passes circuit.Gate.Validate by construction (shape
+// from the mnemonic, operands from the register, which only grows, and a
+// distinctness check), so the counting pass need not re-check.
 func (s *Scanner) PrevalidatedGates() bool { return true }
 
 // NumQubits reports the register size declared or auto-declared so far; it
@@ -221,12 +219,6 @@ func (s *Scanner) Scan() bool {
 					s.srcSize = s.lr.read
 				}
 			}
-			if !s.ckptDone {
-				// This pass ran start to finish: its checkpoint trail and
-				// gate count describe the complete netlist.
-				s.ckptDone = true
-				s.nGates = s.gateIndex + 1
-			}
 			return false
 		}
 		if err != nil {
@@ -249,17 +241,6 @@ func (s *Scanner) Scan() bool {
 		if ok {
 			s.gate = g
 			s.gateIndex++
-			if !s.ckptDone && (s.gateIndex+1)%checkpointStride == 0 {
-				// The line reader has consumed the gate's full line, so the
-				// unread-window arithmetic lands the offset exactly on the
-				// following line boundary.
-				s.ckpts = append(s.ckpts, checkpoint{
-					gate:   s.gateIndex + 1,
-					off:    s.lr.read - int64(s.lr.n-s.lr.pos),
-					line:   s.p.Line(),
-					inBody: s.p.InBody(),
-				})
-			}
 			return true
 		}
 	}
@@ -343,11 +324,6 @@ func (s *Scanner) Materialize() (*circuit.Circuit, error) {
 // that is about to run.
 func (s *Scanner) startPass() error {
 	defer func() { s.started = true }()
-	if !s.ckptDone {
-		// A previous pass stopped early (its trail is partial); this pass
-		// starts from gate 0, so record from scratch.
-		s.ckpts = s.ckpts[:0]
-	}
 	if s.seeker != nil {
 		if _, err := s.seeker.Seek(s.start, io.SeekStart); err != nil {
 			return s.wrapIO(err)

@@ -3,13 +3,16 @@ package ingest
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/circuit"
+	"repro/internal/qodg"
 )
 
 const sampleQC = `# streaming sample
@@ -309,4 +312,94 @@ func FuzzScanner(f *testing.F) {
 			s.Close()
 		}
 	})
+}
+
+// bigQC synthesizes a netlist long enough to shard, with comments, blank
+// lines and auto-declared ancillas sprinkled in.
+func bigQC(nGates int) string {
+	var b strings.Builder
+	b.WriteString("# synthetic sharding netlist\n.v q0 q1 q2 q3 q4 q5 q6 q7\nBEGIN\n")
+	for i := 0; i < nGates; i++ {
+		switch i % 5 {
+		case 0:
+			fmt.Fprintf(&b, "H q%d\n", i%8)
+		case 1:
+			fmt.Fprintf(&b, "CNOT q%d q%d\n", i%8, (i+3)%8)
+		case 2:
+			fmt.Fprintf(&b, "T q%d\n", (i+5)%8)
+		case 3:
+			// Same-pair run material plus an occasional comment line.
+			fmt.Fprintf(&b, "CNOT q%d q%d\n", i%4, i%4+4)
+			if i%97 == 3 {
+				b.WriteString("  # mid-body comment\n\n")
+			}
+		default:
+			fmt.Fprintf(&b, "CNOT anc%d q%d\n", i%3, i%8)
+		}
+	}
+	b.WriteString("END\n")
+	return b.String()
+}
+
+// TestAnalyzeStreamShardedOverScanner checks a scanner-fed analysis end to
+// end: the fill pass sharded over the scanner's gate records must produce
+// graphs identical to the serial fill of the same netlist.
+func TestAnalyzeStreamShardedOverScanner(t *testing.T) {
+	text := bigQC(20000)
+	s := NewScanner(strings.NewReader(text), "big", Options{})
+	want, err := analysis.AnalyzeStream(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	origThreshold := analysis.ShardThreshold
+	defer func() { analysis.ShardThreshold = origThreshold }()
+	analysis.ShardThreshold = 1
+	ar := analysis.NewArena()
+	ar.MaxShards = 4
+	if err := s.Rewind(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ar.AnalyzeStream(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if got.Qubits != want.Qubits || got.Operations != want.Operations || got.FT != want.FT {
+		t.Fatalf("metadata (%d,%d,%v), want (%d,%d,%v)",
+			got.Qubits, got.Operations, got.FT, want.Qubits, want.Operations, want.FT)
+	}
+	if got.QODG.NumNodes() != want.QODG.NumNodes() || got.QODG.NumEdges() != want.QODG.NumEdges() {
+		t.Fatalf("QODG shape %d/%d, want %d/%d",
+			got.QODG.NumNodes(), got.QODG.NumEdges(), want.QODG.NumNodes(), want.QODG.NumEdges())
+	}
+	for u := 0; u < want.QODG.NumNodes(); u++ {
+		id := qodg.NodeID(u)
+		if !nodeIDsEqual(got.QODG.Succ(id), want.QODG.Succ(id)) ||
+			!nodeIDsEqual(got.QODG.Pred(id), want.QODG.Pred(id)) {
+			t.Fatalf("node %d adjacency differs: succ %v/%v pred %v/%v", u,
+				got.QODG.Succ(id), want.QODG.Succ(id), got.QODG.Pred(id), want.QODG.Pred(id))
+		}
+	}
+	ge, we := got.IIG.Edges(), want.IIG.Edges()
+	if len(ge) != len(we) {
+		t.Fatalf("IIG %d edges, want %d", len(ge), len(we))
+	}
+	for i := range we {
+		if ge[i] != we[i] {
+			t.Fatalf("IIG edge %d = %+v, want %+v", i, ge[i], we[i])
+		}
+	}
+}
+
+func nodeIDsEqual(a, b []qodg.NodeID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -55,6 +55,19 @@ func QODG(c *circuit.Circuit) (*qodg.Graph, error) {
 	return g, nil
 }
 
+// LastWriter is the per-qubit last-writer state after c's final gate: the
+// node of the last gate touching each qubit, 0 (the start anchor) for an
+// idle one — the seed an analysis Appender resumes from.
+func LastWriter(c *circuit.Circuit) []qodg.NodeID {
+	last := make([]qodg.NodeID, c.NumQubits())
+	for i, gate := range c.Gates {
+		for _, q := range gate.Qubits() {
+			last[q] = qodg.NodeID(i + 1)
+		}
+	}
+	return last
+}
+
 // flatten sorts and deduplicates every adjacency list and packs the lists
 // into CSR offsets plus one edge array.
 func flatten(adj [][]qodg.NodeID) ([]int32, []qodg.NodeID) {

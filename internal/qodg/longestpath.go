@@ -58,6 +58,11 @@ type PathScratch struct {
 	prepCnt    []int32   // per-worker level histograms/cursors of the parallel index build
 }
 
+// Nodes reports the node count of the largest graph the scratch has swept:
+// every sweep's path recovery sizes walk to its graph, and the scratch's
+// other slabs scale with it.
+func (s *PathScratch) Nodes() int { return cap(s.walk) }
+
 // grow is csr.Grow under a local name: resize, reallocating only when the
 // capacity is insufficient, contents unspecified.
 func grow[T any](buf []T, n int) []T { return csr.Grow(buf, n) }

@@ -95,7 +95,7 @@ func (g *Graph) OutDegree(u NodeID) int { return int(g.succOff[u+1] - g.succOff[
 // (the one graph builder) fuses the IIG build into the same gate loop.
 type DepScanner struct {
 	last    []NodeID // last node touching each qubit; 0 = start anchor
-	scratch []NodeID // per-gate distinct sources
+	scratch []NodeID // VisitEnd's distinct sources
 }
 
 // NewDepScanner returns a scanner over numQubits qubits.
@@ -139,7 +139,7 @@ func (s *DepScanner) ResetFor(numQubits int) {
 // Pending is the sentinel family a shard-local scan seeds its last-writer
 // state with: PendingWriter(q) marks qubit q as last written by an unknown
 // node of an earlier shard. Sentinels are negative and distinct per qubit,
-// so VisitGate's per-gate duplicate merging never collapses two unresolved
+// so VisitPair's per-gate duplicate merging never collapses two unresolved
 // operands on different qubits — they may resolve to different earlier
 // nodes — while two operands on the same still-pending qubit are impossible
 // (a gate's operands are distinct). Edges emitted with a pending source are
@@ -164,31 +164,25 @@ func (s *DepScanner) ResetPending(numQubits int) {
 	}
 }
 
-// VisitGate emits (from, id) once per distinct dependency source of the
+// VisitPair emits (from, id) once per distinct dependency source of the
 // gate occupying node id, then records id as the last writer of the gate's
-// qubits. Duplicate sources (two operands last touched by the same node)
-// are merged here, which is exhaustive: every edge into id is generated by
-// this single call, so duplicates can never arrive later.
-func (s *DepScanner) VisitGate(id NodeID, g circuit.Gate, emit func(from, to NodeID)) {
-	s.scratch = s.scratch[:0]
-	for _, q := range g.Controls {
-		s.visitQubit(id, q, emit)
+// qubits. The gate has at most two operands, given as indices controls
+// first, with b = -1 for a one-qubit gate. Duplicate sources (both operands
+// last touched by the same node) are merged here, which is exhaustive:
+// every edge into id is generated by this single call, so duplicates can
+// never arrive later.
+func (s *DepScanner) VisitPair(id NodeID, a, b int32, emit func(from, to NodeID)) {
+	fa := s.last[a]
+	s.last[a] = id
+	emit(fa, id)
+	if b < 0 {
+		return
 	}
-	for _, q := range g.Targets {
-		s.visitQubit(id, q, emit)
+	fb := s.last[b]
+	s.last[b] = id
+	if fb != fa {
+		emit(fb, id)
 	}
-}
-
-func (s *DepScanner) visitQubit(id NodeID, q int, emit func(from, to NodeID)) {
-	from := s.last[q]
-	s.last[q] = id
-	for _, f := range s.scratch {
-		if f == from {
-			return
-		}
-	}
-	s.scratch = append(s.scratch, from)
-	emit(from, id)
 }
 
 // VisitEnd emits the final-level edges: one (last[q], end) edge per qubit,

@@ -7,8 +7,8 @@ import "sort"
 // start time; reserve finds the earliest gap that fits. Unlike a scalar
 // busy-until watermark, a calendar lets a gate that is *processed* later but
 // *scheduled* earlier slot into a past gap — without it, skew between qubit
-// chains falsely serializes independent work (see the gf2 pipelining note
-// in DESIGN.md).
+// chains falsely serializes independent work, as in the gf2 multipliers,
+// whose partial-product chains pipeline through shared ULBs.
 type calendar struct {
 	start []float64
 	end   []float64

@@ -65,12 +65,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 // handleEstimateQC estimates a raw netlist upload through the streaming
 // ingestion path: the body is sniffed by magic bytes (.qc text, binary
-// .qcb, either gzipped), tokenized gate by gate and spooled to disk — not
-// RAM — for the analyzer's second pass, so a chunked upload far past
-// MaxBodyBytes estimates in O(analysis) memory. The 413 limit for raw
-// uploads is the disk-spool cap (MaxSpoolBytes); a gzip body inflating
-// past it is a 422; MaxBodyBytes keeps bounding the JSON endpoints and
-// the materialized decompose fallback.
+// .qcb, either gzipped) and parsed gate by gate, once — the analysis
+// records each gate for its fill pass — so a chunked upload far past
+// MaxBodyBytes estimates in O(analysis) memory. The body is also spooled
+// to disk, not RAM. The spool backs only the rewind of the materialized
+// decompose fallback, and its cap (MaxSpoolBytes) is the 413 limit for
+// raw uploads; a gzip body inflating past it is a 422. MaxBodyBytes keeps
+// bounding the JSON endpoints and the decompose fallback.
 func (s *Server) handleEstimateQC(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	ps, err := paramSpecFromQuery(q)

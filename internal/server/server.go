@@ -11,11 +11,12 @@
 //	GET  /healthz        build info + zone-model cache statistics
 //	GET  /metrics        Prometheus-style per-endpoint request/row/latency
 //
-// Raw .qc uploads stream through internal/ingest: gates are parsed and
-// analyzed as the body flows, with an on-disk spool (never RAM) backing the
-// analyzer's second pass, so chunked uploads far past MaxBodyBytes estimate
-// in O(analysis) memory under the MaxSpoolBytes disk cap (the 413 limit for
-// raw uploads).
+// Raw .qc uploads stream through internal/ingest: gates are parsed once
+// and analyzed as the body flows, so chunked uploads far past MaxBodyBytes
+// estimate in O(analysis) memory. The body is teed to an on-disk spool
+// (never RAM) under the MaxSpoolBytes cap — the 413 limit for raw uploads —
+// which backs only the rewind of the materialized decompose fallback for
+// non-FT uploads.
 //
 // The batch endpoints stream one leqa.ResultRecord per row — NDJSON by
 // default, server-sent events when the client asks for text/event-stream —

@@ -47,7 +47,7 @@ func TourEstimate(n int) float64 { return MeanA*math.Sqrt(float64(n)) + MeanB }
 //   - m == 1: Eq. 15's (m−1)/m factor collapses to 0, but physically the
 //     qubit still travels to one partner. We use the exact expected distance
 //     between two uniform points in a square of the given area instead
-//     (≈ 0.5214 · side). See DESIGN.md §5.
+//     (≈ 0.5214 · side).
 func ExpectedHamiltonianPath(m int, zoneArea float64) float64 {
 	if m <= 0 || zoneArea <= 0 {
 		return 0

@@ -141,7 +141,7 @@ func Decompose(c *Circuit) (*Circuit, error) {
 }
 
 // Analyze builds both graphs of a circuit — the QODG (Fig. 2b) and the IIG
-// — in one fused two-pass build: the front end Estimate and the sweep
+// — in one fused build: the front end Estimate and the sweep
 // engines run, exposed for callers that want the graphs or want to amortize
 // one analysis across many estimates.
 func Analyze(c *Circuit) (*Analysis, error) { return analysis.Analyze(c) }

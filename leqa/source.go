@@ -18,8 +18,9 @@ import (
 // Streaming ingestion types, re-exported from the internal packages.
 type (
 	// GateStream is a re-windable stream of validated gates — the input of
-	// the streaming estimation paths. ingest scanners (see FileSource /
-	// ReaderSource) and CircuitSource streams implement it.
+	// the streaming estimation paths, which analyze it in one read. ingest
+	// scanners (see FileSource / ReaderSource) and CircuitSource streams
+	// implement it.
 	GateStream = analysis.GateStream
 	// PrevalidatedStream is the optional GateStream capability advertising
 	// that yielded gates are already validated; wrappers that pass gates
@@ -28,7 +29,8 @@ type (
 	PrevalidatedStream = analysis.PrevalidatedStream
 	// IngestOptions tunes the streaming .qc scanner: chunk size, line cap,
 	// and the on-disk spool (directory, byte cap) non-seekable sources use
-	// to support the analyzer's second pass.
+	// to support a second pass (a store's digest-then-analyze, or
+	// materialization).
 	IngestOptions = ingest.Options
 	// Appender extends an analyzed circuit with an append-only gate suffix
 	// and snapshots Analyses without re-analyzing the prefix — the
@@ -98,8 +100,9 @@ func FileSource(path string, opt IngestOptions) Source {
 
 // ReaderSource streams a netlist from an arbitrary reader (stdin, a
 // network body) — textual .qc or binary .qcb, either gzipped, sniffed by
-// magic bytes — spooling to disk for the analyzer's second pass when r
-// cannot seek. The reader is consumed; the source can be opened once.
+// magic bytes — spooling to disk when r cannot seek, for the second pass
+// an attached store's digest-then-analyze makes. The reader is consumed;
+// the source can be opened once.
 func ReaderSource(name string, r io.Reader, opt IngestOptions) Source {
 	return Source{Name: name, Open: func() (GateStream, error) {
 		return ingest.NewAutoStream(r, name, opt)
@@ -225,9 +228,9 @@ func closeStream(src GateStream) {
 }
 
 // EstimateStreamWith estimates one gate stream under an explicit parameter
-// set through the runner's pooled arenas: the fused analysis passes consume
-// the stream directly (no store, no memo — the stream's digest is unknown
-// until it has been read), ctx cancels at gate granularity, and the first
+// set in one of the runner's arenas: the fused analysis reads the stream
+// once (no store, no memo — the stream's digest is unknown until it has
+// been read), ctx cancels at gate granularity, and the first
 // non-FT gate stops the scan with a NonFTError. It is the estimation
 // service's raw-upload path; the zone-model memo still shares cached
 // fabrics with every other estimate.

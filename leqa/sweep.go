@@ -16,34 +16,49 @@ import (
 // zone model across workers. Safe for concurrent use; construct once and
 // reuse across sweeps.
 //
-// Workers draw their per-estimate scratch state (graph-build buffers,
-// weight vector, longest-path arrays) from a pool of analysis.Arenas, so a
-// warm Runner — the leqad replica serving steady traffic — performs
-// near-zero heap allocation per estimate. Results never alias arena memory.
+// Workers draw their per-estimate scratch state (gate records, graph-build
+// buffers, weight vector, longest-path arrays) from a LIFO free list of
+// analysis.Arenas, so a warm Runner — the leqad replica serving steady
+// traffic — performs near-zero heap allocation per estimate. Unlike a
+// sync.Pool, the list survives GC: a cold upload after a collection finds
+// its slabs already grown. It retains at most Workers idle arenas, each
+// sized to the largest circuit it has analyzed, and none that has analyzed
+// more than maxIdleArenaGates gates; arenas checked out beyond Workers
+// (concurrent raw uploads are not bounded by the pool) or grown past that
+// size are dropped on release. Results never alias arena memory.
 type Runner struct {
 	est     *core.Estimator
 	opt     EstimateOptions
 	workers int
-	arenas  sync.Pool    // of *analysis.Arena
-	active  atomic.Int32 // arenas currently checked out ≈ cells in flight
+	mu      sync.Mutex
+	free    []*analysis.Arena // idle arenas, most recently released last
+	active  atomic.Int32      // arenas currently checked out ≈ cells in flight
 	store   *AnalysisStore
 	memo    *ResultMemo // optional (digest, params) result memo; see memo.go
 	memoOpt string      // options prefix baked into every memo key
 }
 
-// arena checks a warm arena out of the pool (or makes a fresh one). The
-// arena's longest-path scratch is capped to an even share of the cores
-// among the estimates currently in flight, so pool-workers × sweep-helpers
-// stay near GOMAXPROCS in aggregate: a saturated pool runs each cell's
-// critical-path sweep serially (the cells themselves are the parallelism),
-// while a lone large request — the interactive leqad case — fans its sweep
-// across every core. The share is a checkout-time snapshot, so a burst of
-// simultaneous checkouts can transiently overshoot while the first wave's
-// earlier, larger shares drain; it cannot deadlock or change results —
-// MaxWorkers is purely a performance cap.
+// arena checks the most recently released arena out of the free list (or
+// makes a fresh one). The arena's longest-path scratch is capped to an
+// even share of the cores among the estimates currently in flight, so
+// pool-workers × sweep-helpers stay near GOMAXPROCS in aggregate: a
+// saturated pool runs each cell's critical-path sweep serially (the cells
+// themselves are the parallelism), while a lone large request — the
+// interactive leqad case — fans its sweep across every core. The share is
+// a checkout-time snapshot, so a burst of simultaneous checkouts can
+// transiently overshoot while the first wave's earlier, larger shares
+// drain; it cannot deadlock or change results — MaxWorkers is purely a
+// performance cap.
 func (r *Runner) arena() *analysis.Arena {
-	ar, ok := r.arenas.Get().(*analysis.Arena)
-	if !ok {
+	var ar *analysis.Arena
+	r.mu.Lock()
+	if n := len(r.free); n > 0 {
+		ar = r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+	}
+	r.mu.Unlock()
+	if ar == nil {
 		ar = analysis.NewArena()
 	}
 	sweepWorkers := runtime.GOMAXPROCS(0) / int(r.active.Add(1))
@@ -57,11 +72,29 @@ func (r *Runner) arena() *analysis.Arena {
 	return ar
 }
 
-// release returns an arena to the pool once every borrow of its current
-// contents has ended.
+// maxIdleArenaGates is the largest circuit, in gates, whose arena the free
+// list keeps, whether the arena analyzed the circuit or only swept its
+// graph. An arena holds about 130 B of slabs per gate (246 MiB after a
+// 1.9M-gate circuit), so an idle arena holds at most about 33 MiB. Every
+// circuit of the paper's suite up to gf2^128mult (246,141 gates) keeps its
+// slabs warm; the arena of a larger upload, such as gf2^256mult or a
+// MaxGates-scale netlist, goes back to the GC when its estimate ends
+// instead of staying for the life of the process.
+const maxIdleArenaGates = 1 << 18
+
+// release returns an arena to the free list once every borrow of its
+// current contents has ended, or drops it when Workers arenas already idle
+// there or it has grown past maxIdleArenaGates.
 func (r *Runner) release(ar *analysis.Arena) {
 	r.active.Add(-1)
-	r.arenas.Put(ar)
+	if ar.Gates() > maxIdleArenaGates {
+		return
+	}
+	r.mu.Lock()
+	if len(r.free) < r.workers {
+		r.free = append(r.free, ar)
+	}
+	r.mu.Unlock()
 }
 
 // NewRunner validates the parameters and builds a Runner. workers ≤ 0

@@ -3,6 +3,8 @@ package leqa
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -228,6 +230,72 @@ func TestRunnerSingleWorkerDeterministic(t *testing.T) {
 		if a[i].Result.EstimatedLatency != b[i].Result.EstimatedLatency {
 			t.Errorf("%s: runs disagree: %v vs %v",
 				names[i], a[i].Result.EstimatedLatency, b[i].Result.EstimatedLatency)
+		}
+	}
+}
+
+// TestRunnerArenaFreeList pins the arena free list: release keeps at most
+// Workers idle arenas and drops the rest, checkout takes the most recently
+// released one, and idle arenas survive garbage collection, so a request
+// after a GC cycle finds its slabs already grown.
+func TestRunnerArenaFreeList(t *testing.T) {
+	r, err := NewRunner(DefaultParams(), EstimateOptions{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := r.arena(), r.arena(), r.arena()
+	r.release(a)
+	r.release(b)
+	r.release(c) // over the bound: dropped
+	if len(r.free) != 2 {
+		t.Fatalf("%d idle arenas, want the 2-worker bound", len(r.free))
+	}
+	runtime.GC()
+	runtime.GC()
+	if got := r.arena(); got != b {
+		t.Fatal("checkout did not return the most recently kept arena after GC")
+	}
+	if got := r.arena(); got != a {
+		t.Fatal("second checkout did not return the older idle arena")
+	}
+}
+
+// TestRunnerDropsOversizedArenas pins the free list's size cap: an arena
+// that analyzed maxIdleArenaGates gates goes back to the list, one that
+// analyzed a gate more is dropped on release, and so is one that only swept
+// a larger analysis built outside it, so a huge upload's or stored
+// circuit's slabs do not outlive its estimate.
+func TestRunnerDropsOversizedArenas(t *testing.T) {
+	p := DefaultParams()
+	body := func(gates int) string {
+		return ".v a\nBEGIN\n" + strings.Repeat("T a\n", gates) + "END\n"
+	}
+	big, err := AnalyzeReader(strings.NewReader(body(maxIdleArenaGates+1)), "big", IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		src  Source
+		kept bool
+	}{
+		{"analyzed at the cap", ReaderSource("cap", strings.NewReader(body(maxIdleArenaGates)), IngestOptions{}), true},
+		{"analyzed past the cap", ReaderSource("big", strings.NewReader(body(maxIdleArenaGates+1)), IngestOptions{}), false},
+		{"swept past the cap", AnalysisSource("big", big), false},
+	} {
+		r, err := NewRunner(p, EstimateOptions{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := r.SweepGridSources(context.Background(), []Source{tc.src}, []Params{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cells[0].Err != nil {
+			t.Fatal(cells[0].Err)
+		}
+		if kept := len(r.free) == 1; kept != tc.kept {
+			t.Errorf("%s: arena kept = %v, want %v", tc.name, kept, tc.kept)
 		}
 	}
 }
