@@ -248,48 +248,26 @@ func BenchmarkEstimateWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkLongestPath isolates the critical-path phase of an estimate: the
-// serial sweep against the level-partitioned parallel relaxation
-// (forced to 4 workers, and at the machine's automatic setting). On a
-// single-core host the auto dispatcher stays serial and Parallel4 mostly
-// measures coordination overhead; the ≥1.5× target applies at
-// GOMAXPROCS ≥ 4.
+// BenchmarkLongestPath isolates the critical-path phase of an estimate:
+// the serial pull over a one-column gate-type table, the single estimate's
+// path.
 func BenchmarkLongestPath(b *testing.B) {
 	names := []string{"gf2^128mult"}
 	if !testing.Short() {
 		names = append(names, "gf2^256mult")
 	}
+	tab := make([]float64, int(circuit.CNOT)+1) // row 0 weighs the pseudo-nodes: 0
+	for t := circuit.X; t < circuit.CNOT; t++ {
+		tab[t] = 100.25
+	}
+	tab[circuit.CNOT] = 1000.5
 	for _, name := range names {
 		g := qodgOf(b, ftCircuit(b, name))
-		w := g.NewWeights(func(gt circuit.Gate) float64 {
-			if gt.Type == circuit.CNOT {
-				return 1000.5
-			}
-			return 100.25
-		})
 		b.Run("Serial/"+sanitize(name), func(b *testing.B) {
-			s := &qodg.PathScratch{MaxWorkers: 1}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.LongestPathInto(w, s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("Parallel4/"+sanitize(name), func(b *testing.B) {
 			s := new(qodg.PathScratch)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := g.LongestPathParallel(w, s, 4); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("Auto/"+sanitize(name), func(b *testing.B) {
-			s := new(qodg.PathScratch)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.LongestPathInto(w, s); err != nil {
+				if _, err := g.LongestPath(tab, s); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -298,39 +276,43 @@ func BenchmarkLongestPath(b *testing.B) {
 }
 
 // BenchmarkLongestPathMulti isolates the multi-weight kernel against its
-// per-column serial baseline: K columns relaxed in one adjacency traversal
-// (SoA dist/from slabs) versus K separate serial single-column sweeps that
-// each stream the graph again. Multi reads each node's K weights from a
-// packed per-node slab; ByType reads them from a (gate type × column)
-// table, the estimator's batched path, with no per-node weights at all.
-// One traversal saves the K-1 adjacency re-reads but touches K-wide rows
-// per node, so whether it beats PerColumn on one core depends on the
-// host's memory system: BENCH_9 (1 CPU) has Multi/K6 at 2.17× PerColumn,
-// while on a 2-CPU host at -cpu 1 the two were level (16.5–18.1 vs
-// 16.7–17.2 ms).
+// per-column baseline: K columns relaxed in one adjacency traversal (SoA
+// dist/from slabs) versus K one-column sweeps that each stream the graph
+// again. Multi reads each node's K weights from a packed per-node slab
+// (LongestPathMultiStrided, the kernel cmd/leqabench replays); ByType
+// reads them from a (gate type × column) table, the estimator's batched
+// path, with no per-node weights at all; PerColumn runs LongestPath once
+// per column of the same table. One traversal saves the K-1 adjacency
+// re-reads but touches K-wide rows per node, so whether it beats PerColumn
+// on one core depends on the host's memory system: BENCH_9 (1 CPU) has
+// Multi/K6 at 2.17× PerColumn, while on a 2-CPU host at -cpu 1 the two
+// were level (16.5–18.1 vs 16.7–17.2 ms).
 func BenchmarkLongestPathMulti(b *testing.B) {
 	g := qodgOf(b, ftCircuit(b, "gf2^128mult"))
+	const rows = int(circuit.CNOT) + 1 // row 0 weighs the pseudo-nodes: 0
 	for _, k := range []int{2, 6} {
-		ws := make([]qodg.Weights, k)
-		tab := make([]float64, (int(circuit.CNOT)+1)*k) // row 0 weighs the pseudo-nodes: 0
-		for col := range ws {
+		tab := make([]float64, rows*k)
+		cols := make([][]float64, k) // column c of tab as a one-column table
+		for col := range cols {
 			scale := 1 + float64(col)*0.25
-			ws[col] = g.NewWeights(func(gt circuit.Gate) float64 {
-				if gt.Type == circuit.CNOT {
-					return 1000.5 * scale
-				}
-				return 100.25 * scale
-			})
+			cols[col] = make([]float64, rows)
 			for t := circuit.X; t < circuit.CNOT; t++ {
-				tab[int(t)*k+col] = 100.25 * scale
+				cols[col][t] = 100.25 * scale
 			}
-			tab[int(circuit.CNOT)*k+col] = 1000.5 * scale
+			cols[col][circuit.CNOT] = 1000.5 * scale
+			for t, w := range cols[col] {
+				tab[t*k+col] = w
+			}
+		}
+		wm := make([]float64, g.NumNodes()*k)
+		for v, node := range g.Nodes {
+			copy(wm[v*k:(v+1)*k], tab[int(node.Op.Type)*k:])
 		}
 		b.Run(fmt.Sprintf("Multi/K%d", k), func(b *testing.B) {
 			s := new(qodg.PathScratch)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := g.LongestPathMulti(ws, s); err != nil {
+				if _, err := g.LongestPathMultiStrided(wm, k, s); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -345,11 +327,11 @@ func BenchmarkLongestPathMulti(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("PerColumn/K%d", k), func(b *testing.B) {
-			s := &qodg.PathScratch{MaxWorkers: 1}
+			s := new(qodg.PathScratch)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, w := range ws {
-					if _, err := g.LongestPathInto(w, s); err != nil {
+				for _, col := range cols {
+					if _, err := g.LongestPath(col, s); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -34,9 +34,7 @@
 //	-maxmem N         materialize .qc files up to N bytes; stream larger ones
 //	                  (and stdin) through the ingestion layer (default 64 MiB)
 //	-workers          sweep worker-pool size (default GOMAXPROCS)
-//	-parallel-threshold N  critical-path parallel sweep threshold in nodes
-//	                  (default 65536; env LEQA_PARALLEL_THRESHOLD)
-//	-shard-threshold N     analysis shard-parallel threshold in gates; 0
+//	-shard-threshold N  analysis shard-parallel threshold in gates; 0
 //	                  disables sharding (default 65536; env LEQA_SHARD_THRESHOLD)
 //	-store-dir DIR    content-addressed analysis store directory: analyses
 //	                  persist as .qca images and later runs skip the graph
@@ -139,7 +137,6 @@ func run() error {
 		doDecompose  = flag.Bool("decompose", true, "lower reversible gates to the FT set first")
 		maxMem       = flag.Int64("maxmem", 64<<20, "materialize .qc files up to this many bytes; stream larger ones (and stdin)")
 		workers      = flag.Int("workers", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
-		parThresh    = flag.Int("parallel-threshold", -1, "critical-path parallel sweep threshold in nodes (-1 = default or $LEQA_PARALLEL_THRESHOLD)")
 		shardThresh  = flag.Int("shard-threshold", -1, "analysis shard-parallel threshold in gates, 0 disables sharding (-1 = default or $LEQA_SHARD_THRESHOLD)")
 		storeDir     = flag.String("store-dir", "", "analysis store directory: reuse persisted .qca analysis images across runs (default $LEQA_STORE_DIR)")
 		storeMem     = flag.Int("store-mem", -1, "analysis store memory-tier entry cap (-1 = default or $LEQA_STORE_MEM)")
@@ -162,12 +159,9 @@ func run() error {
 	if *jsonOut && *csvOut {
 		return fmt.Errorf("-json and -csv are mutually exclusive")
 	}
-	// Parallelism thresholds: environment first, explicit flags override.
+	// Shard threshold: environment first, an explicit flag overrides.
 	if err := leqa.ApplyEnvTuning(); err != nil {
 		return err
-	}
-	if *parThresh >= 0 {
-		leqa.SetParallelThreshold(*parThresh)
 	}
 	if *shardThresh >= 0 {
 		leqa.SetShardThreshold(*shardThresh)

@@ -54,9 +54,7 @@
 //	-degrade-after   consecutive breaching evaluations before degraded (3)
 //	-max-clients     tracked per-client series cardinality (default 64)
 //	-drain           graceful-shutdown drain window
-//	-parallel-threshold  critical-path parallel sweep threshold in nodes
-//	                 (default 65536; env LEQA_PARALLEL_THRESHOLD)
-//	-shard-threshold     analysis shard-parallel threshold in gates; 0
+//	-shard-threshold analysis shard-parallel threshold in gates; 0
 //	                 disables sharding (default 65536; env LEQA_SHARD_THRESHOLD)
 //	-store-dir       analysis store disk directory — persisted .qca images
 //	                 survive restarts (env LEQA_STORE_DIR; empty = memory-only)
@@ -143,7 +141,6 @@ func run() error {
 		degradeAfter  = flag.Int("degrade-after", 0, "consecutive breaching evaluations before /healthz reports degraded (0 = 3)")
 		maxClients    = flag.Int("max-clients", 0, "tracked per-client accounting cardinality; excess folds into \"other\" (0 = 64)")
 		drain         = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-		parThresh     = flag.Int("parallel-threshold", -1, "critical-path parallel sweep threshold in nodes (-1 = default or $LEQA_PARALLEL_THRESHOLD)")
 		shardThresh   = flag.Int("shard-threshold", -1, "analysis shard-parallel threshold in gates, 0 disables sharding (-1 = default or $LEQA_SHARD_THRESHOLD)")
 		storeDir      = flag.String("store-dir", "", "analysis store disk directory; persisted .qca images survive restarts (default $LEQA_STORE_DIR or memory-only)")
 		storeMem      = flag.Int("store-mem", -1, "analysis store memory-tier entry cap (-1 = default or $LEQA_STORE_MEM)")
@@ -174,13 +171,10 @@ func run() error {
 	}
 	logger := slog.New(handler)
 
-	// Parallelism thresholds: environment first, explicit flags override.
+	// Shard threshold: environment first, an explicit flag overrides.
 	// Applied before the Runner exists so no estimate ever races the write.
 	if err := leqa.ApplyEnvTuning(); err != nil {
 		return err
-	}
-	if *parThresh >= 0 {
-		leqa.SetParallelThreshold(*parThresh)
 	}
 	if *shardThresh >= 0 {
 		leqa.SetShardThreshold(*shardThresh)

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"repro/internal/circuit"
-	"repro/internal/csr"
 	"repro/internal/iig"
 	"repro/internal/qodg"
 )
@@ -10,11 +9,11 @@ import (
 // Arena is the reusable scratch state of the estimate hot path: every
 // buffer the analysis passes and the critical-path sweep would otherwise
 // allocate per call — gate records, node array, degree arrays, CSR
-// adjacency, DepScanner state, IIG incidence, the single-column weight
-// vector and the longest-path dist/from/level index — owned once and
-// recycled across circuits. A zero Arena is ready to use; buffers grow to
-// the largest circuit seen and stay warm, so a steady-state worker
-// analyzes and estimates with near-zero heap allocation.
+// adjacency, DepScanner state, IIG incidence and the longest-path
+// dist/from slabs — owned once and recycled across circuits. A zero Arena
+// is ready to use; buffers grow to the largest circuit seen and stay warm,
+// so a steady-state worker analyzes and estimates with near-zero heap
+// allocation.
 //
 // An Arena is not safe for concurrent use. The Analysis returned by
 // (*Arena).Analyze or (*Arena).AnalyzeStream aliases arena memory and is
@@ -23,10 +22,10 @@ import (
 type Arena struct {
 	// MaxShards caps the shard count of the parallel fill pass for calls
 	// through this arena; 0 means GOMAXPROCS, 1 forces the serial pass.
-	// leqa.Runner sets it (together with Path().MaxWorkers) to the arena's
-	// share of the cores, so pool concurrency and shard gangs divide the
-	// machine instead of multiplying against it. Purely a performance knob —
-	// results are bitwise identical at every setting.
+	// leqa.Runner sets it to the arena's share of the cores, so pool
+	// concurrency and shard gangs divide the machine instead of multiplying
+	// against it. Purely a performance knob — results are bitwise identical
+	// at every setting.
 	MaxShards int
 
 	scan             qodg.DepScanner
@@ -52,8 +51,7 @@ type Arena struct {
 	shards []shardScratch
 	seed   []qodg.NodeID
 
-	weights qodg.Weights
-	path    qodg.PathScratch
+	path qodg.PathScratch
 }
 
 // NewArena returns an empty arena. Equivalent to new(Arena); provided so
@@ -76,12 +74,3 @@ func (ar *Arena) Gates() int { return max(cap(ar.nodes), ar.path.Nodes(), 2) - 2
 
 // Path returns the arena's longest-path scratch for the qodg sweeps.
 func (ar *Arena) Path() *qodg.PathScratch { return &ar.path }
-
-// WeightVector returns a reusable weight vector for a single-column sweep
-// over g, one entry per node. Contents unspecified: the estimator overwrites
-// every entry. The vector grows to the largest graph seen and is recycled
-// across calls.
-func (ar *Arena) WeightVector(g *qodg.Graph) qodg.Weights {
-	ar.weights = csr.Grow(ar.weights, g.NumNodes())
-	return ar.weights
-}

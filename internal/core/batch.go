@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"repro/internal/analysis"
 	"repro/internal/circuit"
 	"repro/internal/fabric"
@@ -9,8 +11,8 @@ import (
 
 // EstimateAnalysis runs lines 2–20 of Algorithm 1 on an analyzed circuit: a
 // batch of one column, so a single estimate and a column of a grid row are
-// the same computation. ar, when non-nil, donates the weight vector and the
-// longest-path scratch; the Result never aliases it.
+// the same computation. ar, when non-nil, donates the longest-path scratch;
+// the Result never aliases it.
 func (e *Estimator) EstimateAnalysis(a *analysis.Analysis, ar *analysis.Arena) (*Result, error) {
 	var res [1]*Result
 	var errs [1]error
@@ -26,7 +28,7 @@ func (e *Estimator) EstimateAnalysis(a *analysis.Analysis, ar *analysis.Arena) (
 // (qodg.LongestPathMultiByType) reads every node's K weights from that
 // table by gate type and relaxes every column's critical path at once,
 // instead of streaming the adjacency K times. No per-node weight array is
-// built for K ≥ 2.
+// built at any K.
 //
 // results[j] and errs[j] are what ests[j].EstimateAnalysis(a, ar) returns,
 // bitwise: a column's failure (non-FT analysis, zone-model error, missing
@@ -113,9 +115,10 @@ func estimateBatch(ests []*Estimator, a *analysis.Analysis, ar *analysis.Arena, 
 		}
 	}
 
-	// One traversal for every column. The multi kernel reads the table by
-	// gate type; one column takes the single-column sweep over a per-node
-	// weight vector instead, sparing the result slice.
+	// One traversal for every column, reading the table by gate type. One
+	// column takes LongestPath, sparing the result slice. A node whose type
+	// has no row is a non-FT gate in an analysis flagged FT: it fails every
+	// column with a NonFTError rather than weighing nothing.
 	var scratch *qodg.PathScratch
 	if ar != nil {
 		scratch = ar.Path()
@@ -124,15 +127,16 @@ func estimateBatch(ests []*Estimator, a *analysis.Analysis, ar *analysis.Arena, 
 	var err error
 	if kr == 1 {
 		var one [1]qodg.CriticalPath
-		var w qodg.Weights
-		if w, err = nodeWeights(a, tab, ar); err == nil {
-			one[0], err = g.LongestPathInto(w, scratch)
-		}
+		one[0], err = g.LongestPath(tab, scratch)
 		cps = one[:]
 	} else {
 		cps, err = g.LongestPathMultiByType(tab, kr, scratch)
 	}
 	if err != nil {
+		var mr *qodg.MissingRowError
+		if errors.As(err, &mr) {
+			err = &NonFTError{Circuit: a.Name, Gate: g.Nodes[mr.Node].GateIndex, Type: mr.Type}
+		}
 		for _, j := range run {
 			results[j], errs[j] = nil, err
 		}
@@ -141,28 +145,6 @@ func estimateBatch(ests []*Estimator, a *analysis.Analysis, ar *analysis.Arena, 
 	for i, j := range run {
 		finishPath(results[j], cps[i])
 	}
-}
-
-// nodeWeights expands a one-column type table into a per-node weight
-// vector, in ar's buffer when ar is non-nil. A node whose type has no
-// table row — a non-FT gate in an analysis flagged FT — fails the estimate
-// with a NonFTError rather than weighing nothing.
-func nodeWeights(a *analysis.Analysis, tab []float64, ar *analysis.Arena) (qodg.Weights, error) {
-	g := a.QODG
-	var w qodg.Weights
-	if ar != nil {
-		w = ar.WeightVector(g)
-	} else {
-		w = make(qodg.Weights, len(g.Nodes))
-	}
-	for v, node := range g.Nodes {
-		t := node.Op.Type
-		if uint(t) >= uint(len(tab)) {
-			return nil, &NonFTError{Circuit: a.Name, Gate: node.GateIndex, Type: t}
-		}
-		w[v] = tab[t]
-	}
-	return w, nil
 }
 
 // hasFTDelays reports whether p configures a delay for every FT gate type.

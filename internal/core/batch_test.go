@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -52,16 +53,20 @@ func batchEstimators(t *testing.T, sets []fabric.Params, opt Options) []*Estimat
 // L_CNOT^avg per CNOT, d_g + L_g^avg per one-qubit gate.
 func assertOraclePath(t *testing.T, label string, p fabric.Params, a *analysis.Analysis, res *Result) {
 	t.Helper()
-	w := a.QODG.NewWeights(func(g circuit.Gate) float64 {
-		if g.Type == circuit.CNOT {
-			return p.DCNOT + res.LCNOTAvg
+	w := make([]float64, a.QODG.NumNodes()) // 0 at the pseudo-nodes
+	for v, node := range a.QODG.Nodes {
+		switch {
+		case node.IsPseudo():
+		case node.Op.Type == circuit.CNOT:
+			w[v] = p.DCNOT + res.LCNOTAvg
+		default:
+			d, err := p.DelayOf(node.Op.Type)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			w[v] = d + res.LOneQubitAvg
 		}
-		d, err := p.DelayOf(g.Type)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		return d + res.LOneQubitAvg
-	})
+	}
 	cp, err := oracle.LongestPath(a.QODG, w)
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +178,9 @@ func TestEstimateAnalysisBatchLongPath(t *testing.T) {
 }
 
 // TestEstimateRejectsNonFTNodeInFTAnalysis: an analysis flagged FT that
-// holds a non-FT node fails every column — with a NonFTError for one
-// column — rather than weighing the node 0 or panicking.
+// holds a non-FT node fails every column with a NonFTError naming the gate
+// and its type — one column and batched, with and without an arena —
+// rather than weighing the node 0 or panicking.
 func TestEstimateRejectsNonFTNodeInFTAnalysis(t *testing.T) {
 	c, err := benchgen.GenerateFT("ham7")
 	if err != nil {
@@ -185,20 +191,22 @@ func TestEstimateRejectsNonFTNodeInFTAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.QODG.Nodes[1].Op.Type = circuit.Swap // the FT flag now lies
-	var nf *NonFTError
-	for _, ar := range []*analysis.Arena{nil, analysis.NewArena()} {
-		res, err := batchEstimators(t, []fabric.Params{fabric.Default()}, Options{})[0].EstimateAnalysis(a, ar)
+	check := func(label string, err error, res *Result) {
+		t.Helper()
+		var nf *NonFTError
 		if !errors.As(err, &nf) || res != nil {
-			t.Fatalf("one column: err %v, Result returned: %v; want a NonFTError", err, res != nil)
+			t.Fatalf("%s: err %v, Result returned: %v; want a NonFTError", label, err, res != nil)
 		}
 		if nf.Type != circuit.Swap || nf.Gate != 0 {
-			t.Fatalf("NonFTError names gate %d of type %v, want gate 0 of type SWAP", nf.Gate, nf.Type)
+			t.Fatalf("%s: NonFTError names gate %d of type %v, want gate 0 of type SWAP", label, nf.Gate, nf.Type)
 		}
+	}
+	for _, ar := range []*analysis.Arena{nil, analysis.NewArena()} {
+		res, err := batchEstimators(t, []fabric.Params{fabric.Default()}, Options{})[0].EstimateAnalysis(a, ar)
+		check("one column", err, res)
 		results, errs := EstimateAnalysisBatch(batchEstimators(t, batchParamSets(t), Options{}), a, ar)
 		for j := range errs {
-			if errs[j] == nil || results[j] != nil {
-				t.Fatalf("col %d: err %v, Result returned: %v; want an error", j, errs[j], results[j] != nil)
-			}
+			check(fmt.Sprintf("col %d", j), errs[j], results[j])
 		}
 	}
 }

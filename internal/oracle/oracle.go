@@ -123,11 +123,12 @@ func IIG(c *circuit.Circuit) (*iig.Graph, error) {
 }
 
 // Relax runs the push-based serial longest-path relaxation over the
-// topological node order: for each node u, every successor edge (u,v)
-// offers dist[u]+w[v]. A node takes its first offer, later ones only when
+// topological node order, with one weight per node (w[v], 0 at the
+// pseudo-nodes): for each node u, every successor edge (u,v) offers
+// dist[u]+w[v]. A node takes its first offer, later ones only when
 // strictly greater — so ties go to the lowest-ID predecessor. from[v] is
 // -1 where no offer arrived.
-func Relax(g *qodg.Graph, w qodg.Weights) (dist []float64, from []qodg.NodeID, err error) {
+func Relax(g *qodg.Graph, w []float64) (dist []float64, from []qodg.NodeID, err error) {
 	n := g.NumNodes()
 	if len(w) != n {
 		return nil, nil, fmt.Errorf("oracle: %d weights for %d nodes", len(w), n)
@@ -150,7 +151,7 @@ func Relax(g *qodg.Graph, w qodg.Weights) (dist []float64, from []qodg.NodeID, e
 
 // LongestPath is the critical path of g under w: Relax, then the
 // from-chain walked back from the end anchor.
-func LongestPath(g *qodg.Graph, w qodg.Weights) (qodg.CriticalPath, error) {
+func LongestPath(g *qodg.Graph, w []float64) (qodg.CriticalPath, error) {
 	dist, from, err := Relax(g, w)
 	if err != nil {
 		return qodg.CriticalPath{}, err

@@ -1,6 +1,8 @@
 package qodg_test
 
 import (
+	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -13,8 +15,8 @@ import (
 	"repro/internal/qodg"
 )
 
-// pathsBitwiseEqual compares two critical paths with no float tolerance:
-// the parallel sweep must reproduce the serial oracle byte for byte.
+// assertPathsBitwiseEqual compares two critical paths with no float
+// tolerance: the kernel must reproduce the oracle byte for byte.
 func assertPathsBitwiseEqual(t *testing.T, label string, got, want qodg.CriticalPath) {
 	t.Helper()
 	if math.Float64bits(got.Length) != math.Float64bits(want.Length) {
@@ -37,29 +39,8 @@ func head(n []qodg.NodeID) []qodg.NodeID {
 	return n
 }
 
-// assertSweepStateEqual compares the full dist/from relaxation state, which
-// is strictly stronger than comparing recovered paths.
-func assertSweepStateEqual(t *testing.T, label string, g *qodg.Graph, w qodg.Weights, s *qodg.PathScratch) {
-	t.Helper()
-	dist, from, err := oracle.Relax(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotDist, gotFrom := s.SweepState()
-	for i := range dist {
-		if math.Float64bits(dist[i]) != math.Float64bits(gotDist[i]) {
-			t.Fatalf("%s: dist[%d] = %v, serial %v", label, i, gotDist[i], dist[i])
-		}
-		if from[i] != gotFrom[i] {
-			t.Fatalf("%s: from[%d] = %d, serial %d", label, i, gotFrom[i], from[i])
-		}
-	}
-}
-
 // paperSuite returns the benchmarks the equivalence test covers: all 18
-// paper circuits normally, the sub-100k-operation subset under -short (the
-// CI race step runs -short, so the parallel machinery is race-checked
-// there on the smaller rows plus the randomized DAGs below).
+// paper circuits normally, the sub-100k-operation subset under -short.
 func paperSuite(t testing.TB) []string {
 	t.Helper()
 	if !testing.Short() {
@@ -74,57 +55,133 @@ func paperSuite(t testing.TB) []string {
 	return out
 }
 
-// coreWeights mimics the estimator's re-weighting: CNOTs get one latency,
-// everything else another — both chosen so different path prefixes can tie
-// exactly and the lowest-predecessor tie rule is actually exercised.
-func coreWeights(g *qodg.Graph) qodg.Weights {
-	return g.NewWeights(func(gt circuit.Gate) float64 {
-		if gt.Type == circuit.CNOT {
-			return 1000.5
+// typeRows is the row count of the type tables below: one row per gate
+// type up to CNOT, which covers every FT gate and the Invalid row 0.
+const typeRows = int(circuit.CNOT) + 1
+
+// columnTable builds a K-column type table with the estimator's two-value
+// shape (CNOTs 1000.5, everything else 100.25) scaled per column so the K
+// critical paths genuinely differ. The values collide across path
+// prefixes, so the lowest-predecessor tie rule is actually exercised.
+// Column c's weights depend on c alone, not on K.
+func columnTable(k int) []float64 {
+	tab := make([]float64, typeRows*k)
+	for c := 0; c < k; c++ {
+		scale := 1 + float64(c)*0.25
+		for t := circuit.X; t < circuit.CNOT; t++ {
+			tab[int(t)*k+c] = 100.25 * scale
 		}
-		return 100.25
-	})
+		tab[int(circuit.CNOT)*k+c] = 1000.5 * scale
+	}
+	return tab
 }
 
-// TestLongestPathParallelMatchesSerialOnPaperBenchmarks is the tentpole's
-// contract: on every paper benchmark, the level-partitioned parallel sweep
-// must reproduce the serial oracle bitwise — dist, from, path nodes, length
-// and per-type counts — across worker counts, with one shared scratch
-// reused across all circuits to prove stale state cannot leak through.
-func TestLongestPathParallelMatchesSerialOnPaperBenchmarks(t *testing.T) {
-	shared := new(qodg.PathScratch)
-	for _, name := range paperSuite(t) {
-		c, err := benchgen.GenerateFT(name)
-		if err != nil {
-			t.Fatal(err)
+// tableColumns expands a K-column type table into the per-node weight
+// columns it assigns: column c of a node of type t weighs tab[t*K+c].
+func tableColumns(g *qodg.Graph, tab []float64, k int) [][]float64 {
+	ws := make([][]float64, k)
+	for c := range ws {
+		ws[c] = make([]float64, g.NumNodes())
+		for v, node := range g.Nodes {
+			ws[c][v] = tab[int(node.Op.Type)*k+c]
 		}
-		g := build(t, c)
-		w := coreWeights(g)
-		want, err := oracle.LongestPath(g, w)
+	}
+	return ws
+}
+
+// tableSlab is tableColumns interleaved: column c of node v at [v*K+c].
+func tableSlab(g *qodg.Graph, tab []float64, k int) []float64 {
+	wm := make([]float64, g.NumNodes()*k)
+	for v, node := range g.Nodes {
+		copy(wm[v*k:(v+1)*k], tab[int(node.Op.Type)*k:])
+	}
+	return wm
+}
+
+// entry is one critical-path entry point at one column count, run over a
+// k-column type table.
+type entry struct {
+	name string
+	k    int
+	run  func(g *qodg.Graph, tab []float64, k int, s *qodg.PathScratch) ([]qodg.CriticalPath, error)
+}
+
+// entries lists every critical-path entry point: the one-column
+// LongestPath, the by-type multi entry and the per-node slab entry, the
+// latter two at several widths.
+func entries() []entry {
+	es := []entry{{"LongestPath", 1, func(g *qodg.Graph, tab []float64, _ int, s *qodg.PathScratch) ([]qodg.CriticalPath, error) {
+		cp, err := g.LongestPath(tab, s)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			got, err := g.LongestPathParallel(w, shared, workers)
-			if err != nil {
-				t.Fatal(err)
+		return []qodg.CriticalPath{cp}, nil
+	}}}
+	for _, k := range []int{1, 2, 3, 8} {
+		es = append(es, entry{fmt.Sprintf("ByType/K%d", k), k, (*qodg.Graph).LongestPathMultiByType})
+	}
+	for _, k := range []int{1, 2, 8} {
+		es = append(es, entry{fmt.Sprintf("Strided/K%d", k), k, func(g *qodg.Graph, tab []float64, k int, s *qodg.PathScratch) ([]qodg.CriticalPath, error) {
+			return g.LongestPathMultiStrided(tableSlab(g, tab, k), k, s)
+		}})
+	}
+	return es
+}
+
+// oracleColumn is the oracle's sweep of one weight column.
+type oracleColumn struct {
+	dist []float64
+	from []qodg.NodeID
+	path qodg.CriticalPath
+}
+
+// checkEntries runs every entry over columnTable(K) on g and compares each
+// column with the oracle bitwise: the full dist/from state when s is
+// non-nil, and the recovered path. Column c's oracle sweep is shared by
+// every entry, since its weights do not depend on K.
+func checkEntries(t *testing.T, label string, g *qodg.Graph, s *qodg.PathScratch) {
+	t.Helper()
+	var want []oracleColumn
+	for _, e := range entries() {
+		tab := columnTable(e.k)
+		got, err := e.run(g, tab, e.k, s)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", label, e.name, err)
+		}
+		if len(got) != e.k {
+			t.Fatalf("%s/%s: %d paths for %d columns", label, e.name, len(got), e.k)
+		}
+		for c, w := range tableColumns(g, tab, e.k) {
+			if c == len(want) {
+				dist, from, err := oracle.Relax(g, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path, err := oracle.LongestPath(g, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, oracleColumn{dist, from, path})
 			}
-			assertPathsBitwiseEqual(t, name, got, want)
-			assertSweepStateEqual(t, name, g, w, shared)
+			at := fmt.Sprintf("%s/%s col %d", label, e.name, c)
+			if s != nil {
+				dist, from := s.SweepState()
+				for v := range want[c].dist {
+					if math.Float64bits(dist[v*e.k+c]) != math.Float64bits(want[c].dist[v]) {
+						t.Fatalf("%s: dist[%d] = %v, oracle %v", at, v, dist[v*e.k+c], want[c].dist[v])
+					}
+					if from[v*e.k+c] != want[c].from[v] {
+						t.Fatalf("%s: from[%d] = %d, oracle %d", at, v, from[v*e.k+c], want[c].from[v])
+					}
+				}
+			}
+			assertPathsBitwiseEqual(t, at, got[c], want[c].path)
 		}
-		// The auto dispatcher (whatever path it picks on this machine)
-		// must agree too, including through a reused scratch.
-		got, err := g.LongestPathInto(w, shared)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertPathsBitwiseEqual(t, name+"/auto", got, want)
 	}
 }
 
 // randomCircuit builds a synthetic circuit with rng-driven structure: some
-// are wide and shallow (many qubits, wide levels — the parallel sweep's
-// target shape), some deep and narrow.
+// are wide and shallow, some deep and narrow.
 func randomCircuit(rng *rand.Rand, qubits, gates int) *circuit.Circuit {
 	c := circuit.New("rand", qubits)
 	oneQ := []circuit.GateType{circuit.H, circuit.T, circuit.Tdg, circuit.X}
@@ -143,87 +200,65 @@ func randomCircuit(rng *rand.Rand, qubits, gates int) *circuit.Circuit {
 	return c
 }
 
-// TestLongestPathParallelMatchesSerialOnRandomDAGs fuzzes the equivalence
-// over randomized layered DAGs: varied shapes, tie-heavy weight vectors
-// (drawn from a tiny value set so max-ties are common), varied worker
-// counts, one scratch shared across every graph.
-func TestLongestPathParallelMatchesSerialOnRandomDAGs(t *testing.T) {
+// TestLongestPathMultiMatchesSerialOnPaperBenchmarks is the critical-path
+// contract: on every paper benchmark, every entry point at every width —
+// LongestPath, and the by-type and per-node slab entries at K columns —
+// reproduces the serial push oracle bitwise: dist, from, path nodes,
+// length and per-type counts. One scratch serves every graph and width in
+// turn; the pull writes every node instead of clearing first, so stale
+// state from a wider sweep must not leak into a narrower one.
+func TestLongestPathMultiMatchesSerialOnPaperBenchmarks(t *testing.T) {
+	shared := new(qodg.PathScratch)
+	for _, name := range paperSuite(t) {
+		c, err := benchgen.GenerateFT(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEntries(t, name, build(t, c), shared)
+	}
+}
+
+// TestLongestPathMultiMatchesSerialOnRandomDAGs runs the same contract on
+// seeded random DAGs of varied shape and on a one-gate circuit, with one
+// scratch reused from larger graphs to smaller ones (the 20,000-gate DAG
+// of seed 3 precedes the 40-gate one of seed 4, and the one-gate circuit
+// comes last), and once with no scratch at all.
+func TestLongestPathMultiMatchesSerialOnRandomDAGs(t *testing.T) {
 	shared := new(qodg.PathScratch)
 	shapes := []struct{ qubits, gates int }{
-		{3, 40},      // tiny, near-serial
+		{3, 40},      // tiny
 		{200, 3000},  // wide and shallow
 		{16, 5000},   // deep and narrow
-		{512, 20000}, // wide, spans many chunks at small grains
+		{512, 20000}, // wide
 	}
-	tieValues := []float64{1, 1, 2, 2.5} // duplicates make exact ties likely
 	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		shape := shapes[int(seed)%len(shapes)]
-		c := randomCircuit(rng, shape.qubits, shape.gates)
-		g := build(t, c)
-		w := g.NewWeights(func(gt circuit.Gate) float64 {
-			return tieValues[rng.Intn(len(tieValues))]
-		})
-		want, err := oracle.LongestPath(g, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			got, err := g.LongestPathParallel(w, shared, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := c.Name
-			assertPathsBitwiseEqual(t, label, got, want)
-			assertSweepStateEqual(t, label, g, w, shared)
-		}
+		c := randomCircuit(rand.New(rand.NewSource(seed)), shape.qubits, shape.gates)
+		checkEntries(t, fmt.Sprintf("rand/seed%d", seed), build(t, c), shared)
 	}
+	one := circuit.New("one", 1)
+	one.Append(circuit.NewOneQubit(circuit.H, 0))
+	g := build(t, one)
+	checkEntries(t, "one-gate", g, shared)
+	checkEntries(t, "one-gate/nil-scratch", g, nil)
 }
 
-// TestLongestPathAutoThreshold pins the dispatch contract: below the
-// threshold (or on one CPU) the serial sweep runs; either way results match
-// the oracle, including when the threshold is forced down to drive every
-// graph through the parallel path.
-func TestLongestPathAutoThreshold(t *testing.T) {
-	defer func(old int) { qodg.ParallelThreshold = old }(qodg.ParallelThreshold)
-	c := randomCircuit(rand.New(rand.NewSource(42)), 64, 2000)
-	g := build(t, c)
-	w := coreWeights(g)
-	want, err := oracle.LongestPath(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, threshold := range []int{1, 1 << 30} {
-		qodg.ParallelThreshold = threshold
-		got, err := g.LongestPath(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertPathsBitwiseEqual(t, "auto", got, want)
-	}
-	// MaxWorkers caps the fan-out (1 forces the serial sweep even above
-	// threshold); results stay identical at every setting.
-	qodg.ParallelThreshold = 1
-	for _, maxWorkers := range []int{1, 2} {
-		s := &qodg.PathScratch{MaxWorkers: maxWorkers}
-		got, err := g.LongestPathInto(w, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertPathsBitwiseEqual(t, "maxworkers", got, want)
-	}
-}
-
-// TestLongestPathWeightLengthMismatch covers the error path of every
-// entry point.
+// TestLongestPathWeightLengthMismatch: a weight source too short for the
+// graph fails every entry with an error, never a panic — a slab short of K
+// rows per node, and a type table shorter than one row.
 func TestLongestPathWeightLengthMismatch(t *testing.T) {
-	c := randomCircuit(rand.New(rand.NewSource(7)), 4, 10)
-	g := build(t, c)
-	bad := make(qodg.Weights, g.NumNodes()-1)
-	if _, err := g.LongestPath(bad); err == nil {
-		t.Error("LongestPath accepted a short weight vector")
+	g := build(t, randomCircuit(rand.New(rand.NewSource(7)), 4, 10))
+	if _, err := g.LongestPath(columnTable(1)[:0], nil); err == nil {
+		t.Error("LongestPath accepted an empty table")
 	}
-	if _, err := g.LongestPathParallel(bad, nil, 4); err == nil {
-		t.Error("LongestPathParallel accepted a short weight vector")
+	for _, k := range []int{1, 2} {
+		slab := tableSlab(g, columnTable(k), k)
+		if got, err := g.LongestPathMultiStrided(slab[:len(slab)-1], k, nil); err == nil || got != nil {
+			t.Errorf("K=%d: LongestPathMultiStrided accepted a short slab", k)
+		}
+		var mr *qodg.MissingRowError
+		if got, err := g.LongestPathMultiByType(columnTable(k)[:k-1], k, nil); !errors.As(err, &mr) || got != nil {
+			t.Errorf("K=%d: LongestPathMultiByType on a table shorter than one row: err %v, want a MissingRowError", k, err)
+		}
 	}
 }

@@ -18,8 +18,6 @@
 package qodg
 
 import (
-	"fmt"
-
 	"repro/internal/circuit"
 	"repro/internal/csr"
 )
@@ -83,9 +81,6 @@ func (g *Graph) Succ(u NodeID) []NodeID { return g.succ[g.succOff[u]:g.succOff[u
 // Pred returns the predecessors of node u in increasing order. The slice
 // aliases the graph's edge array; do not append to it.
 func (g *Graph) Pred(u NodeID) []NodeID { return g.pred[g.predOff[u]:g.predOff[u+1]] }
-
-// OutDegree returns len(Succ(u)) without materializing the slice.
-func (g *Graph) OutDegree(u NodeID) int { return int(g.succOff[u+1] - g.succOff[u]) }
 
 // DepScanner streams the merged dependency edges of a circuit: for each
 // gate node it reports the set of distinct predecessor nodes (the last
@@ -267,71 +262,4 @@ func FromCSRSortedInto(dst *Graph, nodes []Node, numQubits int, succOff []int32,
 // storage; treat them as read-only.
 func (g *Graph) CSR() (succOff []int32, succ []NodeID, predOff []int32, pred []NodeID) {
 	return g.succOff, g.succ, g.predOff, g.pred
-}
-
-// Weights assigns a latency to every node. Pseudo-nodes must have weight 0.
-type Weights []float64
-
-// NewWeights builds a weight vector with weightOf evaluated per operation
-// node (on an operand-free gate of the node's type) and 0 at the
-// pseudo-nodes.
-func (g *Graph) NewWeights(weightOf func(circuit.Gate) float64) Weights {
-	buf := make(Weights, len(g.Nodes))
-	for i, node := range g.Nodes {
-		if node.IsPseudo() {
-			buf[i] = 0
-		} else {
-			buf[i] = weightOf(circuit.Gate{Type: node.Op.Type})
-		}
-	}
-	return buf
-}
-
-// Levels returns each node's ASAP level (start = 0) — the unweighted depth
-// used for scheduling and reporting.
-func (g *Graph) Levels() []int {
-	lv32 := make([]int32, len(g.Nodes))
-	g.computeLevels(lv32)
-	lv := make([]int, len(lv32))
-	for i, v := range lv32 {
-		lv[i] = int(v)
-	}
-	return lv
-}
-
-// computeLevels fills level (len == NumNodes, pre-zeroed by the caller or
-// fresh) with each node's ASAP level via one push pass over the topological
-// order, and returns the graph depth (the maximum level). The single kernel
-// behind both Levels and the parallel sweep's level partitioning.
-func (g *Graph) computeLevels(level []int32) int32 {
-	clear(level)
-	n := len(g.Nodes)
-	for u := 0; u < n; u++ {
-		lu := level[u] + 1
-		for _, v := range g.Succ(NodeID(u)) {
-			if lu > level[v] {
-				level[v] = lu
-			}
-		}
-	}
-	depth := int32(0)
-	for _, lv := range level {
-		if lv > depth {
-			depth = lv
-		}
-	}
-	return depth
-}
-
-// CheckAcyclic verifies the topological-order invariant: every edge points
-// from a lower node ID to a higher one.
-func (g *Graph) CheckAcyclic() error {
-	for u := range g.Nodes {
-		for _, v := range g.Succ(NodeID(u)) {
-			if int(v) <= u {
-				return fmt.Errorf("qodg: back edge %d -> %d", u, v)
-			}
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package qodg_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -106,8 +107,9 @@ func TestIsolatedQubitEdge(t *testing.T) {
 func TestLongestPathChain(t *testing.T) {
 	c := linearChain(5)
 	g := build(t, c)
-	w := g.NewWeights(func(circuit.Gate) float64 { return 2 })
-	cp, err := g.LongestPath(w)
+	tab := make([]float64, typeRows)
+	tab[circuit.H] = 2
+	cp, err := g.LongestPath(tab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +135,9 @@ func TestLongestPathPicksHeavierBranch(t *testing.T) {
 		c.Append(circuit.NewOneQubit(circuit.H, 1))
 	}
 	g := build(t, c)
-	w := g.NewWeights(func(gt circuit.Gate) float64 {
-		if gt.Type == circuit.T {
-			return 100
-		}
-		return 10
-	})
-	cp, err := g.LongestPath(w)
+	tab := make([]float64, typeRows)
+	tab[circuit.T], tab[circuit.H] = 100, 10
+	cp, err := g.LongestPath(tab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,50 +148,23 @@ func TestLongestPathPicksHeavierBranch(t *testing.T) {
 		t.Errorf("critical counts = %v", cp.CountByType)
 	}
 	// Flip the weights: the H chain should win.
-	w2 := g.NewWeights(func(gt circuit.Gate) float64 {
-		if gt.Type == circuit.H {
-			return 100
-		}
-		return 10
-	})
-	cp2, _ := g.LongestPath(w2)
+	tab[circuit.T], tab[circuit.H] = 10, 100
+	cp2, _ := g.LongestPath(tab, nil)
 	if cp2.Length != 500 || cp2.CountByType[circuit.H] != 5 {
 		t.Errorf("flipped: length=%v counts=%v", cp2.Length, cp2.CountByType)
 	}
 }
 
+// TestLongestPathWeightLenMismatch: a one-column table without a row for
+// the chain's H gates fails with an error naming the first H node.
 func TestLongestPathWeightLenMismatch(t *testing.T) {
 	g := build(t, linearChain(2))
-	if _, err := g.LongestPath(make(qodg.Weights, 1)); err == nil {
-		t.Error("want weight-length error")
+	var mr *qodg.MissingRowError
+	if _, err := g.LongestPath(make([]float64, circuit.H), nil); !errors.As(err, &mr) {
+		t.Fatalf("err %v, want a MissingRowError", err)
 	}
-}
-
-func TestLevels(t *testing.T) {
-	c := circuit.New("t", 2)
-	c.Append(circuit.NewCNOT(0, 1), circuit.NewOneQubit(circuit.H, 0), circuit.NewOneQubit(circuit.T, 1))
-	g := build(t, c)
-	lv := g.Levels()
-	if lv[0] != 0 {
-		t.Error("start level != 0")
-	}
-	if lv[1] != 1 || lv[2] != 2 || lv[3] != 2 {
-		t.Errorf("levels = %v", lv)
-	}
-	if lv[g.End()] != 3 {
-		t.Errorf("end level = %d, want 3", lv[g.End()])
-	}
-}
-
-func TestCheckAcyclic(t *testing.T) {
-	g := build(t, linearChain(10))
-	if err := g.CheckAcyclic(); err != nil {
-		t.Fatal(err)
-	}
-	// Sabotage: rewrite node 5's (only) successor edge to point backward.
-	g.Succ(5)[0] = 2
-	if err := g.CheckAcyclic(); err == nil {
-		t.Error("want back-edge error")
+	if mr.Node != 1 || mr.Type != circuit.H {
+		t.Errorf("error names node %d of type %v, want node 1 of type H", mr.Node, mr.Type)
 	}
 }
 
@@ -222,11 +193,18 @@ func TestQODGRandomProperties(t *testing.T) {
 			return false
 		}
 		g := a.QODG
-		if g.CheckAcyclic() != nil {
-			return false
+		for u := range g.Nodes {
+			for _, v := range g.Succ(qodg.NodeID(u)) {
+				if int(v) <= u {
+					return false
+				}
+			}
 		}
-		w := g.NewWeights(func(circuit.Gate) float64 { return 1 })
-		cp, err := g.LongestPath(w)
+		unit := make([]float64, typeRows) // row 0 weighs the pseudo-nodes: 0
+		for t := 1; t < typeRows; t++ {
+			unit[t] = 1
+		}
+		cp, err := g.LongestPath(unit, nil)
 		if err != nil {
 			return false
 		}

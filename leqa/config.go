@@ -6,26 +6,16 @@ import (
 	"strconv"
 
 	"repro/internal/analysis"
-	"repro/internal/qodg"
 )
 
-// Environment variables read by ApplyEnvTuning. Both cmd/leqa and cmd/leqad
-// apply them at startup (flags of the same name override), so deployments
-// can tune the parallel dispatch without rebuilding:
-//
-//   - LEQA_PARALLEL_THRESHOLD — node count at or above which the
-//     critical-path sweep runs its level-partitioned parallel relaxation
-//     (qodg.ParallelThreshold). Raise it on machines where the gang's
-//     per-level synchronization loses to the serial scan; it has no effect
-//     on results.
-//   - LEQA_SHARD_THRESHOLD — gate count at or above which the fused
-//     analysis build shards across cores (analysis.ShardThreshold). Zero or
-//     negative disables sharding entirely; results are bitwise identical at
-//     every setting.
-const (
-	EnvParallelThreshold = "LEQA_PARALLEL_THRESHOLD"
-	EnvShardThreshold    = "LEQA_SHARD_THRESHOLD"
-)
+// EnvShardThreshold is the environment variable read by ApplyEnvTuning.
+// Both cmd/leqa and cmd/leqad apply it at startup (the -shard-threshold
+// flag overrides), so deployments can tune the parallel dispatch without
+// rebuilding: LEQA_SHARD_THRESHOLD is the gate count at or above which the
+// fused analysis build shards across cores (analysis.ShardThreshold). Zero
+// or negative disables sharding entirely; results are bitwise identical at
+// every setting. The critical-path sweep is serial and has no knob.
+const EnvShardThreshold = "LEQA_SHARD_THRESHOLD"
 
 // Environment variables read by StoreOptionsFromEnv. They configure the
 // content-addressed analysis store cmd/leqa and cmd/leqad attach (flags of
@@ -71,32 +61,20 @@ func StoreOptionsFromEnv(opt AnalysisStoreOptions) (AnalysisStoreOptions, error)
 	return opt, err
 }
 
-// ParallelThreshold reports the critical-path sweep's parallel dispatch
-// threshold (nodes).
-func ParallelThreshold() int { return qodg.ParallelThreshold }
-
-// SetParallelThreshold sets the critical-path sweep's parallel dispatch
-// threshold. Call at program start, before concurrent estimates run — the
-// variable is read unsynchronized on every sweep. Purely a performance
-// knob: the parallel sweep is bitwise identical to the serial one.
-func SetParallelThreshold(nodes int) { qodg.ParallelThreshold = nodes }
-
 // ShardThreshold reports the analysis build's shard dispatch threshold
 // (gates).
 func ShardThreshold() int { return analysis.ShardThreshold }
 
 // SetShardThreshold sets the analysis build's shard dispatch threshold;
-// zero or negative disables sharding. Same contract as
-// SetParallelThreshold: set at startup, never affects results.
+// zero or negative disables sharding. Call at program start, before
+// concurrent estimates run — the variable is read unsynchronized on every
+// analysis. Purely a performance knob: it never affects results.
 func SetShardThreshold(gates int) { analysis.ShardThreshold = gates }
 
-// ApplyEnvTuning applies the LEQA_* tuning variables present in the
-// environment, leaving unset ones at their defaults. Call once at program
-// start, before flags that override them and before any estimates run.
+// ApplyEnvTuning applies LEQA_SHARD_THRESHOLD when it is set, leaving the
+// default otherwise. Call once at program start, before the flag that
+// overrides it and before any estimates run.
 func ApplyEnvTuning() error {
-	if err := applyEnvInt(EnvParallelThreshold, SetParallelThreshold); err != nil {
-		return err
-	}
 	return applyEnvInt(EnvShardThreshold, SetShardThreshold)
 }
 

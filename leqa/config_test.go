@@ -6,37 +6,27 @@ import (
 )
 
 // TestApplyEnvTuning covers the LEQA_* startup knobs: unset variables leave
-// the defaults alone, set ones land in the dispatch thresholds, and
-// non-integer values fail with the variable named.
+// the defaults alone, set ones land in the shard dispatch threshold and the
+// store options, and non-integer values fail with the variable named.
 func TestApplyEnvTuning(t *testing.T) {
-	savedPar, savedShard := ParallelThreshold(), ShardThreshold()
-	defer func() {
-		SetParallelThreshold(savedPar)
-		SetShardThreshold(savedShard)
-	}()
+	saved := ShardThreshold()
+	defer SetShardThreshold(saved)
 
 	t.Run("Unset", func(t *testing.T) {
-		t.Setenv(EnvParallelThreshold, "")
 		t.Setenv(EnvShardThreshold, "")
-		SetParallelThreshold(12345)
 		SetShardThreshold(67890)
 		if err := ApplyEnvTuning(); err != nil {
 			t.Fatal(err)
 		}
-		if ParallelThreshold() != 12345 || ShardThreshold() != 67890 {
-			t.Fatalf("unset env changed thresholds: parallel=%d shard=%d",
-				ParallelThreshold(), ShardThreshold())
+		if ShardThreshold() != 67890 {
+			t.Fatalf("unset env changed the shard threshold: %d", ShardThreshold())
 		}
 	})
 
 	t.Run("Set", func(t *testing.T) {
-		t.Setenv(EnvParallelThreshold, "1000")
 		t.Setenv(EnvShardThreshold, "0")
 		if err := ApplyEnvTuning(); err != nil {
 			t.Fatal(err)
-		}
-		if ParallelThreshold() != 1000 {
-			t.Errorf("ParallelThreshold = %d, want 1000", ParallelThreshold())
 		}
 		if ShardThreshold() != 0 {
 			t.Errorf("ShardThreshold = %d, want 0 (disabled)", ShardThreshold())
@@ -44,10 +34,10 @@ func TestApplyEnvTuning(t *testing.T) {
 	})
 
 	t.Run("Invalid", func(t *testing.T) {
-		t.Setenv(EnvParallelThreshold, "lots")
+		t.Setenv(EnvShardThreshold, "lots")
 		err := ApplyEnvTuning()
-		if err == nil || !strings.Contains(err.Error(), EnvParallelThreshold) {
-			t.Fatalf("err = %v, want mention of %s", err, EnvParallelThreshold)
+		if err == nil || !strings.Contains(err.Error(), EnvShardThreshold) {
+			t.Fatalf("err = %v, want mention of %s", err, EnvShardThreshold)
 		}
 	})
 

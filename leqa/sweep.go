@@ -17,7 +17,7 @@ import (
 // reuse across sweeps.
 //
 // Workers draw their per-estimate scratch state (gate records, graph-build
-// buffers, weight vector, longest-path arrays) from a LIFO free list of
+// buffers, longest-path arrays) from a LIFO free list of
 // analysis.Arenas, so a warm Runner — the leqad replica serving steady
 // traffic — performs near-zero heap allocation per estimate. Unlike a
 // sync.Pool, the list survives GC: a cold upload after a collection finds
@@ -39,15 +39,15 @@ type Runner struct {
 }
 
 // arena checks the most recently released arena out of the free list (or
-// makes a fresh one). The arena's longest-path scratch is capped to an
-// even share of the cores among the estimates currently in flight, so
-// pool-workers × sweep-helpers stay near GOMAXPROCS in aggregate: a
-// saturated pool runs each cell's critical-path sweep serially (the cells
-// themselves are the parallelism), while a lone large request — the
-// interactive leqad case — fans its sweep across every core. The share is
-// a checkout-time snapshot, so a burst of simultaneous checkouts can
+// makes a fresh one). The arena's shard gang is capped to an even share of
+// the cores among the estimates currently in flight, so pool-workers ×
+// shard-helpers stay near GOMAXPROCS in aggregate: a saturated pool runs
+// each cell's analysis fill serially (the cells themselves are the
+// parallelism), while a lone large upload shards its fill across every
+// core. The critical-path sweep is serial either way. The share is a
+// checkout-time snapshot, so a burst of simultaneous checkouts can
 // transiently overshoot while the first wave's earlier, larger shares
-// drain; it cannot deadlock or change results — MaxWorkers is purely a
+// drain; it cannot deadlock or change results — MaxShards is purely a
 // performance cap.
 func (r *Runner) arena() *analysis.Arena {
 	var ar *analysis.Arena
@@ -61,14 +61,7 @@ func (r *Runner) arena() *analysis.Arena {
 	if ar == nil {
 		ar = analysis.NewArena()
 	}
-	sweepWorkers := runtime.GOMAXPROCS(0) / int(r.active.Add(1))
-	if sweepWorkers < 1 {
-		sweepWorkers = 1
-	}
-	ar.Path().MaxWorkers = sweepWorkers
-	// The analysis build's shard gang divides the machine the same way the
-	// sweep gang does — one even share per in-flight estimate.
-	ar.MaxShards = sweepWorkers
+	ar.MaxShards = max(runtime.GOMAXPROCS(0)/int(r.active.Add(1)), 1)
 	return ar
 }
 
