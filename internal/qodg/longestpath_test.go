@@ -243,6 +243,109 @@ func TestLongestPathMultiMatchesSerialOnRandomDAGs(t *testing.T) {
 	checkEntries(t, "one-gate/nil-scratch", g, nil)
 }
 
+// tieSlab draws a K-column per-node weight slab from a tiny value set, so
+// exact max-ties between predecessors are common. Unlike a type table it
+// weighs two nodes of one gate type differently. The start and end
+// pseudo-nodes weigh zero, as they do in every estimator table.
+func tieSlab(rng *rand.Rand, g *qodg.Graph, k int) []float64 {
+	values := []float64{1, 1, 2, 2.5} // duplicates make exact ties likely
+	wm := make([]float64, g.NumNodes()*k)
+	for v, node := range g.Nodes {
+		if node.Op.Type == circuit.Invalid {
+			continue
+		}
+		for c := 0; c < k; c++ {
+			wm[v*k+c] = values[rng.Intn(len(values))]
+		}
+	}
+	return wm
+}
+
+// checkGangs runs LongestPathMultiStrided over the K-column slab wm once
+// per gang size, through one shared scratch whose MaxWorkers asks for that
+// many workers, and compares every column with the serial oracle bitwise:
+// the full dist/from state and the recovered path.
+func checkGangs(t *testing.T, label string, g *qodg.Graph, wm []float64, k int, gangs []int, s *qodg.PathScratch) {
+	t.Helper()
+	want := make([]oracleColumn, k)
+	for c := range want {
+		w := make([]float64, g.NumNodes())
+		for v := range w {
+			w[v] = wm[v*k+c]
+		}
+		dist, from, err := oracle.Relax(g, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, err := oracle.LongestPath(g, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[c] = oracleColumn{dist, from, path}
+	}
+	for _, gang := range gangs {
+		s.MaxWorkers = gang
+		got, err := g.LongestPathMultiStrided(wm, k, s)
+		if err != nil {
+			t.Fatalf("%s/K%d/gang%d: %v", label, k, gang, err)
+		}
+		dist, from := s.SweepState()
+		for c := range want {
+			at := fmt.Sprintf("%s/K%d/gang%d col %d", label, k, gang, c)
+			for v := range want[c].dist {
+				if math.Float64bits(dist[v*k+c]) != math.Float64bits(want[c].dist[v]) {
+					t.Fatalf("%s: dist[%d] = %v, oracle %v", at, v, dist[v*k+c], want[c].dist[v])
+				}
+				if from[v*k+c] != want[c].from[v] {
+					t.Fatalf("%s: from[%d] = %d, oracle %d", at, v, from[v*k+c], want[c].from[v])
+				}
+			}
+			assertPathsBitwiseEqual(t, at, got[c], want[c].path)
+		}
+	}
+}
+
+// TestLongestPathParallelMatchesSerialOnPaperBenchmarks: cmd/leqabench's
+// replay hands LongestPathMultiStrided a scratch whose MaxWorkers is its
+// gang size. The sweep is serial and ignores the field, so on every paper
+// benchmark, with per-node tie-heavy weights, a scratch asking for 1, 2, 4
+// or 7 workers gives the serial oracle's dist, from and path bitwise. One
+// scratch is shared across every circuit, so stale state must not leak.
+func TestLongestPathParallelMatchesSerialOnPaperBenchmarks(t *testing.T) {
+	shared := new(qodg.PathScratch)
+	for i, name := range paperSuite(t) {
+		c, err := benchgen.GenerateFT(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := build(t, c)
+		wm := tieSlab(rand.New(rand.NewSource(int64(i))), g, 1)
+		checkGangs(t, name, g, wm, 1, []int{1, 2, 4, 7}, shared)
+	}
+}
+
+// TestLongestPathParallelMatchesSerialOnRandomDAGs runs the same contract
+// on seeded random DAGs of varied shape, at one and three per-node
+// tie-heavy columns, with gang sizes 2, 3 and 8 and one scratch shared
+// across every graph.
+func TestLongestPathParallelMatchesSerialOnRandomDAGs(t *testing.T) {
+	shared := new(qodg.PathScratch)
+	shapes := []struct{ qubits, gates int }{
+		{3, 40},      // tiny
+		{200, 3000},  // wide and shallow
+		{16, 5000},   // deep and narrow
+		{512, 20000}, // wide
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shape := shapes[int(seed)%len(shapes)]
+		g := build(t, randomCircuit(rng, shape.qubits, shape.gates))
+		for _, k := range []int{1, 3} {
+			checkGangs(t, fmt.Sprintf("rand/seed%d", seed), g, tieSlab(rng, g, k), k, []int{2, 3, 8}, shared)
+		}
+	}
+}
+
 // TestLongestPathWeightLengthMismatch: a weight source too short for the
 // graph fails every entry with an error, never a panic — a slab short of K
 // rows per node, and a type table shorter than one row.
