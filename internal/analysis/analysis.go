@@ -13,6 +13,8 @@
 package analysis
 
 import (
+	"context"
+
 	"repro/internal/circuit"
 	"repro/internal/iig"
 	"repro/internal/qodg"
@@ -89,10 +91,10 @@ func analyzeCircuit(c *circuit.Circuit, ar *Arena, forceK int) (*Analysis, error
 		return nil, err
 	}
 	if ar == nil {
-		return analyzeStream(&CircuitStream{c: c, i: -1, valid: true}, nil, forceK, nil)
+		return analyzeStream(context.Background(), &CircuitStream{c: c, i: -1, valid: true}, nil, false, forceK, nil)
 	}
 	ar.cs = CircuitStream{c: c, i: -1, valid: true}
-	a, err := analyzeStream(&ar.cs, ar, forceK, nil)
+	a, err := analyzeStream(context.Background(), &ar.cs, ar, false, forceK, nil)
 	ar.cs = CircuitStream{} // do not pin the circuit
 	return a, err
 }

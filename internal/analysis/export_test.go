@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"context"
+
 	"repro/internal/circuit"
 	"repro/internal/qodg"
 )
@@ -18,13 +20,13 @@ func AnalyzeSharded(c *circuit.Circuit, ar *Arena, k int) (*Analysis, error) {
 // cuts inside same-qubit gate runs, suffix-only shards). cuts must run
 // from 0 to the stream's gate count.
 func AnalyzeAtCuts(src GateStream, ar *Arena, cuts []int) (*Analysis, error) {
-	return analyzeStream(src, ar, 0, cuts)
+	return analyzeStream(context.Background(), src, ar, false, 0, cuts)
 }
 
 // AnalyzeStreamSharded exposes the streamed analysis with a forced
 // fill-pass shard count, bypassing the threshold dispatch.
 func AnalyzeStreamSharded(src GateStream, ar *Arena, k int) (*Analysis, error) {
-	return analyzeStream(src, ar, k, nil)
+	return analyzeStream(context.Background(), src, ar, false, k, nil)
 }
 
 // LastWriterState exposes the analysis's final per-qubit last-writer state

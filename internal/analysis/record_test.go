@@ -28,10 +28,13 @@ type recordSource struct {
 
 // recordSources renders c into every container the counting pass records
 // gates from: a non-seekable .qc body (spooled, as leqad reads uploads), a
-// .qc file, a .qcb body, a gzipped .qc body and the in-memory circuit.
-func recordSources(t *testing.T, c *circuit.Circuit) []recordSource {
+// .qc file, a .qcb body, a gzipped .qc body and the in-memory circuit. The
+// text containers hold qc, or c rendered by WriteQC when qc is nil.
+func recordSources(t *testing.T, c *circuit.Circuit, qc []byte) []recordSource {
 	t.Helper()
-	qc := qcBytes(t, c)
+	if qc == nil {
+		qc = qcBytes(t, c)
+	}
 	var qcb, gz bytes.Buffer
 	if err := qcbin.EncodeCircuit(&qcb, c); err != nil {
 		t.Fatal(err)
@@ -137,14 +140,14 @@ var (
 // shards, suffix-only shards).
 func TestRecordFillMatchesOracle(t *testing.T) {
 	ar := analysis.NewArena()
-	check := func(t *testing.T, c *circuit.Circuit, cutTables [][]int) {
+	check := func(t *testing.T, c *circuit.Circuit, qc []byte, cutTables [][]int) {
 		t.Helper()
 		ref := newOracleRef(t, c)
 		ks := recordShardCounts
 		if c.NumGates() >= 100000 {
 			ks = largeShardCounts
 		}
-		for _, src := range recordSources(t, c) {
+		for _, src := range recordSources(t, c, qc) {
 			for i, k := range ks {
 				label := fmt.Sprintf("%s/%s/k=%d", c.Name, src.label, k)
 				var arena *analysis.Arena
@@ -172,13 +175,19 @@ func TestRecordFillMatchesOracle(t *testing.T) {
 		}
 	}
 	for _, name := range suite(t) {
-		check(t, ftCircuit(t, name), nil)
+		check(t, ftCircuit(t, name), nil, nil)
 	}
+	grown := growingRegisterQC()
+	c, err := circuit.ParseQC(bytes.NewReader(grown), "grown")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, c, grown, [][]int{{0, c.NumGates() / 2, c.NumGates()}})
 	rng := rand.New(rand.NewSource(16))
 	for round := 0; round < 6; round++ {
 		c := randomShardCircuit(rng, fmt.Sprintf("dag%d", round), 2+rng.Intn(12), 1+rng.Intn(400))
 		n := c.NumGates()
-		check(t, c, [][]int{
+		check(t, c, nil, [][]int{
 			{0, 0, n},            // empty leading shard
 			{0, n, n},            // empty trailing shard
 			{0, 0, 0, n},         // two empty leading shards
@@ -187,6 +196,26 @@ func TestRecordFillMatchesOracle(t *testing.T) {
 			{0, n - 1, n},        // one-gate suffix shard
 		})
 	}
+}
+
+// growingRegisterQC is a netlist whose register grows while its gates
+// stream: qubit c is auto-declared on its first gate line, and a .v line
+// after BEGIN declares d and e. The counting pass must pick each new qubit
+// up when a gate first reaches it.
+func growingRegisterQC() []byte {
+	var b bytes.Buffer
+	b.WriteString(".v a b\nBEGIN\n")
+	for i := 0; i < 300; i++ {
+		b.WriteString("H a\nCNOT a b\n")
+		switch i {
+		case 100:
+			b.WriteString("CNOT b c\nT c\n")
+		case 200:
+			b.WriteString(".v d e\nCNOT e a\nT* d\nCNOT c d\n")
+		}
+	}
+	b.WriteString("CNOT d b\nEND\n")
+	return b.Bytes()
 }
 
 // countingStream counts the calls an analysis makes on its stream.

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -163,14 +164,47 @@ func recordOf(g *circuit.Gate) gateRec {
 // length grows by doubling, so its capacity reaches up to 24 bytes per
 // gate, and about 36 while the last growth copies it.
 func AnalyzeStream(src GateStream) (*Analysis, error) {
-	return analyzeStream(src, nil, 0, nil)
+	return analyzeStream(context.Background(), src, nil, false, 0, nil)
 }
 
 // AnalyzeStream is the arena-backed streamed analysis: same contract as
 // AnalyzeStream, every buffer drawn from ar. The returned Analysis is
 // borrowed until ar's next use, exactly like (*Arena).Analyze.
 func (ar *Arena) AnalyzeStream(src GateStream) (*Analysis, error) {
-	return analyzeStream(src, ar, 0, nil)
+	return analyzeStream(context.Background(), src, ar, false, 0, nil)
+}
+
+// AnalyzeStreamContext is AnalyzeStream, into ar when it is non-nil, with
+// two checks in its counting pass. It polls ctx before the first gate and
+// then every CtxCheckEvery gates, and fails with ctx's error once ctx is
+// done. With ftOnly, the first gate outside the fault-tolerant set stops
+// the pass with a *NonFTError naming it, before the gate's arity or
+// validity is checked: a Toffoli is non-FT, not an over-wide gate.
+func AnalyzeStreamContext(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) (*Analysis, error) {
+	return analyzeStream(ctx, src, ar, ftOnly, 0, nil)
+}
+
+// CtxCheckEvery is the gate interval at which the streaming passes poll
+// their context: rare enough that the poll never shows on the hot path.
+const CtxCheckEvery = 4096
+
+// NonFTError reports a circuit (or gate stream) containing gates outside
+// the fault-tolerant set. Its message names the circuit and the remedy;
+// callers that want to react (the service's decompose fallback) detect it
+// with errors.As.
+type NonFTError struct {
+	// Circuit names the offending netlist.
+	Circuit string
+	// Gate is the index of the first non-FT gate when known (streaming
+	// detection), -1 otherwise.
+	Gate int
+	// Type is the offending gate type when known (circuit.Invalid
+	// otherwise).
+	Type circuit.GateType
+}
+
+func (e *NonFTError) Error() string {
+	return fmt.Sprintf("leqa: circuit %q contains non-FT gates; run decompose.ToFT first", e.Circuit)
 }
 
 // growChunk is the minimum growth step of the counting pass's degree
@@ -179,12 +213,12 @@ func (ar *Arena) AnalyzeStream(src GateStream) (*Analysis, error) {
 const growChunk = 1 << 12
 
 // analyzeStream runs the counting pass over src and the fill pass over its
-// records. With a nil arena it allocates fresh immutable storage;
-// otherwise every buffer is recycled arena state. The equivalence suite
-// forces the fill pass's shard count through forceK, or its shard
-// boundaries through cuts; 0 and nil auto-dispatch through planShards into
-// even cuts.
-func analyzeStream(src GateStream, ar *Arena, forceK int, cuts []int) (*Analysis, error) {
+// records; ctx and ftOnly are AnalyzeStreamContext's. With a nil arena it
+// allocates fresh immutable storage; otherwise every buffer is recycled
+// arena state. The equivalence suite forces the fill pass's shard count
+// through forceK, or its shard boundaries through cuts; 0 and nil
+// auto-dispatch through planShards into even cuts.
+func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool, forceK int, cuts []int) (*Analysis, error) {
 	var (
 		succDeg, predDeg, iigDeg []int32
 		recs                     []gateRec
@@ -209,6 +243,10 @@ func analyzeStream(src GateStream, ar *Arena, forceK int, cuts []int) (*Analysis
 	// (zeroed tails) and are cut to size after the pass. When the gate count
 	// is known (an in-memory circuit), the degree arrays and the record slab
 	// are presized to it instead; otherwise the slab doubles too.
+	//
+	// Each gate meets its checks in a fixed order: the context poll, the
+	// stream's own errors (parse, gate cap) as it scans, the FT stop, then
+	// arity and validation.
 	ft := true
 	nGates := 0
 	trusted := gatesPrevalidated(src)
@@ -220,18 +258,30 @@ func analyzeStream(src GateStream, ar *Arena, forceK int, cuts []int) (*Analysis
 		recs = slices.Grow(recs, k)
 	}
 	for {
-		gp := cur.next()
-		if gp == nil {
+		if nGates%CtxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		g := cur.next()
+		if g == nil {
 			break
 		}
-		g := *gp
+		if !g.Type.IsFT() {
+			if ftOnly {
+				return nil, &NonFTError{Circuit: src.Name(), Gate: nGates, Type: g.Type}
+			}
+			ft = false
+		}
 		id := qodg.NodeID(nGates + 1)
 		if nGates+2 > len(succDeg) {
 			grown := max(2*len(succDeg), nGates+2, growChunk)
 			succDeg = growKeep(succDeg, grown)
 			predDeg = growKeep(predDeg, grown)
 		}
-		if !cur.mem { // an in-memory register never grows
+		// A streamed register grows as qubits are auto-declared, and only a
+		// gate reaching past the size last read can have grown it.
+		if !cur.mem && reaches(g, q) {
 			q = src.NumQubits()
 			scan.GrowTo(q)
 		}
@@ -240,7 +290,7 @@ func analyzeStream(src GateStream, ar *Arena, forceK int, cuts []int) (*Analysis
 				return nil, err
 			}
 		}
-		r := recordOf(&g)
+		r := recordOf(g)
 		if r.b >= 0 {
 			if q > len(iigDeg) {
 				iigDeg = growKeep(iigDeg, max(2*len(iigDeg), q))
@@ -248,7 +298,6 @@ func analyzeStream(src GateStream, ar *Arena, forceK int, cuts []int) (*Analysis
 			iigDeg[r.a]++
 			iigDeg[r.b]++
 		}
-		ft = ft && g.Type.IsFT()
 		scan.VisitPair(id, r.a, r.b, count)
 		if len(recs) == cap(recs) {
 			recs = slices.Grow(recs, max(len(recs), growChunk))
@@ -501,7 +550,7 @@ func fillSharded(recs []gateRec, cuts []int, ar *Arena, numQ int,
 // PrevalidatedStream skip the Gate.Validate half — their decoders already
 // ran the identical checks per gate — but keep the arity cap, which is an
 // analysis-layer constraint, not a gate-validity one.
-func validateStreamGate(src GateStream, i int, g circuit.Gate, numQubits int, trusted bool) error {
+func validateStreamGate(src GateStream, i int, g *circuit.Gate, numQubits int, trusted bool) error {
 	if !trusted {
 		if err := g.Validate(numQubits); err != nil {
 			return fmt.Errorf("circuit %q: gate %d: %w", src.Name(), i, err)
@@ -512,6 +561,21 @@ func validateStreamGate(src GateStream, i int, g circuit.Gate, numQubits int, tr
 			i, g.Type, g.Arity())
 	}
 	return nil
+}
+
+// reaches reports whether an operand of g is at or past q.
+func reaches(g *circuit.Gate, q int) bool {
+	for _, x := range g.Controls {
+		if x >= q {
+			return true
+		}
+	}
+	for _, x := range g.Targets {
+		if x >= q {
+			return true
+		}
+	}
+	return false
 }
 
 // growKeep extends buf to length n, preserving existing contents and

@@ -2,9 +2,11 @@ package analysis_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -126,7 +128,7 @@ func TestArenaAnalyzeStream(t *testing.T) {
 	}
 }
 
-// TestEstimateStreamNonFT proves the streaming FT guard fails with the
+// TestEstimateStreamNonFT proves the FT-only counting pass fails with the
 // error a non-FT analysis's estimate produces, names the first non-FT gate,
 // and reports a wide non-FT gate as non-FT (not arity).
 func TestEstimateStreamNonFT(t *testing.T) {
@@ -141,7 +143,7 @@ func TestEstimateStreamNonFT(t *testing.T) {
 	if wantErr == nil {
 		t.Fatal("estimate of a non-FT analysis succeeded")
 	}
-	_, err = est.AnalyzeStreamFT(analysis.NewCircuitStream(c), nil)
+	_, err = analysis.AnalyzeStreamContext(context.Background(), analysis.NewCircuitStream(c), nil, true)
 	var nft *core.NonFTError
 	if !errors.As(err, &nft) || err.Error() != wantErr.Error() || nft.Gate != 1 || nft.Type != circuit.Toffoli {
 		t.Fatalf("streamed non-FT error = %v (%+v), want %q at gate 1", err, nft, wantErr)
@@ -183,5 +185,79 @@ func TestAnalyzeStreamRejectsWideGates(t *testing.T) {
 	c.Append(circuit.NewToffoli(0, 1, 2))
 	if _, err := analysis.AnalyzeStream(analysis.NewCircuitStream(c)); err == nil {
 		t.Error("want error for 3-qubit gate")
+	}
+}
+
+// cancelAfter cancels its context on the stream's scan number at, and
+// counts every scan.
+type cancelAfter struct {
+	analysis.GateStream
+	at, scans int
+	cancel    context.CancelFunc
+}
+
+func (s *cancelAfter) Scan() bool {
+	if s.scans++; s.scans == s.at {
+		s.cancel()
+	}
+	return s.GateStream.Scan()
+}
+
+// TestCountingPassCheckOrder pins the order in which the FT-only counting
+// pass meets its checks on a capped text stream: the context poll before
+// any gate is read, the stream's parse error on gate MaxGates+1 before the
+// gate cap, the cap before a non-FT gate, and a mid-stream cancellation
+// within CtxCheckEvery gates.
+func TestCountingPassCheckOrder(t *testing.T) {
+	const maxGates = 8
+	netlist := func(ftGates int, tail string) string {
+		return ".v a b c\nBEGIN\n" + strings.Repeat("CNOT a b\n", ftGates) + tail + "END\n"
+	}
+	cases := []struct {
+		name     string
+		qc       string
+		maxGates int
+		cancelAt int // cancel on this scan; -1 cancels before the pass
+		check    func(error) bool
+		scans    int // the most scans the pass may make
+	}{
+		{"pre-cancelled", netlist(maxGates, ""), maxGates, -1,
+			func(err error) bool { return errors.Is(err, context.Canceled) }, 0},
+		{"syntax error beats the cap", netlist(maxGates, "bogus a\n"), maxGates, 0,
+			func(err error) bool {
+				var syn *circuit.SyntaxError
+				return errors.As(err, &syn) && syn.Line == 2+maxGates+1 && syn.Col == 1
+			}, maxGates + 1},
+		{"cap beats a non-FT gate", netlist(maxGates, "TOF a b c\n"), maxGates, 0,
+			func(err error) bool {
+				var nft *analysis.NonFTError
+				return errors.Is(err, ingest.ErrGateLimit) && !errors.As(err, &nft)
+			}, maxGates + 1},
+		{"non-FT gate under the cap", netlist(maxGates-1, "TOF a b c\n"), maxGates, 0,
+			func(err error) bool {
+				var nft *analysis.NonFTError
+				return errors.As(err, &nft) && nft.Gate == maxGates-1 && nft.Type == circuit.Toffoli
+			}, maxGates},
+		{"cancelled mid-stream", netlist(3*analysis.CtxCheckEvery, ""), 0, 100,
+			func(err error) bool { return errors.Is(err, context.Canceled) }, 100 + analysis.CtxCheckEvery},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancelAt < 0 {
+				cancel()
+			}
+			sc := ingest.NewScanner(pipeReader{strings.NewReader(tc.qc)}, "order", ingest.Options{MaxGates: tc.maxGates})
+			defer sc.Close()
+			src := &cancelAfter{GateStream: sc, at: tc.cancelAt, cancel: cancel}
+			a, err := analysis.AnalyzeStreamContext(ctx, src, nil, true)
+			if a != nil || !tc.check(err) {
+				t.Fatalf("err = %v", err)
+			}
+			if src.scans > tc.scans {
+				t.Fatalf("%d scans, want at most %d", src.scans, tc.scans)
+			}
+		})
 	}
 }

@@ -39,17 +39,16 @@ func (e *SyntaxError) Unwrap() error { return e.Err }
 // the way real benchmark files require), validates every gate against the
 // register, and reports failures as *SyntaxError with line/column context.
 //
-// The parser allocates register entries only; per-line scratch (fields,
-// operand indices, the emitted gate's qubit slices) is reused, so a steady
+// Next reads each line once, token by token, and resolves every operand
+// as it reads it. The parser allocates register entries only; the operand
+// scratch behind the emitted gate's qubit slices is reused, so a steady
 // scan over an arbitrarily long netlist runs at O(1) heap growth.
 type LineParser struct {
 	reg    *Circuit // qubit register; Gates stays untouched by the parser
 	lineno int
 	inBody bool
 
-	fields []string // per-line field scratch
-	cols   []int    // 1-based starting column of each field
-	ops    []int    // backing store of the emitted gate's Controls+Targets
+	ops []int // backing store of the emitted gate's Controls+Targets
 }
 
 // NewLineParser returns a parser for a netlist labeled source.
@@ -81,17 +80,15 @@ func (p *LineParser) Register() *Circuit { return p.reg }
 // whether the line produced a gate; blank lines, comments and directives
 // parse to ok=false with no error. The returned gate's Controls and Targets
 // alias the parser's scratch buffers — they are valid only until the next
-// call; copy them (Gate.Clone) to retain the gate.
+// call; copy them (Gate.Clone) to retain the gate. Every diagnostic points
+// at the column of the line's first token.
 func (p *LineParser) Next(line string) (g Gate, ok bool, err error) {
 	p.lineno++
-	if i := strings.IndexByte(line, '#'); i >= 0 {
-		line = line[:i]
-	}
-	p.splitFields(line)
-	if len(p.fields) == 0 {
+	tk := tokens{s: line}
+	head, col := tk.next()
+	if head == "" {
 		return Gate{}, false, nil
 	}
-	head := p.fields[0]
 	switch {
 	case foldWord(head, "BEGIN"):
 		p.inBody = true
@@ -100,7 +97,7 @@ func (p *LineParser) Next(line string) (g Gate, ok bool, err error) {
 		p.inBody = false
 		return Gate{}, false, nil
 	case head == ".v":
-		for _, q := range p.fields[1:] {
+		for q, _ := tk.next(); q != ""; q, _ = tk.next() {
 			p.declare(q)
 		}
 		return Gate{}, false, nil
@@ -109,9 +106,9 @@ func (p *LineParser) Next(line string) (g Gate, ok bool, err error) {
 		return Gate{}, false, nil
 	}
 	if !p.inBody {
-		return Gate{}, false, p.errorf(p.cols[0], "statement %q outside BEGIN/END", head)
+		return Gate{}, false, p.errorf(col, "statement %q outside BEGIN/END", head)
 	}
-	g, err = p.parseGate()
+	g, err = p.parseGate(head, col, &tk)
 	if err != nil {
 		return Gate{}, false, err
 	}
@@ -129,56 +126,60 @@ func (p *LineParser) declare(name string) int {
 	return p.reg.AddQubit(strings.Clone(name))
 }
 
-// splitFields splits line into whitespace-separated fields, recording each
-// field's 1-based starting column, reusing the parser's scratch slices.
-func (p *LineParser) splitFields(line string) {
-	p.fields = p.fields[:0]
-	p.cols = p.cols[:0]
-	start := -1
-	for i := 0; i < len(line); i++ {
-		switch line[i] {
-		case ' ', '\t', '\r', '\v', '\f':
-			if start >= 0 {
-				p.fields = append(p.fields, line[start:i])
-				p.cols = append(p.cols, start+1)
-				start = -1
-			}
-		default:
-			if start < 0 {
-				start = i
-			}
-		}
-	}
-	if start >= 0 {
-		p.fields = append(p.fields, line[start:])
-		p.cols = append(p.cols, start+1)
-	}
+// tokens is a cursor over the whitespace-separated tokens of one line. A
+// '#' ends the statement, inside a token or between tokens.
+type tokens struct {
+	s string
+	i int
 }
 
-// parseGate assembles the gate on the current statement line. The gate
+// byteClass sorts the bytes the cursor stops at: the separators, and the
+// '#' that starts a comment. Every other byte belongs to a token.
+var byteClass = [256]uint8{' ': isSep, '\t': isSep, '\r': isSep, '\v': isSep, '\f': isSep, '#': isHash}
+
+const (
+	isSep  = 1
+	isHash = 2
+)
+
+// next returns the next token and its 1-based starting column, or "" at
+// the end of the statement. The end is sticky: the cursor never steps past
+// a '#'.
+func (t *tokens) next() (string, int) {
+	s, i := t.s, t.i
+	for i < len(s) && byteClass[s[i]] == isSep {
+		i++
+	}
+	start := i
+	for i < len(s) && byteClass[s[i]] == 0 {
+		i++
+	}
+	t.i = i
+	return s[start:i], start + 1
+}
+
+// parseGate assembles the gate whose mnemonic head (at column col) opens
+// the current statement line, reading its operands off tk. Every operand
+// is resolved, auto-declaring unseen qubits (real benchmark files
+// sometimes omit ancillae from .v), before the mnemonic is checked, so a
+// rejected gate line still declares its operands. The gate
 // passes Gate.Validate by construction: gateShape fixes the operand counts
 // per type and declare hands out in-range indices, so only operand
 // distinctness is left to check, with Validate's error text.
-func (p *LineParser) parseGate() (Gate, error) {
-	mnemonic := p.fields[0]
-	nargs := len(p.fields) - 1
-	if cap(p.ops) < nargs {
-		p.ops = make([]int, nargs)
+func (p *LineParser) parseGate(head string, col int, tk *tokens) (Gate, error) {
+	p.ops = p.ops[:0]
+	for name, _ := tk.next(); name != ""; name, _ = tk.next() {
+		p.ops = append(p.ops, p.declare(name))
 	}
-	p.ops = p.ops[:nargs]
-	for k, nameArg := range p.fields[1:] {
-		// Auto-declare unseen qubits; real benchmark files sometimes omit
-		// ancillae from .v.
-		p.ops[k] = p.declare(nameArg)
-	}
-	t, nctrl, err := gateShape(mnemonic, nargs)
+	nargs := len(p.ops)
+	t, nctrl, err := gateShape(head, nargs)
 	if err != nil {
-		return Gate{}, p.wrap(p.cols[0], err)
+		return Gate{}, p.wrap(col, err)
 	}
 	for i := 1; i < nargs; i++ {
 		for j := 0; j < i; j++ {
 			if p.ops[j] == p.ops[i] {
-				return Gate{}, p.errorf(p.cols[0], "gate %s: duplicate operand qubit %d", t, p.ops[i])
+				return Gate{}, p.errorf(col, "gate %s: duplicate operand qubit %d", t, p.ops[i])
 			}
 		}
 	}

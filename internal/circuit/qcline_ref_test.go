@@ -247,9 +247,13 @@ func refValidate(g Gate, n int) error {
 }
 
 // lineParserSeeds is FuzzLineParser's seed corpus: every named mnemonic in
-// three cases, with the right and a wrong operand count; the Unicode fold
-// that reaches past ASCII (ſ is s); the tN/fN forms and near misses;
-// operand reuse; keyword look-alikes; and CRLF line endings.
+// three cases, with the right operand count, one under, one over and two
+// over; the Unicode fold that reaches past ASCII (ſ is s); the tN/fN forms
+// and near misses, t1 and t2 one operand under and over; operand reuse;
+// keyword look-alikes; CRLF line endings; and the token cursor's edges:
+// '#' inside and right after a token, every separator byte between and
+// around tokens, a line of separators only, an auto-declared operand, a
+// qubit named like a mnemonic, and non-ASCII names.
 func lineParserSeeds() []string {
 	const head = ".v a b c d\nBEGIN\n"
 	var seeds []string
@@ -271,6 +275,10 @@ func lineParserSeeds() []string {
 				head+spelled+" "+ops+"\nEND\n",
 				head+spelled+" "+ops+" d a\nEND\n")
 		}
+		under := strings.Join(strings.Fields("a b c d")[:n.nops-1], " ")
+		seeds = append(seeds,
+			head+n.m+" "+under+"\nEND\n",
+			head+n.m+" "+ops+" d\nEND\n")
 	}
 	return append(seeds,
 		head+"ſwap a b\nſ a\nſ* a\nſdg a\nEND\n",
@@ -284,6 +292,12 @@ func lineParserSeeds() []string {
 		head+"t2 a a\nEND\n",
 		".v a\nbegin\nH a\nEnd\nBEGINX\n",
 		".v a b\r\nBEGIN\r\nt2 a b\r\nH b # comment\r\nEND\r\n",
+		head+"t1\nt1 a b\nt2 a\nt2 a b c\nEND\n",
+		head+"t2 a#b c\nH a#\nH#a\n#H a\nEND#\nH a\n",
+		head+"t2\ta\tb\nt2\ra\rb\nt2\va\vb\nt2\fa\fb\n \t\r\v\fH a \t\r\v\f\n \t\r\v\f\nEND\n",
+		head+"H z\nt2 z y\nt2 y nope\nEND\n",
+		".v H T\nBEGIN\nH H\nt2 H T\nT T\nEND\n",
+		".v ä\nBEGIN\nH ä\nt2 ä ſ\nſwap ä ſ\nH ɑ\nEND\n",
 	)
 }
 

@@ -6,8 +6,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/circuit"
 	"repro/internal/fabric"
@@ -95,93 +93,12 @@ func New(p fabric.Params, opt Options) (*Estimator, error) {
 }
 
 // NonFTError reports a circuit (or gate stream) containing gates outside
-// the fault-tolerant set. Its message matches the historical precondition
-// failure; callers that want to react (the service's decompose fallback)
-// detect it with errors.As.
-type NonFTError struct {
-	// Circuit names the offending netlist.
-	Circuit string
-	// Gate is the index of the first non-FT gate when known (streaming
-	// detection), -1 otherwise.
-	Gate int
-	// Type is the offending gate type when known (circuit.Invalid
-	// otherwise).
-	Type circuit.GateType
-}
-
-func (e *NonFTError) Error() string {
-	return fmt.Sprintf("leqa: circuit %q contains non-FT gates; run decompose.ToFT first", e.Circuit)
-}
+// the fault-tolerant set: the analysis's FT-only counting pass
+// (analysis.AnalyzeStreamContext) stops with it at the first non-FT gate,
+// and EstimateAnalysis fails with it on a non-FT analysis.
+type NonFTError = analysis.NonFTError
 
 func ftErr(name string) error { return &NonFTError{Circuit: name, Gate: -1} }
-
-// AnalyzeStreamFT is line 1 of Algorithm 1 on a gate stream: the stream
-// runs behind the FT-set guard into the fused (possibly shard-parallel)
-// analysis, in ar's buffers when ar is non-nil. The first non-FT gate stops
-// the scan with a NonFTError. EstimateAnalysis and EstimateAnalysisBatch
-// run the rest of the algorithm on the result.
-func (e *Estimator) AnalyzeStreamFT(src analysis.GateStream, ar *analysis.Arena) (*analysis.Analysis, error) {
-	guard := &ftGuard{src: src}
-	if ar != nil {
-		return ar.AnalyzeStream(guard)
-	}
-	return analysis.AnalyzeStream(guard)
-}
-
-// ftGuard enforces the FT-gate-set precondition on a flowing stream: the
-// first non-FT gate stops the scan with a NonFTError, before the analysis
-// layer ever sees the gate — the same failure priority as the batch path's
-// up-front IsFT check.
-type ftGuard struct {
-	src  analysis.GateStream
-	idx  int
-	err  error
-	gate circuit.Gate
-}
-
-func (f *ftGuard) Scan() bool {
-	if f.err != nil {
-		return false
-	}
-	if !f.src.Scan() {
-		return false
-	}
-	f.gate = f.src.Gate()
-	if !f.gate.Type.IsFT() {
-		f.err = &NonFTError{Circuit: f.src.Name(), Gate: f.idx, Type: f.gate.Type}
-		return false
-	}
-	f.idx++
-	return true
-}
-
-func (f *ftGuard) Gate() circuit.Gate { return f.gate }
-
-func (f *ftGuard) Err() error {
-	if f.err != nil {
-		return f.err
-	}
-	return f.src.Err()
-}
-
-func (f *ftGuard) Rewind() error {
-	if f.err != nil {
-		return f.err
-	}
-	f.idx = 0
-	return f.src.Rewind()
-}
-
-func (f *ftGuard) NumQubits() int { return f.src.NumQubits() }
-func (f *ftGuard) Name() string   { return f.src.Name() }
-
-// PrevalidatedGates forwards the wrapped stream's validation guarantee
-// (analysis.PrevalidatedStream): the guard stops the scan, it never alters
-// a gate.
-func (f *ftGuard) PrevalidatedGates() bool {
-	p, ok := f.src.(analysis.PrevalidatedStream)
-	return ok && p.PrevalidatedGates()
-}
 
 // scalarPhase runs lines 2–18 of Algorithm 1 — everything before the QODG
 // re-weighting: the zone coverage average (Eq. 6–7), the congestion-free

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -21,9 +22,9 @@ func defaultEstimator(t *testing.T, opt Options) *Estimator {
 }
 
 // estimateCircuit is Algorithm 1 end to end on a materialized circuit: the
-// FT-guarded analysis, then the estimate.
+// FT-only analysis, then the estimate.
 func estimateCircuit(e *Estimator, c *circuit.Circuit) (*Result, error) {
-	a, err := e.AnalyzeStreamFT(analysis.NewCircuitStream(c), nil)
+	a, err := analysis.AnalyzeStreamContext(context.Background(), analysis.NewCircuitStream(c), nil, true)
 	if err != nil {
 		return nil, err
 	}

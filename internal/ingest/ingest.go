@@ -16,6 +16,12 @@
 //     the spool. An optional byte cap bounds the spool (ErrSpoolLimit), so
 //     a network service can move its request-size limit from RAM to disk.
 //
+// A stream enforces its own limits on every pass — the line cap, the
+// spool cap and the gate cap (Options.MaxGates, ErrGateLimit) — so a
+// consumer bounds a netlist by configuring the stream, not by wrapping
+// it; cancellation and the FT-set check belong to the consumer's gate
+// loop (analysis.AnalyzeStreamContext).
+//
 // Statement parsing is circuit.LineParser — the exact code path ParseQC
 // runs — so the streamed dialect, validation and *circuit.SyntaxError
 // line/column diagnostics are identical to the materializing parser by
@@ -49,6 +55,25 @@ const (
 // successor of the in-RAM body cap).
 var ErrSpoolLimit = errors.New("spool limit exceeded")
 
+// ErrGateLimit marks a netlist with more gates than Options.MaxGates. The
+// error a stream fails with is a *GateLimitError wrapping it.
+var ErrGateLimit = errors.New("gate limit exceeded")
+
+// GateLimitError reports the netlist whose gate MaxGates+1 arrived. It
+// wraps ErrGateLimit.
+type GateLimitError struct {
+	// Circuit names the netlist.
+	Circuit string
+	// Max is the cap it went past.
+	Max int
+}
+
+func (e *GateLimitError) Error() string {
+	return fmt.Sprintf("circuit %q exceeds the %d-gate cap", e.Circuit, e.Max)
+}
+
+func (e *GateLimitError) Unwrap() error { return ErrGateLimit }
+
 // Options tunes a Scanner; the zero value is ready for general use.
 type Options struct {
 	// ChunkBytes sizes the read buffer; 0 means DefaultChunkBytes.
@@ -63,6 +88,11 @@ type Options struct {
 	// wrapping ErrSpoolLimit. Seekable sources never spool and are never
 	// capped here.
 	MaxSpoolBytes int64
+	// MaxGates caps the gates of the netlist; 0 means no cap. Every pass,
+	// Materialize's included, stops when gate MaxGates+1 arrives, with a
+	// *GateLimitError. A syntax or decode error in that gate's own record
+	// is reported instead.
+	MaxGates int
 }
 
 func (o Options) chunk() int {
@@ -239,6 +269,10 @@ func (s *Scanner) Scan() bool {
 			return false
 		}
 		if ok {
+			if s.opt.MaxGates > 0 && s.gateIndex+1 >= s.opt.MaxGates {
+				s.err = &GateLimitError{Circuit: s.name, Max: s.opt.MaxGates}
+				return false
+			}
 			s.gate = g
 			s.gateIndex++
 			return true
@@ -304,18 +338,22 @@ func (s *Scanner) Close() error {
 // escape hatch for flows that need the gate list itself (FT decomposition
 // of a non-FT upload, equivalence tests). The scanner remains usable: call
 // Rewind to stream again.
-func (s *Scanner) Materialize() (*circuit.Circuit, error) {
-	if err := s.Rewind(); err != nil {
+func (s *Scanner) Materialize() (*circuit.Circuit, error) { return materialize(s) }
+
+// materialize rewinds st and replays it into a circuit over a clone of its
+// register.
+func materialize(st Stream) (*circuit.Circuit, error) {
+	if err := st.Rewind(); err != nil {
 		return nil, err
 	}
 	var gates []circuit.Gate
-	for s.Scan() {
-		gates = append(gates, s.gate.Clone())
+	for st.Scan() {
+		gates = append(gates, st.Gate().Clone())
 	}
-	if err := s.Err(); err != nil {
+	if err := st.Err(); err != nil {
 		return nil, err
 	}
-	c := s.p.Register().Clone()
+	c := st.Register().Clone()
 	c.Gates = gates
 	return c, nil
 }
@@ -424,7 +462,7 @@ func (lr *lineReader) reset(r io.Reader, chunk, maxLine int) {
 }
 
 // next returns the next line without its terminator ('\n'; a preceding
-// '\r' is left in place — the field splitter treats it as whitespace).
+// '\r' is left in place — the line parser treats it as a separator).
 // io.EOF signals a clean end of stream.
 func (lr *lineReader) next() ([]byte, error) {
 	lr.carry = lr.carry[:0]

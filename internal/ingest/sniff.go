@@ -82,7 +82,7 @@ func sniffSeekable(rs io.ReadSeeker, name string, opt Options, allowGzip bool, o
 		if err != nil {
 			return nil, err
 		}
-		return &binStream{Scanner: sc, owns: owns}, nil
+		return &binStream{Scanner: sc, owns: owns, maxGates: opt.MaxGates}, nil
 	default:
 		s := NewScanner(rs, name, opt)
 		s.extra = owns
@@ -217,19 +217,53 @@ func NewAutoStream(r io.Reader, name string, opt Options) (Stream, error) {
 			spool.Close()
 			return nil, err
 		}
-		return &binStream{Scanner: sc, owns: []io.Closer{spool}, spooled: size}, nil
+		return &binStream{Scanner: sc, owns: []io.Closer{spool}, spooled: size, maxGates: opt.MaxGates}, nil
 	default:
 		return NewScanner(src, name, opt), nil
 	}
 }
 
 // binStream adapts the .qcb decoder to the ingest Stream contract: spool
-// accounting plus ownership of the containers opened on its behalf.
+// accounting, the gate cap, and ownership of the containers opened on its
+// behalf.
 type binStream struct {
 	*qcbin.Scanner
-	owns    []io.Closer
-	spooled int64
+	owns     []io.Closer
+	spooled  int64
+	maxGates int   // Options.MaxGates
+	err      error // the gate cap's error, sticky like a decode error
 }
+
+// Scan is the decoder's Scan under Options.MaxGates.
+func (b *binStream) Scan() bool {
+	if b.err != nil || !b.Scanner.Scan() {
+		return false
+	}
+	if b.maxGates > 0 && b.GateIndex() >= b.maxGates {
+		b.err = &GateLimitError{Circuit: b.Name(), Max: b.maxGates}
+		return false
+	}
+	return true
+}
+
+// Err reports the gate cap's error, else the decoder's.
+func (b *binStream) Err() error {
+	if b.err != nil {
+		return b.err
+	}
+	return b.Scanner.Err()
+}
+
+// Rewind restarts the decoder unless the gate cap stopped the stream.
+func (b *binStream) Rewind() error {
+	if b.err != nil {
+		return b.err
+	}
+	return b.Scanner.Rewind()
+}
+
+// Materialize replays the capped stream into a circuit.
+func (b *binStream) Materialize() (*circuit.Circuit, error) { return materialize(b) }
 
 // SpooledBytes reports the disk spool footprint of the binary container
 // (0 when it was decoded in place from a seekable source).

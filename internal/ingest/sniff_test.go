@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -228,5 +229,62 @@ func TestBinaryStreamRewinds(t *testing.T) {
 	}
 	if n2 := count(); n1 != n2 || st.Err() != nil {
 		t.Fatalf("passes disagree: %d vs %d (err %v)", n1, n2, st.Err())
+	}
+}
+
+// TestMaxGatesEveryContainer holds Options.MaxGates on every container and
+// every pass: a netlist of exactly MaxGates gates streams and materializes
+// in full, while one gate more stops the first pass at gate MaxGates+1 with
+// a *GateLimitError that sticks through Rewind and Materialize.
+func TestMaxGatesEveryContainer(t *testing.T) {
+	n := len(sniffCircuit(t).Gates)
+	for container, data := range containers(t) {
+		for _, seekable := range []bool{true, false} {
+			open := func(max int) Stream {
+				var r io.Reader = bytes.NewReader(data)
+				if !seekable {
+					r = nonSeeker{bytes.NewReader(data)}
+				}
+				st, err := NewAutoStream(r, "sniff", Options{MaxGates: max})
+				if err != nil {
+					t.Fatalf("%s: NewAutoStream: %v", container, err)
+				}
+				t.Cleanup(func() { st.Close() })
+				return st
+			}
+			label := fmt.Sprintf("%s/seekable=%v", container, seekable)
+
+			at := open(n)
+			for pass := 0; pass < 2; pass++ {
+				if err := at.Rewind(); err != nil {
+					t.Fatalf("%s: Rewind: %v", label, err)
+				}
+				if got := len(collect(t, at)); got != n {
+					t.Fatalf("%s pass %d: %d gates at a cap of %d, want all %d", label, pass, got, n, n)
+				}
+			}
+			if c, err := at.Materialize(); err != nil || len(c.Gates) != n {
+				t.Fatalf("%s: Materialize at the cap = %v", label, err)
+			}
+
+			over := open(n - 1)
+			scanned := 0
+			for over.Scan() {
+				scanned++
+			}
+			var gl *GateLimitError
+			if err := over.Err(); !errors.As(err, &gl) || !errors.Is(err, ErrGateLimit) || gl.Max != n-1 || gl.Circuit != "sniff" {
+				t.Fatalf("%s: err = %v, want a GateLimitError for sniff at %d", label, err, n-1)
+			}
+			if scanned != n-1 {
+				t.Fatalf("%s: %d gates before the cap, want %d", label, scanned, n-1)
+			}
+			if err := over.Rewind(); !errors.Is(err, ErrGateLimit) {
+				t.Fatalf("%s: Rewind after the cap = %v", label, err)
+			}
+			if _, err := over.Materialize(); !errors.Is(err, ErrGateLimit) {
+				t.Fatalf("%s: Materialize after the cap = %v", label, err)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package qcbin
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -30,13 +31,27 @@ const digestDomain = "LEQA-QCD1\n"
 //
 // The stream is rewound first and left at end of stream; one full pass.
 func Digest(src analysis.GateStream) (string, error) {
+	return DigestContext(context.Background(), src)
+}
+
+// DigestContext is Digest polling ctx the way the analysis's counting pass
+// does: before the first gate and then every analysis.CtxCheckEvery gates.
+func DigestContext(ctx context.Context, src analysis.GateStream) (string, error) {
 	if err := src.Rewind(); err != nil {
 		return "", err
 	}
 	h := sha256.New()
 	h.Write([]byte(digestDomain))
 	var buf []byte
-	for src.Scan() {
+	for n := 0; ; n++ {
+		if n%analysis.CtxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return "", err
+			}
+		}
+		if !src.Scan() {
+			break
+		}
 		buf = appendGateRecord(buf[:0], src.Gate())
 		h.Write(buf)
 	}

@@ -3,6 +3,7 @@ package qcbin
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"errors"
 	"strings"
@@ -184,6 +185,48 @@ func TestDigestContainerIndependent(t *testing.T) {
 	if _, err := ParseRef(FormatRef(want)); err != nil {
 		t.Errorf("ParseRef(FormatRef): %v", err)
 	}
+}
+
+// TestDigestContextPolls checks the digest pass polls its context the way
+// the counting pass does: a done context fails it before the first gate,
+// and a cancellation mid-stream stops it within CtxCheckEvery gates.
+func TestDigestContextPolls(t *testing.T) {
+	c := circuit.New("long", 2)
+	for i := 0; i < 3*analysis.CtxCheckEvery; i++ {
+		c.Append(circuit.NewCNOT(i%2, 1-i%2))
+	}
+	for _, tc := range []struct{ cancelAt, maxScans int }{
+		{0, 0}, // cancelled before the pass
+		{100, 100 + analysis.CtxCheckEvery},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		if tc.cancelAt == 0 {
+			cancel()
+		}
+		src := &cancelAfter{GateStream: analysis.NewCircuitStream(c), at: tc.cancelAt, cancel: cancel}
+		if _, err := DigestContext(ctx, src); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at scan %d: err = %v, want context.Canceled", tc.cancelAt, err)
+		}
+		if src.scans > tc.maxScans {
+			t.Fatalf("cancel at scan %d: %d scans, want at most %d", tc.cancelAt, src.scans, tc.maxScans)
+		}
+		cancel()
+	}
+}
+
+// cancelAfter cancels its context on the stream's scan number at, and
+// counts every scan.
+type cancelAfter struct {
+	analysis.GateStream
+	at, scans int
+	cancel    context.CancelFunc
+}
+
+func (s *cancelAfter) Scan() bool {
+	if s.scans++; s.scans == s.at {
+		s.cancel()
+	}
+	return s.GateStream.Scan()
 }
 
 func TestParseRef(t *testing.T) {

@@ -15,23 +15,27 @@ import (
 // analysis store and replies with its content digest. The operation is
 // idempotent: re-uploading a stored circuit is a store hit, whatever
 // container it arrives in this time, because the digest covers the
-// canonical gate stream rather than the bytes on the wire.
+// canonical gate stream rather than the bytes on the wire. An upload the
+// client abandons, or one still running when the server aborts, stops at
+// the store's next context poll and stores nothing.
 func (s *Server) handleCircuitPut(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
 		name = "uploaded"
 	}
+	ctx, cancel := s.requestContext(r)
+	defer cancel()
 	sc, err := ingest.NewAutoStream(r.Body, name, ingest.Options{
 		SpoolDir:      s.cfg.SpoolDir,
 		MaxSpoolBytes: s.cfg.MaxSpoolBytes,
+		MaxGates:      s.cfg.MaxGates,
 	})
 	if err != nil {
 		s.writeError(w, classifyStreamErr(err))
 		return
 	}
 	defer sc.Close()
-	capped := &gateCapStream{src: sc, max: s.cfg.MaxGates}
-	a, digest, err := s.store.GetOrAnalyze(capped)
+	a, digest, _, err := s.store.GetOrAnalyzeOutcome(ctx, sc)
 	if err != nil {
 		s.writeError(w, classifyStreamErr(err))
 		return

@@ -5,10 +5,13 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/ingest"
 	"repro/internal/qcbin"
 	"repro/internal/server"
 	"repro/leqa"
@@ -352,5 +355,119 @@ func TestDigestMatchesClientSide(t *testing.T) {
 	}
 	if info.Digest != qcbin.FormatRef(digest) {
 		t.Fatalf("server digest %s, local %s", info.Digest, qcbin.FormatRef(digest))
+	}
+}
+
+// TestCircuitPutGateCap holds MaxGates on the store path: a PUT of a .qc
+// or .qcb netlist over the cap is a 422 naming the cap, counted as
+// gate_cap, and stores nothing.
+func TestCircuitPutGateCap(t *testing.T) {
+	ts, c := newTestServer(t, server.Config{MaxGates: 4})
+	ctx := context.Background()
+	circ, err := leqa.Parse(strings.NewReader(uploadQC), "capped")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := leqa.CircuitDigest(circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []struct {
+		container string
+		data      []byte
+	}{
+		{"qc", []byte(uploadQC)},
+		{"qcb", qcbBytes(t, "capped", uploadQC)},
+	} {
+		before, _ := scrapeTestMetrics(t, ts, ts.URL).Value("leqad_throttled_total", map[string]string{"reason": "gate_cap"})
+		_, err := c.PutCircuit(ctx, "capped", bytes.NewReader(body.data))
+		var apiErr *client.APIError
+		if !asAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: err = %v, want 422 from the gate cap", body.container, err)
+		}
+		if want := `circuit "capped" exceeds the server cap of 4 operations`; apiErr.Message != want {
+			t.Fatalf("%s: message %q, want %q", body.container, apiErr.Message, want)
+		}
+		after := metricValue(t, scrapeTestMetrics(t, ts, ts.URL), "leqad_throttled_total", map[string]string{"reason": "gate_cap"})
+		if after != before+1 {
+			t.Fatalf("%s: gate_cap throttles %v -> %v, want +1", body.container, before, after)
+		}
+		if _, err := c.Circuit(ctx, leqa.FormatDigestRef(ref)); !asAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: the capped circuit was stored: GET err = %v", body.container, err)
+		}
+	}
+	h, err := c.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.AnalysisStore.Entries != 0 {
+		t.Fatalf("capped uploads reached the store: %+v", h.AnalysisStore)
+	}
+}
+
+// TestCircuitPutAbortStoresNothing is Server.Abort on an in-flight PUT: the
+// upload's passes poll the request context, so a body still streaming when
+// the server aborts fails and leaves the store as it was.
+func TestCircuitPutAbortStoresNothing(t *testing.T) {
+	srv, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL, ts.Client())
+	ctx := context.Background()
+
+	// Abort reaches the request context from a goroutine of its own, which
+	// the scheduler may hold back for a time slice (10 ms) while the
+	// upload's goroutines hand the CPU to each other. The body is long
+	// enough that streaming what follows the abort takes several slices.
+	var body bytes.Buffer
+	body.WriteString(".v a b c\nBEGIN\n")
+	for body.Len() < 4<<20 {
+		body.WriteString("CNOT a b\nT c\nCNOT c a\n")
+	}
+	body.WriteString("END\n")
+	qc := body.Bytes()
+	ref, err := leqa.StreamDigest(ingest.NewScanner(bytes.NewReader(qc), "aborted", ingest.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, err := c.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.PutCircuit(ctx, "aborted", pr)
+		done <- err
+	}()
+	head := 64 << 10
+	if _, err := pw.Write(qc[:head]); err != nil {
+		t.Fatal(err)
+	}
+	srv.Abort()
+	go func() {
+		if _, err := pw.Write(qc[head:]); err == nil {
+			pw.Close()
+		}
+	}()
+	err = <-done
+	pr.CloseWithError(io.ErrClosedPipe) // release the writer if the server stopped reading
+	if err == nil {
+		t.Fatal("PUT completed and stored its circuit after Abort")
+	}
+	var apiErr *client.APIError
+	if _, err := c.Circuit(ctx, leqa.FormatDigestRef(ref)); !asAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
+		t.Fatalf("aborted upload was stored: GET err = %v", err)
+	}
+	h1, err := c.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h1.AnalysisStore.Entries != h0.AnalysisStore.Entries {
+		t.Fatalf("store entries %d -> %d across an aborted upload", h0.AnalysisStore.Entries, h1.AnalysisStore.Entries)
 	}
 }

@@ -70,8 +70,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // MaxBodyBytes estimates in O(analysis) memory. The body is also spooled
 // to disk, not RAM. The spool backs only the rewind of the materialized
 // decompose fallback, and its cap (MaxSpoolBytes) is the 413 limit for
-// raw uploads; a gzip body inflating past it is a 422. MaxBodyBytes keeps
-// bounding the JSON endpoints and the decompose fallback.
+// raw uploads; a gzip body inflating past it is a 422. The stream itself
+// stops at gate MaxGates+1 on every pass. MaxBodyBytes keeps bounding the
+// JSON endpoints and the decompose fallback.
 func (s *Server) handleEstimateQC(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	ps, err := paramSpecFromQuery(q)
@@ -98,14 +99,14 @@ func (s *Server) handleEstimateQC(w http.ResponseWriter, r *http.Request) {
 	sc, err := ingest.NewAutoStream(r.Body, name, ingest.Options{
 		SpoolDir:      s.cfg.SpoolDir,
 		MaxSpoolBytes: s.cfg.MaxSpoolBytes,
+		MaxGates:      s.cfg.MaxGates,
 	})
 	if err != nil {
 		s.writeError(w, classifyStreamErr(err))
 		return
 	}
 	defer sc.Close()
-	capped := &gateCapStream{src: sc, max: s.cfg.MaxGates}
-	res, err := s.runner.EstimateStreamWith(ctx, capped, p)
+	res, err := s.runner.EstimateStreamWith(ctx, sc, p)
 	if err != nil {
 		var nft *leqa.NonFTError
 		if errors.As(err, &nft) && decompose {
@@ -165,56 +166,6 @@ func (s *Server) tryDecomposeFallback(ctx context.Context, sc ingest.Stream, nam
 		return nil, err
 	}
 	return cells[0].Result, cells[0].Err
-}
-
-// gateCapStream stops a flowing stream once it exceeds the per-circuit
-// operation cap, before the analysis layer buys storage for the excess.
-type gateCapStream struct {
-	src leqa.GateStream
-	max int
-	n   int
-	err error
-}
-
-func (g *gateCapStream) Scan() bool {
-	if g.err != nil {
-		return false
-	}
-	if !g.src.Scan() {
-		return false
-	}
-	if g.n++; g.n > g.max {
-		g.err = capExceeded("circuit %q exceeds the server cap of %d operations", g.src.Name(), g.max)
-		return false
-	}
-	return true
-}
-
-func (g *gateCapStream) Gate() leqa.Gate { return g.src.Gate() }
-
-func (g *gateCapStream) Err() error {
-	if g.err != nil {
-		return g.err
-	}
-	return g.src.Err()
-}
-
-func (g *gateCapStream) Rewind() error {
-	if g.err != nil {
-		return g.err
-	}
-	g.n = 0
-	return g.src.Rewind()
-}
-
-func (g *gateCapStream) NumQubits() int { return g.src.NumQubits() }
-func (g *gateCapStream) Name() string   { return g.src.Name() }
-
-// PrevalidatedGates forwards the wrapped stream's validation guarantee
-// (leqa.PrevalidatedStream): the cap counts gates, it doesn't alter them.
-func (g *gateCapStream) PrevalidatedGates() bool {
-	p, ok := g.src.(leqa.PrevalidatedStream)
-	return ok && p.PrevalidatedGates()
 }
 
 // handleSweep streams one row per circuit under a single parameter set.

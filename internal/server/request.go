@@ -345,9 +345,14 @@ func decomposeFromQuery(q url.Values) (bool, error) {
 // classifyStreamErr maps streaming-ingestion failures to statuses: an
 // exceeded spool cap is 413 (the raw-upload successor of the body cap); a
 // gzip body whose inflated content outgrew the cap is 422 — the request
-// itself was within bounds, its content was not; everything else keeps
-// writeError's default classification.
+// itself was within bounds, its content was not; a stream past the gate
+// cap is a 422 counted as gate_cap; everything else keeps writeError's
+// default classification.
 func classifyStreamErr(err error) error {
+	var gl *ingest.GateLimitError
+	if errors.As(err, &gl) {
+		return capExceeded("circuit %q exceeds the server cap of %d operations", gl.Circuit, gl.Max)
+	}
 	if errors.Is(err, ingest.ErrInflateLimit) {
 		return &statusError{code: http.StatusUnprocessableEntity, msg: err.Error()}
 	}

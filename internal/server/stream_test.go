@@ -102,9 +102,9 @@ func TestEstimateUploadNonFTTooLargeToDecompose(t *testing.T) {
 }
 
 // TestEstimateUploadNonFTFirstGateTooLarge is the early-abort variant: the
-// FT guard stops after the FIRST gate with almost the whole body unread,
-// and the fallback gate must still see the netlist's true size — not the
-// few KiB consumed so far — and refuse to materialize it.
+// FT-only counting pass stops after the FIRST gate with almost the whole
+// body unread, and the fallback gate must still see the netlist's true
+// size — not the few KiB consumed so far — and refuse to materialize it.
 func TestEstimateUploadNonFTFirstGateTooLarge(t *testing.T) {
 	const maxBody = 1 << 10
 	_, c := newTestServer(t, server.Config{MaxBodyBytes: maxBody})

@@ -16,6 +16,7 @@ package store
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -169,17 +170,19 @@ func (o Outcome) String() string {
 // GetOrAnalyze returns the analysis of src's netlist and its content
 // digest (bare hex), analyzing at most once per digest across all
 // concurrent callers. The stream is consumed (one digest pass, plus the
-// analysis passes on a full miss).
+// analysis pass on a full miss).
 func (s *Store) GetOrAnalyze(src analysis.GateStream) (*analysis.Analysis, string, error) {
-	a, digest, _, err := s.GetOrAnalyzeOutcome(src)
+	a, digest, _, err := s.GetOrAnalyzeOutcome(context.Background(), src)
 	return a, digest, err
 }
 
 // GetOrAnalyzeOutcome is GetOrAnalyze reporting how the lookup was
 // satisfied (memory hit, disk image, full analysis) — the hook request
-// tracing uses to attribute analyze time.
-func (s *Store) GetOrAnalyzeOutcome(src analysis.GateStream) (*analysis.Analysis, string, Outcome, error) {
-	digest, err := qcbin.Digest(src)
+// tracing uses to attribute analyze time. Its digest pass and its analysis
+// pass poll ctx and stop with its error; a failed analysis is never
+// stored.
+func (s *Store) GetOrAnalyzeOutcome(ctx context.Context, src analysis.GateStream) (*analysis.Analysis, string, Outcome, error) {
+	digest, err := qcbin.DigestContext(ctx, src)
 	if err != nil {
 		return nil, "", OutcomeMiss, err
 	}
@@ -199,7 +202,7 @@ func (s *Store) GetOrAnalyzeOutcome(src analysis.GateStream) (*analysis.Analysis
 		if err := src.Rewind(); err != nil {
 			return nil, err
 		}
-		a, err := analysis.AnalyzeStream(src)
+		a, err := analysis.AnalyzeStreamContext(ctx, src, nil, false)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -296,6 +297,42 @@ func TestFailedComputeRetries(t *testing.T) {
 	}
 	if st := s.Stats(); st.Hits != 0 {
 		t.Errorf("failed digest served as a hit: %s", st)
+	}
+}
+
+// cancelOnRewind cancels its context when the stream is rewound the n-th
+// time.
+type cancelOnRewind struct {
+	analysis.GateStream
+	n, rewinds int
+	cancel     context.CancelFunc
+}
+
+func (s *cancelOnRewind) Rewind() error {
+	if s.rewinds++; s.rewinds == s.n {
+		s.cancel()
+	}
+	return s.GateStream.Rewind()
+}
+
+// TestCancelledAnalysisNotStored cancels a lookup between its digest pass
+// and its analysis pass: the analysis polls the context, fails with its
+// error, and the digest stays computable by the next caller.
+func TestCancelledAnalysisNotStored(t *testing.T) {
+	s := newStore(t, Options{})
+	c := genFT(t, "8bitadder")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Rewind 1 starts the digest pass, rewind 2 the analysis pass.
+	src := &cancelOnRewind{GateStream: analysis.NewCircuitStream(c), n: 2, cancel: cancel}
+	if _, _, _, err := s.GetOrAnalyzeOutcome(ctx, src); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled from the analysis pass", err)
+	}
+	if st := s.Stats(); st.Entries != 0 || st.Misses != 1 {
+		t.Fatalf("stats after a cancelled analysis = %s, want no entry and 1 miss", st)
+	}
+	if _, _, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c)); err != nil || outcome != OutcomeMiss {
+		t.Fatalf("retry = %v, %v; want a fresh analysis", outcome, err)
 	}
 }
 

@@ -23,14 +23,14 @@ type (
 	// implement it.
 	GateStream = analysis.GateStream
 	// PrevalidatedStream is the optional GateStream capability advertising
-	// that yielded gates are already validated; wrappers that pass gates
-	// through unchanged should forward it so the analysis passes keep
-	// skipping the redundant per-gate re-validation.
+	// that yielded gates are already validated, so the analysis skips its
+	// per-gate re-validation. A caller's wrapper that passes gates through
+	// unchanged should forward it.
 	PrevalidatedStream = analysis.PrevalidatedStream
 	// IngestOptions tunes the streaming .qc scanner: chunk size, line cap,
-	// and the on-disk spool (directory, byte cap) non-seekable sources use
-	// to support a second pass (a store's digest-then-analyze, or
-	// materialization).
+	// gate cap, and the on-disk spool (directory, byte cap) non-seekable
+	// sources use to support a second pass (a store's digest-then-analyze,
+	// or materialization).
 	IngestOptions = ingest.Options
 	// Appender extends an analyzed circuit with an append-only gate suffix
 	// and snapshots Analyses without re-analyzing the prefix — the
@@ -166,59 +166,6 @@ func AnalysisSource(name string, a *Analysis) Source {
 	return Source{Name: name, Analysis: a}
 }
 
-// ctxStream threads context cancellation into a flowing gate stream: the
-// scan stops with ctx's error at the next gate boundary (checked every
-// ctxCheckEvery gates, so the overhead never shows on the hot path).
-type ctxStream struct {
-	src GateStream
-	ctx context.Context
-	n   int
-	err error
-}
-
-const ctxCheckEvery = 4096
-
-func (s *ctxStream) Scan() bool {
-	if s.err != nil {
-		return false
-	}
-	if s.n%ctxCheckEvery == 0 {
-		if err := s.ctx.Err(); err != nil {
-			s.err = err
-			return false
-		}
-	}
-	s.n++
-	return s.src.Scan()
-}
-
-func (s *ctxStream) Gate() Gate { return s.src.Gate() }
-
-func (s *ctxStream) Err() error {
-	if s.err != nil {
-		return s.err
-	}
-	return s.src.Err()
-}
-
-func (s *ctxStream) Rewind() error {
-	if s.err != nil {
-		return s.err
-	}
-	s.n = 0
-	return s.src.Rewind()
-}
-
-func (s *ctxStream) NumQubits() int { return s.src.NumQubits() }
-func (s *ctxStream) Name() string   { return s.src.Name() }
-
-// PrevalidatedGates forwards the wrapped stream's validation guarantee
-// (analysis.PrevalidatedStream): cancellation checks don't alter gates.
-func (s *ctxStream) PrevalidatedGates() bool {
-	p, ok := s.src.(analysis.PrevalidatedStream)
-	return ok && p.PrevalidatedGates()
-}
-
 // closeStream releases a stream that owns resources (ingest scanners hold
 // spool files); in-memory streams are no-ops.
 func closeStream(src GateStream) {
@@ -230,7 +177,7 @@ func closeStream(src GateStream) {
 // EstimateStreamWith estimates one gate stream under an explicit parameter
 // set in one of the runner's arenas: the fused analysis reads the stream
 // once (no store, no memo — the stream's digest is unknown until it has
-// been read), ctx cancels at gate granularity, and the first
+// been read), polling ctx every few thousand gates, and the first
 // non-FT gate stops the scan with a NonFTError. It is the estimation
 // service's raw-upload path; the zone-model memo still shares cached
 // fabrics with every other estimate.
@@ -245,7 +192,7 @@ func (r *Runner) EstimateStreamWith(ctx context.Context, src GateStream, p Param
 	ar := r.arena()
 	defer r.release(ar)
 	t := time.Now()
-	a, err := est.AnalyzeStreamFT(&ctxStream{src: src, ctx: ctx}, ar)
+	a, err := analysis.AnalyzeStreamContext(ctx, src, ar, true)
 	observePhaseDetail(ctx, trace.SpanAnalyze, t, func() string { return streamedDetail(a) })
 	if err != nil {
 		return nil, err

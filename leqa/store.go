@@ -78,8 +78,8 @@ func WriteQCB(w io.Writer, c *Circuit) error { return qcbin.EncodeCircuit(w, c) 
 // Analysis-backed source; in ar for an in-memory circuit; through the
 // attached store for a streamed source when one is set (a hit skips the
 // graph build; a miss analyzes and persists); otherwise by streaming the
-// source into ar behind the FT guard. An arena analysis is borrowed until
-// ar's next use.
+// source into ar through the FT-only counting pass. Every pass over the
+// stream polls ctx. An arena analysis is borrowed until ar's next use.
 func (r *Runner) analyzeSource(ctx context.Context, s Source, ar *analysis.Arena) (*analysis.Analysis, error) {
 	if s.Analysis != nil {
 		// By-reference resolution: no ingest or graph build happened, but a
@@ -113,12 +113,11 @@ func (r *Runner) analyzeSource(ctx context.Context, s Source, ar *analysis.Arena
 		return nil, err
 	}
 	defer closeStream(src)
-	cs := &ctxStream{src: src, ctx: ctx}
 	t = time.Now()
 	var a *analysis.Analysis
 	if r.store != nil {
 		var outcome store.Outcome
-		a, _, outcome, err = r.store.GetOrAnalyzeOutcome(cs)
+		a, _, outcome, err = r.store.GetOrAnalyzeOutcome(ctx, src)
 		observePhaseDetail(ctx, trace.SpanAnalyze, t, func() string {
 			if a == nil {
 				return "store=" + outcome.String()
@@ -126,7 +125,7 @@ func (r *Runner) analyzeSource(ctx context.Context, s Source, ar *analysis.Arena
 			return "store=" + outcome.String() + " gates=" + itoa(a.Operations)
 		})
 	} else {
-		a, err = r.est.AnalyzeStreamFT(cs, ar)
+		a, err = analysis.AnalyzeStreamContext(ctx, src, ar, true)
 		observePhaseDetail(ctx, trace.SpanAnalyze, t, func() string { return streamedDetail(a) })
 	}
 	return a, err

@@ -27,7 +27,6 @@ import (
 // (concurrent raw uploads are not bounded by the pool) or grown past that
 // size are dropped on release. Results never alias arena memory.
 type Runner struct {
-	est     *core.Estimator
 	opt     EstimateOptions
 	workers int
 	mu      sync.Mutex
@@ -93,14 +92,13 @@ func (r *Runner) release(ar *analysis.Arena) {
 // NewRunner validates the parameters and builds a Runner. workers ≤ 0
 // selects GOMAXPROCS.
 func NewRunner(p Params, opt EstimateOptions, workers int) (*Runner, error) {
-	est, err := core.New(p, opt)
-	if err != nil {
+	if _, err := core.New(p, opt); err != nil {
 		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{est: est, opt: opt, workers: workers}, nil
+	return &Runner{opt: opt, workers: workers}, nil
 }
 
 // Workers reports the pool size.
