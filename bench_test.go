@@ -382,11 +382,9 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkAnalyze measures the circuit-analysis front end on a
-// Shor-scale workload (gf2^128mult, 246k FT operations): the serial fused
-// CSR build, and the build with its fill pass forced into shard gangs
-// regardless of GOMAXPROCS or the auto-dispatch threshold — on a
-// single-core host the stitch-overhead bound (the gang serializes, leaving
-// only the sharding bookkeeping), on a multi-core host the speedup claim.
+// Shor-scale workload (gf2^128mult, 246k FT operations): the fused CSR
+// build into fresh graphs, and the same build into one arena reused across
+// iterations, so its buffers stay warm.
 func BenchmarkAnalyze(b *testing.B) {
 	c := ftCircuit(b, "gf2^128mult")
 	b.Run("FusedCSR", func(b *testing.B) {
@@ -397,23 +395,9 @@ func BenchmarkAnalyze(b *testing.B) {
 			}
 		}
 	})
-	saved := analysis.ShardThreshold
-	analysis.ShardThreshold = 1
-	defer func() { analysis.ShardThreshold = saved }()
-	for _, shards := range []int{2, 4} {
-		b.Run(fmt.Sprintf("ShardedCSR%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ar := &analysis.Arena{MaxShards: shards} // fresh buffers every call
-				if _, err := ar.Analyze(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("ShardedArena4", func(b *testing.B) {
+	b.Run("Arena", func(b *testing.B) {
 		b.ReportAllocs()
-		ar := &analysis.Arena{MaxShards: 4}
+		ar := analysis.NewArena()
 		for i := 0; i < b.N; i++ {
 			if _, err := ar.Analyze(c); err != nil {
 				b.Fatal(err)
@@ -481,26 +465,6 @@ func BenchmarkAnalyzeStream(b *testing.B) {
 				a, err := analysis.AnalyzeStream(sc)
 				return a, err
 			}), "retained-B")
-		})
-		b.Run("StreamedSharded4/"+name, func(b *testing.B) {
-			// Forced 4-way sharded fill over the counting pass's gate
-			// records — the text is still parsed once — independent of
-			// GOMAXPROCS and the dispatch threshold (see
-			// BenchmarkAnalyze/ShardedCSR*).
-			saved := analysis.ShardThreshold
-			analysis.ShardThreshold = 1
-			defer func() { analysis.ShardThreshold = saved }()
-			ar := analysis.NewArena()
-			ar.MaxShards = 4
-			b.ReportAllocs()
-			b.SetBytes(int64(len(qc)))
-			for i := 0; i < b.N; i++ {
-				sc := ingest.NewScanner(bytes.NewReader(qc), name, ingest.Options{})
-				if _, err := ar.AnalyzeStream(sc); err != nil {
-					b.Fatal(err)
-				}
-				sc.Close()
-			}
 		})
 	}
 }

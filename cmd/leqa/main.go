@@ -34,8 +34,6 @@
 //	-maxmem N         materialize .qc files up to N bytes; stream larger ones
 //	                  (and stdin) through the ingestion layer (default 64 MiB)
 //	-workers          sweep worker-pool size (default GOMAXPROCS)
-//	-shard-threshold N  analysis shard-parallel threshold in gates; 0
-//	                  disables sharding (default 65536; env LEQA_SHARD_THRESHOLD)
 //	-store-dir DIR    content-addressed analysis store directory: analyses
 //	                  persist as .qca images and later runs skip the graph
 //	                  build for already-seen circuits (env LEQA_STORE_DIR)
@@ -46,7 +44,7 @@
 //	-json/-csv        emit machine-readable results for baseline diffing
 //	-verbose          print model intermediates and cache statistics
 //	-trace            print the run's per-phase span breakdown (ingest,
-//	                  analyze with store outcomes and shard counts,
+//	                  analyze with store outcomes and gate counts,
 //	                  estimate) to stderr — the CLI view of the tracing
 //	                  layer leqad threads through every request
 //	-cpuprofile FILE  write a pprof CPU profile of the run
@@ -137,7 +135,6 @@ func run() error {
 		doDecompose  = flag.Bool("decompose", true, "lower reversible gates to the FT set first")
 		maxMem       = flag.Int64("maxmem", 64<<20, "materialize .qc files up to this many bytes; stream larger ones (and stdin)")
 		workers      = flag.Int("workers", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
-		shardThresh  = flag.Int("shard-threshold", -1, "analysis shard-parallel threshold in gates, 0 disables sharding (-1 = default or $LEQA_SHARD_THRESHOLD)")
 		storeDir     = flag.String("store-dir", "", "analysis store directory: reuse persisted .qca analysis images across runs (default $LEQA_STORE_DIR)")
 		storeMem     = flag.Int("store-mem", -1, "analysis store memory-tier entry cap (-1 = default or $LEQA_STORE_MEM)")
 		storeDisk    = flag.Int64("store-disk", -1, "analysis store disk byte cap, 0 = unbounded (-1 = default or $LEQA_STORE_DISK_BYTES)")
@@ -158,13 +155,6 @@ func run() error {
 	}
 	if *jsonOut && *csvOut {
 		return fmt.Errorf("-json and -csv are mutually exclusive")
-	}
-	// Shard threshold: environment first, an explicit flag overrides.
-	if err := leqa.ApplyEnvTuning(); err != nil {
-		return err
-	}
-	if *shardThresh >= 0 {
-		leqa.SetShardThreshold(*shardThresh)
 	}
 	// pprof hooks so hot-path regressions can be diagnosed on real
 	// workloads in the field without editing the benchmark harness.
@@ -294,7 +284,7 @@ func run() error {
 		runner.SetAnalysisStore(st)
 	}
 	// -trace attaches a request-style trace to the run: the engine records
-	// ingest/analyze/estimate spans (with store outcomes and shard counts)
+	// ingest/analyze/estimate spans (with store outcomes and gate counts)
 	// exactly as leqad does per request, and the breakdown prints after the
 	// results.
 	var tr *trace.Trace

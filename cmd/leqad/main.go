@@ -54,8 +54,6 @@
 //	-degrade-after   consecutive breaching evaluations before degraded (3)
 //	-max-clients     tracked per-client series cardinality (default 64)
 //	-drain           graceful-shutdown drain window
-//	-shard-threshold analysis shard-parallel threshold in gates; 0
-//	                 disables sharding (default 65536; env LEQA_SHARD_THRESHOLD)
 //	-store-dir       analysis store disk directory — persisted .qca images
 //	                 survive restarts (env LEQA_STORE_DIR; empty = memory-only)
 //	-store-mem       analysis store memory-tier entry cap (env LEQA_STORE_MEM)
@@ -141,7 +139,6 @@ func run() error {
 		degradeAfter  = flag.Int("degrade-after", 0, "consecutive breaching evaluations before /healthz reports degraded (0 = 3)")
 		maxClients    = flag.Int("max-clients", 0, "tracked per-client accounting cardinality; excess folds into \"other\" (0 = 64)")
 		drain         = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-		shardThresh   = flag.Int("shard-threshold", -1, "analysis shard-parallel threshold in gates, 0 disables sharding (-1 = default or $LEQA_SHARD_THRESHOLD)")
 		storeDir      = flag.String("store-dir", "", "analysis store disk directory; persisted .qca images survive restarts (default $LEQA_STORE_DIR or memory-only)")
 		storeMem      = flag.Int("store-mem", -1, "analysis store memory-tier entry cap (-1 = default or $LEQA_STORE_MEM)")
 		storeDisk     = flag.Int64("store-disk", -1, "analysis store disk-tier byte cap, 0 = unbounded (-1 = default or $LEQA_STORE_DISK_BYTES)")
@@ -171,17 +168,7 @@ func run() error {
 	}
 	logger := slog.New(handler)
 
-	// Shard threshold: environment first, an explicit flag overrides.
-	// Applied before the Runner exists so no estimate ever races the write.
-	if err := leqa.ApplyEnvTuning(); err != nil {
-		return err
-	}
-	if *shardThresh >= 0 {
-		leqa.SetShardThreshold(*shardThresh)
-	}
-
-	// Analysis store: environment first, explicit flags override, exactly
-	// like the tuning knobs above.
+	// Analysis store: environment first, explicit flags override.
 	storeOpt, err := leqa.StoreOptionsFromEnv(leqa.AnalysisStoreOptions{})
 	if err != nil {
 		return err

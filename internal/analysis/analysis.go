@@ -80,21 +80,21 @@ func Restore(name string, qubits, operations int, ft bool, g *qodg.Graph, ig *ii
 // the identical passes into recycled buffers for the steady-state worker
 // loops.
 func Analyze(c *circuit.Circuit) (*Analysis, error) {
-	return analyzeCircuit(c, nil, 0)
+	return analyzeCircuit(c, nil)
 }
 
-// analyzeCircuit validates c and streams it through analyzeStream (forceK
-// as there). An arena's own CircuitStream carries the circuit, so the
-// arena path allocates no stream.
-func analyzeCircuit(c *circuit.Circuit, ar *Arena, forceK int) (*Analysis, error) {
+// analyzeCircuit validates c and streams it through analyzeStream. An
+// arena's own CircuitStream carries the circuit, so the arena path
+// allocates no stream.
+func analyzeCircuit(c *circuit.Circuit, ar *Arena) (*Analysis, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	if ar == nil {
-		return analyzeStream(context.Background(), &CircuitStream{c: c, i: -1, valid: true}, nil, false, forceK, nil)
+		return analyzeStream(context.Background(), &CircuitStream{c: c, i: -1, valid: true}, nil, false)
 	}
 	ar.cs = CircuitStream{c: c, i: -1, valid: true}
-	a, err := analyzeStream(context.Background(), &ar.cs, ar, false, forceK, nil)
+	a, err := analyzeStream(context.Background(), &ar.cs, ar, false)
 	ar.cs = CircuitStream{} // do not pin the circuit
 	return a, err
 }

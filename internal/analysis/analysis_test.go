@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -181,6 +182,23 @@ func TestAnalyzeRejectsInvalidCircuit(t *testing.T) {
 	c.Append(circuit.Gate{Type: circuit.CNOT, Controls: []int{0}, Targets: []int{5}})
 	if _, err := analysis.Analyze(c); err == nil {
 		t.Error("want validation error for out-of-range operand")
+	}
+
+	// A wide gate early and an out-of-range operand late: Analyze validates
+	// every gate before its scan meets the wide one, so the late gate's
+	// validation error outranks the early gate's arity error.
+	late := circuit.New("late", 4)
+	for i := 0; i < 100; i++ {
+		late.Append(circuit.NewCNOT(i%4, (i+1)%4))
+	}
+	late.Gates[10] = circuit.NewToffoli(0, 1, 2)
+	late.Gates[90] = circuit.Gate{Type: circuit.CNOT, Controls: []int{0}, Targets: []int{99}}
+	want := late.Validate()
+	if want == nil || !strings.Contains(want.Error(), "gate 90") {
+		t.Fatalf("Validate = %v, want gate 90's error", want)
+	}
+	if _, err := analysis.Analyze(late); err == nil || err.Error() != want.Error() {
+		t.Errorf("Analyze error %v, want %v", err, want)
 	}
 }
 

@@ -1,10 +1,16 @@
 package analysis
 
 import (
+	"math"
+
 	"repro/internal/circuit"
 	"repro/internal/iig"
 	"repro/internal/qodg"
 )
+
+// ShardThreshold is kept only because cmd/leqabench compiles against it:
+// the analysis fill pass is serial, so no circuit reaches this gate count.
+const ShardThreshold = math.MaxInt
 
 // Arena is the reusable scratch state of the estimate hot path: every
 // buffer the analysis passes and the critical-path sweep would otherwise
@@ -20,12 +26,8 @@ import (
 // valid only until the next analysis on the same arena; estimator Results
 // derived from it do not alias the arena and stay valid forever.
 type Arena struct {
-	// MaxShards caps the shard count of the parallel fill pass for calls
-	// through this arena; 0 means GOMAXPROCS, 1 forces the serial pass.
-	// leqa.Runner sets it to the arena's share of the cores, so pool
-	// concurrency and shard gangs divide the machine instead of multiplying
-	// against it. Purely a performance knob — results are bitwise identical
-	// at every setting.
+	// MaxShards is ignored: the analysis fill pass is serial. It is kept
+	// only because cmd/leqabench compiles against it.
 	MaxShards int
 
 	scan             qodg.DepScanner
@@ -43,14 +45,6 @@ type Arena struct {
 	a          Analysis
 	lastWriter []qodg.NodeID
 
-	// Per-shard scratch of the parallel fill pass: the cut table, one
-	// sub-arena per shard (scanner, boundary records) and the merged
-	// last-writer seed, recycled so the sharded pass stays near the serial
-	// pass's allocation count.
-	cuts   []int
-	shards []shardScratch
-	seed   []qodg.NodeID
-
 	path qodg.PathScratch
 }
 
@@ -63,7 +57,7 @@ func NewArena() *Arena { return new(Arena) }
 // arena. The returned Analysis (and both its graphs) aliases arena memory —
 // treat it as borrowed until the next analysis on this arena.
 func (ar *Arena) Analyze(c *circuit.Circuit) (*Analysis, error) {
-	return analyzeCircuit(c, ar, 0)
+	return analyzeCircuit(c, ar)
 }
 
 // Gates reports the gate count of the largest circuit the arena has

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -120,53 +121,27 @@ func (ref oracleRef) assertMatches(t *testing.T, label string, got *analysis.Ana
 	}
 }
 
-// recordShardCounts is the fill pass's forced shard sweep over the record
-// slab: serial (1), even splits, and an odd count past most hosts' cores.
-// Paper rows of 100k operations and more run the serial and the 4-shard
-// fill only: their size adds no path the smaller rows miss (every source
-// crosses read-chunk boundaries and doubles the record slab well below it,
-// and a forced count shards any size), and the full sweep over the four
-// largest rows would triple the suite's run time.
-var (
-	recordShardCounts = []int{1, 2, 3, 4, 7}
-	largeShardCounts  = []int{1, 4}
-)
-
 // TestRecordFillMatchesOracle is the parse-once equivalence check: on every
-// source kind, the fill pass over the counting pass's records — serial and
-// sharded at each forced count, fresh and in a recycled arena — must
-// reproduce the reference builders bitwise, on the paper suite and seeded
-// random circuits, and random circuits add adversarial cut tables (empty
-// shards, suffix-only shards).
+// source kind, the fill pass over the counting pass's records, fresh and in
+// a recycled arena in turn, must reproduce the reference builders bitwise,
+// on the paper suite, a netlist whose register grows mid-stream and seeded
+// adversarial DAGs.
 func TestRecordFillMatchesOracle(t *testing.T) {
 	ar := analysis.NewArena()
-	check := func(t *testing.T, c *circuit.Circuit, qc []byte, cutTables [][]int) {
+	analyzers := []struct {
+		label   string
+		analyze func(analysis.GateStream) (*analysis.Analysis, error)
+	}{
+		{"fresh", analysis.AnalyzeStream},
+		{"arena", ar.AnalyzeStream},
+	}
+	check := func(t *testing.T, c *circuit.Circuit, qc []byte) {
 		t.Helper()
 		ref := newOracleRef(t, c)
-		ks := recordShardCounts
-		if c.NumGates() >= 100000 {
-			ks = largeShardCounts
-		}
 		for _, src := range recordSources(t, c, qc) {
-			for i, k := range ks {
-				label := fmt.Sprintf("%s/%s/k=%d", c.Name, src.label, k)
-				var arena *analysis.Arena
-				if i%2 == 1 {
-					arena = ar
-				}
-				got, err := analyzeSource(t, src, func(st analysis.GateStream) (*analysis.Analysis, error) {
-					return analysis.AnalyzeStreamSharded(st, arena, k)
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				ref.assertMatches(t, label, got)
-			}
-			for _, cuts := range cutTables {
-				label := fmt.Sprintf("%s/%s/cuts=%v", c.Name, src.label, cuts)
-				got, err := analyzeSource(t, src, func(st analysis.GateStream) (*analysis.Analysis, error) {
-					return analysis.AnalyzeAtCuts(st, ar, cuts)
-				})
+			for _, an := range analyzers {
+				label := c.Name + "/" + src.label + "/" + an.label
+				got, err := analyzeSource(t, src, an.analyze)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -175,27 +150,63 @@ func TestRecordFillMatchesOracle(t *testing.T) {
 		}
 	}
 	for _, name := range suite(t) {
-		check(t, ftCircuit(t, name), nil, nil)
+		check(t, ftCircuit(t, name), nil)
 	}
 	grown := growingRegisterQC()
 	c, err := circuit.ParseQC(bytes.NewReader(grown), "grown")
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(t, c, grown, [][]int{{0, c.NumGates() / 2, c.NumGates()}})
+	check(t, c, grown)
 	rng := rand.New(rand.NewSource(16))
 	for round := 0; round < 6; round++ {
-		c := randomShardCircuit(rng, fmt.Sprintf("dag%d", round), 2+rng.Intn(12), 1+rng.Intn(400))
-		n := c.NumGates()
-		check(t, c, nil, [][]int{
-			{0, 0, n},            // empty leading shard
-			{0, n, n},            // empty trailing shard
-			{0, 0, 0, n},         // two empty leading shards
-			{0, n / 2, n / 2, n}, // empty middle shard
-			{0, n - n/8, n},      // suffix-only second shard
-			{0, n - 1, n},        // one-gate suffix shard
-		})
+		check(t, randomDAGCircuit(rng, fmt.Sprintf("dag%d", round), 2+rng.Intn(12), 1+rng.Intn(400)), nil)
 	}
+}
+
+// randomDAGCircuit generates a circuit stacked with the patterns the
+// dependency scan must get exactly right: long same-pair CNOT runs
+// (duplicate-edge merging), swaps, idle qubits, and bursts on one qubit.
+func randomDAGCircuit(rng *rand.Rand, name string, numQ, nGates int) *circuit.Circuit {
+	c := circuit.New(name, numQ)
+	for len(c.Gates) < nGates {
+		switch rng.Intn(5) {
+		case 0:
+			c.Append(circuit.NewOneQubit(circuit.H, rng.Intn(numQ)))
+		case 1:
+			a := rng.Intn(numQ)
+			b := rng.Intn(numQ)
+			for b == a {
+				b = rng.Intn(numQ)
+			}
+			c.Append(circuit.NewSwap(a, b))
+		case 2:
+			// Same-pair CNOT run: consecutive gates whose dependency edges
+			// merge.
+			a := rng.Intn(numQ)
+			b := rng.Intn(numQ)
+			for b == a {
+				b = rng.Intn(numQ)
+			}
+			for i, run := 0, 2+rng.Intn(4); i < run && len(c.Gates) < nGates; i++ {
+				c.Append(circuit.NewCNOT(a, b))
+			}
+		case 3:
+			// Single-qubit burst: one qubit written many times in a row.
+			q := rng.Intn(numQ)
+			for i, run := 0, 2+rng.Intn(4); i < run && len(c.Gates) < nGates; i++ {
+				c.Append(circuit.NewOneQubit(circuit.T, q))
+			}
+		default:
+			a := rng.Intn(numQ)
+			b := rng.Intn(numQ)
+			for b == a {
+				b = rng.Intn(numQ)
+			}
+			c.Append(circuit.NewCNOT(a, b))
+		}
+	}
+	return c
 }
 
 // growingRegisterQC is a netlist whose register grows while its gates
@@ -236,20 +247,20 @@ func (s *countingStream) Rewind() error {
 
 // TestAnalyzeStreamReadsOnce proves the analysis reads its stream once:
 // no Rewind, and one Scan per gate plus the call that reports the end —
-// serially and with a sharded fill.
+// fresh and in an arena.
 func TestAnalyzeStreamReadsOnce(t *testing.T) {
 	c := ftCircuit(t, "hwb15ps")
-	for _, k := range []int{0, 1, 4} {
+	for _, ar := range []*analysis.Arena{nil, analysis.NewArena()} {
 		sc := ingest.NewScanner(pipeReader{bytes.NewReader(qcBytes(t, c))}, c.Name, ingest.Options{})
 		src := &countingStream{GateStream: sc}
-		a, err := analysis.AnalyzeStreamSharded(src, nil, k)
+		a, err := analysis.AnalyzeStreamContext(context.Background(), src, ar, false)
 		sc.Close()
 		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
+			t.Fatalf("arena=%v: %v", ar != nil, err)
 		}
 		if src.rewinds != 0 || src.scans != a.Operations+1 {
-			t.Fatalf("k=%d: %d rewinds and %d scans for %d gates, want 0 and %d",
-				k, src.rewinds, src.scans, a.Operations, a.Operations+1)
+			t.Fatalf("arena=%v: %d rewinds and %d scans for %d gates, want 0 and %d",
+				ar != nil, src.rewinds, src.scans, a.Operations, a.Operations+1)
 		}
 	}
 }

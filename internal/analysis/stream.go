@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/csr"
@@ -164,14 +163,14 @@ func recordOf(g *circuit.Gate) gateRec {
 // length grows by doubling, so its capacity reaches up to 24 bytes per
 // gate, and about 36 while the last growth copies it.
 func AnalyzeStream(src GateStream) (*Analysis, error) {
-	return analyzeStream(context.Background(), src, nil, false, 0, nil)
+	return analyzeStream(context.Background(), src, nil, false)
 }
 
 // AnalyzeStream is the arena-backed streamed analysis: same contract as
 // AnalyzeStream, every buffer drawn from ar. The returned Analysis is
 // borrowed until ar's next use, exactly like (*Arena).Analyze.
 func (ar *Arena) AnalyzeStream(src GateStream) (*Analysis, error) {
-	return analyzeStream(context.Background(), src, ar, false, 0, nil)
+	return analyzeStream(context.Background(), src, ar, false)
 }
 
 // AnalyzeStreamContext is AnalyzeStream, into ar when it is non-nil, with
@@ -181,7 +180,7 @@ func (ar *Arena) AnalyzeStream(src GateStream) (*Analysis, error) {
 // the pass with a *NonFTError naming it, before the gate's arity or
 // validity is checked: a Toffoli is non-FT, not an over-wide gate.
 func AnalyzeStreamContext(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) (*Analysis, error) {
-	return analyzeStream(ctx, src, ar, ftOnly, 0, nil)
+	return analyzeStream(ctx, src, ar, ftOnly)
 }
 
 // CtxCheckEvery is the gate interval at which the streaming passes poll
@@ -215,10 +214,8 @@ const growChunk = 1 << 12
 // analyzeStream runs the counting pass over src and the fill pass over its
 // records; ctx and ftOnly are AnalyzeStreamContext's. With a nil arena it
 // allocates fresh immutable storage; otherwise every buffer is recycled
-// arena state. The equivalence suite forces the fill pass's shard count
-// through forceK, or its shard boundaries through cuts; 0 and nil
-// auto-dispatch through planShards into even cuts.
-func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool, forceK int, cuts []int) (*Analysis, error) {
+// arena state.
+func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) (*Analysis, error) {
 	var (
 		succDeg, predDeg, iigDeg []int32
 		recs                     []gateRec
@@ -343,55 +340,30 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool, 
 	nodes[0] = qodg.Node{ID: 0, GateIndex: -1}
 	nodes[n-1] = qodg.Node{ID: end, GateIndex: -1}
 
-	// Fill pass over the records: sharded at even cuts once the circuit is
-	// large enough to pay for a gang, serial otherwise. The counting pass
-	// has already fixed the gate count, register size and every row
-	// offset.
-	if cuts == nil {
-		k := forceK
-		if k == 0 {
-			k = planShards(nGates, shardBudget(ar))
-		}
-		if k > 1 {
-			if ar != nil {
-				ar.cuts = evenCutsInto(ar.cuts, nGates, k)
-				cuts = ar.cuts
-			} else {
-				cuts = evenCutsInto(nil, nGates, k)
-			}
-		}
+	// Fill pass over the records, in program order. The counting pass has
+	// already fixed the gate count, register size and every row offset.
+	scan.ResetFor(numQ)
+	fill := func(from, to qodg.NodeID) {
+		succ[succDeg[from]] = to
+		succDeg[from]++
+		pred[predDeg[to]] = from
+		predDeg[to]++
 	}
-	sharded := cuts != nil
-	if sharded {
-		fillSharded(recs, cuts, ar, numQ, nodes, succDeg, predDeg, predOff, succ, pred, iigDeg, iigNbr, scan)
-	} else {
-		scan.ResetFor(numQ)
-		fill := func(from, to qodg.NodeID) {
-			succ[succDeg[from]] = to
-			succDeg[from]++
-			pred[predDeg[to]] = from
-			predDeg[to]++
+	for i, r := range recs {
+		id := qodg.NodeID(i + 1)
+		nodes[i+1] = qodg.Node{ID: id, Op: qodg.Op{Type: circuit.GateType(r.t)}, GateIndex: i}
+		if r.b >= 0 {
+			iigNbr[iigDeg[r.a]] = r.b
+			iigDeg[r.a]++
+			iigNbr[iigDeg[r.b]] = r.a
+			iigDeg[r.b]++
 		}
-		for i, r := range recs {
-			id := qodg.NodeID(i + 1)
-			nodes[i+1] = qodg.Node{ID: id, Op: qodg.Op{Type: circuit.GateType(r.t)}, GateIndex: i}
-			if r.b >= 0 {
-				iigNbr[iigDeg[r.a]] = r.b
-				iigDeg[r.a]++
-				iigNbr[iigDeg[r.b]] = r.a
-				iigDeg[r.b]++
-			}
-			scan.VisitPair(id, r.a, r.b, fill)
-		}
-		scan.VisitEnd(end, fill)
+		scan.VisitPair(id, r.a, r.b, fill)
 	}
+	scan.VisitEnd(end, fill)
 
 	if ar != nil {
-		if sharded {
-			qodg.FromCSRSortedInto(&ar.qg, nodes, numQ, succOff, succ, predOff, pred)
-		} else {
-			qodg.FromCSRInto(&ar.qg, nodes, numQ, succOff, succ, predOff, pred)
-		}
+		qodg.FromCSRInto(&ar.qg, nodes, numQ, succOff, succ, predOff, pred)
 		ar.lastWriter = append(ar.lastWriter[:0], scan.Last()...)
 		ar.a = Analysis{
 			Name:       src.Name(),
@@ -404,143 +376,15 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool, 
 		}
 		return &ar.a, nil
 	}
-	var g *qodg.Graph
-	if sharded {
-		g = new(qodg.Graph)
-		qodg.FromCSRSortedInto(g, nodes, numQ, succOff, succ, predOff, pred)
-	} else {
-		g = qodg.FromCSR(nodes, numQ, succOff, succ, predOff, pred)
-	}
 	return &Analysis{
 		Name:       src.Name(),
 		Qubits:     numQ,
 		Operations: nGates,
 		FT:         ft,
-		QODG:       g,
+		QODG:       qodg.FromCSR(nodes, numQ, succOff, succ, predOff, pred),
 		IIG:        iig.FromIncidence(numQ, iigOff, iigNbr),
 		lastWriter: append([]qodg.NodeID(nil), scan.Last()...),
 	}, nil
-}
-
-// fillSharded is the shard-parallel fill pass of analyzeStream: shard i
-// fills records [cuts[i], cuts[i+1]) on its own goroutine with shard-local
-// pending-seeded last-writer state, in-shard edges land directly in the CSR
-// cursors (disjoint row ranges — no races), and a serial stitch resolves
-// the boundary edges — the k-shard generalization of the merge
-// Appender.Snapshot performs for one suffix. The row offsets already exist
-// (the counting pass produced them), so the stitch only replays fills, and
-// scan — the counting pass's scanner — already holds the final last-writer
-// state the end anchor's edges need.
-//
-// Why the result is bitwise identical to the serial fill:
-//
-//   - Every edge both of whose endpoints fall inside one shard is emitted by
-//     that shard exactly as the serial scan would (same per-gate duplicate
-//     merge, same order), and its CSR row segments belong to that shard
-//     alone, so the parallel fill never races.
-//   - An edge whose source precedes the shard is recorded against the
-//     pending-qubit sentinel and resolved by the stitch against the merged
-//     last-writer state of all earlier shards — by induction that state
-//     equals the serial scan's state at the shard boundary, so the resolved
-//     source is the serial edge's source. In-shard sources (> the shard's
-//     first node) and resolved sources (≤ it) occupy disjoint ID ranges, so
-//     re-applying the duplicate merge only among consecutive boundary
-//     records reproduces the serial per-gate merge exactly.
-//   - A successor row fills as: in-shard targets (ascending, by the shard's
-//     own pass), then boundary targets in shard order (later shards hold
-//     strictly larger IDs), then possibly the end anchor (maximum ID) —
-//     precisely the ascending order the serial fill produces. Predecessor
-//     rows and IIG rows are sorted downstream, so only their multisets
-//     matter, which lets the IIG fill use atomic per-qubit cursors instead
-//     of per-shard bases.
-func fillSharded(recs []gateRec, cuts []int, ar *Arena, numQ int,
-	nodes []qodg.Node, succDeg, predDeg, predOff []int32, succ, pred []qodg.NodeID,
-	iigDeg, iigNbr []int32, scan *qodg.DepScanner) {
-	k := len(cuts) - 1
-	var (
-		shards []shardScratch
-		seed   []qodg.NodeID
-	)
-	if ar != nil {
-		if cap(ar.shards) < k {
-			ar.shards = make([]shardScratch, k)
-		}
-		ar.shards = ar.shards[:k]
-		shards = ar.shards
-		ar.seed = csr.Grow(ar.seed, numQ)
-		seed = ar.seed
-	} else {
-		shards = make([]shardScratch, k)
-		seed = make([]qodg.NodeID, numQ)
-	}
-
-	g := newGang(k)
-	defer g.close()
-	g.run(func(si int) {
-		sc := &shards[si]
-		sc.reset(numQ)
-		fill := func(from, to qodg.NodeID) {
-			if qodg.IsPending(from) {
-				sc.recs = append(sc.recs, boundaryRec{from: from, to: to})
-				return
-			}
-			succ[succDeg[from]] = to
-			succDeg[from]++
-			pred[predDeg[to]] = from
-			predDeg[to]++
-		}
-		for i := cuts[si]; i < cuts[si+1]; i++ {
-			r := recs[i]
-			id := qodg.NodeID(i + 1)
-			nodes[i+1] = qodg.Node{ID: id, Op: qodg.Op{Type: circuit.GateType(r.t)}, GateIndex: i}
-			if r.b >= 0 {
-				iigNbr[atomic.AddInt32(&iigDeg[r.a], 1)-1] = r.b
-				iigNbr[atomic.AddInt32(&iigDeg[r.b], 1)-1] = r.a
-			}
-			sc.scan.VisitPair(id, r.a, r.b, fill)
-		}
-	})
-
-	// Boundary stitch: resolve each shard's records against the merged
-	// last-writer state of the shards before it, drop per-gate duplicates,
-	// and replay the fills in shard order — later shards append strictly
-	// larger targets, preserving the serial ascending row order. The row
-	// slots already exist: the counting pass counted these exact edges.
-	clear(seed[:numQ])
-	prev := boundaryRec{from: -1, to: -1}
-	for si := range shards {
-		sc := &shards[si]
-		for _, r := range sc.recs {
-			r.from = seed[qodg.PendingQubit(r.from)]
-			if r == prev {
-				continue
-			}
-			prev = r
-			succ[succDeg[r.from]] = r.to
-			succDeg[r.from]++
-			pred[predDeg[r.to]] = r.from
-			predDeg[r.to]++
-		}
-		for q, l := range sc.scan.Last() {
-			if !qodg.IsPending(l) {
-				seed[q] = l
-			}
-		}
-	}
-	fill := func(from, to qodg.NodeID) {
-		succ[succDeg[from]] = to
-		succDeg[from]++
-		pred[predDeg[to]] = from
-		predDeg[to]++
-	}
-	scan.VisitEnd(qodg.NodeID(len(recs)+1), fill)
-
-	// Predecessor rows sort in parallel chunks; the caller assembles with
-	// the no-resort constructor.
-	n := len(recs) + 2
-	g.run(func(si int) {
-		qodg.SortPredRange(predOff, pred, si*n/k, (si+1)*n/k)
-	})
 }
 
 // validateStreamGate applies Circuit.Validate's per-gate checks plus the

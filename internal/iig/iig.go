@@ -24,8 +24,7 @@ import (
 )
 
 // Graph is the interaction intensity graph over Q logical qubits. Immutable
-// after construction; build one with analysis.Analyze, a Builder, or
-// FromIncidence.
+// after construction; build one with analysis.Analyze or FromIncidence.
 type Graph struct {
 	// Q is the number of logical qubits (nodes), including isolated ones.
 	Q int
@@ -272,49 +271,6 @@ func Extend(g *Graph, pairs []int32) *Graph {
 	}
 	out.off[q] = int32(len(out.nbr))
 	return out
-}
-
-// Builder accumulates interactions incrementally and finalizes them into an
-// immutable Graph — the construction path for callers that do not have a
-// circuit (tests, synthetic workloads).
-type Builder struct {
-	q     int
-	pairs []int32 // flat (a, b) pairs
-}
-
-// NewBuilder returns a builder over q qubits with no interactions yet.
-func NewBuilder(q int) *Builder { return &Builder{q: q} }
-
-// AddInteraction records one two-qubit operation between a and b. Self
-// loops are ignored. Out-of-range qubits panic immediately (they would
-// otherwise corrupt CSR rows at finalize time).
-func (b *Builder) AddInteraction(x, y int) {
-	if x < 0 || x >= b.q || y < 0 || y >= b.q {
-		panic(fmt.Sprintf("iig: interaction (%d,%d) out of range [0,%d)", x, y, b.q))
-	}
-	if x == y {
-		return // no self loops by construction
-	}
-	b.pairs = append(b.pairs, int32(x), int32(y))
-}
-
-// Graph finalizes the builder into an immutable CSR graph. The builder
-// stays usable; each call builds an independent snapshot.
-func (b *Builder) Graph() *Graph {
-	deg := make([]int32, b.q+1)
-	for i := 0; i < len(b.pairs); i += 2 {
-		deg[b.pairs[i]]++
-		deg[b.pairs[i+1]]++
-	}
-	off, nbr := csr.Offsets[int32](deg)
-	for i := 0; i < len(b.pairs); i += 2 {
-		a, c := b.pairs[i], b.pairs[i+1]
-		nbr[deg[a]] = c
-		deg[a]++
-		nbr[deg[c]] = a
-		deg[c]++
-	}
-	return FromIncidence(b.q, off, nbr)
 }
 
 // Degree returns M_i = deg(n_i), the number of distinct interaction

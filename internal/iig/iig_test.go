@@ -5,31 +5,28 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/csr"
 )
 
-// graphOf finalizes a builder seeded with the given interaction pairs.
+// graphOf builds the graph of q qubits with the given interaction pairs,
+// each of two distinct qubits, through FromIncidence: each pair becomes one
+// entry in either endpoint's incidence row.
 func graphOf(q int, pairs ...[2]int) *Graph {
-	b := NewBuilder(q)
+	deg := make([]int32, q+1)
 	for _, p := range pairs {
-		b.AddInteraction(p[0], p[1])
+		deg[p[0]]++
+		deg[p[1]]++
 	}
-	return b.Graph()
-}
-
-func TestBuilderPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic for out-of-range interaction")
-		}
-	}()
-	NewBuilder(2).AddInteraction(0, 2)
-}
-
-func TestNoSelfLoops(t *testing.T) {
-	g := graphOf(3, [2]int{1, 1})
-	if g.Degree(1) != 0 || g.TotalWeight() != 0 {
-		t.Error("self loop recorded")
+	off, nbr := csr.Offsets[int32](deg)
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		nbr[deg[a]] = int32(b)
+		deg[a]++
+		nbr[deg[b]] = int32(a)
+		deg[b]++
 	}
+	return FromIncidence(q, off, nbr)
 }
 
 func TestAdjWeightSum(t *testing.T) {
@@ -63,7 +60,7 @@ func TestAverageZoneAreaEq7(t *testing.T) {
 }
 
 func TestAverageZoneAreaNoInteractions(t *testing.T) {
-	g := NewBuilder(5).Graph()
+	g := graphOf(5)
 	if got := g.AverageZoneArea(); got != 1 {
 		t.Errorf("B with no edges = %v, want 1", got)
 	}
@@ -77,7 +74,7 @@ func TestWeightedAverage(t *testing.T) {
 	if math.Abs(got-1) > 1e-12 {
 		t.Errorf("WeightedAverage = %v, want 1", got)
 	}
-	empty := NewBuilder(2).Graph()
+	empty := graphOf(2)
 	if empty.WeightedAverage(func(int) float64 { return 5 }) != 0 {
 		t.Error("empty graph weighted average should be 0")
 	}
@@ -153,12 +150,15 @@ func TestIIGInvariantsRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(8)
-		b := NewBuilder(n)
-		pairs := rng.Intn(30)
-		for i := 0; i < pairs; i++ {
-			b.AddInteraction(rng.Intn(n), rng.Intn(n))
+		pairs := make([][2]int, rng.Intn(30))
+		for i := range pairs {
+			a, b := rng.Intn(n), rng.Intn(n-1)
+			if b >= a {
+				b++ // distinct from a, as a gate's operands are
+			}
+			pairs[i] = [2]int{a, b}
 		}
-		g := b.Graph()
+		g := graphOf(n, pairs...)
 		// Invariant: Σ_i ΣW_i = 2·TotalWeight (each op counted at both
 		// endpoints).
 		sum := 0

@@ -17,10 +17,7 @@
 // grow during the scan.
 package qodg
 
-import (
-	"repro/internal/circuit"
-	"repro/internal/csr"
-)
+import "repro/internal/circuit"
 
 // NodeID indexes nodes in a Graph. Start is always 0; End is always
 // len(Nodes)-1; operation nodes occupy 1..len(Nodes)-2 in program order.
@@ -131,34 +128,6 @@ func (s *DepScanner) ResetFor(numQubits int) {
 	clear(s.last)
 }
 
-// Pending is the sentinel family a shard-local scan seeds its last-writer
-// state with: PendingWriter(q) marks qubit q as last written by an unknown
-// node of an earlier shard. Sentinels are negative and distinct per qubit,
-// so VisitPair's per-gate duplicate merging never collapses two unresolved
-// operands on different qubits — they may resolve to different earlier
-// nodes — while two operands on the same still-pending qubit are impossible
-// (a gate's operands are distinct). Edges emitted with a pending source are
-// boundary edges; the stitch resolves them against the previous shards'
-// merged last-writer state and re-applies the duplicate merge there.
-
-// PendingWriter returns the pending-last-writer sentinel for qubit q.
-func PendingWriter(q int) NodeID { return -NodeID(q) - 1 }
-
-// IsPending reports whether a dependency source is an unresolved sentinel.
-func IsPending(id NodeID) bool { return id < 0 }
-
-// PendingQubit recovers the qubit index from a PendingWriter sentinel.
-func PendingQubit(id NodeID) int { return int(-id - 1) }
-
-// ResetPending resizes the scanner to numQubits with every qubit seeded
-// pending — the state a shard-local scan starts from.
-func (s *DepScanner) ResetPending(numQubits int) {
-	s.last = csr.Grow(s.last, numQubits)
-	for q := range s.last {
-		s.last[q] = PendingWriter(q)
-	}
-}
-
 // VisitPair emits (from, id) once per distinct dependency source of the
 // gate occupying node id, then records id as the last writer of the gate's
 // qubits. The gate has at most two operands, given as indices controls
@@ -205,15 +174,7 @@ func (s *DepScanner) VisitEnd(end NodeID, emit func(from, to NodeID)) {
 // qubit order, not ID order; segments are tiny (a node's in-degree is at
 // most its gate's arity; the end node's at most Q), so insertion sort wins.
 func sortPredSegments(off []int32, pred []NodeID) {
-	SortPredRange(off, pred, 0, len(off)-1)
-}
-
-// SortPredRange orders the predecessor segments of nodes [lo, hi) ascending.
-// Rows are independent, so disjoint ranges may be sorted concurrently — the
-// hook the sharded analysis builder uses to parallelize the pred-sort before
-// handing the arrays to FromCSRSorted.
-func SortPredRange(off []int32, pred []NodeID, lo, hi int) {
-	for u := lo; u < hi; u++ {
+	for u := 0; u < len(off)-1; u++ {
 		seg := pred[off[u]:off[u+1]]
 		for i := 1; i < len(seg); i++ {
 			for j := i; j > 0 && seg[j] < seg[j-1]; j-- {
@@ -242,8 +203,8 @@ func FromCSRInto(dst *Graph, nodes []Node, numQubits int, succOff []int32, succ 
 	FromCSRSortedInto(dst, nodes, numQubits, succOff, succ, predOff, pred)
 }
 
-// FromCSRSortedInto is FromCSRInto for callers that have already sorted
-// every predecessor segment (e.g. concurrently via SortPredRange); it only
+// FromCSRSortedInto is FromCSRInto for callers whose predecessor segments
+// are already sorted (a decoded image, an oracle-built graph); it only
 // assembles the header.
 func FromCSRSortedInto(dst *Graph, nodes []Node, numQubits int, succOff []int32, succ []NodeID, predOff []int32, pred []NodeID) {
 	*dst = Graph{

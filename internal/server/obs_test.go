@@ -119,7 +119,7 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 	}
 
 	// 2. Server-Timing breaks the request down by pipeline phase, with the
-	// analyze attributes (gate count, shard plan) as desc.
+	// analyze attributes (the gate count) as desc.
 	// emit is absent here by construction: the header goes out before the
 	// reply is encoded, so the emit span only appears in the ring snapshot
 	// (and, for streamed batches, the Server-Timing trailer).

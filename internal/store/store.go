@@ -95,6 +95,7 @@ type Store struct {
 }
 
 type entry struct {
+	s       *Store
 	digest  string
 	once    sync.Once
 	compute func() (*analysis.Analysis, error)
@@ -180,7 +181,10 @@ func (s *Store) GetOrAnalyze(src analysis.GateStream) (*analysis.Analysis, strin
 // satisfied (memory hit, disk image, full analysis) — the hook request
 // tracing uses to attribute analyze time. Its digest pass and its analysis
 // pass poll ctx and stop with its error; a failed analysis is never
-// stored.
+// stored. A caller that joined another's in-flight analysis never inherits
+// that analysis's failure: it returns its own ctx's error when ctx is done,
+// and otherwise looks the digest up again, analyzing its own stream on a
+// miss.
 func (s *Store) GetOrAnalyzeOutcome(ctx context.Context, src analysis.GateStream) (*analysis.Analysis, string, Outcome, error) {
 	digest, err := qcbin.DigestContext(ctx, src)
 	if err != nil {
@@ -210,11 +214,15 @@ func (s *Store) GetOrAnalyzeOutcome(ctx context.Context, src analysis.GateStream
 		return a, nil
 	}
 	a, err := s.lookup(digest, compute)
-	if errors.Is(err, ErrNotFound) {
-		// The digest was claimed by an in-flight by-reference Get that came
-		// up empty and unpublished itself; this caller has the stream, so
-		// retry and compute for real.
-		a, err = s.lookup(digest, compute)
+	if err != nil && outcome == OutcomeHit {
+		// This caller joined another's in-flight lookup, which failed and
+		// unpublished itself. The failure may be the owner's alone (its
+		// context, or a by-reference Get that came up empty), so unless
+		// this caller's own context is done, it looks up again with its own
+		// compute rather than inherit the error.
+		if err = ctx.Err(); err == nil {
+			a, err = s.lookup(digest, compute)
+		}
 	}
 	return a, digest, outcome, err
 }
@@ -273,10 +281,9 @@ func (s *Store) Contains(digest string) bool {
 	return err == nil
 }
 
-// lookup is the single-flight LRU core: a resident digest is shared, a
-// new one is computed exactly once by the first arriver, and a failed
-// compute is removed so later lookups retry instead of memoizing the
-// error.
+// lookup is the single-flight LRU core: a resident digest is shared, and a
+// new one is computed exactly once by the first arriver (see entry.run for
+// a failed compute).
 func (s *Store) lookup(digest string, compute func() (*analysis.Analysis, error)) (*analysis.Analysis, error) {
 	s.mu.Lock()
 	if el, ok := s.items[digest]; ok {
@@ -289,7 +296,7 @@ func (s *Store) lookup(digest string, compute func() (*analysis.Analysis, error)
 		e.once.Do(e.run)
 		return e.a, e.err
 	}
-	e := &entry{digest: digest, compute: compute}
+	e := &entry{s: s, digest: digest, compute: compute}
 	s.items[digest] = s.ll.PushFront(e)
 	for s.ll.Len() > s.capacity {
 		oldest := s.ll.Back()
@@ -301,20 +308,27 @@ func (s *Store) lookup(digest string, compute func() (*analysis.Analysis, error)
 	// Compute outside the lock; an entry evicted mid-compute stays valid
 	// for everyone already holding it, it just stops being findable.
 	e.once.Do(e.run)
-	if e.err != nil {
-		// Unpublish so the next lookup retries (by-reference misses and
-		// transient failures must not poison the digest).
-		s.mu.Lock()
-		if el, ok := s.items[digest]; ok && el.Value.(*entry) == e {
-			s.ll.Remove(el)
-			delete(s.items, digest)
-		}
-		s.mu.Unlock()
-	}
 	return e.a, e.err
 }
 
-func (e *entry) run() { e.a, e.err = e.compute() }
+// run computes the entry under its once. A failed compute unpublishes the
+// entry before the once completes, so every caller that sees the failure
+// finds the digest gone, and its next lookup computes afresh instead of
+// meeting the memoized error (by-reference misses and transient failures
+// must not poison the digest).
+func (e *entry) run() {
+	e.a, e.err = e.compute()
+	if e.err == nil {
+		return
+	}
+	s := e.s
+	s.mu.Lock()
+	if el, ok := s.items[e.digest]; ok && el.Value.(*entry) == e {
+		s.ll.Remove(el)
+		delete(s.items, e.digest)
+	}
+	s.mu.Unlock()
+}
 
 // imagePath maps a digest to its disk image.
 func (s *Store) imagePath(digest string) string {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/benchgen"
@@ -333,6 +334,68 @@ func TestCancelledAnalysisNotStored(t *testing.T) {
 	}
 	if _, _, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c)); err != nil || outcome != OutcomeMiss {
 		t.Fatalf("retry = %v, %v; want a fresh analysis", outcome, err)
+	}
+}
+
+// blockOnRewind parks its n-th Rewind: it closes reached, then waits for
+// release.
+type blockOnRewind struct {
+	analysis.GateStream
+	n, rewinds       int
+	reached, release chan struct{}
+}
+
+func (s *blockOnRewind) Rewind() error {
+	if s.rewinds++; s.rewinds == s.n {
+		close(s.reached)
+		<-s.release
+	}
+	return s.GateStream.Rewind()
+}
+
+// TestJoinerOutlivesCancelledOwner: a lookup that joins another caller's
+// in-flight analysis does not inherit that caller's cancellation. The
+// owner is cancelled while its analysis pass is parked; the joiner, whose
+// own context is live, analyzes the digest itself.
+func TestJoinerOutlivesCancelledOwner(t *testing.T) {
+	s := newStore(t, Options{})
+	c := genFT(t, "8bitadder")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Rewind 1 starts the owner's digest pass, rewind 2 its analysis pass.
+	owner := &blockOnRewind{GateStream: analysis.NewCircuitStream(c), n: 2,
+		reached: make(chan struct{}), release: make(chan struct{})}
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, _, _, err := s.GetOrAnalyzeOutcome(ctx, owner)
+		ownerErr <- err
+	}()
+	<-owner.reached
+
+	type result struct {
+		a   *analysis.Analysis
+		err error
+	}
+	joined := make(chan result, 1)
+	go func() {
+		a, _, _, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c.Clone()))
+		joined <- result{a, err}
+	}()
+	// The joiner's hit on the in-flight entry means it now waits on it.
+	for s.Stats().Hits < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	close(owner.release)
+
+	if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner err = %v, want context.Canceled", err)
+	}
+	if r := <-joined; r.err != nil || r.a == nil {
+		t.Fatalf("joiner err = %v, want its own analysis", r.err)
+	}
+	if st := s.Stats(); st.Entries != 1 {
+		t.Fatalf("stats = %s, want one resident entry", st)
 	}
 }
 

@@ -4,18 +4,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-
-	"repro/internal/analysis"
 )
-
-// EnvShardThreshold is the environment variable read by ApplyEnvTuning.
-// Both cmd/leqa and cmd/leqad apply it at startup (the -shard-threshold
-// flag overrides), so deployments can tune the parallel dispatch without
-// rebuilding: LEQA_SHARD_THRESHOLD is the gate count at or above which the
-// fused analysis build shards across cores (analysis.ShardThreshold). Zero
-// or negative disables sharding entirely; results are bitwise identical at
-// every setting. The critical-path sweep is serial and has no knob.
-const EnvShardThreshold = "LEQA_SHARD_THRESHOLD"
 
 // Environment variables read by StoreOptionsFromEnv. They configure the
 // content-addressed analysis store cmd/leqa and cmd/leqad attach (flags of
@@ -59,23 +48,6 @@ func StoreOptionsFromEnv(opt AnalysisStoreOptions) (AnalysisStoreOptions, error)
 	}
 	err := applyEnvInt64(EnvStoreDiskBytes, func(n int64) { opt.MaxDiskBytes = n })
 	return opt, err
-}
-
-// ShardThreshold reports the analysis build's shard dispatch threshold
-// (gates).
-func ShardThreshold() int { return analysis.ShardThreshold }
-
-// SetShardThreshold sets the analysis build's shard dispatch threshold;
-// zero or negative disables sharding. Call at program start, before
-// concurrent estimates run — the variable is read unsynchronized on every
-// analysis. Purely a performance knob: it never affects results.
-func SetShardThreshold(gates int) { analysis.ShardThreshold = gates }
-
-// ApplyEnvTuning applies LEQA_SHARD_THRESHOLD when it is set, leaving the
-// default otherwise. Call once at program start, before the flag that
-// overrides it and before any estimates run.
-func ApplyEnvTuning() error {
-	return applyEnvInt(EnvShardThreshold, SetShardThreshold)
 }
 
 func applyEnvInt(name string, set func(int)) error {

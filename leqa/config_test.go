@@ -5,43 +5,11 @@ import (
 	"testing"
 )
 
-// TestApplyEnvTuning covers the LEQA_* startup knobs: unset variables leave
-// the defaults alone, set ones land in the shard dispatch threshold and the
-// store options, and non-integer values fail with the variable named.
-func TestApplyEnvTuning(t *testing.T) {
-	saved := ShardThreshold()
-	defer SetShardThreshold(saved)
-
+// TestStoreOptionsFromEnv covers the LEQA_STORE_* startup variables: unset
+// ones leave the options alone, set ones land in them, and a non-integer
+// value fails with the variable named.
+func TestStoreOptionsFromEnv(t *testing.T) {
 	t.Run("Unset", func(t *testing.T) {
-		t.Setenv(EnvShardThreshold, "")
-		SetShardThreshold(67890)
-		if err := ApplyEnvTuning(); err != nil {
-			t.Fatal(err)
-		}
-		if ShardThreshold() != 67890 {
-			t.Fatalf("unset env changed the shard threshold: %d", ShardThreshold())
-		}
-	})
-
-	t.Run("Set", func(t *testing.T) {
-		t.Setenv(EnvShardThreshold, "0")
-		if err := ApplyEnvTuning(); err != nil {
-			t.Fatal(err)
-		}
-		if ShardThreshold() != 0 {
-			t.Errorf("ShardThreshold = %d, want 0 (disabled)", ShardThreshold())
-		}
-	})
-
-	t.Run("Invalid", func(t *testing.T) {
-		t.Setenv(EnvShardThreshold, "lots")
-		err := ApplyEnvTuning()
-		if err == nil || !strings.Contains(err.Error(), EnvShardThreshold) {
-			t.Fatalf("err = %v, want mention of %s", err, EnvShardThreshold)
-		}
-	})
-
-	t.Run("StoreUnset", func(t *testing.T) {
 		t.Setenv(EnvStoreDir, "")
 		t.Setenv(EnvStoreMem, "")
 		t.Setenv(EnvStoreDiskBytes, "")
@@ -55,7 +23,7 @@ func TestApplyEnvTuning(t *testing.T) {
 		}
 	})
 
-	t.Run("StoreSet", func(t *testing.T) {
+	t.Run("Set", func(t *testing.T) {
 		t.Setenv(EnvStoreDir, "/tmp/qca")
 		t.Setenv(EnvStoreMem, "128")
 		t.Setenv(EnvStoreDiskBytes, "1073741824")
@@ -69,7 +37,7 @@ func TestApplyEnvTuning(t *testing.T) {
 		}
 	})
 
-	t.Run("StoreInvalid", func(t *testing.T) {
+	t.Run("Invalid", func(t *testing.T) {
 		t.Setenv(EnvStoreDiskBytes, "huge")
 		_, err := StoreOptionsFromEnv(AnalysisStoreOptions{})
 		if err == nil || !strings.Contains(err.Error(), EnvStoreDiskBytes) {

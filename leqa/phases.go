@@ -18,9 +18,9 @@ func observePhase(ctx context.Context, phase string, start time.Time) {
 }
 
 // observePhaseDetail is observePhase with a lazily built span detail
-// ("store=hit shards=4"). detail runs only when a trace is attached, so the
-// untraced hot path never constructs detail strings; benchmarks hold the
-// traced path to that budget too because the closure never escapes.
+// ("store=hit gates=16921"). detail runs only when a trace is attached, so
+// the untraced hot path never constructs detail strings; benchmarks hold
+// the traced path to that budget too because the closure never escapes.
 func observePhaseDetail(ctx context.Context, phase string, start time.Time, detail func() string) {
 	tr := trace.FromContext(ctx)
 	if tr == nil {
@@ -36,13 +36,3 @@ func observePhaseDetail(ctx context.Context, phase string, start time.Time, deta
 // itoa keeps span-detail builders terse (they already live behind the
 // trace-attached check).
 func itoa(n int) string { return strconv.Itoa(n) }
-
-// analyzeDetail renders an analyze span's attributes, e.g.
-// "store=hit gates=16921 shards=4". Only built under an attached trace.
-func analyzeDetail(store string, gates, shards int) string {
-	s := "gates=" + strconv.Itoa(gates) + " shards=" + strconv.Itoa(shards)
-	if store != "" {
-		s = "store=" + store + " " + s
-	}
-	return s
-}

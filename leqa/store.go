@@ -101,9 +101,7 @@ func (r *Runner) analyzeSource(ctx context.Context, s Source, ar *analysis.Arena
 	if c := s.circuit; c != nil {
 		t := time.Now()
 		a, err := analyzeFT(c, ar)
-		observePhaseDetail(ctx, trace.SpanAnalyze, t, func() string {
-			return analyzeDetail("", c.NumGates(), analysis.ShardPlan(c.NumGates(), ar))
-		})
+		observePhaseDetail(ctx, trace.SpanAnalyze, t, func() string { return "gates=" + itoa(c.NumGates()) })
 		return a, err
 	}
 	t := time.Now()

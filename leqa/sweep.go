@@ -3,7 +3,6 @@ package leqa
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -31,23 +30,13 @@ type Runner struct {
 	workers int
 	mu      sync.Mutex
 	free    []*analysis.Arena // idle arenas, most recently released last
-	active  atomic.Int32      // arenas currently checked out ≈ cells in flight
 	store   *AnalysisStore
 	memo    *ResultMemo // optional (digest, params) result memo; see memo.go
 	memoOpt string      // options prefix baked into every memo key
 }
 
 // arena checks the most recently released arena out of the free list (or
-// makes a fresh one). The arena's shard gang is capped to an even share of
-// the cores among the estimates currently in flight, so pool-workers ×
-// shard-helpers stay near GOMAXPROCS in aggregate: a saturated pool runs
-// each cell's analysis fill serially (the cells themselves are the
-// parallelism), while a lone large upload shards its fill across every
-// core. The critical-path sweep is serial either way. The share is a
-// checkout-time snapshot, so a burst of simultaneous checkouts can
-// transiently overshoot while the first wave's earlier, larger shares
-// drain; it cannot deadlock or change results — MaxShards is purely a
-// performance cap.
+// makes a fresh one).
 func (r *Runner) arena() *analysis.Arena {
 	var ar *analysis.Arena
 	r.mu.Lock()
@@ -60,7 +49,6 @@ func (r *Runner) arena() *analysis.Arena {
 	if ar == nil {
 		ar = analysis.NewArena()
 	}
-	ar.MaxShards = max(runtime.GOMAXPROCS(0)/int(r.active.Add(1)), 1)
 	return ar
 }
 
@@ -78,7 +66,6 @@ const maxIdleArenaGates = 1 << 18
 // current contents has ended, or drops it when Workers arenas already idle
 // there or it has grown past maxIdleArenaGates.
 func (r *Runner) release(ar *analysis.Arena) {
-	r.active.Add(-1)
 	if ar.Gates() > maxIdleArenaGates {
 		return
 	}

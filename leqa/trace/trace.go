@@ -3,7 +3,7 @@
 // records (queue-wait, ingest, analyze, estimate, per-row emit) as one
 // request moves through the estimation pipeline, so a slow request is
 // attributable phase by phase — which circuit, which store outcome, how
-// many shards.
+// many gates.
 //
 // A Trace is also the one recording path for latency metrics: New takes an
 // optional Sink that sees every span's name and duration, so the leqad
@@ -69,7 +69,7 @@ const MaxSpans = 96
 type Span struct {
 	// Name is the step's canonical label (SpanQueue ... SpanEmit).
 	Name string `json:"name"`
-	// Detail carries step attributes: "store=hit", "shards=4", "row=17".
+	// Detail carries step attributes: "store=hit", "gates=16921", "row=17".
 	Detail string `json:"detail,omitempty"`
 	// OffsetMs is the span's start relative to the trace start.
 	OffsetMs float64 `json:"offsetMs"`
@@ -237,7 +237,7 @@ func (t *Trace) Dropped() int {
 // ServerTiming renders the per-phase totals as a Server-Timing header
 // value (durations in milliseconds, details as desc), e.g.
 //
-//	queue;dur=0.02, analyze;dur=31.40;desc="store=miss shards=2", estimate;dur=12.11
+//	queue;dur=0.02, analyze;dur=31.40;desc="store=miss gates=16921", estimate;dur=12.11
 //
 // Empty when nothing was observed.
 func (t *Trace) ServerTiming() string {

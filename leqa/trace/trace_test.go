@@ -13,7 +13,7 @@ import (
 func TestObserveAggregatesAndRetains(t *testing.T) {
 	tr := New("abc123", nil)
 	start := tr.Start()
-	tr.Observe(SpanAnalyze, "store=miss shards=2", start, 30*time.Millisecond)
+	tr.Observe(SpanAnalyze, "store=miss gates=16921", start, 30*time.Millisecond)
 	tr.Observe(SpanEstimate, "", start.Add(30*time.Millisecond), 10*time.Millisecond)
 	tr.Observe(SpanEstimate, "", start.Add(40*time.Millisecond), 20*time.Millisecond)
 
@@ -21,7 +21,7 @@ func TestObserveAggregatesAndRetains(t *testing.T) {
 	if len(spans) != 3 {
 		t.Fatalf("retained %d spans, want 3", len(spans))
 	}
-	if spans[0].Name != SpanAnalyze || spans[0].Detail != "store=miss shards=2" {
+	if spans[0].Name != SpanAnalyze || spans[0].Detail != "store=miss gates=16921" {
 		t.Fatalf("first span = %+v", spans[0])
 	}
 	if spans[1].OffsetMs != 30 || spans[2].DurMs != 20 {
@@ -209,9 +209,9 @@ func TestConcurrentObserve(t *testing.T) {
 func TestBreakdownMentionsEveryPhase(t *testing.T) {
 	tr := New("bd", nil)
 	tr.Observe(SpanIngest, "", tr.Start(), time.Millisecond)
-	tr.Observe(SpanAnalyze, "shards=3", tr.Start(), 2*time.Millisecond)
+	tr.Observe(SpanAnalyze, "gates=3", tr.Start(), 2*time.Millisecond)
 	out := tr.Breakdown()
-	for _, want := range []string{"trace bd", SpanIngest, SpanAnalyze, "shards=3"} {
+	for _, want := range []string{"trace bd", SpanIngest, SpanAnalyze, "gates=3"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("breakdown missing %q:\n%s", want, out)
 		}
