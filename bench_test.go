@@ -15,11 +15,13 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -950,6 +952,60 @@ func TestTable2Accuracy(t *testing.T) {
 	if mean := stats.Mean(errs); mean > 12 {
 		t.Errorf("mean error %.2f%% exceeds 12%%", mean)
 	}
+}
+
+// TestTable2Golden pins Table 2 (gnark's reference-stats idiom): LEQA's
+// estimate, QSPR's latency and the error of every paper benchmark must
+// equal testdata/table2.csv exactly, so any drift in either tool shows as
+// an explicit per-row diff. Under -short it checks the quick suite's six
+// rows, otherwise all 18. It logs the measured mean and max error beside
+// the paper's.
+func TestTable2Golden(t *testing.T) {
+	const regen = "go run testdata/gentable2.go > testdata/table2.csv"
+	f, err := os.Open("testdata/table2.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	golden, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := benchgen.Names()
+	if testing.Short() {
+		names = quickSuite
+	}
+	rows, err := experiments.RunSuite(names, fabric.Default(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := experiments.WriteTable2CSV(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	got, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got[0], golden[0]) {
+		t.Fatalf("header %v, golden %v; if the change is intentional, regenerate with\n  %s", got[0], golden[0], regen)
+	}
+	want := make(map[string][]string, len(golden)-1)
+	for _, rec := range golden[1:] {
+		want[rec[0]] = rec
+	}
+	var errs []float64
+	for i, rec := range got[1:] {
+		if !slices.Equal(rec, want[rec[0]]) {
+			t.Errorf("%s: got %v, golden %v", rec[0], rec, want[rec[0]])
+		}
+		errs = append(errs, rows[i].ErrorPct)
+	}
+	if t.Failed() {
+		t.Logf("if the change is intentional, regenerate the table with\n  %s", regen)
+	}
+	t.Logf("%d rows: mean error %.2f%%, max %.2f%% (paper: 2.11%% mean, 8.29%% max)",
+		len(errs), stats.Mean(errs), stats.Max(errs))
 }
 
 // measureSpeedup times reps back-to-back runs of both tools on one circuit

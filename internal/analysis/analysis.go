@@ -41,32 +41,6 @@ type Analysis struct {
 	QODG *qodg.Graph
 	// IIG is the interaction graph (presence-zone substrate, Eq. 6–7).
 	IIG *iig.Graph
-
-	// lastWriter is the dependency scan's final per-qubit last-writer
-	// state (0 = start anchor) — the seed an Appender resumes from.
-	lastWriter []qodg.NodeID
-}
-
-// LastWriter exposes the dependency scan's final per-qubit last-writer
-// state (0 = start anchor) for serialization. The slice is live analysis
-// state; treat it as read-only.
-func (a *Analysis) LastWriter() []qodg.NodeID { return a.lastWriter }
-
-// Restore reassembles an Analysis from previously serialized parts — the
-// decode path of internal/qcbin's binary Analysis image. The result is
-// shaped exactly like an AnalyzeStream product: QODG nodes carry
-// operand-free gates, and lastWriter seeds NewAppender, so estimates and
-// appends behave identically to a freshly analyzed stream.
-func Restore(name string, qubits, operations int, ft bool, g *qodg.Graph, ig *iig.Graph, lastWriter []qodg.NodeID) *Analysis {
-	return &Analysis{
-		Name:       name,
-		Qubits:     qubits,
-		Operations: operations,
-		FT:         ft,
-		QODG:       g,
-		IIG:        ig,
-		lastWriter: lastWriter,
-	}
 }
 
 // Analyze builds both graphs of a materialized circuit. The circuit is

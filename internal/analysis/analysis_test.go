@@ -157,7 +157,7 @@ func TestEstimateMatchesReferenceGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		refA := analysis.Restore(c.Name, c.NumQubits(), c.NumGates(), c.IsFT(), refG, refIG, nil)
+		refA := &analysis.Analysis{Name: c.Name, Qubits: c.NumQubits(), Operations: c.NumGates(), FT: c.IsFT(), QODG: refG, IIG: refIG}
 		ref, err := est.EstimateAnalysis(refA, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

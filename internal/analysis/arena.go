@@ -40,10 +40,9 @@ type Arena struct {
 	recs             []gateRec     // the counting pass's gate records
 	cs               CircuitStream // Analyze's stream, so it costs no allocation
 
-	qg         qodg.Graph
-	igs        iig.Scratch
-	a          Analysis
-	lastWriter []qodg.NodeID
+	qg  qodg.Graph
+	igs iig.Scratch
+	a   Analysis
 
 	path qodg.PathScratch
 }

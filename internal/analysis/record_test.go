@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -84,12 +83,11 @@ func analyzeSource(t *testing.T, src recordSource, analyze func(analysis.GateStr
 }
 
 // oracleRef is a circuit's reference analysis: the graphs the reference
-// builders produce and the final last-writer state.
+// builders produce.
 type oracleRef struct {
-	c    *circuit.Circuit
-	g    *qodg.Graph
-	ig   *iig.Graph
-	last []qodg.NodeID
+	c  *circuit.Circuit
+	g  *qodg.Graph
+	ig *iig.Graph
 }
 
 func newOracleRef(t *testing.T, c *circuit.Circuit) oracleRef {
@@ -102,11 +100,11 @@ func newOracleRef(t *testing.T, c *circuit.Circuit) oracleRef {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return oracleRef{c: c, g: g, ig: ig, last: oracle.LastWriter(c)}
+	return oracleRef{c: c, g: g, ig: ig}
 }
 
 // assertMatches compares an analysis bitwise against the reference: every
-// node, every CSR row, the IIG and the final last-writer state.
+// node, every CSR row and the IIG.
 func (ref oracleRef) assertMatches(t *testing.T, label string, got *analysis.Analysis) {
 	t.Helper()
 	c := ref.c
@@ -116,9 +114,6 @@ func (ref oracleRef) assertMatches(t *testing.T, label string, got *analysis.Ana
 	}
 	assertQODGEqual(t, label, got.QODG, ref.g)
 	assertIIGEqual(t, label, got.IIG, ref.ig)
-	if !slices.Equal(got.LastWriterState(), ref.last) {
-		t.Fatalf("%s: last-writer state %v, want %v", label, got.LastWriterState(), ref.last)
-	}
 }
 
 // TestRecordFillMatchesOracle is the parse-once equivalence check: on every

@@ -364,7 +364,6 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) 
 
 	if ar != nil {
 		qodg.FromCSRInto(&ar.qg, nodes, numQ, succOff, succ, predOff, pred)
-		ar.lastWriter = append(ar.lastWriter[:0], scan.Last()...)
 		ar.a = Analysis{
 			Name:       src.Name(),
 			Qubits:     numQ,
@@ -372,7 +371,6 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) 
 			FT:         ft,
 			QODG:       &ar.qg,
 			IIG:        iig.FromIncidenceScratch(numQ, iigOff, iigNbr, &ar.igs),
-			lastWriter: ar.lastWriter,
 		}
 		return &ar.a, nil
 	}
@@ -383,7 +381,6 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) 
 		FT:         ft,
 		QODG:       qodg.FromCSR(nodes, numQ, succOff, succ, predOff, pred),
 		IIG:        iig.FromIncidence(numQ, iigOff, iigNbr),
-		lastWriter: append([]qodg.NodeID(nil), scan.Last()...),
 	}, nil
 }
 

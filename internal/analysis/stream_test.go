@@ -138,7 +138,7 @@ func TestEstimateStreamNonFT(t *testing.T) {
 	}
 	c := circuit.New("nonft", 3)
 	c.Append(circuit.NewCNOT(0, 1), circuit.NewToffoli(0, 1, 2))
-	nonFT := analysis.Restore(c.Name, 3, 2, false, nil, nil, nil)
+	nonFT := &analysis.Analysis{Name: c.Name, Qubits: 3, Operations: 2}
 	_, wantErr := est.EstimateAnalysis(nonFT, nil)
 	if wantErr == nil {
 		t.Fatal("estimate of a non-FT analysis succeeded")

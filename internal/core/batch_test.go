@@ -73,8 +73,8 @@ func assertOraclePath(t *testing.T, label string, p fabric.Params, a *analysis.A
 	}
 	if math.Float64bits(cp.Length) != math.Float64bits(res.EstimatedLatency) ||
 		!reflect.DeepEqual(cp, res.CriticalPath) {
-		t.Fatalf("%s: critical path %v (%d nodes), oracle %v (%d nodes)", label,
-			res.EstimatedLatency, len(res.CriticalPath.Nodes), cp.Length, len(cp.Nodes))
+		t.Fatalf("%s: critical path %v %v, oracle %v %v", label,
+			res.EstimatedLatency, res.CriticalPath.CountByType, cp.Length, cp.CountByType)
 	}
 }
 
@@ -170,7 +170,7 @@ func TestEstimateAnalysisBatchLongPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(want.CriticalPath.Nodes); 3*n < a.QODG.NumNodes() {
+		if n := want.CriticalCNOTs + want.CriticalOneQubit; 3*n < a.QODG.NumNodes() {
 			t.Fatalf("col %d: critical path of %d of %d nodes is too short to exercise recovery", j, n, a.QODG.NumNodes())
 		}
 		assertResultsBitwiseEqual(t, "hwb50ps", results[j], want)

@@ -66,7 +66,8 @@ type Result struct {
 	ESq []float64
 	// Dq[q] is d_q (Eq. 8) for q = 1..len(Dq)-1 (index 0 unused), µs.
 	Dq []float64
-	// CriticalPath is the re-weighted longest path of the QODG.
+	// CriticalPath is the re-weighted longest path of the QODG: its length
+	// (D) and its operation counts per gate type, with no node list.
 	CriticalPath qodg.CriticalPath
 	// CriticalCNOTs and CriticalOneQubit are N_CNOT^critical and
 	// Σ_g N_g^critical.

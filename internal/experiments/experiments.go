@@ -6,9 +6,11 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -164,6 +166,22 @@ func Table2(w io.Writer, rows []Row) {
 	}
 	fmt.Fprintf(w, "average error: %.2f%%   max error: %.2f%%   (paper: 2.11%% avg, 8.29%% max)\n",
 		stats.Mean(errs), stats.Max(errs))
+}
+
+// WriteTable2CSV writes Table 2's pinned columns as CSV, one row per
+// benchmark: name, operation count, LEQA's estimate and QSPR's latency in
+// seconds, and the error in percent. Floats render in strconv's shortest
+// exact form ('g', -1), so the text changes exactly when a number does;
+// testdata/table2.csv at the repository root holds the 18-row table.
+func WriteTable2CSV(w io.Writer, rows []Row) error {
+	cw := csv.NewWriter(w)
+	cw.Write([]string{"benchmark", "operations", "leqa_estimate_s", "qspr_actual_s", "error_pct"})
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, r := range rows {
+		cw.Write([]string{r.Name, strconv.Itoa(r.Operations), f(r.EstimateSec), f(r.ActualSec), f(r.ErrorPct)})
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // Table3 prints workload sizes, tool runtimes, and speedups.

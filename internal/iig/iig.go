@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"repro/internal/csr"
 )
 
 // Graph is the interaction intensity graph over Q logical qubits. Immutable
@@ -201,76 +199,6 @@ func FromCSRWeights(q int, off, nbr, wt []int32) (*Graph, error) {
 	}
 	g.totalWeight = total / 2
 	return g, nil
-}
-
-// Extend builds a new immutable Graph from an existing one plus extra
-// unit-weight interactions, given as flat (a, b) pairs over the same
-// register. The result is exactly the graph an analysis of the
-// concatenated gate stream builds: each row is the sorted merge of the base's
-// collapsed row with the collapsed extras. With no pairs it is a deep copy
-// — the incremental analysis appender uses that to detach a seed IIG from
-// arena-borrowed storage. Out-of-range qubits panic like Builder does.
-func Extend(g *Graph, pairs []int32) *Graph {
-	q := g.Q
-	extraDeg := make([]int32, q+1)
-	for i := 0; i < len(pairs); i += 2 {
-		a, b := pairs[i], pairs[i+1]
-		if a < 0 || int(a) >= q || b < 0 || int(b) >= q {
-			panic(fmt.Sprintf("iig: interaction (%d,%d) out of range [0,%d)", a, b, q))
-		}
-		extraDeg[a]++
-		extraDeg[b]++
-	}
-	exOff, extra := csr.Offsets[int32](extraDeg)
-	for i := 0; i < len(pairs); i += 2 {
-		a, b := pairs[i], pairs[i+1]
-		extra[extraDeg[a]] = b
-		extraDeg[a]++
-		extra[extraDeg[b]] = a
-		extraDeg[b]++
-	}
-	out := &Graph{
-		Q:           q,
-		off:         make([]int32, q+1),
-		adjw:        make([]int32, q),
-		totalWeight: g.totalWeight + len(pairs)/2,
-		nbr:         make([]int32, 0, len(g.nbr)+len(extra)),
-		wt:          make([]int32, 0, len(g.wt)+len(extra)),
-	}
-	for i := 0; i < q; i++ {
-		out.off[i] = int32(len(out.nbr))
-		base := g.nbr[g.off[i]:g.off[i+1]]
-		baseWt := g.wt[g.off[i]:g.off[i+1]]
-		ex := extra[exOff[i]:exOff[i+1]]
-		slices.Sort(ex)
-		out.adjw[i] = g.adjw[i] + int32(len(ex))
-		bi, ei := 0, 0
-		for bi < len(base) || ei < len(ex) {
-			switch {
-			case ei == len(ex) || (bi < len(base) && base[bi] < ex[ei]):
-				out.nbr = append(out.nbr, base[bi])
-				out.wt = append(out.wt, baseWt[bi])
-				bi++
-			default:
-				// Collapse the run of equal extras, folding in the base
-				// weight when the neighbor already exists.
-				v := ex[ei]
-				w := int32(0)
-				for ei < len(ex) && ex[ei] == v {
-					w++
-					ei++
-				}
-				if bi < len(base) && base[bi] == v {
-					w += baseWt[bi]
-					bi++
-				}
-				out.nbr = append(out.nbr, v)
-				out.wt = append(out.wt, w)
-			}
-		}
-	}
-	out.off[q] = int32(len(out.nbr))
-	return out
 }
 
 // Degree returns M_i = deg(n_i), the number of distinct interaction

@@ -55,19 +55,6 @@ func QODG(c *circuit.Circuit) (*qodg.Graph, error) {
 	return g, nil
 }
 
-// LastWriter is the per-qubit last-writer state after c's final gate: the
-// node of the last gate touching each qubit, 0 (the start anchor) for an
-// idle one — the seed an analysis Appender resumes from.
-func LastWriter(c *circuit.Circuit) []qodg.NodeID {
-	last := make([]qodg.NodeID, c.NumQubits())
-	for i, gate := range c.Gates {
-		for _, q := range gate.Qubits() {
-			last[q] = qodg.NodeID(i + 1)
-		}
-	}
-	return last
-}
-
 // flatten sorts and deduplicates every adjacency list and packs the lists
 // into CSR offsets plus one edge array.
 func flatten(adj [][]qodg.NodeID) ([]int32, []qodg.NodeID) {
@@ -150,28 +137,23 @@ func Relax(g *qodg.Graph, w []float64) (dist []float64, from []qodg.NodeID, err 
 }
 
 // LongestPath is the critical path of g under w: Relax, then the
-// from-chain walked back from the end anchor.
+// from-chain walked back from the end anchor, counting the operation
+// nodes on it by gate type.
 func LongestPath(g *qodg.Graph, w []float64) (qodg.CriticalPath, error) {
 	dist, from, err := Relax(g, w)
 	if err != nil {
 		return qodg.CriticalPath{}, err
 	}
-	var path []qodg.NodeID
-	for v := g.End(); ; v = from[v] {
-		path = append(path, v)
-		if v == 0 || from[v] == -1 {
-			break
-		}
-	}
-	slices.Reverse(path)
 	cp := qodg.CriticalPath{
 		Length:      dist[g.End()],
-		Nodes:       path,
 		CountByType: make(map[circuit.GateType]int),
 	}
-	for _, id := range path {
-		if node := g.Nodes[id]; !node.IsPseudo() {
+	for v := g.End(); ; v = from[v] {
+		if node := g.Nodes[v]; !node.IsPseudo() {
 			cp.CountByType[node.Op.Type]++
+		}
+		if v == 0 || from[v] == -1 {
+			break
 		}
 	}
 	return cp, nil

@@ -11,10 +11,9 @@
 //
 // A .qca image is a decoded circuit's complete analysis product: both CSR
 // graphs (QODG adjacency in both directions, collapsed IIG rows), the
-// per-gate node types, the dependency scan's final last-writer state and
-// the metadata header — everything analysis.AnalyzeStream computes, laid
-// out as raw little-endian arrays so a store hit is a read + reslice rather
-// than a re-parse + re-analyze.
+// per-gate node types and the metadata header — everything
+// analysis.AnalyzeStream computes, laid out as raw little-endian arrays so
+// a store hit is a read + reslice rather than a re-parse + re-analyze.
 //
 // Both formats begin with a non-ASCII magic byte, so they can never be
 // confused with a textual .qc netlist; gzip wrapping is detected the same
@@ -39,8 +38,13 @@ var (
 	MagicGzip = [2]byte{0x1f, 0x8b}
 )
 
-// Version is the current revision of both binary layouts.
+// Version is the current revision of the .qcb netlist layout.
 const Version = 1
+
+// ImageVersion is the current revision of the .qca image layout. Version 2
+// dropped version 1's per-qubit last-writer section, so a version-1 image
+// fails DecodeImage's version check rather than being misread.
+const ImageVersion = 2
 
 // maxNameLen caps any length-prefixed name field, so a corrupted or
 // adversarial header cannot demand an absurd allocation.

@@ -14,7 +14,7 @@ import (
 	"repro/internal/qodg"
 )
 
-// The .qca image, version 1 (all multi-byte integers little-endian u32,
+// The .qca image, version 2 (all multi-byte integers little-endian u32,
 // counts as uvarints):
 //
 //	magic "\x9dQCA", version byte
@@ -22,7 +22,6 @@ import (
 //	G node-type bytes (gate opcodes, nodes 1..G)
 //	succOff (n+1)·u32, succ Es·u32      n = G+2, Es = succOff[n]
 //	predOff (n+1)·u32, pred Ep·u32
-//	lastWriter Q·u32
 //	iigOff (Q+1)·u32, iigNbr L·u32, iigWt L·u32   L = iigOff[Q]
 //
 // That is the complete AnalyzeStream product: decoding is a handful of
@@ -49,7 +48,7 @@ func EncodeImage(w io.Writer, a *analysis.Analysis) error {
 
 	bw := bufio.NewWriterSize(w, 1<<16)
 	bw.Write(MagicQCA[:])
-	bw.WriteByte(Version)
+	bw.WriteByte(ImageVersion)
 	writeString(bw, a.Name)
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, uint64(a.Qubits))
@@ -67,7 +66,6 @@ func EncodeImage(w io.Writer, a *analysis.Analysis) error {
 	writeU32s(bw, succ)
 	writeU32s(bw, predOff)
 	writeU32s(bw, pred)
-	writeU32s(bw, a.LastWriter())
 	writeU32s(bw, iigOff)
 	writeU32s(bw, iigNbr)
 	writeU32s(bw, iigWt)
@@ -119,8 +117,8 @@ func DecodeImage(data []byte, fallbackName string) (*analysis.Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver[0] != Version {
-		return nil, formatErr(r.name, 4, "unsupported version %d (want %d)", ver[0], Version)
+	if ver[0] != ImageVersion {
+		return nil, formatErr(r.name, 4, "unsupported version %d (want %d)", ver[0], ImageVersion)
 	}
 	name, err := r.string("image name")
 	if err != nil {
@@ -181,10 +179,6 @@ func DecodeImage(data []byte, fallbackName string) (*analysis.Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	lastWriter, err := r.nodeIDs(numQ, n, "lastWriter")
-	if err != nil {
-		return nil, err
-	}
 	iigOff, err := r.offsets(numQ+1, "iigOff")
 	if err != nil {
 		return nil, err
@@ -222,7 +216,7 @@ func DecodeImage(data []byte, fallbackName string) (*analysis.Analysis, error) {
 	if err != nil {
 		return nil, formatErr(r.name, int64(r.off), "%v", err)
 	}
-	return analysis.Restore(name, numQ, ops, ftb[0] == 1, g, ig, lastWriter), nil
+	return &analysis.Analysis{Name: name, Qubits: numQ, Operations: ops, FT: ftb[0] == 1, QODG: g, IIG: ig}, nil
 }
 
 // imgReader cursors over an in-memory .qca image with bounds checking.

@@ -13,27 +13,26 @@ import (
 const ParallelThreshold = math.MaxInt
 
 // PathScratch carries the reusable state of a critical-path sweep: the
-// dist/from relaxation slabs and path recovery's walk buffer. A zero
-// PathScratch is ready to use; buffers grow to the largest sweep seen and
-// are reused across calls, so a warm scratch performs no allocation. Not
-// safe for concurrent use; pool one per worker.
+// dist/from relaxation slabs. A zero PathScratch is ready to use; buffers
+// grow to the largest sweep seen and are reused across calls, so a warm
+// scratch performs no allocation. Not safe for concurrent use; pool one per
+// worker.
 type PathScratch struct {
 	// MaxWorkers is ignored: the sweep is serial. It is kept only because
 	// cmd/leqabench compiles against it.
 	MaxWorkers int
 
 	// Column c of node v sits at [v*K+c] of dist and from, so K = 1 is the
-	// plain per-node layout. Predecessors and the recovery walk hold node
-	// IDs as int32: CSR offsets are int32, so every node ID of a graph fits.
-	dist []float64
-	from []int32
-	walk []int32 // path recovery's end→start walk
+	// plain per-node layout. Predecessors are held as int32: CSR offsets
+	// are int32, so every node ID of a graph fits.
+	dist  []float64
+	from  []int32
+	nodes int // node count of the largest graph swept
 }
 
-// Nodes reports the node count of the largest graph the scratch has swept:
-// every sweep's path recovery sizes walk to its graph, and the scratch's
-// other slabs scale with it.
-func (s *PathScratch) Nodes() int { return cap(s.walk) }
+// Nodes reports the node count of the largest graph the scratch has swept;
+// the scratch's slabs scale with it.
+func (s *PathScratch) Nodes() int { return s.nodes }
 
 // grow is csr.Grow under a local name: resize, reallocating only when the
 // capacity is insufficient, contents unspecified.
@@ -43,8 +42,6 @@ func grow[T any](buf []T, n int) []T { return csr.Grow(buf, n) }
 type CriticalPath struct {
 	// Length is the total weight along the heaviest start→end path.
 	Length float64
-	// Nodes lists the path's node IDs from start to end (inclusive).
-	Nodes []NodeID
 	// CountByType counts operation nodes on the path per gate type; the
 	// paper's N_CNOT^critical and N_g^critical.
 	CountByType map[circuit.GateType]int
@@ -70,8 +67,8 @@ func (e *MissingRowError) Error() string {
 // O(|V|+|E|) DAG longest-path algorithm the paper cites; the node array is
 // already in topological order. A node whose type has no row fails with a
 // *MissingRowError. A warm scratch makes the sweep allocation-free apart
-// from the returned path and count map; a nil scratch allocates a temporary
-// one. tab does not escape, so a caller may keep it on its stack.
+// from the returned count map; a nil scratch allocates a temporary one.
+// tab does not escape, so a caller may keep it on its stack.
 func (g *Graph) LongestPath(tab []float64, s *PathScratch) (CriticalPath, error) {
 	if s == nil {
 		s = new(PathScratch)
@@ -106,6 +103,7 @@ func (g *Graph) missingRow(v, rows, k int) error {
 // Each pull writes every node's state, so the slabs need no clearing.
 func (g *Graph) relax(w weightRows, k int, s *PathScratch) error {
 	n := len(g.Nodes)
+	s.nodes = max(s.nodes, n)
 	s.dist = grow(s.dist, n*k)
 	s.from = grow(s.from, n*k)
 	if k == 1 {
@@ -153,21 +151,17 @@ const numGateTypes = int(circuit.Swap) + 1
 
 // recoverPath reads column col of a k-column sweep's critical path out of
 // the scratch: node v's distance and predecessor sit at [v*k+col]. One walk
-// down the from-chain, from the end node back to the start, fills the walk
-// buffer and counts gate types in a fixed array; the path is then copied
-// out start→end and CountByType built from the non-zero counts.
+// down the from-chain, from the end node back to the start, counts gate
+// types in a fixed array, and CountByType is built from the non-zero
+// counts. The path's nodes themselves are not kept: the estimate reads
+// only its length and counts.
 func recoverPath(g *Graph, s *PathScratch, k, col int) CriticalPath {
-	s.walk = grow(s.walk, len(g.Nodes)) // a path visits each node at most once
-	walk, from := s.walk, s.from
 	var counts [numGateTypes]int
-	steps := 0
 	for v := g.End(); ; {
-		walk[steps] = int32(v)
-		steps++
 		if node := &g.Nodes[v]; !node.IsPseudo() {
 			counts[node.Op.Type]++
 		}
-		p := from[int(v)*k+col]
+		p := s.from[int(v)*k+col]
 		if v == 0 || p == -1 {
 			break
 		}
@@ -181,11 +175,7 @@ func recoverPath(g *Graph, s *PathScratch, k, col int) CriticalPath {
 	}
 	cp := CriticalPath{
 		Length:      s.dist[int(g.End())*k+col],
-		Nodes:       make([]NodeID, steps),
 		CountByType: make(map[circuit.GateType]int, types),
-	}
-	for i, v := range walk[:steps] {
-		cp.Nodes[steps-1-i] = NodeID(v)
 	}
 	for t, c := range counts {
 		if c > 0 {

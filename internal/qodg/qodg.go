@@ -95,15 +95,6 @@ func NewDepScanner(numQubits int) *DepScanner {
 	return &DepScanner{last: make([]NodeID, numQubits)}
 }
 
-// NewDepScannerAt returns a scanner resuming from an existing per-qubit
-// last-writer state (copied) — the seed of the incremental analysis
-// appender, which continues a finished scan instead of replaying it.
-func NewDepScannerAt(last []NodeID) *DepScanner {
-	s := &DepScanner{last: make([]NodeID, len(last))}
-	copy(s.last, last)
-	return s
-}
-
 // GrowTo extends the scanner's register to numQubits mid-scan, initializing
 // the new qubits to the start anchor — the streaming path's counterpart of
 // ResetFor, used when a .qc stream auto-declares qubits as it goes.
@@ -112,10 +103,6 @@ func (s *DepScanner) GrowTo(numQubits int) {
 		s.last = append(s.last, 0)
 	}
 }
-
-// Last exposes the per-qubit last-writer state (0 = start anchor). The
-// slice is live scanner state; treat it as read-only.
-func (s *DepScanner) Last() []NodeID { return s.last }
 
 // ResetFor resizes the scanner to numQubits and rewinds it — the arena path
 // that reuses one scanner across circuits of different register sizes.

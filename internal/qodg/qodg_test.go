@@ -119,9 +119,6 @@ func TestLongestPathChain(t *testing.T) {
 	if cp.CountByType[circuit.H] != 5 {
 		t.Errorf("critical H count = %d, want 5", cp.CountByType[circuit.H])
 	}
-	if len(cp.Nodes) != 7 { // start + 5 + end
-		t.Errorf("path has %d nodes, want 7", len(cp.Nodes))
-	}
 }
 
 func TestLongestPathPicksHeavierBranch(t *testing.T) {

@@ -181,28 +181,14 @@ func (s *Store) GetOrAnalyze(src analysis.GateStream) (*analysis.Analysis, strin
 // satisfied (memory hit, disk image, full analysis) — the hook request
 // tracing uses to attribute analyze time. Its digest pass and its analysis
 // pass poll ctx and stop with its error; a failed analysis is never
-// stored. A caller that joined another's in-flight analysis never inherits
-// that analysis's failure: it returns its own ctx's error when ctx is done,
-// and otherwise looks the digest up again, analyzing its own stream on a
-// miss.
+// stored. Like every lookup, it never inherits the failure of another
+// caller's in-flight analysis it joined (see lookupOwn).
 func (s *Store) GetOrAnalyzeOutcome(ctx context.Context, src analysis.GateStream) (*analysis.Analysis, string, Outcome, error) {
 	digest, err := qcbin.DigestContext(ctx, src)
 	if err != nil {
 		return nil, "", OutcomeMiss, err
 	}
-	// If compute never runs, the digest was resident (or another caller's
-	// in-flight analysis was joined): a memory-tier hit either way. Only
-	// this goroutine writes outcome — compute runs under the entry's once,
-	// and entries created here are computed by their creator.
-	outcome := OutcomeHit
-	compute := func() (*analysis.Analysis, error) {
-		if a, ok := s.loadImage(digest); ok {
-			outcome = OutcomeDiskHit
-			s.count(&s.diskHits)
-			return a, nil
-		}
-		outcome = OutcomeMiss
-		s.count(&s.misses)
+	a, outcome, err := s.lookupOwn(ctx, digest, func() (*analysis.Analysis, error) {
 		if err := src.Rewind(); err != nil {
 			return nil, err
 		}
@@ -212,18 +198,7 @@ func (s *Store) GetOrAnalyzeOutcome(ctx context.Context, src analysis.GateStream
 		}
 		s.saveImage(digest, a)
 		return a, nil
-	}
-	a, err := s.lookup(digest, compute)
-	if err != nil && outcome == OutcomeHit {
-		// This caller joined another's in-flight lookup, which failed and
-		// unpublished itself. The failure may be the owner's alone (its
-		// context, or a by-reference Get that came up empty), so unless
-		// this caller's own context is done, it looks up again with its own
-		// compute rather than inherit the error.
-		if err = ctx.Err(); err == nil {
-			a, err = s.lookup(digest, compute)
-		}
-	}
+	})
 	return a, digest, outcome, err
 }
 
@@ -236,13 +211,31 @@ func (s *Store) Get(digest string) (*analysis.Analysis, error) {
 
 // GetOutcome is Get reporting which tier answered — OutcomeHit from
 // memory (including a coalesced single-flight wait), OutcomeDiskHit from
-// a persisted image, OutcomeMiss with ErrNotFound.
+// a persisted image, OutcomeMiss with ErrNotFound. A lookup that joins
+// another caller's failed analysis looks the digest up again rather than
+// return that caller's error (see lookupOwn).
 func (s *Store) GetOutcome(digest string) (*analysis.Analysis, Outcome, error) {
 	if err := validDigest(digest); err != nil {
 		return nil, OutcomeMiss, err
 	}
+	return s.lookupOwn(context.Background(), digest, func() (*analysis.Analysis, error) {
+		return nil, ErrNotFound
+	})
+}
+
+// lookupOwn is lookup with the caller's own compute: the disk tier, then
+// miss on a disk miss. It reports how the lookup was satisfied; if its
+// compute never runs, the digest was resident or another caller's
+// in-flight lookup was joined, a memory-tier hit either way. A joined
+// lookup that failed has unpublished itself, and its failure may be the
+// owner's alone: its context, or a by-reference lookup that came up empty.
+// So a caller whose own compute did not run looks up once more with it,
+// unless ctx is done, rather than inherit the error.
+func (s *Store) lookupOwn(ctx context.Context, digest string, miss func() (*analysis.Analysis, error)) (*analysis.Analysis, Outcome, error) {
+	// compute writes outcome under its entry's once, so the write happens
+	// before this caller's lookup returns, whichever goroutine ran it.
 	outcome := OutcomeHit
-	a, err := s.lookup(digest, func() (*analysis.Analysis, error) {
+	compute := func() (*analysis.Analysis, error) {
 		if a, ok := s.loadImage(digest); ok {
 			outcome = OutcomeDiskHit
 			s.count(&s.diskHits)
@@ -250,8 +243,14 @@ func (s *Store) GetOutcome(digest string) (*analysis.Analysis, Outcome, error) {
 		}
 		outcome = OutcomeMiss
 		s.count(&s.misses)
-		return nil, ErrNotFound
-	})
+		return miss()
+	}
+	a, err := s.lookup(digest, compute)
+	if err != nil && outcome == OutcomeHit {
+		if err = ctx.Err(); err == nil {
+			a, err = s.lookup(digest, compute)
+		}
+	}
 	return a, outcome, err
 }
 

@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/qcbin"
-	"repro/internal/qodg"
 )
 
 func genFT(t testing.TB, name string) *circuit.Circuit {
@@ -121,8 +123,72 @@ func TestDiskTier(t *testing.T) {
 	assertSameEstimate(t, c.Name, a1, a3)
 }
 
+// TestVersion1ImageIsAMiss: a version-1 .qca image under the store's
+// directory fails its version check. GetOrAnalyzeOutcome counts it as a
+// miss, removes it, writes a version-2 image in its place and returns a
+// Result bitwise equal to a fresh analysis's; GetOutcome finds nothing and
+// removes it too. Neither ever misreads it.
+func TestVersion1ImageIsAMiss(t *testing.T) {
+	c := genFT(t, "8bitadder")
+	fresh, err := analysis.Analyze(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := qcbin.Digest(analysis.NewCircuitStream(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// plant writes a version-1 image of c's analysis into a new directory:
+	// a version-2 image with its version byte set to 1, which is all the
+	// decoder reads before it stops.
+	plant := func() (dir, path string) {
+		var buf bytes.Buffer
+		if err := qcbin.EncodeImage(&buf, fresh); err != nil {
+			t.Fatal(err)
+		}
+		img := buf.Bytes()
+		img[4] = 1
+		dir = t.TempDir()
+		path = filepath.Join(dir, digest+".qca")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir, path
+	}
+
+	dir, path := plant()
+	s := newStore(t, Options{Dir: dir})
+	a, d, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c))
+	if err != nil || d != digest || outcome != OutcomeMiss {
+		t.Fatalf("GetOrAnalyzeOutcome over a v1 image = %v, %s, %v; want a miss on %s", outcome, d, err, digest)
+	}
+	if st := s.Stats(); st.DiskHits != 0 || st.Misses != 1 || st.Puts != 1 || st.DiskEntries != 1 {
+		t.Fatalf("stats = %s, want 1 miss, 1 put and the one rewritten image", st)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no image rewritten: %v", err)
+	}
+	if data[4] != qcbin.ImageVersion {
+		t.Fatalf("rewritten image has version %d, want %d", data[4], qcbin.ImageVersion)
+	}
+	assertSameEstimate(t, c.Name, fresh, a)
+
+	dir, path = plant()
+	s = newStore(t, Options{Dir: dir})
+	if a, outcome, err := s.GetOutcome(digest); !errors.Is(err, ErrNotFound) || a != nil || outcome != OutcomeMiss {
+		t.Fatalf("GetOutcome over a v1 image = %v, %v; want a miss with ErrNotFound", outcome, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("v1 image not removed: %v", err)
+	}
+	if st := s.Stats(); st.DiskEntries != 0 || st.DiskBytes != 0 {
+		t.Fatalf("stats = %s, want an empty disk tier", st)
+	}
+}
+
 // assertSameEstimate checks two analyses produce bitwise-identical
-// estimates under the paper fabric.
+// Results under the paper fabric.
 func assertSameEstimate(t *testing.T, label string, a, b *analysis.Analysis) {
 	t.Helper()
 	est, err := core.New(fabric.Default(), core.Options{})
@@ -137,7 +203,7 @@ func assertSameEstimate(t *testing.T, label string, a, b *analysis.Analysis) {
 	if err != nil {
 		t.Fatalf("%s: estimate(b): %v", label, err)
 	}
-	if ra.EstimatedLatency != rb.EstimatedLatency || ra.CriticalPath.Length != rb.CriticalPath.Length {
+	if math.Float64bits(ra.EstimatedLatency) != math.Float64bits(rb.EstimatedLatency) || !reflect.DeepEqual(ra, rb) {
 		t.Fatalf("%s: estimates differ: %+v vs %+v", label, ra, rb)
 	}
 }
@@ -355,81 +421,76 @@ func (s *blockOnRewind) Rewind() error {
 
 // TestJoinerOutlivesCancelledOwner: a lookup that joins another caller's
 // in-flight analysis does not inherit that caller's cancellation. The
-// owner is cancelled while its analysis pass is parked; the joiner, whose
-// own context is live, analyzes the digest itself.
+// owner is cancelled while its analysis pass is parked. A joining
+// GetOrAnalyzeOutcome, whose own context is live, analyzes the digest
+// itself; a joining by-reference GetOutcome looks the digest up again and
+// finds the analysis or nothing, never the owner's context.Canceled.
 func TestJoinerOutlivesCancelledOwner(t *testing.T) {
-	s := newStore(t, Options{})
 	c := genFT(t, "8bitadder")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Rewind 1 starts the owner's digest pass, rewind 2 its analysis pass.
-	owner := &blockOnRewind{GateStream: analysis.NewCircuitStream(c), n: 2,
-		reached: make(chan struct{}), release: make(chan struct{})}
-	ownerErr := make(chan error, 1)
-	go func() {
-		_, _, _, err := s.GetOrAnalyzeOutcome(ctx, owner)
-		ownerErr <- err
-	}()
-	<-owner.reached
+	for _, tc := range []struct {
+		name string
+		join func(s *Store, digest string) (*analysis.Analysis, error)
+		// check judges the joiner's result and the resident entry count.
+		check func(a *analysis.Analysis, err error, entries int) bool
+	}{
+		{"GetOrAnalyzeOutcome",
+			func(s *Store, _ string) (*analysis.Analysis, error) {
+				a, _, _, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c.Clone()))
+				return a, err
+			},
+			func(a *analysis.Analysis, err error, entries int) bool { return err == nil && a != nil && entries == 1 }},
+		{"GetOutcome",
+			func(s *Store, digest string) (*analysis.Analysis, error) {
+				a, _, err := s.GetOutcome(digest)
+				return a, err
+			},
+			func(a *analysis.Analysis, err error, entries int) bool {
+				return (err == nil && a != nil) || (errors.Is(err, ErrNotFound) && entries == 0)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStore(t, Options{})
+			digest, err := qcbin.Digest(analysis.NewCircuitStream(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// Rewind 1 starts the owner's digest pass, rewind 2 its analysis
+			// pass.
+			owner := &blockOnRewind{GateStream: analysis.NewCircuitStream(c), n: 2,
+				reached: make(chan struct{}), release: make(chan struct{})}
+			ownerErr := make(chan error, 1)
+			go func() {
+				_, _, _, err := s.GetOrAnalyzeOutcome(ctx, owner)
+				ownerErr <- err
+			}()
+			<-owner.reached
 
-	type result struct {
-		a   *analysis.Analysis
-		err error
-	}
-	joined := make(chan result, 1)
-	go func() {
-		a, _, _, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c.Clone()))
-		joined <- result{a, err}
-	}()
-	// The joiner's hit on the in-flight entry means it now waits on it.
-	for s.Stats().Hits < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	close(owner.release)
+			type result struct {
+				a   *analysis.Analysis
+				err error
+			}
+			joined := make(chan result, 1)
+			go func() {
+				a, err := tc.join(s, digest)
+				joined <- result{a, err}
+			}()
+			// The joiner's hit on the in-flight entry means it now waits on
+			// it.
+			for s.Stats().Hits < 1 {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			close(owner.release)
 
-	if err := <-ownerErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("owner err = %v, want context.Canceled", err)
-	}
-	if r := <-joined; r.err != nil || r.a == nil {
-		t.Fatalf("joiner err = %v, want its own analysis", r.err)
-	}
-	if st := s.Stats(); st.Entries != 1 {
-		t.Fatalf("stats = %s, want one resident entry", st)
-	}
-}
-
-// TestRestoredAnalysisAppends: a disk-loaded analysis must seed the
-// incremental appender exactly like a fresh streamed analysis (lastWriter
-// round-trips).
-func TestRestoredAnalysisAppends(t *testing.T) {
-	dir := t.TempDir()
-	c := genFT(t, "8bitadder")
-	s := newStore(t, Options{Dir: dir})
-	_, digest, err := s.GetOrAnalyze(analysis.NewCircuitStream(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := newStore(t, Options{Dir: dir})
-	loaded, err := s2.Get(digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := analysis.AnalyzeStream(analysis.NewCircuitStream(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lw1, lw2 := fresh.LastWriter(), loaded.LastWriter()
-	if len(lw1) != len(lw2) {
-		t.Fatalf("lastWriter lengths differ: %d vs %d", len(lw1), len(lw2))
-	}
-	for i := range lw1 {
-		if lw1[i] != lw2[i] {
-			t.Fatalf("lastWriter[%d] = %v, want %v", i, lw2[i], lw1[i])
-		}
-	}
-	_ = qodg.NodeID(0)
-	if _, err := qcbin.ParseRef(qcbin.FormatRef(digest)); err != nil {
-		t.Fatal(err)
+			if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+				t.Fatalf("owner err = %v, want context.Canceled", err)
+			}
+			r := <-joined
+			if st := s.Stats(); !tc.check(r.a, r.err, st.Entries) {
+				t.Fatalf("joiner got (%v, %v) with stats %s; want its own lookup's result", r.a != nil, r.err, st)
+			}
+		})
 	}
 }

@@ -49,7 +49,9 @@ type (
 	Params = fabric.Params
 	// Grid is the fabric geometry.
 	Grid = fabric.Grid
-	// EstimateResult is LEQA's estimate with all model intermediates.
+	// EstimateResult is LEQA's estimate with all model intermediates. Its
+	// CriticalPath carries the path's length and per-type operation counts,
+	// with no node list.
 	EstimateResult = core.Result
 	// EstimateOptions tunes the estimator (truncation, ablations).
 	EstimateOptions = core.Options

@@ -10,8 +10,8 @@ import (
 )
 
 // DefaultResultMemoEntries is the result memo's LRU capacity when the
-// configuration doesn't choose one. Results are small (a few hundred bytes
-// plus the critical-path node list), so the default leans generous.
+// configuration doesn't choose one. Results are small (a few hundred
+// bytes), so the default leans generous.
 const DefaultResultMemoEntries = 256
 
 // ResultMemo is a single-flight LRU over finished estimates, keyed by

@@ -32,20 +32,12 @@ type (
 	// sources use to support a second pass (a store's digest-then-analyze,
 	// or materialization).
 	IngestOptions = ingest.Options
-	// Appender extends an analyzed circuit with an append-only gate suffix
-	// and snapshots Analyses without re-analyzing the prefix — the
-	// interactive sizing primitive.
-	Appender = analysis.Appender
 	// NonFTError marks a circuit or gate stream containing gates outside
 	// the fault-tolerant set; the streaming paths report it gate by gate,
 	// and services use it to decide whether to fall back to materialized
 	// decomposition.
 	NonFTError = core.NonFTError
 )
-
-// NewAppender seeds an incremental Appender from an existing analysis (see
-// Analyze / AnalyzeReader).
-func NewAppender(a *Analysis) (*Appender, error) { return analysis.NewAppender(a) }
 
 // AnalyzeReader builds a circuit's analysis from a streamed .qc netlist
 // without materializing its gate list — the front end of the beyond-memory

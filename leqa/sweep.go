@@ -54,12 +54,13 @@ func (r *Runner) arena() *analysis.Arena {
 
 // maxIdleArenaGates is the largest circuit, in gates, whose arena the free
 // list keeps, whether the arena analyzed the circuit or only swept its
-// graph. An arena holds about 130 B of slabs per gate (246 MiB after a
-// 1.9M-gate circuit), so an idle arena holds at most about 33 MiB. Every
-// circuit of the paper's suite up to gf2^128mult (246,141 gates) keeps its
-// slabs warm; the arena of a larger upload, such as gf2^256mult or a
-// MaxGates-scale netlist, goes back to the GC when its estimate ends
-// instead of staying for the life of the process.
+// graph. An arena holds about 95–110 B of slabs per gate: 94 after an
+// in-memory circuit, 97–110 after a streamed one, whose slabs grow by
+// doubling (hwb100ps, hwb200ps, gf2^128mult). So an idle arena holds at
+// most about 28 MiB. Every circuit of the paper's suite up to gf2^128mult
+// (246,141 gates) keeps its slabs warm; the arena of a larger upload, such
+// as gf2^256mult or a MaxGates-scale netlist, goes back to the GC when its
+// estimate ends instead of staying for the life of the process.
 const maxIdleArenaGates = 1 << 18
 
 // release returns an arena to the free list once every borrow of its
