@@ -384,9 +384,11 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkAnalyze measures the circuit-analysis front end on a
-// Shor-scale workload (gf2^128mult, 246k FT operations): the fused CSR
-// build into fresh graphs, and the same build into one arena reused across
-// iterations, so its buffers stay warm.
+// Shor-scale workload (gf2^128mult, 246k FT operations): the fused build
+// (QODG node records plus the IIG's CSR rows) into fresh graphs, and the
+// same build into one arena reused across iterations, so its buffers stay
+// warm. The first sub-benchmark keeps its FusedCSR name so reports stay
+// comparable across BENCH_*.json files.
 func BenchmarkAnalyze(b *testing.B) {
 	c := ftCircuit(b, "gf2^128mult")
 	b.Run("FusedCSR", func(b *testing.B) {
@@ -414,10 +416,10 @@ func BenchmarkAnalyze(b *testing.B) {
 // netlists of two sizes. Each sub-benchmark reports a retained-B metric:
 // the live-heap bytes one analysis product pins after GC. The streamed
 // path's retained and per-op bytes exclude the materialized []Gate and its
-// per-gate operand slices entirely — its extra footprint over the CSR
-// analysis product is 12 B of gate records per gate (up to twice that in
-// slab capacity, which grows by doubling) plus one read chunk —
-// which is the streaming path's peak-memory claim in measurable form.
+// per-gate operand slices entirely — its analysis product is the 16 B node
+// records per gate (up to twice that in slab capacity, which grows by
+// doubling) plus the IIG, and it reads one chunk at a time — which is the
+// streaming path's peak-memory claim in measurable form.
 func BenchmarkAnalyzeStream(b *testing.B) {
 	for _, name := range []string{"gf2^32mult", "gf2^128mult"} {
 		c := ftCircuit(b, name)

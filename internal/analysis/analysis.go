@@ -3,13 +3,14 @@
 // LEQA consumes — the quantum operation dependency graph (QODG, paper §2)
 // and the interaction intensity graph (IIG, §3.1).
 //
-// Both graphs derive from the same stream, so one combined counting pass
-// over the stream, which records each gate in 12 bytes, and one combined
-// fill pass over those records assemble both CSR structures with a handful
-// of flat allocations and no per-node maps or slices. Every input — a
-// materialized circuit, a .qc or .qcb netlist being read, a stored image's
-// replay — runs through that one builder (AnalyzeStream); Analyze is the
-// same builder over an in-memory circuit.
+// Both graphs derive from the same stream. One counting pass over the
+// stream appends each gate's 16-byte QODG node and counts IIG degrees; the
+// nodes are the whole QODG, since every dependency edge is a last-writer
+// edge their operands fix. One fill pass over the nodes then fills the
+// IIG's CSR rows. That is a handful of flat allocations and no per-node
+// maps or slices. Every input — a materialized circuit, a .qc or .qcb
+// netlist being read — runs through that one builder (AnalyzeStream);
+// Analyze is the same builder over an in-memory circuit.
 package analysis
 
 import (
@@ -36,8 +37,8 @@ type Analysis struct {
 	// circuit.IsFT without the gate list.
 	FT bool
 	// QODG is the dependency graph (critical-path substrate, Eq. 1). Its
-	// operation nodes carry the gate type only: the estimator reads nothing
-	// else, so the operand slices of the source gates are never copied.
+	// nodes are the gate records, a type and one or two operands each; the
+	// operand slices of the source gates are never copied.
 	QODG *qodg.Graph
 	// IIG is the interaction graph (presence-zone substrate, Eq. 6–7).
 	IIG *iig.Graph

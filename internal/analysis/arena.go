@@ -14,12 +14,11 @@ const ShardThreshold = math.MaxInt
 
 // Arena is the reusable scratch state of the estimate hot path: every
 // buffer the analysis passes and the critical-path sweep would otherwise
-// allocate per call — gate records, node array, degree arrays, CSR
-// adjacency, DepScanner state, IIG incidence and the longest-path
-// dist/from slabs — owned once and recycled across circuits. A zero Arena
-// is ready to use; buffers grow to the largest circuit seen and stay warm,
-// so a steady-state worker analyzes and estimates with near-zero heap
-// allocation.
+// allocate per call — the QODG's node slab, the IIG's degree array and
+// incidence, and the longest-path dist/from and last-writer slabs — owned
+// once and recycled across circuits. A zero Arena is ready to use; buffers
+// grow to the largest circuit seen and stay warm, so a steady-state worker
+// analyzes and estimates with near-zero heap allocation.
 //
 // An Arena is not safe for concurrent use. The Analysis returned by
 // (*Arena).Analyze or (*Arena).AnalyzeStream aliases arena memory and is
@@ -30,15 +29,11 @@ type Arena struct {
 	// only because cmd/leqabench compiles against it.
 	MaxShards int
 
-	scan             qodg.DepScanner
-	nodes            []qodg.Node
-	succDeg, predDeg []int32
-	iigDeg           []int32
-	succOff, predOff []int32
-	succ, pred       []qodg.NodeID
-	iigOff, iigNbr   []int32
-	recs             []gateRec     // the counting pass's gate records
-	cs               CircuitStream // Analyze's stream, so it costs no allocation
+	nodes          []qodg.Node
+	peak           int // node count of the largest circuit analyzed
+	iigDeg         []int32
+	iigOff, iigNbr []int32
+	cs             CircuitStream // Analyze's stream, so it costs no allocation
 
 	qg  qodg.Graph
 	igs iig.Scratch
@@ -62,8 +57,10 @@ func (ar *Arena) Analyze(c *circuit.Circuit) (*Analysis, error) {
 // Gates reports the gate count of the largest circuit the arena has
 // analyzed or swept, which its slabs are sized to: its node slab and its
 // longest-path scratch never shrink, and each holds the circuit's gates
-// plus the start and end nodes.
-func (ar *Arena) Gates() int { return max(cap(ar.nodes), ar.path.Nodes(), 2) - 2 }
+// plus the start and end nodes. A streamed slab's capacity runs ahead of
+// its nodes by up to a doubling, so the count is the nodes analyzed, not
+// the capacity.
+func (ar *Arena) Gates() int { return max(ar.peak, ar.path.Nodes(), 2) - 2 }
 
 // Path returns the arena's longest-path scratch for the qodg sweeps.
 func (ar *Arena) Path() *qodg.PathScratch { return &ar.path }

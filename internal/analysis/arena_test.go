@@ -29,7 +29,7 @@ func TestArenaAnalyzeMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertQODGEqual(t, name, got.QODG, want.QODG)
+		assertSameQODG(t, name, got.QODG, want.QODG)
 		assertIIGEqual(t, name, got.IIG, want.IIG)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/oracle"
 	"repro/internal/qcbin"
-	"repro/internal/qodg"
 )
 
 // recordSource opens one container of a circuit as a fresh gate stream.
@@ -86,7 +85,7 @@ func analyzeSource(t *testing.T, src recordSource, analyze func(analysis.GateStr
 // builders produce.
 type oracleRef struct {
 	c  *circuit.Circuit
-	g  *qodg.Graph
+	g  *oracle.Graph
 	ig *iig.Graph
 }
 
@@ -104,7 +103,7 @@ func newOracleRef(t *testing.T, c *circuit.Circuit) oracleRef {
 }
 
 // assertMatches compares an analysis bitwise against the reference: every
-// node, every CSR row and the IIG.
+// node's type, every edge and the IIG.
 func (ref oracleRef) assertMatches(t *testing.T, label string, got *analysis.Analysis) {
 	t.Helper()
 	c := ref.c

@@ -118,8 +118,8 @@ func (c *gateCursor) scan() *circuit.Gate {
 // redundant per-gate re-validation — a meaningful share of the build on
 // pre-parsed containers. The two-qubit arity cap is still enforced for
 // every stream, and an out-of-range operand from a stream that lies about
-// this trips a bounds panic in the degree arrays rather than corrupting
-// rows silently.
+// this trips a bounds panic in the IIG degree array or the sweep's
+// last-writer array rather than corrupting rows silently.
 type PrevalidatedStream interface {
 	// PrevalidatedGates reports whether every gate the stream yields is
 	// already validated against the stream's register.
@@ -132,36 +132,27 @@ func gatesPrevalidated(src GateStream) bool {
 	return ok && p.PrevalidatedGates()
 }
 
-// gateRec is one validated gate as the counting pass records it for the
-// fill pass: the operands, controls first, with b = -1 for a one-qubit
-// gate, and the gate type. 12 bytes against a circuit.Gate's 56 plus its
-// operand slices, and the fill pass reads them without touching the source
-// again.
-type gateRec struct {
-	a, b int32
-	t    uint8
-}
-
-// recordOf packs a validated gate of at most two operands into its record.
-func recordOf(g *circuit.Gate) gateRec {
+// nodeOf packs a validated gate of at most two operands into its QODG
+// node: the gate type and the operands, controls first, with B = -1 for a
+// one-qubit gate. 16 bytes against a circuit.Gate's 56 plus its operand
+// slices.
+func nodeOf(g *circuit.Gate) qodg.Node {
 	if len(g.Controls)+len(g.Targets) == 2 {
 		a, b := g.QubitPair()
-		return gateRec{a: int32(a), b: int32(b), t: uint8(g.Type)}
+		return qodg.Node{Op: qodg.Op{Type: g.Type}, A: int32(a), B: int32(b)}
 	}
-	return gateRec{a: int32(g.Targets[0]), b: -1, t: uint8(g.Type)}
+	return qodg.Node{Op: qodg.Op{Type: g.Type}, A: int32(g.Targets[0]), B: -1}
 }
 
 // AnalyzeStream builds both graphs from one read of a gate stream: a
-// counting pass (QODG degrees, IIG incidence counts, FT tracking,
-// validation) that records every gate as a 12-byte gateRec, then a fill
-// pass over the records (nodes, CSR adjacency, IIG incidence). The stream
-// is never rewound. QODG nodes carry operand-free gates (Type only, no
-// Controls/Targets slices). Peak memory is the analysis product itself
-// (nodes + CSR adjacency) plus 12 bytes of records per gate plus one ingest
-// chunk: the O(gates) heap of per-gate operand slices a materialized
-// []Gate drags along is never allocated. The slab of a stream of unknown
-// length grows by doubling, so its capacity reaches up to 24 bytes per
-// gate, and about 36 while the last growth copies it.
+// counting pass (IIG incidence counts, FT tracking, validation) that
+// appends every gate's 16-byte node to the QODG, then a fill pass over
+// those nodes that fills the IIG. The stream is never rewound. Peak memory
+// is the analysis product itself (nodes + IIG) plus one ingest chunk: the
+// O(gates) heap of per-gate operand slices a materialized []Gate drags
+// along is never allocated. The node slab of a stream of unknown length
+// grows by doubling, so its capacity reaches up to 32 bytes per gate, and
+// about 48 while the last growth copies it.
 func AnalyzeStream(src GateStream) (*Analysis, error) {
 	return analyzeStream(context.Background(), src, nil, false)
 }
@@ -206,40 +197,26 @@ func (e *NonFTError) Error() string {
 	return fmt.Sprintf("leqa: circuit %q contains non-FT gates; run decompose.ToFT first", e.Circuit)
 }
 
-// growChunk is the minimum growth step of the counting pass's degree
-// arrays and record slab, which grow with the stream rather than once per
-// gate.
+// growChunk is the minimum growth step of the counting pass's node slab,
+// which grows with the stream rather than once per gate.
 const growChunk = 1 << 12
 
 // analyzeStream runs the counting pass over src and the fill pass over its
-// records; ctx and ftOnly are AnalyzeStreamContext's. With a nil arena it
+// nodes; ctx and ftOnly are AnalyzeStreamContext's. With a nil arena it
 // allocates fresh immutable storage; otherwise every buffer is recycled
 // arena state.
 func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) (*Analysis, error) {
 	var (
-		succDeg, predDeg, iigDeg []int32
-		recs                     []gateRec
-		scan                     *qodg.DepScanner
+		nodes  []qodg.Node
+		iigDeg []int32
 	)
 	if ar != nil {
-		succDeg, predDeg, iigDeg, recs = ar.succDeg[:0], ar.predDeg[:0], ar.iigDeg[:0], ar.recs[:0]
-		ar.scan.ResetFor(src.NumQubits())
-		scan = &ar.scan
-	} else {
-		scan = qodg.NewDepScanner(src.NumQubits())
-	}
-	count := func(from, to qodg.NodeID) {
-		succDeg[from]++
-		predDeg[to]++
+		nodes, iigDeg = ar.nodes[:0], ar.iigDeg[:0]
 	}
 
-	// Counting pass. Degree arrays grow with the stream: when gate i
-	// arrives it occupies node i+1 and every edge it emits ends there, so
-	// keeping the arrays at least nGates+2 long keeps all emitted indices in
-	// range without knowing the gate count up front. They grow in chunks
-	// (zeroed tails) and are cut to size after the pass. When the gate count
-	// is known (an in-memory circuit), the degree arrays and the record slab
-	// are presized to it instead; otherwise the slab doubles too.
+	// Counting pass: the start node, one node per gate, then the end node.
+	// When the gate count is known (an in-memory circuit), the slab is
+	// presized to it; otherwise it doubles as the stream grows.
 	//
 	// Each gate meets its checks in a fixed order: the context poll, the
 	// stream's own errors (parse, gate cap) as it scans, the FT stop, then
@@ -249,11 +226,8 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) 
 	trusted := gatesPrevalidated(src)
 	q := src.NumQubits()
 	cur := newGateCursor(src)
-	if k := len(cur.gates); k > 0 {
-		succDeg = growKeep(succDeg, k+3)
-		predDeg = growKeep(predDeg, k+3)
-		recs = slices.Grow(recs, k)
-	}
+	nodes = slices.Grow(nodes, len(cur.gates)+2)
+	nodes = append(nodes, qodg.Node{})
 	for {
 		if nGates%CtxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -270,100 +244,62 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) 
 			}
 			ft = false
 		}
-		id := qodg.NodeID(nGates + 1)
-		if nGates+2 > len(succDeg) {
-			grown := max(2*len(succDeg), nGates+2, growChunk)
-			succDeg = growKeep(succDeg, grown)
-			predDeg = growKeep(predDeg, grown)
-		}
 		// A streamed register grows as qubits are auto-declared, and only a
 		// gate reaching past the size last read can have grown it.
 		if !cur.mem && reaches(g, q) {
 			q = src.NumQubits()
-			scan.GrowTo(q)
 		}
 		if !trusted || g.Arity() > 2 {
 			if err := validateStreamGate(src, nGates, g, q, trusted); err != nil {
 				return nil, err
 			}
 		}
-		r := recordOf(g)
-		if r.b >= 0 {
+		n := nodeOf(g)
+		if n.B >= 0 {
 			if q > len(iigDeg) {
 				iigDeg = growKeep(iigDeg, max(2*len(iigDeg), q))
 			}
-			iigDeg[r.a]++
-			iigDeg[r.b]++
+			iigDeg[n.A]++
+			iigDeg[n.B]++
 		}
-		scan.VisitPair(id, r.a, r.b, count)
-		if len(recs) == cap(recs) {
-			recs = slices.Grow(recs, max(len(recs), growChunk))
+		if len(nodes) == cap(nodes) {
+			nodes = slices.Grow(nodes, max(len(nodes), growChunk))
 		}
-		recs = append(recs, r)
+		nodes = append(nodes, n)
 		nGates++
 	}
 	if err := src.Err(); err != nil {
 		return nil, err
 	}
 	numQ := src.NumQubits()
-	n := nGates + 2
-	end := qodg.NodeID(n - 1)
-	succDeg = growKeep(succDeg, n+1)[:n+1]
-	predDeg = growKeep(predDeg, n+1)[:n+1]
+	nodes = append(nodes, qodg.Node{})
 	iigDeg = growKeep(iigDeg, numQ+1)[:numQ+1]
-	scan.GrowTo(numQ)
-	scan.VisitEnd(end, count)
 
-	// Offsets + node array, now that the stream's true size is known.
-	var (
-		succOff, predOff []int32
-		succ, pred       []qodg.NodeID
-		iigOff, iigNbr   []int32
-		nodes            []qodg.Node
-	)
+	// IIG offsets, now that the stream's true size is known.
+	var iigOff, iigNbr []int32
 	if ar != nil {
-		ar.succDeg, ar.predDeg, ar.iigDeg, ar.recs = succDeg, predDeg, iigDeg, recs
-		ar.succOff, ar.succ = csr.OffsetsInto(succDeg, ar.succOff, ar.succ)
-		ar.predOff, ar.pred = csr.OffsetsInto(predDeg, ar.predOff, ar.pred)
+		ar.nodes, ar.iigDeg = nodes, iigDeg
+		ar.peak = max(ar.peak, len(nodes))
 		ar.iigOff, ar.iigNbr = csr.OffsetsInto(iigDeg, ar.iigOff, ar.iigNbr)
-		succOff, succ = ar.succOff, ar.succ
-		predOff, pred = ar.predOff, ar.pred
 		iigOff, iigNbr = ar.iigOff, ar.iigNbr
-		ar.nodes = csr.Grow(ar.nodes, n)
-		nodes = ar.nodes
 	} else {
-		succOff, succ = csr.Offsets[qodg.NodeID](succDeg)
-		predOff, pred = csr.Offsets[qodg.NodeID](predDeg)
 		iigOff, iigNbr = csr.Offsets[int32](iigDeg)
-		nodes = make([]qodg.Node, n)
 	}
-	nodes[0] = qodg.Node{ID: 0, GateIndex: -1}
-	nodes[n-1] = qodg.Node{ID: end, GateIndex: -1}
 
-	// Fill pass over the records, in program order. The counting pass has
-	// already fixed the gate count, register size and every row offset.
-	scan.ResetFor(numQ)
-	fill := func(from, to qodg.NodeID) {
-		succ[succDeg[from]] = to
-		succDeg[from]++
-		pred[predDeg[to]] = from
-		predDeg[to]++
-	}
-	for i, r := range recs {
-		id := qodg.NodeID(i + 1)
-		nodes[i+1] = qodg.Node{ID: id, Op: qodg.Op{Type: circuit.GateType(r.t)}, GateIndex: i}
-		if r.b >= 0 {
-			iigNbr[iigDeg[r.a]] = r.b
-			iigDeg[r.a]++
-			iigNbr[iigDeg[r.b]] = r.a
-			iigDeg[r.b]++
+	// Fill pass over the two-qubit gates' nodes, in program order. The
+	// counting pass has already fixed the register size and every row
+	// offset.
+	for _, n := range nodes[1 : len(nodes)-1] {
+		if n.B >= 0 {
+			iigNbr[iigDeg[n.A]] = n.B
+			iigDeg[n.A]++
+			iigNbr[iigDeg[n.B]] = n.A
+			iigDeg[n.B]++
 		}
-		scan.VisitPair(id, r.a, r.b, fill)
 	}
-	scan.VisitEnd(end, fill)
 
 	if ar != nil {
-		qodg.FromCSRInto(&ar.qg, nodes, numQ, succOff, succ, predOff, pred)
+		ar.qg = qodg.Graph{Nodes: nodes, NumQubits: numQ}
 		ar.a = Analysis{
 			Name:       src.Name(),
 			Qubits:     numQ,
@@ -379,15 +315,15 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) 
 		Qubits:     numQ,
 		Operations: nGates,
 		FT:         ft,
-		QODG:       qodg.FromCSR(nodes, numQ, succOff, succ, predOff, pred),
+		QODG:       &qodg.Graph{Nodes: nodes, NumQubits: numQ},
 		IIG:        iig.FromIncidence(numQ, iigOff, iigNbr),
 	}, nil
 }
 
 // validateStreamGate applies Circuit.Validate's per-gate checks plus the
 // analysis-layer arity constraint, with the same error shapes. It also
-// shields the CSR cursors from a misbehaving stream: an out-of-range
-// operand would otherwise corrupt rows silently. Streams that advertise
+// shields the IIG cursors and the QODG's nodes from a misbehaving stream:
+// an out-of-range operand would otherwise corrupt rows silently. Streams that advertise
 // PrevalidatedStream skip the Gate.Validate half — their decoders already
 // ran the identical checks per gate — but keep the arity cap, which is an
 // analysis-layer constraint, not a gate-validity one.

@@ -72,7 +72,7 @@ func TestAnalyzeStreamMatchesBatch(t *testing.T) {
 					got.Name, got.Qubits, got.Operations, got.FT,
 					want.Name, want.Qubits, want.Operations, want.FT)
 			}
-			assertQODGEqual(t, name+"/"+label, got.QODG, want.QODG)
+			assertSameQODG(t, name+"/"+label, got.QODG, want.QODG)
 			assertIIGEqual(t, name+"/"+label, got.IIG, want.IIG)
 			gotRes, err := est.EstimateAnalysis(got, nil)
 			if err != nil {
@@ -110,7 +110,7 @@ func TestArenaAnalyzeStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		assertQODGEqual(t, name, got.QODG, want.QODG)
+		assertSameQODG(t, name, got.QODG, want.QODG)
 		assertIIGEqual(t, name, got.IIG, want.IIG)
 		if fresh[i], err = est.EstimateAnalysis(want, nil); err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestAnalyzeStreamEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		assertQODGEqual(t, c.Name, got.QODG, want.QODG)
+		assertSameQODG(t, c.Name, got.QODG, want.QODG)
 		assertIIGEqual(t, c.Name, got.IIG, want.IIG)
 		sc.Close()
 	}

@@ -135,7 +135,7 @@ func estimateBatch(ests []*Estimator, a *analysis.Analysis, ar *analysis.Arena, 
 	if err != nil {
 		var mr *qodg.MissingRowError
 		if errors.As(err, &mr) {
-			err = &NonFTError{Circuit: a.Name, Gate: g.Nodes[mr.Node].GateIndex, Type: mr.Type}
+			err = &NonFTError{Circuit: a.Name, Gate: int(mr.Node) - 1, Type: mr.Type}
 		}
 		for _, j := range run {
 			results[j], errs[j] = nil, err

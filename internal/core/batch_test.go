@@ -49,25 +49,29 @@ func batchEstimators(t *testing.T, sets []fabric.Params, opt Options) []*Estimat
 }
 
 // assertOraclePath checks res's critical path against the oracle sweep over
-// a's QODG re-weighted the way Algorithm 1 lines 19–20 define: d_CNOT +
-// L_CNOT^avg per CNOT, d_g + L_g^avg per one-qubit gate.
-func assertOraclePath(t *testing.T, label string, p fabric.Params, a *analysis.Analysis, res *Result) {
+// c's reference QODG re-weighted the way Algorithm 1 lines 19–20 define:
+// d_CNOT + L_CNOT^avg per CNOT, d_g + L_g^avg per one-qubit gate.
+func assertOraclePath(t *testing.T, label string, p fabric.Params, c *circuit.Circuit, res *Result) {
 	t.Helper()
-	w := make([]float64, a.QODG.NumNodes()) // 0 at the pseudo-nodes
-	for v, node := range a.QODG.Nodes {
-		switch {
-		case node.IsPseudo():
-		case node.Op.Type == circuit.CNOT:
+	g, err := oracle.QODG(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]float64, len(g.Types)) // 0 at the pseudo-nodes
+	for v, typ := range g.Types {
+		switch typ {
+		case circuit.Invalid:
+		case circuit.CNOT:
 			w[v] = p.DCNOT + res.LCNOTAvg
 		default:
-			d, err := p.DelayOf(node.Op.Type)
+			d, err := p.DelayOf(typ)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			w[v] = d + res.LOneQubitAvg
 		}
 	}
-	cp, err := oracle.LongestPath(a.QODG, w)
+	cp, err := oracle.LongestPath(g, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +123,7 @@ func TestEstimateAnalysisBatchMatchesPerColumn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertOraclePath(t, name, e.Params, a, want[j])
+			assertOraclePath(t, name, e.Params, c, want[j])
 		}
 		results, errs := EstimateAnalysisBatch(ests, a, ar)
 		for j := range ests {

@@ -1,6 +1,8 @@
-// Package csr holds the one shared building block of the compressed-
-// sparse-row graph builders (qodg, iig, analysis): turning a degree count
-// array into row offsets plus the flat element array.
+// Package csr holds the shared building blocks of the arena-backed
+// builders: turning a degree count array into compressed-sparse-row
+// offsets plus the flat element array (the IIG's rows, filled by
+// analysis), and Grow, the resize step of every reusable buffer (analysis,
+// and qodg's sweep scratch).
 package csr
 
 // Grow returns buf resized to n elements, reallocating only when the

@@ -1,9 +1,9 @@
 // Package oracle holds the reference implementations the equivalence tests
-// compare the production front end and critical-path kernels against: the
-// pre-CSR graph builders (per-node append slices with sort+dedup for the
-// QODG, per-qubit neighbor maps for the IIG) and the push-based serial
-// longest-path sweep. They share no code with what they check and are
-// imported only by tests.
+// compare the production front end and critical-path kernels against: a
+// QODG builder with per-node adjacency lists (append, then sort+dedup), an
+// IIG builder over per-qubit neighbor maps, and the push-based serial
+// longest-path sweep over the oracle's own adjacency lists. They share no
+// code with what they check and are imported only by tests.
 package oracle
 
 import (
@@ -16,57 +16,55 @@ import (
 	"repro/internal/qodg"
 )
 
+// Graph is the oracle's QODG over a register of NumQubits qubits: node v's
+// gate type, successors and predecessors, each adjacency list ascending
+// and free of duplicates. Node 0 is the start anchor and the last node the
+// end anchor; both have type circuit.Invalid.
+type Graph struct {
+	Types      []circuit.GateType
+	Succ, Pred [][]int
+	NumQubits  int
+}
+
+// End returns the end anchor's node index.
+func (g *Graph) End() int { return len(g.Types) - 1 }
+
 // QODG builds the dependency graph of c: one node per gate in program
 // order between the start and end anchors, an edge from the last node that
 // touched each of a gate's qubits, and one edge per qubit into the end
 // anchor, with parallel edges merged. Gates of any arity are accepted.
-func QODG(c *circuit.Circuit) (*qodg.Graph, error) {
+func QODG(c *circuit.Circuit) (*Graph, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(c.Gates) + 2
-	nodes := make([]qodg.Node, n)
-	nodes[0] = qodg.Node{ID: 0, GateIndex: -1}
-	for i, gate := range c.Gates {
-		nodes[i+1] = qodg.Node{ID: qodg.NodeID(i + 1), Op: qodg.Op{Type: gate.Type}, GateIndex: i}
+	g := &Graph{
+		Types:     make([]circuit.GateType, n),
+		Succ:      make([][]int, n),
+		Pred:      make([][]int, n),
+		NumQubits: c.NumQubits(),
 	}
-	nodes[n-1] = qodg.Node{ID: qodg.NodeID(n - 1), GateIndex: -1}
-	succ := make([][]qodg.NodeID, n)
-	pred := make([][]qodg.NodeID, n)
-	addEdge := func(from, to qodg.NodeID) {
-		succ[from] = append(succ[from], to)
-		pred[to] = append(pred[to], from)
+	addEdge := func(from, to int) {
+		g.Succ[from] = append(g.Succ[from], to)
+		g.Pred[to] = append(g.Pred[to], from)
 	}
-	last := make([]qodg.NodeID, c.NumQubits())
+	last := make([]int, c.NumQubits())
 	for i, gate := range c.Gates {
-		id := qodg.NodeID(i + 1)
+		id := i + 1
+		g.Types[id] = gate.Type
 		for _, q := range gate.Qubits() {
 			addEdge(last[q], id)
 			last[q] = id
 		}
 	}
 	for q := range last {
-		addEdge(last[q], qodg.NodeID(n-1))
+		addEdge(last[q], n-1)
 	}
-	succOff, succFlat := flatten(succ)
-	predOff, predFlat := flatten(pred)
-	g := new(qodg.Graph)
-	qodg.FromCSRSortedInto(g, nodes, c.NumQubits(), succOff, succFlat, predOff, predFlat)
+	for v := range n {
+		g.Succ[v] = slices.Compact(slices.Sorted(slices.Values(g.Succ[v])))
+		g.Pred[v] = slices.Compact(slices.Sorted(slices.Values(g.Pred[v])))
+	}
 	return g, nil
-}
-
-// flatten sorts and deduplicates every adjacency list and packs the lists
-// into CSR offsets plus one edge array.
-func flatten(adj [][]qodg.NodeID) ([]int32, []qodg.NodeID) {
-	off := make([]int32, len(adj)+1)
-	var flat []qodg.NodeID
-	for i, list := range adj {
-		off[i] = int32(len(flat))
-		slices.Sort(list)
-		flat = append(flat, slices.Compact(list)...)
-	}
-	off[len(adj)] = int32(len(flat))
-	return off, flat
 }
 
 // IIG builds the interaction intensity graph of c: each two-qubit gate adds
@@ -115,8 +113,8 @@ func IIG(c *circuit.Circuit) (*iig.Graph, error) {
 // dist[u]+w[v]. A node takes its first offer, later ones only when
 // strictly greater — so ties go to the lowest-ID predecessor. from[v] is
 // -1 where no offer arrived.
-func Relax(g *qodg.Graph, w []float64) (dist []float64, from []qodg.NodeID, err error) {
-	n := g.NumNodes()
+func Relax(g *Graph, w []float64) (dist []float64, from []qodg.NodeID, err error) {
+	n := len(g.Types)
 	if len(w) != n {
 		return nil, nil, fmt.Errorf("oracle: %d weights for %d nodes", len(w), n)
 	}
@@ -126,7 +124,7 @@ func Relax(g *qodg.Graph, w []float64) (dist []float64, from []qodg.NodeID, err 
 		from[i] = -1
 	}
 	for u := 0; u < n; u++ {
-		for _, v := range g.Succ(qodg.NodeID(u)) {
+		for _, v := range g.Succ[u] {
 			if cand := dist[u] + w[v]; cand > dist[v] || from[v] == -1 {
 				dist[v] = cand
 				from[v] = qodg.NodeID(u)
@@ -139,18 +137,19 @@ func Relax(g *qodg.Graph, w []float64) (dist []float64, from []qodg.NodeID, err 
 // LongestPath is the critical path of g under w: Relax, then the
 // from-chain walked back from the end anchor, counting the operation
 // nodes on it by gate type.
-func LongestPath(g *qodg.Graph, w []float64) (qodg.CriticalPath, error) {
+func LongestPath(g *Graph, w []float64) (qodg.CriticalPath, error) {
 	dist, from, err := Relax(g, w)
 	if err != nil {
 		return qodg.CriticalPath{}, err
 	}
+	end := g.End()
 	cp := qodg.CriticalPath{
-		Length:      dist[g.End()],
+		Length:      dist[end],
 		CountByType: make(map[circuit.GateType]int),
 	}
-	for v := g.End(); ; v = from[v] {
-		if node := g.Nodes[v]; !node.IsPseudo() {
-			cp.CountByType[node.Op.Type]++
+	for v := end; ; v = int(from[v]) {
+		if t := g.Types[v]; t != circuit.Invalid {
+			cp.CountByType[t]++
 		}
 		if v == 0 || from[v] == -1 {
 			break

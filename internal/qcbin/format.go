@@ -9,11 +9,12 @@
 // the textual .qc it encodes, with a decoder that does no per-gate
 // allocation and no text tokenization at all.
 //
-// A .qca image is a decoded circuit's complete analysis product: both CSR
-// graphs (QODG adjacency in both directions, collapsed IIG rows), the
-// per-gate node types and the metadata header — everything
-// analysis.AnalyzeStream computes, laid out as raw little-endian arrays so
-// a store hit is a read + reslice rather than a re-parse + re-analyze.
+// A .qca image is a decoded circuit's complete analysis product: the
+// metadata header, one .qcb-style gate record per QODG node (the records
+// are the QODG: every dependency edge follows from the operands) and the
+// IIG's collapsed CSR rows as raw little-endian arrays — everything
+// analysis.AnalyzeStream computes, so a store hit is one record scan
+// rather than a re-parse + re-analyze.
 //
 // Both formats begin with a non-ASCII magic byte, so they can never be
 // confused with a textual .qc netlist; gzip wrapping is detected the same
@@ -42,9 +43,11 @@ var (
 const Version = 1
 
 // ImageVersion is the current revision of the .qca image layout. Version 2
-// dropped version 1's per-qubit last-writer section, so a version-1 image
-// fails DecodeImage's version check rather than being misread.
-const ImageVersion = 2
+// dropped version 1's per-qubit last-writer section; version 3 replaced
+// version 2's node types and QODG CSR sections with one gate record per
+// node. An image of an earlier version fails DecodeImage's version check
+// rather than being misread.
+const ImageVersion = 3
 
 // maxNameLen caps any length-prefixed name field, so a corrupted or
 // adversarial header cannot demand an absurd allocation.

@@ -14,19 +14,20 @@ import (
 	"repro/internal/qodg"
 )
 
-// The .qca image, version 2 (all multi-byte integers little-endian u32,
-// counts as uvarints):
+// The .qca image, version 3 (counts as uvarints, multi-byte integers
+// little-endian u32):
 //
 //	magic "\x9dQCA", version byte
 //	name string, uvarint qubits Q, uvarint operations G, FT byte
-//	G node-type bytes (gate opcodes, nodes 1..G)
-//	succOff (n+1)·u32, succ Es·u32      n = G+2, Es = succOff[n]
-//	predOff (n+1)·u32, pred Ep·u32
+//	G gate records: opcode byte, then one or two uvarint operands,
+//	  controls first — a .qcb gate record of a one- or two-qubit gate
 //	iigOff (Q+1)·u32, iigNbr L·u32, iigWt L·u32   L = iigOff[Q]
 //
-// That is the complete AnalyzeStream product: decoding is a handful of
-// array reads instead of a parse + analysis, and the decoded Analysis is
-// estimate-for-estimate identical to a fresh one.
+// That is the complete AnalyzeStream product: the gate records are the
+// QODG's nodes, so decoding is one record scan plus a handful of array
+// reads instead of a parse + analysis, and the decoded Analysis is
+// estimate-for-estimate identical to a fresh one. A record names only
+// qubits, never nodes, so no image can encode a forward edge or a cycle.
 
 // EncodeImage serializes an Analysis as a .qca image. The Analysis must
 // carry both graphs (any Analyze/AnalyzeStream product does); arena-borrowed
@@ -36,14 +37,9 @@ func EncodeImage(w io.Writer, a *analysis.Analysis) error {
 		return formatErr(a.Name, 0, "analysis has no graphs to serialize")
 	}
 	nodes := a.QODG.Nodes
-	n := len(nodes)
-	if n != a.Operations+2 {
-		return formatErr(a.Name, 0, "QODG has %d nodes for %d operations", n, a.Operations)
+	if len(nodes) != a.Operations+2 {
+		return formatErr(a.Name, 0, "QODG has %d nodes for %d operations", len(nodes), a.Operations)
 	}
-	if int64(n) >= math.MaxUint32 {
-		return formatErr(a.Name, 0, "%d nodes overflow the u32 image layout", n)
-	}
-	succOff, succ, predOff, pred := a.QODG.CSR()
 	iigOff, iigNbr, iigWt := a.IIG.Rows()
 
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -59,13 +55,16 @@ func EncodeImage(w io.Writer, a *analysis.Analysis) error {
 	}
 	hdr = append(hdr, ft)
 	bw.Write(hdr)
-	for i := 1; i <= a.Operations; i++ {
-		bw.WriteByte(byte(nodes[i].Op.Type))
+	var rec []byte
+	for v := 1; v <= a.Operations; v++ {
+		n := nodes[v]
+		rec = append(rec[:0], byte(n.Op.Type))
+		rec = binary.AppendUvarint(rec, uint64(n.A))
+		if n.B >= 0 {
+			rec = binary.AppendUvarint(rec, uint64(n.B))
+		}
+		bw.Write(rec)
 	}
-	writeU32s(bw, succOff)
-	writeU32s(bw, succ)
-	writeU32s(bw, predOff)
-	writeU32s(bw, pred)
 	writeU32s(bw, iigOff)
 	writeU32s(bw, iigNbr)
 	writeU32s(bw, iigWt)
@@ -74,7 +73,7 @@ func EncodeImage(w io.Writer, a *analysis.Analysis) error {
 
 // writeU32s emits vals as packed little-endian u32, batching through one
 // stack chunk so large CSR sections don't pay a bufio call per element.
-func writeU32s[T ~int | ~int32](bw *bufio.Writer, vals []T) {
+func writeU32s(bw *bufio.Writer, vals []int32) {
 	var chunk [4096]byte
 	for len(vals) > 0 {
 		n := min(len(vals), len(chunk)/4)
@@ -147,35 +146,7 @@ func DecodeImage(data []byte, fallbackName string) (*analysis.Analysis, error) {
 	if ftb[0] > 1 {
 		return nil, formatErr(r.name, int64(r.off-1), "FT flag %d is not boolean", ftb[0])
 	}
-	types, err := r.need(ops, "node types")
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range types {
-		if !validOpcode(b) {
-			return nil, formatErr(r.name, int64(r.off-ops+i), "node %d: unknown opcode 0x%02x", i+1, b)
-		}
-		// The estimator trusts the FT flag: it weighs nodes by an FT-only
-		// delay table, so a non-FT node in an FT image would be mis-weighed.
-		if ftb[0] == 1 && !circuit.GateType(b).IsFT() {
-			return nil, formatErr(r.name, int64(r.off-ops+i), "node %d: non-FT gate %v in an image flagged FT", i+1, circuit.GateType(b))
-		}
-	}
-
-	n := ops + 2
-	succOff, err := r.offsets(n+1, "succOff")
-	if err != nil {
-		return nil, err
-	}
-	succ, err := r.nodeIDs(int(succOff[n]), n, "succ")
-	if err != nil {
-		return nil, err
-	}
-	predOff, err := r.offsets(n+1, "predOff")
-	if err != nil {
-		return nil, err
-	}
-	pred, err := r.nodeIDs(int(predOff[n]), n, "pred")
+	nodes, err := r.records(ops, numQ, ftb[0] == 1)
 	if err != nil {
 		return nil, err
 	}
@@ -195,23 +166,8 @@ func DecodeImage(data []byte, fallbackName string) (*analysis.Analysis, error) {
 		return nil, formatErr(r.name, int64(r.off), "%d trailing bytes after image", len(r.data)-r.off)
 	}
 
-	// The sections are internally consistent; rebuild the graphs. Nodes
-	// carry operand-free gates, exactly like an AnalyzeStream product.
-	nodes := make([]qodg.Node, n)
-	nodes[0] = qodg.Node{ID: 0, GateIndex: -1}
-	for i := 0; i < ops; i++ {
-		nodes[i+1] = qodg.Node{
-			ID:        qodg.NodeID(i + 1),
-			Op:        qodg.Op{Type: circuit.GateType(types[i])},
-			GateIndex: i,
-		}
-	}
-	nodes[n-1] = qodg.Node{ID: qodg.NodeID(n - 1), GateIndex: -1}
-
-	// Predecessor segments were emitted sorted (a Graph invariant), so the
-	// sorted assembly path applies — no re-sort on the store-hit hot path.
-	g := new(qodg.Graph)
-	qodg.FromCSRSortedInto(g, nodes, numQ, succOff, succ, predOff, pred)
+	// The sections are internally consistent; rebuild the graphs.
+	g := &qodg.Graph{Nodes: nodes, NumQubits: numQ}
 	ig, err := iig.FromCSRWeights(numQ, iigOff, iigNbr, iigWt)
 	if err != nil {
 		return nil, formatErr(r.name, int64(r.off), "%v", err)
@@ -298,20 +254,53 @@ func (r *imgReader) offsets(count int, what string) ([]int32, error) {
 	return off, nil
 }
 
-// nodeIDs reads count packed u32 node IDs, each range-checked against the
-// node count.
-func (r *imgReader) nodeIDs(count, numNodes int, what string) ([]qodg.NodeID, error) {
-	b, err := r.need(count*4, what)
-	if err != nil {
-		return nil, err
+// records reads ops gate records into a QODG node slab between the start
+// and end anchors. Each record needs a known opcode of one or two operands,
+// every operand below numQ, two distinct operands, and an FT gate when ft
+// is set: the estimator weighs an FT analysis's nodes from an FT-only delay
+// table, so a non-FT node would be mis-weighed.
+func (r *imgReader) records(ops, numQ int, ft bool) ([]qodg.Node, error) {
+	// A record takes at least two bytes; check the count against the bytes
+	// present before allocating the slab.
+	if left := len(r.data) - r.off; ops > left/2 {
+		return nil, formatErr(r.name, int64(r.off), "truncated image: %d gate records need at least %d bytes, %d left",
+			ops, 2*ops, left)
 	}
-	out := make([]qodg.NodeID, count)
-	for i := range out {
-		v := binary.LittleEndian.Uint32(b[i*4:])
-		if int64(v) >= int64(numNodes) {
-			return nil, formatErr(r.name, int64(r.off), "%s[%d] = %d out of range [0,%d)", what, i, v, numNodes)
+	nodes := make([]qodg.Node, ops+2)
+	for v := 1; v <= ops; v++ {
+		at := int64(r.off)
+		op, err := r.need(1, "gate record")
+		if err != nil {
+			return nil, err
 		}
-		out[i] = qodg.NodeID(v)
+		t := circuit.GateType(op[0])
+		if !validOpcode(op[0]) {
+			return nil, formatErr(r.name, at, "node %d: unknown opcode 0x%02x", v, op[0])
+		}
+		sh := shapes[t]
+		arity := sh.controls + sh.targets
+		if sh.minControls > 0 || arity > 2 {
+			return nil, formatErr(r.name, at, "node %d: %v gate takes more than two operands", v, t)
+		}
+		if ft && !t.IsFT() {
+			return nil, formatErr(r.name, at, "node %d: non-FT gate %v in an image flagged FT", v, t)
+		}
+		n := qodg.Node{Op: qodg.Op{Type: t}, B: -1}
+		for i := 0; i < arity; i++ {
+			q, err := r.uvarint("gate operand")
+			if err != nil {
+				return nil, err
+			}
+			if q >= numQ {
+				return nil, formatErr(r.name, at, "node %d: %v operand qubit %d out of range [0,%d)", v, t, q, numQ)
+			}
+			if i == 0 {
+				n.A = int32(q)
+			} else if n.B = int32(q); n.B == n.A {
+				return nil, formatErr(r.name, at, "node %d: %v operands are both qubit %d", v, t, q)
+			}
+		}
+		nodes[v] = n
 	}
-	return out, nil
+	return nodes, nil
 }

@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -284,52 +286,23 @@ func assertAnalysisEqual(t *testing.T, label string, want, got *analysis.Analysi
 			got.Name, got.Qubits, got.Operations, got.FT,
 			want.Name, want.Qubits, want.Operations, want.FT)
 	}
-	wso, ws, wpo, wp := want.QODG.CSR()
-	gso, gs, gpo, gp := got.QODG.CSR()
-	if !int32sEqual(wso, gso) || !nodeIDsEqual(ws, gs) ||
-		!int32sEqual(wpo, gpo) || !nodeIDsEqual(wp, gp) {
-		t.Fatalf("%s: QODG CSR differs after round trip", label)
+	if !slices.Equal(got.QODG.Nodes, want.QODG.Nodes) || got.QODG.NumQubits != want.QODG.NumQubits {
+		t.Fatalf("%s: QODG records differ after round trip", label)
 	}
 	woff, wnbr, wwt := want.IIG.Rows()
 	goff, gnbr, gwt := got.IIG.Rows()
-	if !int32sEqual(woff, goff) || !int32sEqual(wnbr, gnbr) || !int32sEqual(wwt, gwt) {
+	if !slices.Equal(woff, goff) || !slices.Equal(wnbr, gnbr) || !slices.Equal(wwt, gwt) {
 		t.Fatalf("%s: IIG CSR differs after round trip", label)
 	}
-	for i, n := range want.QODG.Nodes {
-		g := got.QODG.Nodes[i]
-		if g.ID != n.ID || g.GateIndex != n.GateIndex || g.Op.Type != n.Op.Type {
-			t.Fatalf("%s: node %d = %+v, want %+v", label, i, g, n)
-		}
-	}
-}
-
-func int32sEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func nodeIDsEqual(a, b []qodg.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestImageCorruption flips, truncates and garbles images; every mutation
 // must come back as a FormatError (or an iig validation error), never a
-// panic or a silently wrong Analysis.
+// panic or a silently wrong Analysis. A gate record can only name qubits,
+// so no image can hold a forward edge or a cycle, but each record must
+// still name in-range, distinct operands of a one- or two-qubit gate: the
+// hand-corrupted records of corruptImages fail with a FormatError that
+// says which.
 func TestImageCorruption(t *testing.T) {
 	c, err := benchgen.GenerateFT("mod1024adder")
 	if err != nil {
@@ -359,13 +332,19 @@ func TestImageCorruption(t *testing.T) {
 	if _, err := DecodeImage([]byte("not an image at all"), "x"); !errors.As(err, &fe) {
 		t.Errorf("junk input: got %v, want FormatError", err)
 	}
+	for _, ci := range corruptImages(t) {
+		if _, err := DecodeImage(ci.img, "x"); !errors.As(err, &fe) || !strings.Contains(err.Error(), ci.want) {
+			t.Errorf("%s: err %v, want a FormatError naming %q", ci.name, err, ci.want)
+		}
+	}
 }
 
 // TestImageVersion1Rejected: a version-1 .qca image carried a per-qubit
-// last-writer section that version 2 dropped, so it must fail the version
-// check, never be misread as a version-2 image. The decoder stops at the
-// version byte, so an image with that byte set to 1 stands in for one. The
-// .qcb netlist layout kept version 1 and still decodes.
+// last-writer section, and a version-2 image node types and both QODG CSRs
+// where version 3 holds gate records. Each must fail the version check,
+// never be misread as a version-3 image. The decoder stops at the version
+// byte, so an image with that byte rewritten stands in for one. The .qcb
+// netlist layout kept version 1 and still decodes.
 func TestImageVersion1Rejected(t *testing.T) {
 	c, err := benchgen.GenerateFT("ham7")
 	if err != nil {
@@ -380,14 +359,16 @@ func TestImageVersion1Rejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
-	if img[4] != ImageVersion || ImageVersion != 2 {
-		t.Fatalf("image version byte %d, ImageVersion %d; want 2", img[4], ImageVersion)
+	if img[4] != ImageVersion || ImageVersion != 3 {
+		t.Fatalf("image version byte %d, ImageVersion %d; want 3", img[4], ImageVersion)
 	}
-	img[4] = 1
-	var fe *FormatError
-	if _, err := DecodeImage(img, "v1"); !errors.As(err, &fe) ||
-		!strings.Contains(err.Error(), "unsupported version 1 (want 2)") {
-		t.Fatalf("v1 image: err %v, want a FormatError naming unsupported version 1 (want 2)", err)
+	for _, v := range []byte{1, 2} {
+		img[4] = v
+		var fe *FormatError
+		want := fmt.Sprintf("unsupported version %d (want 3)", v)
+		if _, err := DecodeImage(img, "old"); !errors.As(err, &fe) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d image: err %v, want a FormatError naming %s", v, err, want)
+		}
 	}
 
 	qcb := encodeQCB(t, c)
@@ -400,6 +381,51 @@ func TestImageVersion1Rejected(t *testing.T) {
 	}
 	if gates := scanAll(t, sc); len(gates) != len(c.Gates) {
 		t.Fatalf("v1 .qcb decoded %d gates, want %d", len(gates), len(c.Gates))
+	}
+}
+
+// corruptImage is a hand-corrupted version-3 image and the FormatError text
+// its decode must fail with.
+type corruptImage struct {
+	name string
+	img  []byte
+	want string
+}
+
+// corruptImages rewrites gate records of a small image, whose records are
+// H 0 then CNOT 0 1 on a 4-qubit register: an operand past the register, a
+// CNOT whose operands are equal, a Toffoli opcode, which takes three
+// operands (under a cleared FT flag, so the shape check is what fails),
+// and an unknown opcode.
+func corruptImages(t testing.TB) []corruptImage {
+	c := circuit.New("seed", 4)
+	c.Append(circuit.NewOneQubit(circuit.H, 0), circuit.NewCNOT(0, 1), circuit.NewOneQubit(circuit.X, 3))
+	a, err := analysis.Analyze(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeImage(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	// Magic, version, the name "seed", Q = 4, G = 3 and the FT byte, then
+	// the records: H at hdr, its operand at hdr+1, CNOT at hdr+2 with its
+	// operands at hdr+3 and hdr+4.
+	hdr := len(MagicQCA) + 1 + 1 + len("seed") + 1 + 1 + 1
+	if !bytes.Equal(img[hdr:hdr+5], []byte{byte(circuit.H), 0, byte(circuit.CNOT), 0, 1}) || img[hdr-1] != 1 {
+		t.Fatalf("unexpected image layout at offset %d: % x", hdr-1, img[hdr-1:hdr+5])
+	}
+	edit := func(f func(b []byte)) []byte {
+		b := bytes.Clone(img)
+		f(b)
+		return b
+	}
+	return []corruptImage{
+		{"operand past the register", edit(func(b []byte) { b[hdr+1] = 4 }), "operand qubit 4 out of range [0,4)"},
+		{"CNOT with equal operands", edit(func(b []byte) { b[hdr+4] = 0 }), "operands are both qubit 0"},
+		{"Toffoli opcode", edit(func(b []byte) { b[hdr-1], b[hdr+2] = 0, byte(circuit.Toffoli) }), "takes more than two operands"},
+		{"unknown opcode", edit(func(b []byte) { b[hdr] = 0xEE }), "unknown opcode 0xee"},
 	}
 }
 
@@ -424,9 +450,9 @@ func TestImageRejectsNonFTNodeUnderFTFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
-	// The node-type section follows magic, version, the length-prefixed
-	// name, the qubit and operation uvarints and the FT byte; the first
-	// node's opcode is the section's first byte.
+	// The gate records follow magic, version, the length-prefixed name, the
+	// qubit and operation uvarints and the FT byte; the first record, a
+	// CNOT, opens with its opcode.
 	uvarint := func(v int) int { return len(binary.AppendUvarint(nil, uint64(v))) }
 	hdr := len(MagicQCA) + 1 + uvarint(len(a.Name)) + len(a.Name) +
 		uvarint(a.Qubits) + uvarint(a.Operations) + 1
@@ -600,8 +626,11 @@ func FuzzQCBin(f *testing.F) {
 }
 
 // FuzzImage throws arbitrary bytes at the Analysis image decoder: it must
-// never panic, an image flagged FT must decode to FT nodes only, and
-// whatever decodes must be internally consistent enough to re-encode.
+// never panic, an image flagged FT must decode to FT nodes only, every gate
+// node must name distinct operands inside the register, the decoded graph
+// must sweep to a critical path, and whatever decodes must be internally
+// consistent enough to re-encode. One scratch serves every sweep, so each
+// meets the stale state of the one before.
 func FuzzImage(f *testing.F) {
 	// A small hand-built seed keeps per-exec cost low so the CI fuzz smoke
 	// actually explores mutations.
@@ -623,17 +652,30 @@ func FuzzImage(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()-9])
+	for _, ci := range corruptImages(f) {
+		f.Add(ci.img)
+	}
+	tab := make([]float64, int(circuit.Swap)+1) // a row for every gate type
+	for t := 1; t < len(tab); t++ {
+		tab[t] = float64(t)
+	}
+	scratch := new(qodg.PathScratch)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeImage(data, "fuzz")
 		if err != nil {
 			return
 		}
-		if got.FT {
-			for _, n := range got.QODG.Nodes {
-				if !n.IsPseudo() && !n.Op.Type.IsFT() {
-					t.Fatalf("image flagged FT decoded with a %v node", n.Op.Type)
-				}
+		g := got.QODG
+		for v, n := range g.Nodes[1 : len(g.Nodes)-1] {
+			if n.A < 0 || int(n.A) >= got.Qubits || n.B >= int32(got.Qubits) || n.B < -1 || n.B == n.A {
+				t.Fatalf("node %d: operands %d, %d outside a %d-qubit register or equal", v+1, n.A, n.B, got.Qubits)
 			}
+			if got.FT && !n.Op.Type.IsFT() {
+				t.Fatalf("image flagged FT decoded with a %v node", n.Op.Type)
+			}
+		}
+		if _, err := g.LongestPath(tab, scratch); err != nil {
+			t.Fatalf("decoded image failed to sweep: %v", err)
 		}
 		var out bytes.Buffer
 		if err := EncodeImage(&out, got); err != nil {

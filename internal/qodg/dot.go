@@ -8,26 +8,25 @@ import (
 
 // WriteDOT renders the graph in Graphviz DOT format, regenerating the
 // paper's Fig. 2(b) style: operation nodes labeled with their 1-based gate
-// number and mnemonic, plus the start/end anchors.
+// number and mnemonic, plus the start/end anchors. Edges are listed
+// grouped by target.
 func (g *Graph) WriteDOT(w io.Writer, name string) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "digraph %q {\n", name)
 	fmt.Fprintln(bw, "  rankdir=LR;")
 	fmt.Fprintln(bw, "  node [shape=circle, fontsize=10];")
-	for _, n := range g.Nodes {
-		switch {
-		case n.ID == g.Start():
-			fmt.Fprintf(bw, "  n%d [label=\"start\", shape=box];\n", n.ID)
-		case n.ID == g.End():
-			fmt.Fprintf(bw, "  n%d [label=\"end\", shape=box];\n", n.ID)
+	for v, n := range g.Nodes {
+		switch NodeID(v) {
+		case g.Start():
+			fmt.Fprintf(bw, "  n%d [label=\"start\", shape=box];\n", v)
+		case g.End():
+			fmt.Fprintf(bw, "  n%d [label=\"end\", shape=box];\n", v)
 		default:
-			fmt.Fprintf(bw, "  n%d [label=\"%d\\n%s\"];\n", n.ID, n.GateIndex+1, n.Op.Type)
+			fmt.Fprintf(bw, "  n%d [label=\"%d\\n%s\"];\n", v, v, n.Op.Type)
 		}
 	}
-	for u := range g.Nodes {
-		for _, v := range g.Succ(NodeID(u)) {
-			fmt.Fprintf(bw, "  n%d -> n%d;\n", u, v)
-		}
+	for u, v := range g.Edges() {
+		fmt.Fprintf(bw, "  n%d -> n%d;\n", u, v)
 	}
 	fmt.Fprintln(bw, "}")
 	return bw.Flush()

@@ -13,21 +13,22 @@ import (
 const ParallelThreshold = math.MaxInt
 
 // PathScratch carries the reusable state of a critical-path sweep: the
-// dist/from relaxation slabs. A zero PathScratch is ready to use; buffers
-// grow to the largest sweep seen and are reused across calls, so a warm
-// scratch performs no allocation. Not safe for concurrent use; pool one per
-// worker.
+// dist/from relaxation slabs and the per-qubit last-writer array. A zero
+// PathScratch is ready to use; buffers grow to the largest sweep seen and
+// are reused across calls, so a warm scratch performs no allocation. Not
+// safe for concurrent use; pool one per worker.
 type PathScratch struct {
 	// MaxWorkers is ignored: the sweep is serial. It is kept only because
 	// cmd/leqabench compiles against it.
 	MaxWorkers int
 
 	// Column c of node v sits at [v*K+c] of dist and from, so K = 1 is the
-	// plain per-node layout. Predecessors are held as int32: CSR offsets
-	// are int32, so every node ID of a graph fits.
+	// plain per-node layout. Predecessors are held as int32, as node
+	// operands are.
 	dist  []float64
 	from  []int32
-	nodes int // node count of the largest graph swept
+	last  []int32 // each qubit's last writer so far in the sweep
+	nodes int     // node count of the largest graph swept
 }
 
 // Nodes reports the node count of the largest graph the scratch has swept;
@@ -79,16 +80,16 @@ func (g *Graph) LongestPath(tab []float64, s *PathScratch) (CriticalPath, error)
 	return recoverPath(g, s, 1, 0), nil
 }
 
-// weightRows locates a node's K weights in a weight source: row v of a
-// per-node slab, or row Nodes[v].Op.Type of a per-type table.
+// weightRows locates node v's K weights in a weight source: row v of a
+// per-node slab, or row n.Op.Type of a per-type table, n being v's record.
 type weightRows struct {
 	tab    []float64
 	byType bool
 }
 
-func (w weightRows) index(g *Graph, v int) int {
+func (w weightRows) index(n Node, v int) int {
 	if w.byType {
-		return int(g.Nodes[v].Op.Type)
+		return int(n.Op.Type)
 	}
 	return v
 }
@@ -100,46 +101,60 @@ func (g *Graph) missingRow(v, rows, k int) error {
 
 // relax runs the pull relaxation of all k ≥ 1 columns of w into the
 // scratch's slabs: the scalar loop for one column, the row loop for more.
-// Each pull writes every node's state, so the slabs need no clearing.
+// Each pull writes every node's state, so the slabs need no clearing; the
+// last-writer array starts every qubit at the start anchor.
 func (g *Graph) relax(w weightRows, k int, s *PathScratch) error {
 	n := len(g.Nodes)
 	s.nodes = max(s.nodes, n)
 	s.dist = grow(s.dist, n*k)
 	s.from = grow(s.from, n*k)
+	s.last = grow(s.last, g.NumQubits)
+	clear(s.last)
 	if k == 1 {
-		return g.relaxScalar(w, s.dist, s.from)
+		return g.relaxScalar(w, s.dist, s.from, s.last)
 	}
-	return g.relaxRows(w, k, s.dist, s.from)
+	return g.relaxRows(w, k, s.dist, s.from, s.last)
 }
 
 // relaxScalar is the one-column pull. Node IDs are topologically ordered,
 // so by the time the loop reaches v every predecessor's state is final and
-// v takes the max of their offers dist[p]+w[v]. Predecessor lists ascend,
-// the first offer is taken and later ones only when strictly greater: the
+// v takes the max of their offers dist[p]+w[v]. A gate's predecessors come
+// from preds in ascending order: the first offer is taken and the second
+// only when strictly greater. The end node's offers come in qubit order,
+// and it keeps the largest, the lowest ID among equal ones. Both match the
 // order, float expression and tie rule of the push relaxation the tests
-// check against (internal/oracle), which hand ties to the lowest-ID
+// check against (internal/oracle), which hands ties to the lowest-ID
 // predecessor, so dist and from equal the push's bitwise. A node without
 // predecessors gets the ground state, dist 0 and from -1.
-func (g *Graph) relaxScalar(w weightRows, dist []float64, from []int32) error {
-	tab, off, pred := w.tab, g.predOff, g.pred
-	for v := range g.Nodes {
-		r := w.index(g, v)
+func (g *Graph) relaxScalar(w weightRows, dist []float64, from, last []int32) error {
+	tab := w.tab
+	end := len(g.Nodes) - 1
+	for v, n := range g.Nodes {
+		r := w.index(n, v)
 		if uint(r) >= uint(len(tab)) {
 			return g.missingRow(v, len(tab), 1)
 		}
 		wv := tab[r]
-		preds := pred[off[v]:off[v+1]]
-		if len(preds) == 0 {
+		switch {
+		case v == 0:
 			dist[v], from[v] = 0, -1
-			continue
-		}
-		best, bestFrom := dist[preds[0]]+wv, int32(preds[0])
-		for _, p := range preds[1:] {
-			if cand := dist[p] + wv; cand > best {
-				best, bestFrom = cand, int32(p)
+		case v < end:
+			p0, p1 := preds(last, n, int32(v))
+			best, bestFrom := dist[p0]+wv, p0
+			if p1 >= 0 {
+				if cand := dist[p1] + wv; cand > best {
+					best, bestFrom = cand, p1
+				}
+			}
+			dist[v], from[v] = best, bestFrom
+		default:
+			dist[v], from[v] = 0, -1
+			for q, p := range last {
+				if cand := dist[p] + wv; q == 0 || cand > dist[v] || cand == dist[v] && p < from[v] {
+					dist[v], from[v] = cand, p
+				}
 			}
 		}
-		dist[v], from[v] = best, bestFrom
 	}
 	return nil
 }

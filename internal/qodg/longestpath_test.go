@@ -65,16 +65,27 @@ func columnTable(k int) []float64 {
 }
 
 // tableColumns expands a K-column type table into the per-node weight
-// columns it assigns: column c of a node of type t weighs tab[t*K+c].
-func tableColumns(g *qodg.Graph, tab []float64, k int) [][]float64 {
+// columns it assigns to the oracle's graph: column c of a node of type t
+// weighs tab[t*K+c].
+func tableColumns(ref *oracle.Graph, tab []float64, k int) [][]float64 {
 	ws := make([][]float64, k)
 	for c := range ws {
-		ws[c] = make([]float64, g.NumNodes())
-		for v, node := range g.Nodes {
-			ws[c][v] = tab[int(node.Op.Type)*k+c]
+		ws[c] = make([]float64, len(ref.Types))
+		for v, typ := range ref.Types {
+			ws[c][v] = tab[int(typ)*k+c]
 		}
 	}
 	return ws
+}
+
+// oracleGraph is c's QODG as the oracle builds it.
+func oracleGraph(t *testing.T, c *circuit.Circuit) *oracle.Graph {
+	t.Helper()
+	ref, err := oracle.QODG(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
 }
 
 // tableSlab is tableColumns interleaved: column c of node v at [v*K+c].
@@ -123,12 +134,14 @@ type oracleColumn struct {
 	path qodg.CriticalPath
 }
 
-// checkEntries runs every entry over columnTable(K) on g and compares each
-// column with the oracle bitwise: the full dist/from state when s is
-// non-nil, and the recovered path. Column c's oracle sweep is shared by
-// every entry, since its weights do not depend on K.
-func checkEntries(t *testing.T, label string, g *qodg.Graph, s *qodg.PathScratch) {
+// checkEntries runs every entry over columnTable(K) on c's QODG and
+// compares each column with the oracle's sweep of c bitwise: the full
+// dist/from state when s is non-nil, and the recovered path. Column c's
+// oracle sweep is shared by every entry, since its weights do not depend
+// on K.
+func checkEntries(t *testing.T, label string, c *circuit.Circuit, s *qodg.PathScratch) {
 	t.Helper()
+	g, ref := build(t, c), oracleGraph(t, c)
 	var want []oracleColumn
 	for _, e := range entries() {
 		tab := columnTable(e.k)
@@ -139,13 +152,13 @@ func checkEntries(t *testing.T, label string, g *qodg.Graph, s *qodg.PathScratch
 		if len(got) != e.k {
 			t.Fatalf("%s/%s: %d paths for %d columns", label, e.name, len(got), e.k)
 		}
-		for c, w := range tableColumns(g, tab, e.k) {
+		for c, w := range tableColumns(ref, tab, e.k) {
 			if c == len(want) {
-				dist, from, err := oracle.Relax(g, w)
+				dist, from, err := oracle.Relax(ref, w)
 				if err != nil {
 					t.Fatal(err)
 				}
-				path, err := oracle.LongestPath(g, w)
+				path, err := oracle.LongestPath(ref, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,15 +215,33 @@ func TestLongestPathMultiMatchesSerialOnPaperBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkEntries(t, name, build(t, c), shared)
+		checkEntries(t, name, c, shared)
 	}
 }
 
+// specialShapes are the circuits whose shapes the record kernel handles
+// apart from the common gate: a zero-gate register, whose end node's only
+// predecessor is the start; idle qubits, each a start→end edge; CNOTs
+// whose two operands share a last writer, one merged edge; and an end node
+// whose maximum ties between last writers met in descending ID order
+// (qubit 0's writer is node 2, qubit 1's node 1), so the lowest ID must
+// win. Under a type table or a tie-heavy slab the tied nodes weigh alike.
+func specialShapes() []*circuit.Circuit {
+	zero := circuit.New("zero-gate", 3)
+	idle := circuit.New("idle-qubits", 5)
+	idle.Append(circuit.NewOneQubit(circuit.H, 1), circuit.NewCNOT(1, 3), circuit.NewOneQubit(circuit.T, 3))
+	shared := circuit.New("shared-writer", 2)
+	shared.Append(circuit.NewCNOT(0, 1), circuit.NewCNOT(1, 0), circuit.NewOneQubit(circuit.H, 0))
+	tie := circuit.New("end-tie", 3)
+	tie.Append(circuit.NewOneQubit(circuit.H, 1), circuit.NewOneQubit(circuit.H, 0), circuit.NewOneQubit(circuit.X, 2))
+	return []*circuit.Circuit{zero, idle, shared, tie}
+}
+
 // TestLongestPathMultiMatchesSerialOnRandomDAGs runs the same contract on
-// seeded random DAGs of varied shape and on a one-gate circuit, with one
-// scratch reused from larger graphs to smaller ones (the 20,000-gate DAG
-// of seed 3 precedes the 40-gate one of seed 4, and the one-gate circuit
-// comes last), and once with no scratch at all.
+// seeded random DAGs of varied shape, on a one-gate circuit and on the
+// special shapes, with one scratch reused from larger graphs to smaller
+// ones (the 20,000-gate DAG of seed 3 precedes the 40-gate one of seed 4,
+// and the small circuits come last), and once with no scratch at all.
 func TestLongestPathMultiMatchesSerialOnRandomDAGs(t *testing.T) {
 	shared := new(qodg.PathScratch)
 	shapes := []struct{ qubits, gates int }{
@@ -222,13 +253,15 @@ func TestLongestPathMultiMatchesSerialOnRandomDAGs(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		shape := shapes[int(seed)%len(shapes)]
 		c := randomCircuit(rand.New(rand.NewSource(seed)), shape.qubits, shape.gates)
-		checkEntries(t, fmt.Sprintf("rand/seed%d", seed), build(t, c), shared)
+		checkEntries(t, fmt.Sprintf("rand/seed%d", seed), c, shared)
 	}
 	one := circuit.New("one", 1)
 	one.Append(circuit.NewOneQubit(circuit.H, 0))
-	g := build(t, one)
-	checkEntries(t, "one-gate", g, shared)
-	checkEntries(t, "one-gate/nil-scratch", g, nil)
+	checkEntries(t, "one-gate", one, shared)
+	checkEntries(t, "one-gate/nil-scratch", one, nil)
+	for _, c := range specialShapes() {
+		checkEntries(t, c.Name, c, shared)
+	}
 }
 
 // tieSlab draws a K-column per-node weight slab from a tiny value set, so
@@ -251,9 +284,9 @@ func tieSlab(rng *rand.Rand, g *qodg.Graph, k int) []float64 {
 
 // checkGangs runs LongestPathMultiStrided over the K-column slab wm once
 // per gang size, through one shared scratch whose MaxWorkers asks for that
-// many workers, and compares every column with the serial oracle bitwise:
-// the full dist/from state and the recovered path.
-func checkGangs(t *testing.T, label string, g *qodg.Graph, wm []float64, k int, gangs []int, s *qodg.PathScratch) {
+// many workers, and compares every column with the serial oracle's sweep
+// of ref bitwise: the full dist/from state and the recovered path.
+func checkGangs(t *testing.T, label string, g *qodg.Graph, ref *oracle.Graph, wm []float64, k int, gangs []int, s *qodg.PathScratch) {
 	t.Helper()
 	want := make([]oracleColumn, k)
 	for c := range want {
@@ -261,11 +294,11 @@ func checkGangs(t *testing.T, label string, g *qodg.Graph, wm []float64, k int, 
 		for v := range w {
 			w[v] = wm[v*k+c]
 		}
-		dist, from, err := oracle.Relax(g, w)
+		dist, from, err := oracle.Relax(ref, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		path, err := oracle.LongestPath(g, w)
+		path, err := oracle.LongestPath(ref, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,14 +341,14 @@ func TestLongestPathParallelMatchesSerialOnPaperBenchmarks(t *testing.T) {
 		}
 		g := build(t, c)
 		wm := tieSlab(rand.New(rand.NewSource(int64(i))), g, 1)
-		checkGangs(t, name, g, wm, 1, []int{1, 2, 4, 7}, shared)
+		checkGangs(t, name, g, oracleGraph(t, c), wm, 1, []int{1, 2, 4, 7}, shared)
 	}
 }
 
 // TestLongestPathParallelMatchesSerialOnRandomDAGs runs the same contract
-// on seeded random DAGs of varied shape, at one and three per-node
-// tie-heavy columns, with gang sizes 2, 3 and 8 and one scratch shared
-// across every graph.
+// on seeded random DAGs of varied shape and on the special shapes, at one
+// and three per-node tie-heavy columns, with gang sizes 2, 3 and 8 and one
+// scratch shared across every graph.
 func TestLongestPathParallelMatchesSerialOnRandomDAGs(t *testing.T) {
 	shared := new(qodg.PathScratch)
 	shapes := []struct{ qubits, gates int }{
@@ -327,9 +360,17 @@ func TestLongestPathParallelMatchesSerialOnRandomDAGs(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		shape := shapes[int(seed)%len(shapes)]
-		g := build(t, randomCircuit(rng, shape.qubits, shape.gates))
+		c := randomCircuit(rng, shape.qubits, shape.gates)
+		g, ref := build(t, c), oracleGraph(t, c)
 		for _, k := range []int{1, 3} {
-			checkGangs(t, fmt.Sprintf("rand/seed%d", seed), g, tieSlab(rng, g, k), k, []int{2, 3, 8}, shared)
+			checkGangs(t, fmt.Sprintf("rand/seed%d", seed), g, ref, tieSlab(rng, g, k), k, []int{2, 3, 8}, shared)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range specialShapes() {
+		g, ref := build(t, c), oracleGraph(t, c)
+		for _, k := range []int{1, 3} {
+			checkGangs(t, c.Name, g, ref, tieSlab(rng, g, k), k, []int{2}, shared)
 		}
 	}
 }

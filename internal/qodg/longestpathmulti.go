@@ -4,11 +4,11 @@ import "fmt"
 
 // Multi-weight critical-path sweep: K weight columns relaxed per node visit
 // in one traversal. A circuit × K-params grid row re-weights the same QODG K
-// times; K one-column sweeps would stream the CSR adjacency through cache
+// times; K one-column sweeps would stream the node records through cache
 // once per column. The row loop keeps the sweep state in SoA layout —
 // column c of node v at [v*K+c] for distance and predecessor alike — so one
 // node's K states share cache lines and the inner loop is
-// column-contiguous, and visits every edge exactly once, relaxing all K
+// column-contiguous, and derives every edge exactly once, relaxing all K
 // columns against it. A node's K weights are one K-row of a weight source:
 // row v of a per-node slab (LongestPathMultiStrided), or row
 // Nodes[v].Op.Type of a per-type table (LongestPathMultiByType) — the
@@ -63,54 +63,63 @@ func (g *Graph) sweep(w weightRows, k int, s *PathScratch) ([]CriticalPath, erro
 	return cps, nil
 }
 
-// relaxRows is the K-column pull, k ≥ 2: relaxScalar's visit order with
-// one K-row of weights and state per node.
-func (g *Graph) relaxRows(w weightRows, k int, dist []float64, from []int32) error {
+// relaxRows is the K-column pull, k ≥ 2: relaxScalar's visit order,
+// predecessors and tie rule with one K-row of weights and state per node.
+// Every row the loop touches — v's weights, v's state, each predecessor's
+// distances — is a K-contiguous slice, so the node visit streams whole
+// cache lines.
+func (g *Graph) relaxRows(w weightRows, k int, dist []float64, from, last []int32) error {
 	rows := len(w.tab) / k
-	for v := range g.Nodes {
-		r := w.index(g, v)
+	end := len(g.Nodes) - 1
+	for v, n := range g.Nodes {
+		r := w.index(n, v)
 		if uint(r) >= uint(rows) {
 			return g.missingRow(v, rows, k)
 		}
-		g.relaxNodeMulti(w.tab[r*k:r*k+k], dist, from, k, NodeID(v))
+		wv := w.tab[r*k : r*k+k]
+		dv := dist[v*k : v*k+k]
+		fv := from[v*k : v*k+k]
+		switch {
+		case v == 0:
+			ground(dv, fv)
+		case v < end:
+			p0, p1 := preds(last, n, int32(v))
+			dp := dist[int(p0)*k : int(p0)*k+k]
+			for c, wc := range wv {
+				dv[c] = dp[c] + wc
+				fv[c] = p0
+			}
+			if p1 < 0 {
+				continue
+			}
+			dp = dist[int(p1)*k : int(p1)*k+k]
+			for c, wc := range wv {
+				if cand := dp[c] + wc; cand > dv[c] {
+					dv[c] = cand
+					fv[c] = p1
+				}
+			}
+		default:
+			ground(dv, fv)
+			for q, p := range last {
+				dp := dist[int(p)*k : int(p)*k+k]
+				for c, wc := range wv {
+					if cand := dp[c] + wc; q == 0 || cand > dv[c] || cand == dv[c] && p < fv[c] {
+						dv[c] = cand
+						fv[c] = p
+					}
+				}
+			}
+		}
 	}
 	return nil
 }
 
-// relaxNodeMulti writes node v's K-column dist/from row from its finalized
-// predecessors, with wv holding v's K weights, by relaxScalar's rule per
-// column: the first predecessor's offer is taken unconditionally and later
-// ones only when strictly greater, and a node without predecessors gets
-// the ground state. Every row the loop touches — v's weights, v's state,
-// each predecessor's distances — is a K-contiguous slice, so the node
-// visit streams whole cache lines.
-func (g *Graph) relaxNodeMulti(wv, dist []float64, from []int32, k int, v NodeID) {
-	vb := int(v) * k
-	dv := dist[vb : vb+k]
-	fv := from[vb : vb+k]
-	preds := g.Pred(v)
-	if len(preds) == 0 {
-		for c := range dv {
-			dv[c] = 0
-			fv[c] = -1
-		}
-		return
-	}
-	p0 := preds[0]
-	pb := int(p0) * k
-	dp := dist[pb : pb+k]
-	for c, wc := range wv {
-		dv[c] = dp[c] + wc
-		fv[c] = int32(p0)
-	}
-	for _, p := range preds[1:] {
-		pb := int(p) * k
-		dp := dist[pb : pb+k]
-		for c, wc := range wv {
-			if cand := dp[c] + wc; cand > dv[c] {
-				dv[c] = cand
-				fv[c] = int32(p)
-			}
-		}
+// ground gives every column of a node the state of a node without
+// predecessors: dist 0, from -1.
+func ground(dv []float64, fv []int32) {
+	for c := range dv {
+		dv[c] = 0
+		fv[c] = -1
 	}
 }

@@ -10,8 +10,8 @@
 // every computed analysis as an atomic write-renamed image, survives
 // process restarts, and is size-capped with oldest-first eviction. A store
 // hit returns an Analysis that is estimate-for-estimate identical to a
-// fresh one (same CSR contents, same metadata), because the image encodes
-// the complete AnalyzeStream product.
+// fresh one (same node records, IIG rows and metadata), because the image
+// encodes the complete AnalyzeStream product.
 package store
 
 import (
@@ -126,7 +126,7 @@ func New(opt Options) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		for _, de := range entries {
-			if de.IsDir() || !strings.HasSuffix(de.Name(), ".qca") {
+			if !isImage(de) {
 				continue
 			}
 			if info, err := de.Info(); err == nil {
@@ -329,6 +329,14 @@ func (e *entry) run() {
 	s.mu.Unlock()
 }
 
+// isImage reports whether a directory entry is a persisted image. A
+// .tmp-*.qca file is not: saveImage writes one before renaming it into
+// place, so a crash can leave it behind, and another process on the same
+// directory may be writing it still. Neither scan counts or deletes one.
+func isImage(de os.DirEntry) bool {
+	return !de.IsDir() && strings.HasSuffix(de.Name(), ".qca") && !strings.HasPrefix(de.Name(), ".tmp-")
+}
+
 // imagePath maps a digest to its disk image.
 func (s *Store) imagePath(digest string) string {
 	return filepath.Join(s.dir, digest+".qca")
@@ -416,7 +424,7 @@ func (s *Store) evictDiskLocked(keep string) {
 	}
 	var imgs []img
 	for _, de := range entries {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".qca") || strings.HasPrefix(de.Name(), ".tmp-") {
+		if !isImage(de) {
 			continue
 		}
 		p := filepath.Join(s.dir, de.Name())

@@ -123,11 +123,11 @@ func TestDiskTier(t *testing.T) {
 	assertSameEstimate(t, c.Name, a1, a3)
 }
 
-// TestVersion1ImageIsAMiss: a version-1 .qca image under the store's
-// directory fails its version check. GetOrAnalyzeOutcome counts it as a
-// miss, removes it, writes a version-2 image in its place and returns a
-// Result bitwise equal to a fresh analysis's; GetOutcome finds nothing and
-// removes it too. Neither ever misreads it.
+// TestVersion1ImageIsAMiss: a version-1 or version-2 .qca image under the
+// store's directory fails its version check. GetOrAnalyzeOutcome counts it
+// as a miss, removes it, writes a version-3 image in its place and returns
+// a Result bitwise equal to a fresh analysis's; GetOutcome finds nothing
+// and removes it too. Neither ever misreads it.
 func TestVersion1ImageIsAMiss(t *testing.T) {
 	c := genFT(t, "8bitadder")
 	fresh, err := analysis.Analyze(c)
@@ -138,52 +138,54 @@ func TestVersion1ImageIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// plant writes a version-1 image of c's analysis into a new directory:
-	// a version-2 image with its version byte set to 1, which is all the
-	// decoder reads before it stops.
-	plant := func() (dir, path string) {
-		var buf bytes.Buffer
-		if err := qcbin.EncodeImage(&buf, fresh); err != nil {
-			t.Fatal(err)
+	for _, v := range []byte{1, 2} {
+		// plant writes a version-v image of c's analysis into a new
+		// directory: a version-3 image with its version byte set to v,
+		// which is all the decoder reads before it stops.
+		plant := func() (dir, path string) {
+			var buf bytes.Buffer
+			if err := qcbin.EncodeImage(&buf, fresh); err != nil {
+				t.Fatal(err)
+			}
+			img := buf.Bytes()
+			img[4] = v
+			dir = t.TempDir()
+			path = filepath.Join(dir, digest+".qca")
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return dir, path
 		}
-		img := buf.Bytes()
-		img[4] = 1
-		dir = t.TempDir()
-		path = filepath.Join(dir, digest+".qca")
-		if err := os.WriteFile(path, img, 0o644); err != nil {
-			t.Fatal(err)
+
+		dir, path := plant()
+		s := newStore(t, Options{Dir: dir})
+		a, d, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c))
+		if err != nil || d != digest || outcome != OutcomeMiss {
+			t.Fatalf("GetOrAnalyzeOutcome over a v%d image = %v, %s, %v; want a miss on %s", v, outcome, d, err, digest)
 		}
-		return dir, path
-	}
+		if st := s.Stats(); st.DiskHits != 0 || st.Misses != 1 || st.Puts != 1 || st.DiskEntries != 1 {
+			t.Fatalf("v%d: stats = %s, want 1 miss, 1 put and the one rewritten image", v, st)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("v%d: no image rewritten: %v", v, err)
+		}
+		if data[4] != qcbin.ImageVersion || qcbin.ImageVersion != 3 {
+			t.Fatalf("v%d: rewritten image has version %d, want 3", v, data[4])
+		}
+		assertSameEstimate(t, c.Name, fresh, a)
 
-	dir, path := plant()
-	s := newStore(t, Options{Dir: dir})
-	a, d, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c))
-	if err != nil || d != digest || outcome != OutcomeMiss {
-		t.Fatalf("GetOrAnalyzeOutcome over a v1 image = %v, %s, %v; want a miss on %s", outcome, d, err, digest)
-	}
-	if st := s.Stats(); st.DiskHits != 0 || st.Misses != 1 || st.Puts != 1 || st.DiskEntries != 1 {
-		t.Fatalf("stats = %s, want 1 miss, 1 put and the one rewritten image", st)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("no image rewritten: %v", err)
-	}
-	if data[4] != qcbin.ImageVersion {
-		t.Fatalf("rewritten image has version %d, want %d", data[4], qcbin.ImageVersion)
-	}
-	assertSameEstimate(t, c.Name, fresh, a)
-
-	dir, path = plant()
-	s = newStore(t, Options{Dir: dir})
-	if a, outcome, err := s.GetOutcome(digest); !errors.Is(err, ErrNotFound) || a != nil || outcome != OutcomeMiss {
-		t.Fatalf("GetOutcome over a v1 image = %v, %v; want a miss with ErrNotFound", outcome, err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("v1 image not removed: %v", err)
-	}
-	if st := s.Stats(); st.DiskEntries != 0 || st.DiskBytes != 0 {
-		t.Fatalf("stats = %s, want an empty disk tier", st)
+		dir, path = plant()
+		s = newStore(t, Options{Dir: dir})
+		if a, outcome, err := s.GetOutcome(digest); !errors.Is(err, ErrNotFound) || a != nil || outcome != OutcomeMiss {
+			t.Fatalf("GetOutcome over a v%d image = %v, %v; want a miss with ErrNotFound", v, outcome, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("v%d image not removed: %v", v, err)
+		}
+		if st := s.Stats(); st.DiskEntries != 0 || st.DiskBytes != 0 {
+			t.Fatalf("v%d: stats = %s, want an empty disk tier", v, st)
+		}
 	}
 }
 
@@ -342,6 +344,55 @@ func TestDiskEviction(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, digests[2]+".qca")); err != nil {
 		t.Error("most recent image was evicted")
+	}
+}
+
+// TestOrphanTempImagesNotCounted: a crash between CreateTemp and Rename
+// leaves a .tmp-*.qca file behind, here the size of two images. It is not
+// an image: a restarted store counts none of its bytes against the cap,
+// and leaves it in place, since another process on the same directory may
+// still be writing it. So two images that fit the cap both survive.
+func TestOrphanTempImagesNotCounted(t *testing.T) {
+	cs := []*circuit.Circuit{genFT(t, "8bitadder"), genFT(t, "ham7")}
+	var total int64
+	for _, c := range cs {
+		a, err := analysis.Analyze(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := qcbin.EncodeImage(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		total += int64(buf.Len())
+	}
+	dir := t.TempDir()
+	orphan := filepath.Join(dir, ".tmp-1234.qca")
+	if err := os.WriteFile(orphan, make([]byte, total), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(t, Options{Dir: dir, MaxDiskBytes: total})
+	if st := s.Stats(); st.DiskEntries != 0 || st.DiskBytes != 0 {
+		t.Fatalf("stats = %s, want an empty disk tier beside the orphan", st)
+	}
+	var digests []string
+	for _, c := range cs {
+		_, d, err := s.GetOrAnalyze(analysis.NewCircuitStream(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, d)
+	}
+	if st := s.Stats(); st.DiskEvictions != 0 || st.DiskEntries != 2 || st.DiskBytes != total {
+		t.Fatalf("stats = %s, want both images (%d B) and no eviction", st, total)
+	}
+	for _, d := range digests {
+		if _, err := os.Stat(filepath.Join(dir, d+".qca")); err != nil {
+			t.Errorf("image %s did not survive: %v", d, err)
+		}
+	}
+	if _, err := os.Stat(orphan); err != nil {
+		t.Errorf("orphan removed: %v", err)
 	}
 }
 

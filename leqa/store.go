@@ -44,7 +44,7 @@ func NewAnalysisStore(opt AnalysisStoreOptions) (*AnalysisStore, error) {
 // each is digested on open, and a store hit skips analysis. nil detaches.
 // Set before concurrent runs start; the field is read unsynchronized on the
 // estimate path. Attaching a store never changes results — a hit returns
-// the same CSR content a fresh analysis builds.
+// the same node records and IIG rows a fresh analysis builds.
 func (r *Runner) SetAnalysisStore(s *AnalysisStore) { r.store = s }
 
 // AnalysisStore reports the attached store (nil when none).
