@@ -44,12 +44,12 @@ type Analysis struct {
 	IIG *iig.Graph
 }
 
-// Analyze builds both graphs of a materialized circuit. The circuit is
-// validated up front — every gate, so an invalid gate anywhere outranks an
-// over-wide one — and then streamed through the builder AnalyzeStream runs,
-// which skips its per-gate re-validation for the checked circuit. The
-// circuit must be decomposed to one- and two-qubit gates: wider gates are
-// rejected (the IIG is undefined on them).
+// Analyze builds both graphs of a materialized circuit, through the
+// builder AnalyzeStream runs. Its counting pass validates each gate as it
+// reads it. An invalid gate anywhere outranks an over-wide one, so a pass
+// that stops on an over-wide gate validates the rest of the circuit before
+// it reports. The circuit must be decomposed to one- and two-qubit gates:
+// wider gates are rejected (the IIG is undefined on them).
 //
 // Every call allocates independent, immutable graphs; (*Arena).Analyze runs
 // the identical passes into recycled buffers for the steady-state worker
@@ -58,18 +58,27 @@ func Analyze(c *circuit.Circuit) (*Analysis, error) {
 	return analyzeCircuit(c, nil)
 }
 
-// analyzeCircuit validates c and streams it through analyzeStream. An
-// arena's own CircuitStream carries the circuit, so the arena path
-// allocates no stream.
+// analyzeCircuit streams c through analyzeStream. An arena's own
+// CircuitStream carries the circuit, so the arena path allocates no
+// stream.
 func analyzeCircuit(c *circuit.Circuit, ar *Arena) (*Analysis, error) {
-	if err := c.Validate(); err != nil {
+	var a *Analysis
+	var err error
+	if ar == nil {
+		a, err = analyzeStream(context.Background(), NewCircuitStream(c), nil, false)
+	} else {
+		ar.cs = CircuitStream{c: c, i: -1}
+		a, err = analyzeStream(context.Background(), &ar.cs, ar, false)
+		ar.cs = CircuitStream{} // do not pin the circuit
+	}
+	if err != nil {
+		// The pass stopped on the first invalid gate, whose error Validate
+		// repeats, or on an over-wide gate, which an invalid gate after it
+		// outranks.
+		if verr := c.Validate(); verr != nil {
+			return nil, verr
+		}
 		return nil, err
 	}
-	if ar == nil {
-		return analyzeStream(context.Background(), &CircuitStream{c: c, i: -1, valid: true}, nil, false)
-	}
-	ar.cs = CircuitStream{c: c, i: -1, valid: true}
-	a, err := analyzeStream(context.Background(), &ar.cs, ar, false)
-	ar.cs = CircuitStream{} // do not pin the circuit
-	return a, err
+	return a, nil
 }

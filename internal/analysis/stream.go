@@ -38,9 +38,8 @@ type GateStream interface {
 // which mixed batches (some circuits in memory, some on disk) share one
 // streaming engine.
 type CircuitStream struct {
-	c     *circuit.Circuit
-	i     int
-	valid bool // c passed Validate: the counting pass may skip per-gate checks
+	c *circuit.Circuit
+	i int
 }
 
 // NewCircuitStream returns a stream over c's gate list.
@@ -61,10 +60,6 @@ func (s *CircuitStream) Err() error         { return nil }
 func (s *CircuitStream) Rewind() error      { s.i = -1; return nil }
 func (s *CircuitStream) NumQubits() int     { return s.c.NumQubits() }
 func (s *CircuitStream) Name() string       { return s.c.Name }
-
-// PrevalidatedGates reports whether the circuit was validated up front
-// (Analyze does so before streaming it); see PrevalidatedStream.
-func (s *CircuitStream) PrevalidatedGates() bool { return s.valid }
 
 // Register exposes the backing circuit's qubit register — the same optional
 // capability ingest.Scanner offers, letting encoders recover real qubit
@@ -151,8 +146,8 @@ func nodeOf(g *circuit.Gate) qodg.Node {
 // is the analysis product itself (nodes + IIG) plus one ingest chunk: the
 // O(gates) heap of per-gate operand slices a materialized []Gate drags
 // along is never allocated. The node slab of a stream of unknown length
-// grows by doubling, so its capacity reaches up to 32 bytes per gate, and
-// about 48 while the last growth copies it.
+// grows by doubling, up to 32 bytes per gate and about 48 while the last
+// growth copies it; the returned analysis keeps an exact-size copy.
 func AnalyzeStream(src GateStream) (*Analysis, error) {
 	return analyzeStream(context.Background(), src, nil, false)
 }
@@ -220,7 +215,7 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) 
 	//
 	// Each gate meets its checks in a fixed order: the context poll, the
 	// stream's own errors (parse, gate cap) as it scans, the FT stop, then
-	// arity and validation.
+	// validation and the arity cap.
 	ft := true
 	nGates := 0
 	trusted := gatesPrevalidated(src)
@@ -249,10 +244,19 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) 
 		if !cur.mem && reaches(g, q) {
 			q = src.NumQubits()
 		}
-		if !trusted || g.Arity() > 2 {
-			if err := validateStreamGate(src, nGates, g, q, trusted); err != nil {
-				return nil, err
+		// Circuit.Validate's per-gate checks, with its error shape. They
+		// also shield the IIG cursors and the QODG's nodes from a
+		// misbehaving stream, whose out-of-range operand would otherwise
+		// corrupt rows silently. A PrevalidatedStream's decoder has run
+		// them already; the arity cap is the analysis layer's own.
+		if !trusted {
+			if err := g.Validate(q); err != nil {
+				return nil, fmt.Errorf("circuit %q: gate %d: %w", src.Name(), nGates, err)
 			}
+		}
+		if g.Arity() > 2 {
+			return nil, fmt.Errorf("analysis: gate %d (%s) touches %d qubits; decompose first",
+				nGates, g.Type, g.Arity())
 		}
 		n := nodeOf(g)
 		if n.B >= 0 {
@@ -284,6 +288,11 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) 
 		iigOff, iigNbr = ar.iigOff, ar.iigNbr
 	} else {
 		iigOff, iigNbr = csr.Offsets[int32](iigDeg)
+		if !cur.mem {
+			// A streamed slab grew by doubling, and a store may keep this
+			// analysis for long: keep an exact-size copy instead.
+			nodes = append(make([]qodg.Node, 0, len(nodes)), nodes...)
+		}
 	}
 
 	// Fill pass over the two-qubit gates' nodes, in program order. The
@@ -318,26 +327,6 @@ func analyzeStream(ctx context.Context, src GateStream, ar *Arena, ftOnly bool) 
 		QODG:       &qodg.Graph{Nodes: nodes, NumQubits: numQ},
 		IIG:        iig.FromIncidence(numQ, iigOff, iigNbr),
 	}, nil
-}
-
-// validateStreamGate applies Circuit.Validate's per-gate checks plus the
-// analysis-layer arity constraint, with the same error shapes. It also
-// shields the IIG cursors and the QODG's nodes from a misbehaving stream:
-// an out-of-range operand would otherwise corrupt rows silently. Streams that advertise
-// PrevalidatedStream skip the Gate.Validate half — their decoders already
-// ran the identical checks per gate — but keep the arity cap, which is an
-// analysis-layer constraint, not a gate-validity one.
-func validateStreamGate(src GateStream, i int, g *circuit.Gate, numQubits int, trusted bool) error {
-	if !trusted {
-		if err := g.Validate(numQubits); err != nil {
-			return fmt.Errorf("circuit %q: gate %d: %w", src.Name(), i, err)
-		}
-	}
-	if g.Arity() > 2 {
-		return fmt.Errorf("analysis: gate %d (%s) touches %d qubits; decompose first",
-			i, g.Type, g.Arity())
-	}
-	return nil
 }
 
 // reaches reports whether an operand of g is at or past q.

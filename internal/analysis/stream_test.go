@@ -35,7 +35,8 @@ type pipeReader struct{ io.Reader }
 // the paper benchmarks, streamed ingestion + AnalyzeStream must produce
 // graphs topology-identical to the materialized Analyze and estimates that
 // are bitwise identical — through the seekable rewind path, the spooled
-// pipe path, and the in-memory CircuitStream adapter.
+// pipe path, and the in-memory CircuitStream adapter — and a streamed
+// analysis keeps no slack in its node slab.
 func TestAnalyzeStreamMatchesBatch(t *testing.T) {
 	est, err := core.New(fabric.Default(), core.Options{})
 	if err != nil {
@@ -74,6 +75,11 @@ func TestAnalyzeStreamMatchesBatch(t *testing.T) {
 			}
 			assertSameQODG(t, name+"/"+label, got.QODG, want.QODG)
 			assertIIGEqual(t, name+"/"+label, got.IIG, want.IIG)
+			// A streamed slab grows by doubling; the analysis keeps an
+			// exact-size copy of it.
+			if n := got.QODG.Nodes; label != "circuit" && cap(n) != len(n) {
+				t.Errorf("%s/%s: node slab holds %d nodes in capacity %d", name, label, len(n), cap(n))
+			}
 			gotRes, err := est.EstimateAnalysis(got, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, label, err)

@@ -201,58 +201,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(bw, "leqad_spooled_bytes_total %d\n", s.spooledBytes.Load())
 
 	as := s.store.Stats()
-	for _, c := range []struct {
-		name, help string
-		value      uint64
-	}{
-		{"leqad_analysis_store_hits_total", "Analysis store memory-tier hits.", as.Hits},
-		{"leqad_analysis_store_misses_total", "Analysis store misses (full analyses run).", as.Misses},
-		{"leqad_analysis_store_disk_hits_total", "Analysis store hits served from persisted images.", as.DiskHits},
-		{"leqad_analysis_store_puts_total", "Analysis images written to the disk tier.", as.Puts},
-		{"leqad_analysis_store_evictions_total", "Analysis store memory-tier LRU evictions.", as.Evictions},
-		{"leqad_analysis_store_disk_evictions_total", "Analysis images evicted to respect the disk cap.", as.DiskEvictions},
-	} {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
-	}
-	fmt.Fprintf(bw, "# HELP leqad_analysis_store_entries Analysis store resident memory-tier entries.\n")
-	fmt.Fprintf(bw, "# TYPE leqad_analysis_store_entries gauge\n")
-	fmt.Fprintf(bw, "leqad_analysis_store_entries %d\n", as.Entries)
-	fmt.Fprintf(bw, "# HELP leqad_analysis_store_disk_bytes Analysis store disk-tier occupancy in bytes.\n")
-	fmt.Fprintf(bw, "# TYPE leqad_analysis_store_disk_bytes gauge\n")
-	fmt.Fprintf(bw, "leqad_analysis_store_disk_bytes %d\n", as.DiskBytes)
+	writeFamilies(bw, "counter",
+		family{"leqad_analysis_store_hits_total", "Analysis store memory-tier hits.", as.Hits},
+		family{"leqad_analysis_store_misses_total", "Analysis store misses (full analyses run).", as.Misses},
+		family{"leqad_analysis_store_disk_hits_total", "Analysis store hits served from persisted images.", as.DiskHits},
+		family{"leqad_analysis_store_puts_total", "Analysis images written to the disk tier.", as.Puts},
+		family{"leqad_analysis_store_evictions_total", "Analysis store memory-tier LRU evictions.", as.Evictions},
+		family{"leqad_analysis_store_disk_evictions_total", "Analysis images evicted to respect the disk cap.", as.DiskEvictions})
+	writeFamilies(bw, "gauge",
+		family{"leqad_analysis_store_entries", "Analysis store resident memory-tier entries.", as.Entries},
+		family{"leqad_analysis_store_disk_bytes", "Analysis store disk-tier occupancy in bytes.", as.DiskBytes})
 
 	st := leqa.ZoneModelCacheStats()
-	for _, c := range []struct {
-		name, help string
-		value      uint64
-	}{
-		{"leqad_zone_model_cache_hits_total", "Zone-model memo hits.", st.Hits},
-		{"leqad_zone_model_cache_misses_total", "Zone-model memo misses.", st.Misses},
-		{"leqad_zone_model_cache_evictions_total", "Zone-model memo evictions.", st.Evictions},
-	} {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
-	}
-	fmt.Fprintf(bw, "# HELP leqad_zone_model_cache_entries Zone-model memo resident entries.\n")
-	fmt.Fprintf(bw, "# TYPE leqad_zone_model_cache_entries gauge\n")
-	fmt.Fprintf(bw, "leqad_zone_model_cache_entries %d\n", st.Entries)
+	writeFamilies(bw, "counter",
+		family{"leqad_zone_model_cache_hits_total", "Zone-model memo hits.", st.Hits},
+		family{"leqad_zone_model_cache_misses_total", "Zone-model memo misses.", st.Misses},
+		family{"leqad_zone_model_cache_evictions_total", "Zone-model memo evictions.", st.Evictions})
+	writeFamilies(bw, "gauge",
+		family{"leqad_zone_model_cache_entries", "Zone-model memo resident entries.", st.Entries})
 
 	var rm leqa.ResultMemoStats
 	if s.memo != nil {
 		rm = s.memo.Stats()
 	}
-	for _, c := range []struct {
-		name, help string
-		value      uint64
-	}{
-		{"leqad_result_memo_hits_total", "Result memo hits: (digest, params) cells served without analyze or estimate.", rm.Hits},
-		{"leqad_result_memo_misses_total", "Result memo misses (cells computed and published).", rm.Misses},
-		{"leqad_result_memo_evictions_total", "Result memo LRU evictions.", rm.Evictions},
-	} {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
-	}
-	fmt.Fprintf(bw, "# HELP leqad_result_memo_entries Result memo resident entries.\n")
-	fmt.Fprintf(bw, "# TYPE leqad_result_memo_entries gauge\n")
-	fmt.Fprintf(bw, "leqad_result_memo_entries %d\n", rm.Entries)
+	writeFamilies(bw, "counter",
+		family{"leqad_result_memo_hits_total", "Result memo hits: (digest, params) cells served without analyze or estimate.", rm.Hits},
+		family{"leqad_result_memo_misses_total", "Result memo misses (cells computed and published).", rm.Misses},
+		family{"leqad_result_memo_evictions_total", "Result memo LRU evictions.", rm.Evictions})
+	writeFamilies(bw, "gauge",
+		family{"leqad_result_memo_entries", "Result memo resident entries.", rm.Entries})
 
 	fmt.Fprintf(bw, "# HELP leqad_workers Estimation worker-pool size.\n")
 	fmt.Fprintf(bw, "# TYPE leqad_workers gauge\n")
@@ -282,6 +259,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(bw, "# HELP leqad_gomaxprocs GOMAXPROCS at scrape time.\n")
 	fmt.Fprintf(bw, "# TYPE leqad_gomaxprocs gauge\n")
 	fmt.Fprintf(bw, "leqad_gomaxprocs %d\n", runtime.GOMAXPROCS(0))
+}
+
+// family is one single-series metric family: a cache counter or gauge.
+type family struct {
+	name, help string
+	value      any // an integer
+}
+
+// writeFamilies renders single-series families of one metric type — the
+// one path the analysis store, the zone-model memo and the result memo
+// expose their counters through.
+func writeFamilies(bw *bufio.Writer, typ string, fs ...family) {
+	for _, f := range fs {
+		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", f.name, f.help, f.name, typ, f.name, f.value)
+	}
 }
 
 // windowQuantileLabels fixes the quantile label values of the windowed

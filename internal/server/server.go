@@ -418,34 +418,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		RowsStreamed:    s.endpoints["sweep"].rows.Load() + s.endpoints["grid"].rows.Load(),
 		BatchesCanceled: s.batchesCanceled.Load(),
 		EstimateLatency: s.estimateLatency(),
-		ZoneModelCache: client.CacheStats{
-			Hits:      st.Hits,
-			Misses:    st.Misses,
-			Evictions: st.Evictions,
-			Entries:   st.Entries,
-			Capacity:  st.Capacity,
-		},
-		AnalysisStore: client.StoreStats{
-			Hits:          as.Hits,
-			Misses:        as.Misses,
-			DiskHits:      as.DiskHits,
-			Puts:          as.Puts,
-			Evictions:     as.Evictions,
-			DiskEvictions: as.DiskEvictions,
-			Entries:       as.Entries,
-			Capacity:      as.Capacity,
-			DiskEntries:   as.DiskEntries,
-			DiskBytes:     as.DiskBytes,
-		},
-		ResultMemo: client.MemoStats{
-			Hits:      ms.Hits,
-			Misses:    ms.Misses,
-			Evictions: ms.Evictions,
-			Entries:   ms.Entries,
-			Capacity:  ms.Capacity,
-		},
-		Saturation: s.saturationStats(),
-		SLO:        slo,
+		ZoneModelCache:  client.CacheStats(st),
+		AnalysisStore:   client.StoreStats(as),
+		ResultMemo:      client.CacheStats(ms),
+		Saturation:      s.saturationStats(),
+		SLO:             slo,
 	})
 }
 

@@ -4,18 +4,19 @@
 // in-memory single-flight LRU over an optional disk directory of .qca
 // images.
 //
-// The memory tier follows zonemodel.Cache's discipline exactly — lookups
-// of a digest being computed block on that computation, so N concurrent
-// estimates of the same circuit analyze it once. The disk tier persists
-// every computed analysis as an atomic write-renamed image, survives
-// process restarts, and is size-capped with oldest-first eviction. A store
+// The memory tier is an internal/lru cache, like the zone-model memo and
+// the result memo, under that package's rules on failed computes,
+// cancelled waiters and Purge: lookups of a digest being computed join
+// that computation, so N concurrent estimates of the same circuit analyze
+// it once. The disk tier persists every computed analysis as an atomic
+// write-renamed image, survives process restarts, and is size-capped with
+// oldest-first eviction. A store
 // hit returns an Analysis that is estimate-for-estimate identical to a
 // fresh one (same node records, IIG rows and metadata), because the image
 // encodes the complete AnalyzeStream product.
 package store
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -24,8 +25,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
+	"repro/internal/lru"
 	"repro/internal/qcbin"
 )
 
@@ -79,28 +82,20 @@ func (s Stats) String() string {
 
 // Store is a concurrency-safe two-tier content-addressed analysis store.
 type Store struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List // front = most recently used; values are *entry
-	items    map[string]*list.Element
+	mem *lru.Cache[string, *analysis.Analysis]
 
-	hits, misses, diskHits       uint64
-	puts, evictions, diskEvicted uint64
+	// misses and diskHits count the memory tier's computes by how they
+	// ended; the LRU counts the hits and evictions.
+	misses, diskHits atomic.Uint64
 
 	dir          string
 	maxDiskBytes int64
 	diskMu       sync.Mutex // serializes image writes and disk eviction
+	mu           sync.Mutex // guards the disk-tier accounting below
 	diskBytes    int64
 	diskEntries  int
-}
-
-type entry struct {
-	s       *Store
-	digest  string
-	once    sync.Once
-	compute func() (*analysis.Analysis, error)
-	a       *analysis.Analysis
-	err     error
+	puts         uint64
+	diskEvicted  uint64
 }
 
 // New builds a store. With a disk directory the directory is created and
@@ -111,9 +106,7 @@ func New(opt Options) (*Store, error) {
 		cap = DefaultMemEntries
 	}
 	s := &Store{
-		capacity:     cap,
-		ll:           list.New(),
-		items:        make(map[string]*list.Element, cap),
+		mem:          lru.New[string, *analysis.Analysis](cap),
 		dir:          opt.Dir,
 		maxDiskBytes: opt.MaxDiskBytes,
 	}
@@ -182,13 +175,13 @@ func (s *Store) GetOrAnalyze(src analysis.GateStream) (*analysis.Analysis, strin
 // tracing uses to attribute analyze time. Its digest pass and its analysis
 // pass poll ctx and stop with its error; a failed analysis is never
 // stored. Like every lookup, it never inherits the failure of another
-// caller's in-flight analysis it joined (see lookupOwn).
+// caller's in-flight analysis it joined (see lookup).
 func (s *Store) GetOrAnalyzeOutcome(ctx context.Context, src analysis.GateStream) (*analysis.Analysis, string, Outcome, error) {
 	digest, err := qcbin.DigestContext(ctx, src)
 	if err != nil {
 		return nil, "", OutcomeMiss, err
 	}
-	a, outcome, err := s.lookupOwn(ctx, digest, func() (*analysis.Analysis, error) {
+	a, outcome, err := s.lookup(ctx, digest, func() (*analysis.Analysis, error) {
 		if err := src.Rewind(); err != nil {
 			return nil, err
 		}
@@ -213,52 +206,36 @@ func (s *Store) Get(digest string) (*analysis.Analysis, error) {
 // memory (including a coalesced single-flight wait), OutcomeDiskHit from
 // a persisted image, OutcomeMiss with ErrNotFound. A lookup that joins
 // another caller's failed analysis looks the digest up again rather than
-// return that caller's error (see lookupOwn).
+// return that caller's error (see lookup).
 func (s *Store) GetOutcome(digest string) (*analysis.Analysis, Outcome, error) {
 	if err := validDigest(digest); err != nil {
 		return nil, OutcomeMiss, err
 	}
-	return s.lookupOwn(context.Background(), digest, func() (*analysis.Analysis, error) {
+	return s.lookup(context.Background(), digest, func() (*analysis.Analysis, error) {
 		return nil, ErrNotFound
 	})
 }
 
-// lookupOwn is lookup with the caller's own compute: the disk tier, then
-// miss on a disk miss. It reports how the lookup was satisfied; if its
-// compute never runs, the digest was resident or another caller's
+// lookup runs the memory tier with the caller's own compute: the disk
+// tier, then miss on a disk miss. It reports how the lookup was satisfied;
+// if its compute never runs, the digest was resident or another caller's
 // in-flight lookup was joined, a memory-tier hit either way. A joined
-// lookup that failed has unpublished itself, and its failure may be the
-// owner's alone: its context, or a by-reference lookup that came up empty.
-// So a caller whose own compute did not run looks up once more with it,
-// unless ctx is done, rather than inherit the error.
-func (s *Store) lookupOwn(ctx context.Context, digest string, miss func() (*analysis.Analysis, error)) (*analysis.Analysis, Outcome, error) {
-	// compute writes outcome under its entry's once, so the write happens
-	// before this caller's lookup returns, whichever goroutine ran it.
+// lookup's failure may be the owner's alone (its context, or a
+// by-reference lookup that came up empty), so a joiner whose owner failed
+// looks up once more with its own compute, unless ctx is done.
+func (s *Store) lookup(ctx context.Context, digest string, miss func() (*analysis.Analysis, error)) (*analysis.Analysis, Outcome, error) {
 	outcome := OutcomeHit
-	compute := func() (*analysis.Analysis, error) {
+	a, err := s.mem.Do(ctx, digest, func() (*analysis.Analysis, error) {
 		if a, ok := s.loadImage(digest); ok {
 			outcome = OutcomeDiskHit
-			s.count(&s.diskHits)
+			s.diskHits.Add(1)
 			return a, nil
 		}
 		outcome = OutcomeMiss
-		s.count(&s.misses)
+		s.misses.Add(1)
 		return miss()
-	}
-	a, err := s.lookup(digest, compute)
-	if err != nil && outcome == OutcomeHit {
-		if err = ctx.Err(); err == nil {
-			a, err = s.lookup(digest, compute)
-		}
-	}
+	})
 	return a, outcome, err
-}
-
-// count bumps one cumulative counter under the store lock.
-func (s *Store) count(c *uint64) {
-	s.mu.Lock()
-	*c++
-	s.mu.Unlock()
 }
 
 // Contains reports whether digest is resident in either tier, without
@@ -267,10 +244,7 @@ func (s *Store) Contains(digest string) bool {
 	if validDigest(digest) != nil {
 		return false
 	}
-	s.mu.Lock()
-	_, ok := s.items[digest]
-	s.mu.Unlock()
-	if ok {
+	if s.mem.Contains(digest) {
 		return true
 	}
 	if s.dir == "" {
@@ -278,55 +252,6 @@ func (s *Store) Contains(digest string) bool {
 	}
 	_, err := os.Stat(s.imagePath(digest))
 	return err == nil
-}
-
-// lookup is the single-flight LRU core: a resident digest is shared, and a
-// new one is computed exactly once by the first arriver (see entry.run for
-// a failed compute).
-func (s *Store) lookup(digest string, compute func() (*analysis.Analysis, error)) (*analysis.Analysis, error) {
-	s.mu.Lock()
-	if el, ok := s.items[digest]; ok {
-		s.hits++
-		s.ll.MoveToFront(el)
-		e := el.Value.(*entry)
-		s.mu.Unlock()
-		// Both paths run the entry's own compute through its once, so a hit
-		// on an in-flight entry blocks until the first arriver finishes.
-		e.once.Do(e.run)
-		return e.a, e.err
-	}
-	e := &entry{s: s, digest: digest, compute: compute}
-	s.items[digest] = s.ll.PushFront(e)
-	for s.ll.Len() > s.capacity {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.items, oldest.Value.(*entry).digest)
-		s.evictions++
-	}
-	s.mu.Unlock()
-	// Compute outside the lock; an entry evicted mid-compute stays valid
-	// for everyone already holding it, it just stops being findable.
-	e.once.Do(e.run)
-	return e.a, e.err
-}
-
-// run computes the entry under its once. A failed compute unpublishes the
-// entry before the once completes, so every caller that sees the failure
-// finds the digest gone, and its next lookup computes afresh instead of
-// meeting the memoized error (by-reference misses and transient failures
-// must not poison the digest).
-func (e *entry) run() {
-	e.a, e.err = e.compute()
-	if e.err == nil {
-		return
-	}
-	s := e.s
-	s.mu.Lock()
-	if el, ok := s.items[e.digest]; ok && el.Value.(*entry) == e {
-		s.ll.Remove(el)
-		delete(s.items, e.digest)
-	}
-	s.mu.Unlock()
 }
 
 // isImage reports whether a directory entry is a persisted image. A
@@ -456,31 +381,33 @@ func (s *Store) evictDiskLocked(keep string) {
 
 // Stats reports the cumulative counters of both tiers.
 func (s *Store) Stats() Stats {
+	mem := s.mem.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Hits:          s.hits,
-		Misses:        s.misses,
-		DiskHits:      s.diskHits,
+		Hits:          mem.Hits,
+		Misses:        s.misses.Load(),
+		DiskHits:      s.diskHits.Load(),
 		Puts:          s.puts,
-		Evictions:     s.evictions,
+		Evictions:     mem.Evictions,
 		DiskEvictions: s.diskEvicted,
-		Entries:       s.ll.Len(),
-		Capacity:      s.capacity,
+		Entries:       mem.Entries,
+		Capacity:      mem.Capacity,
 		DiskEntries:   s.diskEntries,
 		DiskBytes:     s.diskBytes,
 	}
 }
 
-// Purge empties the memory tier and resets its statistics; persisted
-// images are untouched (use the filesystem to clear the disk tier).
+// Purge empties the memory tier and zeroes every counter but the disk
+// tier's occupancy; persisted images are untouched (use the filesystem to
+// clear the disk tier).
 func (s *Store) Purge() {
+	s.mem.Purge()
+	s.misses.Store(0)
+	s.diskHits.Store(0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ll.Init()
-	clear(s.items)
-	s.hits, s.misses, s.diskHits = 0, 0, 0
-	s.puts, s.evictions, s.diskEvicted = 0, 0, 0
+	s.puts, s.diskEvicted = 0, 0
 }
 
 func validDigest(digest string) error {

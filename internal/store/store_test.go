@@ -17,6 +17,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/ingest"
 	"repro/internal/qcbin"
 )
 
@@ -253,6 +254,26 @@ func TestAllBenchmarksBitwise(t *testing.T) {
 			want.LCNOTAvg != got.LCNOTAvg {
 			t.Errorf("%s: disk-loaded estimate %+v != fresh %+v", name, got, want)
 		}
+	}
+}
+
+// TestStoredAnalysisExactSlab: the memory tier keeps an analysis for long,
+// so one analyzed from a streamed .qc must hold its nodes in an exact-size
+// slab, not in the slab the stream grew by doubling.
+func TestStoredAnalysisExactSlab(t *testing.T) {
+	c := genFT(t, "gf2^20mult")
+	var qc bytes.Buffer
+	if err := circuit.WriteQC(&qc, c); err != nil {
+		t.Fatal(err)
+	}
+	sc := ingest.NewScanner(bytes.NewReader(qc.Bytes()), c.Name, ingest.Options{})
+	defer sc.Close()
+	a, _, err := newStore(t, Options{}).GetOrAnalyze(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := a.QODG.Nodes; len(n) < 5000 || cap(n) != len(n) {
+		t.Errorf("stored analysis holds %d nodes in capacity %d, want at least 5000 at exact size", len(n), cap(n))
 	}
 }
 
@@ -543,5 +564,50 @@ func TestJoinerOutlivesCancelledOwner(t *testing.T) {
 				t.Fatalf("joiner got (%v, %v) with stats %s; want its own lookup's result", r.a != nil, r.err, st)
 			}
 		})
+	}
+}
+
+// TestCancelledJoinerStopsWaiting: a GetOrAnalyzeOutcome that joins
+// another caller's in-flight analysis returns its own context's error as
+// soon as that context ends, while the owner's analysis is still parked;
+// the owner then finishes and stores the analysis.
+func TestCancelledJoinerStopsWaiting(t *testing.T) {
+	s := newStore(t, Options{})
+	c := genFT(t, "8bitadder")
+	// Rewind 1 starts the owner's digest pass, rewind 2 its analysis pass.
+	owner := &blockOnRewind{GateStream: analysis.NewCircuitStream(c), n: 2,
+		reached: make(chan struct{}), release: make(chan struct{})}
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, _, _, err := s.GetOrAnalyzeOutcome(context.Background(), owner)
+		ownerErr <- err
+	}()
+	<-owner.reached
+
+	ctx, cancel := context.WithCancel(context.Background())
+	joinErr := make(chan error, 1)
+	go func() {
+		_, _, _, err := s.GetOrAnalyzeOutcome(ctx, analysis.NewCircuitStream(c.Clone()))
+		joinErr <- err
+	}()
+	// The joiner's hit on the in-flight entry means it now waits on it.
+	for s.Stats().Hits < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-joinErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("joiner err = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-ownerErr:
+		t.Fatalf("owner finished (%v) before its release", err)
+	default:
+	}
+	close(owner.release)
+	if err := <-ownerErr; err != nil {
+		t.Fatalf("owner err = %v", err)
+	}
+	if st := s.Stats(); st.Entries != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("stats = %s, want the owner's analysis stored after 1 miss and the joiner's hit", st)
 	}
 }

@@ -1,9 +1,9 @@
 package zonemodel
 
 import (
-	"container/list"
-	"fmt"
-	"sync"
+	"context"
+
+	"repro/internal/lru"
 )
 
 // DefaultCacheSize bounds the shared memo. Each entry holds two Kmax-length
@@ -13,44 +13,13 @@ import (
 // growing without limit.
 const DefaultCacheSize = 256
 
-// Cache is a concurrency-safe LRU memo from Key to Model. Lookups of a key
-// being computed by another goroutine block until that computation finishes
-// (single-flight), so N concurrent estimates on the same fabric run the
-// model exactly once.
+// Cache is a concurrency-safe LRU memo from Key to Model: N concurrent
+// estimates on the same fabric run the model exactly once. It is an
+// internal/lru cache, like the analysis store's memory tier and the result
+// memo, under that package's rules on failed computes, cancelled waiters
+// and Purge.
 type Cache struct {
-	mu        sync.Mutex
-	capacity  int
-	ll        *list.List // front = most recently used; values are *cacheEntry
-	items     map[Key]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
-}
-
-// CacheStats is a snapshot of a cache's cumulative counters — surfaced by
-// cmd/experiments -verbose, cmd/leqa sweep footers and (via
-// leqa.ZoneCacheStats) any future service health endpoint.
-type CacheStats struct {
-	// Hits and Misses count lookups; Misses equals the number of model
-	// computations started.
-	Hits, Misses uint64
-	// Evictions counts LRU victims dropped to stay within capacity.
-	Evictions uint64
-	// Entries is the resident model count; Capacity the LRU bound.
-	Entries, Capacity int
-}
-
-// String renders the counters on one line for reports.
-func (s CacheStats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d evictions=%d entries=%d/%d",
-		s.Hits, s.Misses, s.Evictions, s.Entries, s.Capacity)
-}
-
-type cacheEntry struct {
-	key   Key
-	once  sync.Once
-	model *Model
-	err   error
+	models *lru.Cache[Key, *Model]
 }
 
 // Shared is the process-wide memo used by the estimator core.
@@ -58,75 +27,18 @@ var Shared = NewCache(DefaultCacheSize)
 
 // NewCache builds an LRU memo holding up to capacity models.
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[Key]*list.Element, capacity),
-	}
+	return &Cache{models: lru.New[Key, *Model](capacity)}
 }
 
-// Get returns the memoized model for key, computing it on first use. The
-// compute runs outside the cache lock; concurrent callers for the same key
-// share one computation via sync.Once.
+// Get returns the memoized model for key, computing it on first use.
+// Callers of a key being computed wait for that computation.
 func (c *Cache) Get(key Key) (*Model, error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		c.mu.Unlock()
-		e.once.Do(func() { e.model, e.err = Compute(e.key) })
-		return e.model, e.err
-	}
-	c.misses++
-	e := &cacheEntry{key: key}
-	c.items[key] = c.ll.PushFront(e)
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-	c.mu.Unlock()
-	// An entry evicted while still being computed stays valid for everyone
-	// already holding it; it just stops being findable.
-	e.once.Do(func() { e.model, e.err = Compute(e.key) })
-	return e.model, e.err
+	return c.models.Do(context.Background(), key, func() (*Model, error) { return Compute(key) })
 }
 
-// Len reports the number of resident models.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+// Stats reports the cumulative lookup, eviction and occupancy counters;
+// Misses equals the number of model computations started.
+func (c *Cache) Stats() lru.Stats { return c.models.Stats() }
 
-// Stats reports the cumulative lookup, eviction and occupancy counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
-		Capacity:  c.capacity,
-	}
-}
-
-// Purge empties the cache and resets its statistics.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.items)
-	c.hits, c.misses, c.evictions = 0, 0, 0
-}
-
-// String renders a one-line diagnostic (for verbose reports).
-func (c *Cache) String() string {
-	return "zonemodel.Cache{" + c.Stats().String() + "}"
-}
+// Purge empties the cache and zeroes its counters.
+func (c *Cache) Purge() { c.models.Purge() }

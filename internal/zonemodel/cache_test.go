@@ -51,8 +51,8 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Len(); got != 2 {
-		t.Fatalf("len = %d, want 2", got)
+	if got := c.Stats().Entries; got != 2 {
+		t.Fatalf("entries = %d, want 2", got)
 	}
 	if ev := c.Stats().Evictions; ev != 1 {
 		t.Errorf("evictions = %d, want 1", ev)
@@ -102,8 +102,8 @@ func TestCachePurge(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Purge()
-	if c.Len() != 0 {
-		t.Errorf("len after purge = %d", c.Len())
+	if n := c.Stats().Entries; n != 0 {
+		t.Errorf("entries after purge = %d", n)
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 {
 		t.Errorf("stats after purge = %v", st)

@@ -7,9 +7,10 @@
 // Everything here depends only on the fabric geometry, the zone side, the
 // qubit count and the congestion parameters — not on the circuit's gate
 // list — so a computed Model is reusable across every estimate on the same
-// fabric. Cache (an LRU memo keyed by Key) exploits that: repeated
-// estimates, ablation sweeps and concurrent batch runs share one Model per
-// distinct configuration.
+// fabric. Cache (an internal/lru memo keyed by Key, the cache the analysis
+// store and the result memo share) exploits that: repeated estimates,
+// ablation sweeps and concurrent batch runs share one Model per distinct
+// configuration.
 //
 // The E[S_q] evaluation collapses the paper's O(a·b) cell scan to a
 // histogram over distinct coverage products: the 1-D profile f[x] =

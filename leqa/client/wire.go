@@ -112,7 +112,9 @@ type CircuitInfo struct {
 }
 
 // StoreStats mirrors leqa.AnalysisStoreStats on the wire: the two-tier
-// content-addressed analysis store's cumulative counters.
+// content-addressed analysis store's cumulative counters. Its fields match
+// those of leqa.AnalysisStoreStats one for one, so the server converts a
+// snapshot to it directly.
 type StoreStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
@@ -126,7 +128,9 @@ type StoreStats struct {
 	DiskBytes     int64  `json:"diskBytes"`
 }
 
-// CacheStats mirrors leqa.ZoneCacheStats on the wire.
+// CacheStats mirrors leqa.ZoneCacheStats and leqa.ResultMemoStats on the
+// wire. Its fields match theirs one for one, so the server converts a
+// cache's snapshot to it directly.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -135,15 +139,10 @@ type CacheStats struct {
 	Capacity  int    `json:"capacity"`
 }
 
-// MemoStats mirrors leqa.ResultMemoStats on the wire: the (digest, params)
-// result memo's cumulative counters. All zero when the memo is disabled.
-type MemoStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-}
+// MemoStats is the (digest, params) result memo's cumulative counters on
+// the wire, the same shape as the zone-model memo's. All zero when the
+// memo is disabled.
+type MemoStats = CacheStats
 
 // LatencyStats summarizes per-request estimate latency: every estimation
 // request (estimate/sweep/grid) that began a successful reply, timed from

@@ -30,6 +30,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/iig"
 	"repro/internal/ingest"
+	"repro/internal/lru"
 	"repro/internal/qodg"
 	"repro/internal/qspr"
 	"repro/internal/stats"
@@ -69,7 +70,7 @@ type (
 	// reusable across every parameter set the circuit is estimated under.
 	Analysis = analysis.Analysis
 	// ZoneCacheStats is a snapshot of the shared zone-model memo counters.
-	ZoneCacheStats = zonemodel.CacheStats
+	ZoneCacheStats = lru.Stats
 )
 
 // The detailed mapper's placement strategies, re-exported for MapOptions.

@@ -194,9 +194,9 @@ func TestResultMemoSingleFlight(t *testing.T) {
 func TestResultMemoEviction(t *testing.T) {
 	m := NewResultMemo(2)
 	fill := func(key string) bool {
-		e, owned := m.claim(key)
+		e, owned := m.cache.Claim(key)
 		if owned {
-			m.fulfill(e, &EstimateResult{}, nil)
+			m.cache.Fulfill(e, &EstimateResult{}, nil)
 		}
 		return owned
 	}
@@ -222,22 +222,22 @@ func TestResultMemoEviction(t *testing.T) {
 // error, and waiters observe the failure (nil result, non-nil error).
 func TestResultMemoErrorsNotCached(t *testing.T) {
 	m := NewResultMemo(0)
-	e, owned := m.claim("k")
+	e, owned := m.cache.Claim("k")
 	if !owned {
 		t.Fatal("first claim must be owned")
 	}
-	waiter, ownedTwice := m.claim("k")
+	waiter, ownedTwice := m.cache.Claim("k")
 	if ownedTwice || waiter != e {
 		t.Fatal("second claim while in flight must return the same entry unowned")
 	}
-	m.fulfill(e, nil, fmt.Errorf("boom"))
-	if res, err := waiter.wait(context.Background()); res != nil || err == nil {
+	m.cache.Fulfill(e, nil, fmt.Errorf("boom"))
+	if res, err := waiter.Wait(context.Background()); res != nil || err == nil {
 		t.Fatalf("waiter got (%v, %v), want (nil, error)", res, err)
 	}
 	if st := m.Stats(); st.Entries != 0 {
 		t.Fatalf("failed entry still resident: %+v", st)
 	}
-	if _, owned := m.claim("k"); !owned {
+	if _, owned := m.cache.Claim("k"); !owned {
 		t.Fatal("claim after a failed flight must recompute")
 	}
 }
@@ -246,10 +246,10 @@ func TestResultMemoErrorsNotCached(t *testing.T) {
 // unblocks with the context error when its own request is cancelled.
 func TestResultMemoWaitCancellation(t *testing.T) {
 	m := NewResultMemo(0)
-	e, _ := m.claim("k") // never fulfilled
+	e, _ := m.cache.Claim("k") // never fulfilled
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.wait(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := e.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("wait = %v, want context.Canceled", err)
 	}
 }

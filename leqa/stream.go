@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/leqa/trace"
 )
 
@@ -40,21 +41,21 @@ func (r *Runner) estimateRow(ctx context.Context, row []GridCell, ests []*core.E
 	res := make([]*EstimateResult, len(row))
 	errs := make([]error, len(row))
 
-	var owned, foreign map[int]*memoEntry
+	var owned, foreign map[int]*lru.Entry[string, *EstimateResult]
 	probed := false
 	if r.memo != nil {
 		if d, ok := digest(); ok {
 			probed = true
 			for _, j := range cols.uniq {
-				e, own := r.memo.claim(r.memoKey(d, cols.keys[j]))
+				e, own := r.memo.cache.Claim(r.memoKey(d, cols.keys[j]))
 				if own {
 					if owned == nil {
-						owned = make(map[int]*memoEntry)
+						owned = make(map[int]*lru.Entry[string, *EstimateResult])
 					}
 					owned[j] = e
 				} else {
 					if foreign == nil {
-						foreign = make(map[int]*memoEntry)
+						foreign = make(map[int]*lru.Entry[string, *EstimateResult])
 					}
 					foreign[j] = e
 				}
@@ -111,7 +112,7 @@ func (r *Runner) estimateRow(ctx context.Context, row []GridCell, ests []*core.E
 		}
 		for _, j := range compute {
 			if e, ok := owned[j]; ok {
-				r.memo.fulfill(e, res[j], errs[j])
+				r.memo.cache.Fulfill(e, res[j], errs[j])
 			}
 		}
 	} else if probed && len(cols.uniq) > 0 {
@@ -124,7 +125,7 @@ func (r *Runner) estimateRow(ctx context.Context, row []GridCell, ests []*core.E
 	}
 
 	for j, e := range foreign {
-		cr, cerr := e.wait(ctx)
+		cr, cerr := e.Wait(ctx)
 		switch {
 		case cerr == nil:
 			res[j] = cr
