@@ -1010,12 +1010,13 @@ func TestTable2Golden(t *testing.T) {
 		len(errs), stats.Mean(errs), stats.Max(errs))
 }
 
-// measureSpeedup times reps back-to-back runs of both tools on one circuit
-// and returns the aggregate QSPR/LEQA runtime ratio. Aggregating over many
-// repetitions keeps the ratio stable for circuits whose single-run times are
-// within timer noise; one warm-up run per tool excludes cold-cache effects
-// (including the first zone-model computation, which is memoized thereafter).
-func measureSpeedup(tb testing.TB, c *circuit.Circuit, p fabric.Params, reps int) float64 {
+// measureSpeedup times qsprReps runs of QSPR and leqaReps runs of LEQA on
+// one circuit and returns the QSPR/LEQA ratio of their fastest runs. Each
+// tool gets its own count: QSPR's runs are long, while LEQA's take
+// milliseconds, so a few of them can all land in one loaded phase of the
+// host. One warm-up run per tool excludes cold-cache effects (including the
+// first zone-model computation, which is memoized thereafter).
+func measureSpeedup(tb testing.TB, c *circuit.Circuit, p fabric.Params, qsprReps, leqaReps int) float64 {
 	mapper, err := qspr.New(p, qspr.Options{})
 	if err != nil {
 		tb.Fatal(err)
@@ -1026,7 +1027,7 @@ func measureSpeedup(tb testing.TB, c *circuit.Circuit, p fabric.Params, reps int
 	}
 	// Each tool's time is its fastest of reps runs after one warm-up:
 	// interference from the rest of the host only ever adds time.
-	fastest := func(run func() error) time.Duration {
+	fastest := func(reps int, run func() error) time.Duration {
 		if err := run(); err != nil {
 			tb.Fatal(err)
 		}
@@ -1042,8 +1043,8 @@ func measureSpeedup(tb testing.TB, c *circuit.Circuit, p fabric.Params, reps int
 		}
 		return best
 	}
-	qsprDur := fastest(func() error { _, err := mapper.Map(c); return err })
-	leqaDur := fastest(func() error { _, err := estimateCircuit(est, c, nil); return err })
+	qsprDur := fastest(qsprReps, func() error { _, err := mapper.Map(c); return err })
+	leqaDur := fastest(leqaReps, func() error { _, err := estimateCircuit(est, c, nil); return err })
 	return float64(qsprDur) / float64(leqaDur)
 }
 
@@ -1059,8 +1060,9 @@ func TestSpeedupGrowsWithSize(t *testing.T) {
 		t.Skip("suite run skipped in -short mode")
 	}
 	p := fabric.Default()
-	small := measureSpeedup(t, ftCircuit(t, "gf2^16mult"), p, 20)
-	big := measureSpeedup(t, ftCircuit(t, "gf2^100mult"), p, 2)
+	// LEQA's millisecond runs take the fastest of 20 on both circuits.
+	small := measureSpeedup(t, ftCircuit(t, "gf2^16mult"), p, 20, 20)
+	big := measureSpeedup(t, ftCircuit(t, "gf2^100mult"), p, 2, 20)
 	t.Logf("speedup: gf2^16mult %.2fx -> gf2^100mult %.2fx", small, big)
 	if big <= small {
 		t.Errorf("speedup did not grow: %.2fx (3.9k ops) vs %.2fx (150k ops)", small, big)

@@ -34,9 +34,10 @@
 //	-maxmem N         materialize .qc files up to N bytes; stream larger ones
 //	                  (and stdin) through the ingestion layer (default 64 MiB)
 //	-workers          sweep worker-pool size (default GOMAXPROCS)
-//	-store-dir DIR    content-addressed analysis store directory: analyses
-//	                  persist as .qca images and later runs skip the graph
-//	                  build for already-seen circuits (env LEQA_STORE_DIR)
+//	-store-dir DIR    content-addressed analysis store directory: each
+//	                  analysis persists as the .qcb netlist of its gates,
+//	                  which later runs rebuild with the analysis builder and
+//	                  check against its digest (env LEQA_STORE_DIR)
 //	-store-mem N      store memory-tier entry cap (env LEQA_STORE_MEM)
 //	-store-disk N     store disk byte cap, 0 = unbounded
 //	                  (env LEQA_STORE_DISK_BYTES)
@@ -135,7 +136,7 @@ func run() error {
 		doDecompose  = flag.Bool("decompose", true, "lower reversible gates to the FT set first")
 		maxMem       = flag.Int64("maxmem", 64<<20, "materialize .qc files up to this many bytes; stream larger ones (and stdin)")
 		workers      = flag.Int("workers", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
-		storeDir     = flag.String("store-dir", "", "analysis store directory: reuse persisted .qca analysis images across runs (default $LEQA_STORE_DIR)")
+		storeDir     = flag.String("store-dir", "", "analysis store directory: persist each analysis as a .qcb netlist of its gates, rebuilt on load and checked against its digest (default $LEQA_STORE_DIR)")
 		storeMem     = flag.Int("store-mem", -1, "analysis store memory-tier entry cap (-1 = default or $LEQA_STORE_MEM)")
 		storeDisk    = flag.Int64("store-disk", -1, "analysis store disk byte cap, 0 = unbounded (-1 = default or $LEQA_STORE_DISK_BYTES)")
 		timeout      = flag.Duration("timeout", 0, "abort the run after this duration, e.g. 30s (0 = no limit)")
@@ -193,9 +194,10 @@ func run() error {
 		defer cancel()
 	}
 
-	// A store directory turns repeat invocations into "parse once, estimate
-	// forever": every input is digested and resolved against the persisted
-	// .qca images, so only never-seen circuits pay for analysis.
+	// A store directory carries analyses across invocations: every input is
+	// digested and resolved against the persisted images, the .qcb netlists
+	// of analyzed gates, and a circuit seen before is rebuilt from its image
+	// and checked against its digest.
 	storeOpt, err := leqa.StoreOptionsFromEnv(leqa.AnalysisStoreOptions{})
 	if err != nil {
 		return err

@@ -54,8 +54,10 @@
 //	-degrade-after   consecutive breaching evaluations before degraded (3)
 //	-max-clients     tracked per-client series cardinality (default 64)
 //	-drain           graceful-shutdown drain window
-//	-store-dir       analysis store disk directory — persisted .qca images
-//	                 survive restarts (env LEQA_STORE_DIR; empty = memory-only)
+//	-store-dir       analysis store disk directory — each analysis persists
+//	                 as the .qcb netlist of its gates, rebuilt on load and
+//	                 checked against its digest, and survives restarts
+//	                 (env LEQA_STORE_DIR; empty = memory-only)
 //	-store-mem       analysis store memory-tier entry cap (env LEQA_STORE_MEM)
 //	-store-disk      analysis store disk byte cap, 0 = unbounded
 //	                 (env LEQA_STORE_DISK_BYTES)
@@ -139,7 +141,7 @@ func run() error {
 		degradeAfter  = flag.Int("degrade-after", 0, "consecutive breaching evaluations before /healthz reports degraded (0 = 3)")
 		maxClients    = flag.Int("max-clients", 0, "tracked per-client accounting cardinality; excess folds into \"other\" (0 = 64)")
 		drain         = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-		storeDir      = flag.String("store-dir", "", "analysis store disk directory; persisted .qca images survive restarts (default $LEQA_STORE_DIR or memory-only)")
+		storeDir      = flag.String("store-dir", "", "analysis store disk directory; each analysis persists as a .qcb netlist of its gates, rebuilt on load and checked against its digest, and survives restarts (default $LEQA_STORE_DIR or memory-only)")
 		storeMem      = flag.Int("store-mem", -1, "analysis store memory-tier entry cap (-1 = default or $LEQA_STORE_MEM)")
 		storeDisk     = flag.Int64("store-disk", -1, "analysis store disk-tier byte cap, 0 = unbounded (-1 = default or $LEQA_STORE_DISK_BYTES)")
 		resultMemo    = flag.Int("result-memo", 0, "result-memo entry cap: 0 = default or $LEQA_RESULT_MEMO_ENTRIES, negative disables the memo")

@@ -113,7 +113,8 @@ func (t GateType) Adjoint() GateType {
 }
 
 // Gate is one operation in a netlist. Controls and Targets hold qubit
-// indices. The shape constraints per type are enforced by Validate:
+// indices. The shape constraints per type, GateType.Shape's table, are
+// enforced by Validate:
 //
 //	one-qubit FT gates: 0 controls, 1 target
 //	CNOT:               1 control, 1 target
@@ -221,38 +222,61 @@ func (g Gate) operand(i int) int {
 	return g.Targets[i-len(g.Controls)]
 }
 
+// Shape is a gate type's operand shape: exactly Controls controls and
+// Targets targets or, for the multi-control types, at least MinControls
+// controls.
+type Shape struct {
+	Controls, Targets int
+	// MinControls > 0 marks a variable control count of at least
+	// MinControls; Controls is then unused.
+	MinControls int
+}
+
+// shapes is the one per-type operand table, indexed by GateType: Validate
+// checks gates against it and the .qcb codec (internal/qcbin) encodes and
+// decodes gate records by it.
+var shapes = [...]Shape{
+	X:       {Targets: 1},
+	Y:       {Targets: 1},
+	Z:       {Targets: 1},
+	H:       {Targets: 1},
+	S:       {Targets: 1},
+	Sdg:     {Targets: 1},
+	T:       {Targets: 1},
+	Tdg:     {Targets: 1},
+	CNOT:    {Controls: 1, Targets: 1},
+	Toffoli: {Controls: 2, Targets: 1},
+	Fredkin: {Controls: 1, Targets: 2},
+	MCT:     {MinControls: 3, Targets: 1},
+	MCF:     {MinControls: 2, Targets: 2},
+	Swap:    {Targets: 2},
+}
+
+// Shape returns t's operand shape; ok is false for a type outside the
+// vocabulary, Invalid included.
+func (t GateType) Shape() (s Shape, ok bool) {
+	if t <= Invalid || int(t) >= len(shapes) {
+		return Shape{}, false
+	}
+	return shapes[t], true
+}
+
 // Validate checks the operand-shape constraints for the gate type and that
 // all operands are distinct and within [0, n).
 func (g Gate) Validate(n int) error {
-	var wantC, wantT int
-	minC := -1 // exact unless ≥0, then minimum
-	switch g.Type {
-	case X, Y, Z, H, S, Sdg, T, Tdg:
-		wantC, wantT = 0, 1
-	case CNOT:
-		wantC, wantT = 1, 1
-	case Toffoli:
-		wantC, wantT = 2, 1
-	case Fredkin:
-		wantC, wantT = 1, 2
-	case MCT:
-		minC, wantT = 3, 1
-	case MCF:
-		minC, wantT = 2, 2
-	case Swap:
-		wantC, wantT = 0, 2
-	default:
+	s, ok := g.Type.Shape()
+	if !ok {
 		return fmt.Errorf("gate %s: unknown type", g.Type)
 	}
-	if minC >= 0 {
-		if len(g.Controls) < minC {
-			return fmt.Errorf("gate %s: want ≥%d controls, have %d", g.Type, minC, len(g.Controls))
+	if s.MinControls > 0 {
+		if len(g.Controls) < s.MinControls {
+			return fmt.Errorf("gate %s: want ≥%d controls, have %d", g.Type, s.MinControls, len(g.Controls))
 		}
-	} else if len(g.Controls) != wantC {
-		return fmt.Errorf("gate %s: want %d controls, have %d", g.Type, wantC, len(g.Controls))
+	} else if len(g.Controls) != s.Controls {
+		return fmt.Errorf("gate %s: want %d controls, have %d", g.Type, s.Controls, len(g.Controls))
 	}
-	if len(g.Targets) != wantT {
-		return fmt.Errorf("gate %s: want %d targets, have %d", g.Type, wantT, len(g.Targets))
+	if len(g.Targets) != s.Targets {
+		return fmt.Errorf("gate %s: want %d targets, have %d", g.Type, s.Targets, len(g.Targets))
 	}
 	// Operand checks run index-based and quadratic in arity — arities are
 	// tiny, and avoiding the Qubits() copy plus a set keeps full-circuit

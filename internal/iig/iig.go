@@ -150,19 +150,14 @@ func fromIncidence(q int, off []int32, nbr []int32, sc *Scratch, clone bool) *Gr
 	return g
 }
 
-// Rows exposes the graph's collapsed CSR storage — q+1 row offsets, the
-// sorted distinct-neighbor array and the parallel weight array — for
-// serialization (internal/qcbin writes them verbatim). The slices are live
-// graph storage; treat them as read-only.
-func (g *Graph) Rows() (off, nbr, wt []int32) { return g.off, g.nbr, g.wt }
-
 // FromCSRWeights assembles a Graph directly from already-collapsed CSR
 // rows: off holds q+1 offsets into nbr/wt, each row's neighbors are sorted
 // ascending and distinct, and weights are symmetric (w(a,b) recorded in
 // both rows). The per-qubit adjacent-weight sums and the total weight are
-// recomputed here, so a graph decoded from a serialized image carries
-// exactly the derived quantities FromIncidence would have produced. The
-// input slices are adopted, not copied.
+// recomputed here, so a graph built from rows (the oracle's adjacency
+// lists, in internal/oracle) carries exactly the derived quantities
+// FromIncidence would have produced. The input slices are adopted, not
+// copied.
 func FromCSRWeights(q int, off, nbr, wt []int32) (*Graph, error) {
 	if len(off) != q+1 || len(nbr) != len(wt) {
 		return nil, fmt.Errorf("iig: CSR shape mismatch: %d offsets for %d qubits, %d neighbors vs %d weights",

@@ -151,15 +151,6 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) 
 	}
 }
 
-// Contains reports whether key is resident or in flight, without counting
-// a lookup or touching the LRU order.
-func (c *Cache[K, V]) Contains(key K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
-}
-
 // Stats snapshots the cache's counters.
 func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()

@@ -76,6 +76,30 @@ func EncodeCircuit(w io.Writer, c *circuit.Circuit) error {
 	return bw.Flush()
 }
 
+// EncodeAnalysis writes an analysis as the .qcb netlist of its gate
+// records: its name, a register of a.Qubits q<i> names, then one gate
+// record per QODG node in program order. The nodes are the gates the
+// analysis was built from, so the netlist has the digest of the analyzed
+// stream, and analysis.AnalyzeStream over it rebuilds the same analysis.
+func EncodeAnalysis(w io.Writer, a *analysis.Analysis) error {
+	bw := bufio.NewWriter(w)
+	if err := writeHeader(bw, a.Name, a.Qubits, nil); err != nil {
+		return err
+	}
+	var ops [2]int
+	var buf []byte
+	for _, n := range a.QODG.Nodes[1 : len(a.QODG.Nodes)-1] {
+		s, _ := n.Op.Type.Shape()
+		ops[0], ops[1] = int(n.A), int(n.B)
+		g := circuit.Gate{Type: n.Op.Type, Controls: ops[:s.Controls], Targets: ops[s.Controls : s.Controls+s.Targets]}
+		buf = appendGateRecord(buf[:0], g)
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
 // writeHeader emits the .qcb preamble: magic, version, circuit name and the
 // register table. A nil names slice synthesizes q<i> display names.
 func writeHeader(bw *bufio.Writer, name string, numQ int, names []string) error {

@@ -2,11 +2,9 @@ package qcbin
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -14,7 +12,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/benchgen"
 	"repro/internal/circuit"
-	"repro/internal/qodg"
 )
 
 // testCircuits returns a representative mix: paper benchmarks (including
@@ -246,38 +243,6 @@ func TestParseRef(t *testing.T) {
 	}
 }
 
-// TestImageRoundTrip checks the .qca image reproduces the analysis bitwise
-// at the estimate level: same metadata, same graph shapes, same estimates.
-func TestImageRoundTrip(t *testing.T) {
-	for _, c := range testCircuits(t) {
-		a, err := analysis.AnalyzeStream(analysis.NewCircuitStream(c))
-		if err != nil {
-			// Wide multi-control benchmarks are rejected by analysis;
-			// image round-trips only apply to analyzable circuits.
-			continue
-		}
-		var buf bytes.Buffer
-		if err := EncodeImage(&buf, a); err != nil {
-			t.Fatalf("%s: EncodeImage: %v", c.Name, err)
-		}
-		for _, gz := range []bool{false, true} {
-			data := buf.Bytes()
-			if gz {
-				var zbuf bytes.Buffer
-				zw := gzip.NewWriter(&zbuf)
-				zw.Write(data)
-				zw.Close()
-				data = zbuf.Bytes()
-			}
-			got, err := DecodeImage(data, "fallback")
-			if err != nil {
-				t.Fatalf("%s (gzip=%v): DecodeImage: %v", c.Name, gz, err)
-			}
-			assertAnalysisEqual(t, c.Name, a, got)
-		}
-	}
-}
-
 func assertAnalysisEqual(t *testing.T, label string, want, got *analysis.Analysis) {
 	t.Helper()
 	if got.Name != want.Name || got.Qubits != want.Qubits ||
@@ -289,190 +254,8 @@ func assertAnalysisEqual(t *testing.T, label string, want, got *analysis.Analysi
 	if !slices.Equal(got.QODG.Nodes, want.QODG.Nodes) || got.QODG.NumQubits != want.QODG.NumQubits {
 		t.Fatalf("%s: QODG records differ after round trip", label)
 	}
-	woff, wnbr, wwt := want.IIG.Rows()
-	goff, gnbr, gwt := got.IIG.Rows()
-	if !slices.Equal(woff, goff) || !slices.Equal(wnbr, gnbr) || !slices.Equal(wwt, gwt) {
-		t.Fatalf("%s: IIG CSR differs after round trip", label)
-	}
-}
-
-// TestImageCorruption flips, truncates and garbles images; every mutation
-// must come back as a FormatError (or an iig validation error), never a
-// panic or a silently wrong Analysis. A gate record can only name qubits,
-// so no image can hold a forward edge or a cycle, but each record must
-// still name in-range, distinct operands of a one- or two-qubit gate: the
-// hand-corrupted records of corruptImages fail with a FormatError that
-// says which.
-func TestImageCorruption(t *testing.T) {
-	c, err := benchgen.GenerateFT("mod1024adder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := analysis.AnalyzeStream(analysis.NewCircuitStream(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeImage(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	img := buf.Bytes()
-	if _, err := DecodeImage(img, "x"); err != nil {
-		t.Fatalf("pristine image failed: %v", err)
-	}
-	for cut := 0; cut < len(img); cut += 7 {
-		if _, err := DecodeImage(img[:cut], "x"); err == nil {
-			t.Fatalf("truncation at %d decoded successfully", cut)
-		}
-	}
-	if _, err := DecodeImage(append(bytes.Clone(img), 0xFF), "x"); err == nil {
-		t.Error("trailing garbage decoded successfully")
-	}
-	var fe *FormatError
-	if _, err := DecodeImage([]byte("not an image at all"), "x"); !errors.As(err, &fe) {
-		t.Errorf("junk input: got %v, want FormatError", err)
-	}
-	for _, ci := range corruptImages(t) {
-		if _, err := DecodeImage(ci.img, "x"); !errors.As(err, &fe) || !strings.Contains(err.Error(), ci.want) {
-			t.Errorf("%s: err %v, want a FormatError naming %q", ci.name, err, ci.want)
-		}
-	}
-}
-
-// TestImageVersion1Rejected: a version-1 .qca image carried a per-qubit
-// last-writer section, and a version-2 image node types and both QODG CSRs
-// where version 3 holds gate records. Each must fail the version check,
-// never be misread as a version-3 image. The decoder stops at the version
-// byte, so an image with that byte rewritten stands in for one. The .qcb
-// netlist layout kept version 1 and still decodes.
-func TestImageVersion1Rejected(t *testing.T) {
-	c, err := benchgen.GenerateFT("ham7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := analysis.Analyze(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeImage(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	img := buf.Bytes()
-	if img[4] != ImageVersion || ImageVersion != 3 {
-		t.Fatalf("image version byte %d, ImageVersion %d; want 3", img[4], ImageVersion)
-	}
-	for _, v := range []byte{1, 2} {
-		img[4] = v
-		var fe *FormatError
-		want := fmt.Sprintf("unsupported version %d (want 3)", v)
-		if _, err := DecodeImage(img, "old"); !errors.As(err, &fe) || !strings.Contains(err.Error(), want) {
-			t.Fatalf("v%d image: err %v, want a FormatError naming %s", v, err, want)
-		}
-	}
-
-	qcb := encodeQCB(t, c)
-	if qcb[4] != 1 || Version != 1 {
-		t.Fatalf(".qcb version byte %d, Version %d; want 1", qcb[4], Version)
-	}
-	sc, err := NewScanner(bytes.NewReader(qcb), "v1")
-	if err != nil {
-		t.Fatalf("v1 .qcb: %v", err)
-	}
-	if gates := scanAll(t, sc); len(gates) != len(c.Gates) {
-		t.Fatalf("v1 .qcb decoded %d gates, want %d", len(gates), len(c.Gates))
-	}
-}
-
-// corruptImage is a hand-corrupted version-3 image and the FormatError text
-// its decode must fail with.
-type corruptImage struct {
-	name string
-	img  []byte
-	want string
-}
-
-// corruptImages rewrites gate records of a small image, whose records are
-// H 0 then CNOT 0 1 on a 4-qubit register: an operand past the register, a
-// CNOT whose operands are equal, a Toffoli opcode, which takes three
-// operands (under a cleared FT flag, so the shape check is what fails),
-// and an unknown opcode.
-func corruptImages(t testing.TB) []corruptImage {
-	c := circuit.New("seed", 4)
-	c.Append(circuit.NewOneQubit(circuit.H, 0), circuit.NewCNOT(0, 1), circuit.NewOneQubit(circuit.X, 3))
-	a, err := analysis.Analyze(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeImage(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	img := buf.Bytes()
-	// Magic, version, the name "seed", Q = 4, G = 3 and the FT byte, then
-	// the records: H at hdr, its operand at hdr+1, CNOT at hdr+2 with its
-	// operands at hdr+3 and hdr+4.
-	hdr := len(MagicQCA) + 1 + 1 + len("seed") + 1 + 1 + 1
-	if !bytes.Equal(img[hdr:hdr+5], []byte{byte(circuit.H), 0, byte(circuit.CNOT), 0, 1}) || img[hdr-1] != 1 {
-		t.Fatalf("unexpected image layout at offset %d: % x", hdr-1, img[hdr-1:hdr+5])
-	}
-	edit := func(f func(b []byte)) []byte {
-		b := bytes.Clone(img)
-		f(b)
-		return b
-	}
-	return []corruptImage{
-		{"operand past the register", edit(func(b []byte) { b[hdr+1] = 4 }), "operand qubit 4 out of range [0,4)"},
-		{"CNOT with equal operands", edit(func(b []byte) { b[hdr+4] = 0 }), "operands are both qubit 0"},
-		{"Toffoli opcode", edit(func(b []byte) { b[hdr-1], b[hdr+2] = 0, byte(circuit.Toffoli) }), "takes more than two operands"},
-		{"unknown opcode", edit(func(b []byte) { b[hdr] = 0xEE }), "unknown opcode 0xee"},
-	}
-}
-
-// TestImageRejectsNonFTNodeUnderFTFlag: the estimator weighs an FT
-// analysis's nodes from an FT-only delay table, so an image whose FT flag
-// covers a non-FT node must fail to decode — it once decoded cleanly, and
-// its estimate weighed the node 0.
-func TestImageRejectsNonFTNodeUnderFTFlag(t *testing.T) {
-	c, err := benchgen.GenerateFT("ham7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := analysis.AnalyzeStream(analysis.NewCircuitStream(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.FT {
-		t.Fatal("ham7 FT netlist analyzed as non-FT")
-	}
-	var buf bytes.Buffer
-	if err := EncodeImage(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	img := buf.Bytes()
-	// The gate records follow magic, version, the length-prefixed name, the
-	// qubit and operation uvarints and the FT byte; the first record, a
-	// CNOT, opens with its opcode.
-	uvarint := func(v int) int { return len(binary.AppendUvarint(nil, uint64(v))) }
-	hdr := len(MagicQCA) + 1 + uvarint(len(a.Name)) + len(a.Name) +
-		uvarint(a.Qubits) + uvarint(a.Operations) + 1
-	if img[hdr-1] != 1 || !circuit.GateType(img[hdr]).IsFT() {
-		t.Fatalf("unexpected image layout at offset %d: % x", hdr-1, img[hdr-1:hdr+1])
-	}
-	bad := bytes.Clone(img)
-	bad[hdr] = byte(circuit.Swap)
-	var fe *FormatError
-	if _, err := DecodeImage(bad, "x"); !errors.As(err, &fe) {
-		t.Fatalf("FT image holding a SWAP node: got %v, want FormatError", err)
-	}
-	// The same node under a cleared FT flag is a valid non-FT image.
-	bad[hdr-1] = 0
-	got, err := DecodeImage(bad, "x")
-	if err != nil {
-		t.Fatalf("non-FT image holding a SWAP node: %v", err)
-	}
-	if got.FT || got.QODG.Nodes[1].Op.Type != circuit.Swap {
-		t.Fatalf("decoded FT=%v, node 1 %v; want a non-FT image with a SWAP node", got.FT, got.QODG.Nodes[1].Op.Type)
+	if !reflect.DeepEqual(got.IIG, want.IIG) {
+		t.Fatalf("%s: IIG differs after round trip", label)
 	}
 }
 
@@ -566,7 +349,10 @@ func TestAnalyzeViaScanner(t *testing.T) {
 
 // FuzzQCBin throws arbitrary bytes at the binary netlist decoder; decodable
 // inputs must re-encode and re-decode to the identical gate stream, and
-// nothing may panic.
+// nothing may panic. A clean decode of one- and two-qubit gates also takes
+// the analysis store's disk route: its analysis, written by EncodeAnalysis
+// and scanned back, must rebuild to identical node records, IIG and
+// metadata under the same digest.
 func FuzzQCBin(f *testing.F) {
 	for _, name := range []string{"mod1024adder", "ham15"} {
 		c, err := benchgen.Generate(name)
@@ -582,6 +368,22 @@ func FuzzQCBin(f *testing.F) {
 	}
 	f.Add([]byte{MagicQCB[0], 'Q', 'C', 'B', Version, 0, 1, 0, byte(circuit.X), 0})
 	f.Add([]byte(".v 1 2\nBEGIN\nH 1\nEND\n"))
+	// Analyzable seeds: an FT benchmark, and a small non-FT circuit whose
+	// SWAP is a two-qubit node.
+	ft, err := benchgen.GenerateFT("ham7")
+	if err != nil {
+		f.Fatal(err)
+	}
+	small := circuit.New("", 4)
+	small.Append(circuit.NewOneQubit(circuit.H, 0), circuit.NewCNOT(0, 1), circuit.NewSwap(1, 2),
+		circuit.NewOneQubit(circuit.X, 3), circuit.NewCNOT(2, 3))
+	for _, c := range []*circuit.Circuit{ft, small} {
+		var buf bytes.Buffer
+		if err := EncodeCircuit(&buf, c); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := NewScanner(bytes.NewReader(data), "fuzz")
 		if err != nil {
@@ -622,64 +424,38 @@ func FuzzQCBin(f *testing.F) {
 		if s2.Err() != nil || i != len(gates) {
 			t.Fatalf("re-decode: %d gates, err %v; want %d gates", i, s2.Err(), len(gates))
 		}
-	})
-}
 
-// FuzzImage throws arbitrary bytes at the Analysis image decoder: it must
-// never panic, an image flagged FT must decode to FT nodes only, every gate
-// node must name distinct operands inside the register, the decoded graph
-// must sweep to a critical path, and whatever decodes must be internally
-// consistent enough to re-encode. One scratch serves every sweep, so each
-// meets the stale state of the one before.
-func FuzzImage(f *testing.F) {
-	// A small hand-built seed keeps per-exec cost low so the CI fuzz smoke
-	// actually explores mutations.
-	c := circuit.New("seed", 4)
-	c.Gates = []circuit.Gate{
-		{Type: circuit.H, Targets: []int{0}},
-		{Type: circuit.CNOT, Controls: []int{0}, Targets: []int{1}},
-		{Type: circuit.CNOT, Controls: []int{1}, Targets: []int{2}},
-		{Type: circuit.X, Targets: []int{3}},
-		{Type: circuit.CNOT, Controls: []int{2}, Targets: []int{3}},
-	}
-	a, err := analysis.AnalyzeStream(analysis.NewCircuitStream(c))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeImage(&buf, a); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()-9])
-	for _, ci := range corruptImages(f) {
-		f.Add(ci.img)
-	}
-	tab := make([]float64, int(circuit.Swap)+1) // a row for every gate type
-	for t := 1; t < len(tab); t++ {
-		tab[t] = float64(t)
-	}
-	scratch := new(qodg.PathScratch)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeImage(data, "fuzz")
+		for _, g := range gates {
+			if g.Arity() > 2 {
+				return
+			}
+		}
+		if err := s.Rewind(); err != nil {
+			t.Fatalf("rewind: %v", err)
+		}
+		want, err := analysis.AnalyzeStream(s)
 		if err != nil {
-			return
+			t.Fatalf("analysis of a clean decode: %v", err)
 		}
-		g := got.QODG
-		for v, n := range g.Nodes[1 : len(g.Nodes)-1] {
-			if n.A < 0 || int(n.A) >= got.Qubits || n.B >= int32(got.Qubits) || n.B < -1 || n.B == n.A {
-				t.Fatalf("node %d: operands %d, %d outside a %d-qubit register or equal", v+1, n.A, n.B, got.Qubits)
-			}
-			if got.FT && !n.Op.Type.IsFT() {
-				t.Fatalf("image flagged FT decoded with a %v node", n.Op.Type)
-			}
+		var img bytes.Buffer
+		if err := EncodeAnalysis(&img, want); err != nil {
+			t.Fatalf("EncodeAnalysis: %v", err)
 		}
-		if _, err := g.LongestPath(tab, scratch); err != nil {
-			t.Fatalf("decoded image failed to sweep: %v", err)
+		si, err := NewScanner(bytes.NewReader(img.Bytes()), "")
+		if err != nil {
+			t.Fatalf("image: %v", err)
 		}
-		var out bytes.Buffer
-		if err := EncodeImage(&out, got); err != nil {
-			t.Fatalf("decoded image failed to re-encode: %v", err)
+		got, err := analysis.AnalyzeStream(si)
+		if err != nil {
+			t.Fatalf("image analysis: %v", err)
+		}
+		assertAnalysisEqual(t, "image", want, got)
+		wd, err := Digest(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gd, err := Digest(si); err != nil || gd != wd {
+			t.Fatalf("image digest %s (%v), want %s", gd, err, wd)
 		}
 	})
 }

@@ -208,33 +208,32 @@ func (s *Scanner) Scan() bool {
 	}
 	p := s.win[s.winPos:]
 	recOff := s.off
-	op := p[0]
-	if !validOpcode(op) {
-		s.err = formatErr(s.name, recOff, "gate %d: unknown opcode 0x%02x", s.gateIndex+1, op)
+	t := circuit.GateType(p[0])
+	shape, ok := t.Shape()
+	if !ok {
+		s.err = formatErr(s.name, recOff, "gate %d: unknown opcode 0x%02x", s.gateIndex+1, p[0])
 		return false
 	}
-	t := circuit.GateType(op)
-	shape := shapes[t]
 	pos := 1
-	nc := shape.controls
-	if shape.minControls > 0 {
+	nc := shape.Controls
+	if shape.MinControls > 0 {
 		k, n := binary.Uvarint(p[pos:])
 		if n <= 0 {
 			s.dropWindow()
 			return s.scanBytewise()
 		}
-		if k < uint64(shape.minControls) || k > uint64(s.reg.NumQubits()) {
+		if k < uint64(shape.MinControls) || k > uint64(s.reg.NumQubits()) {
 			s.err = formatErr(s.name, recOff, "gate %d: %s with %d controls (want %d..%d)",
-				s.gateIndex+1, t, k, shape.minControls, s.reg.NumQubits())
+				s.gateIndex+1, t, k, shape.MinControls, s.reg.NumQubits())
 			return false
 		}
 		pos += n
 		nc = int(k)
 	}
 	s.controls = growInts(s.controls, nc)
-	s.targets = growInts(s.targets, shape.targets)
+	s.targets = growInts(s.targets, shape.Targets)
 	numQ := uint64(s.reg.NumQubits())
-	for i := 0; i < nc+shape.targets; i++ {
+	for i := 0; i < nc+shape.Targets; i++ {
 		q, n := binary.Uvarint(p[pos:])
 		if n <= 0 {
 			s.dropWindow()
@@ -310,22 +309,22 @@ func (s *Scanner) scanBytewise() bool {
 	}
 	recOff := s.off
 	s.off++
-	if !validOpcode(op) {
+	t := circuit.GateType(op)
+	shape, ok := t.Shape()
+	if !ok {
 		s.err = formatErr(s.name, recOff, "gate %d: unknown opcode 0x%02x", s.gateIndex+1, op)
 		return false
 	}
-	t := circuit.GateType(op)
-	shape := shapes[t]
-	nc := shape.controls
-	if shape.minControls > 0 {
+	nc := shape.Controls
+	if shape.MinControls > 0 {
 		k, err := s.readUvarint("control count")
 		if err != nil {
 			s.err = err
 			return false
 		}
-		if k < shape.minControls || k > s.reg.NumQubits() {
+		if k < shape.MinControls || k > s.reg.NumQubits() {
 			s.err = formatErr(s.name, recOff, "gate %d: %s with %d controls (want %d..%d)",
-				s.gateIndex+1, t, k, shape.minControls, s.reg.NumQubits())
+				s.gateIndex+1, t, k, shape.MinControls, s.reg.NumQubits())
 			return false
 		}
 		nc = k
@@ -337,7 +336,7 @@ func (s *Scanner) scanBytewise() bool {
 			return false
 		}
 	}
-	s.targets = growInts(s.targets, shape.targets)
+	s.targets = growInts(s.targets, shape.Targets)
 	for i := range s.targets {
 		if s.targets[i], err = s.readOperand(recOff, t); err != nil {
 			s.err = err

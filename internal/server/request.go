@@ -133,7 +133,10 @@ func (s *Server) paramSetsFromSpecs(specs []client.ParamSpec) ([]leqa.Params, er
 
 // runnerFor returns the shared Runner, or a transient one bound to
 // request-level estimator options. The zone-model memo is process-wide, so
-// transient runners still share it.
+// transient runners still share it. No runner holds the analysis store:
+// by-reference specs resolve through s.store, and what reaches a runner
+// (a stored analysis, an in-memory circuit, or a raw upload's stream for
+// EstimateStreamWith) never reads a runner's store.
 func (s *Server) runnerFor(spec *client.OptionsSpec) (*leqa.Runner, error) {
 	if spec == nil || (spec.Truncation == nil && spec.DisableCongestion == nil) {
 		return s.runner, nil
@@ -149,10 +152,8 @@ func (s *Server) runnerFor(spec *client.OptionsSpec) (*leqa.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Analyses are estimator-option-independent, so transient runners share
-	// the server's content-addressed store; the result memo's key includes
-	// the runner's options, so sharing it across option overlays is safe too.
-	r.SetAnalysisStore(s.store)
+	// The result memo's key includes the runner's options, so sharing it
+	// across option overlays is safe.
 	if s.memo != nil {
 		r.SetResultMemo(s.memo)
 	}

@@ -113,7 +113,9 @@ type Config struct {
 	Clock func() time.Time
 	// StoreDir, when non-empty, enables the analysis store's disk tier:
 	// analyses of uploaded circuits persist there as content-addressed
-	// .qca images and survive restarts. The memory tier is always on.
+	// images, the .qcb netlist of their gates, and survive restarts; a
+	// restarted server rebuilds an analysis from its image and checks it
+	// against its digest. The memory tier is always on.
 	StoreDir string
 	// StoreMemEntries bounds the store's in-memory LRU; ≤ 0 selects the
 	// leqa default.
@@ -248,7 +250,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: analysis store: %w", err)
 	}
-	runner.SetAnalysisStore(store)
 	var memo *leqa.ResultMemo
 	if cfg.ResultMemoEntries >= 0 {
 		memo = leqa.NewResultMemo(cfg.ResultMemoEntries)

@@ -1,8 +1,7 @@
 // Package store is the content-addressed analysis store behind LEQA's
 // "parse once, estimate forever" path: analyses keyed by the SHA-256
 // digest of the canonical gate stream (internal/qcbin), held in an
-// in-memory single-flight LRU over an optional disk directory of .qca
-// images.
+// in-memory single-flight LRU over an optional disk directory of images.
 //
 // The memory tier is an internal/lru cache, like the zone-model memo and
 // the result memo, under that package's rules on failed computes,
@@ -10,10 +9,13 @@
 // that computation, so N concurrent estimates of the same circuit analyze
 // it once. The disk tier persists every computed analysis as an atomic
 // write-renamed image, survives process restarts, and is size-capped with
-// oldest-first eviction. A store
-// hit returns an Analysis that is estimate-for-estimate identical to a
-// fresh one (same node records, IIG rows and metadata), because the image
-// encodes the complete AnalyzeStream product.
+// oldest-first eviction. An image is the .qcb netlist of the analyzed
+// gates (qcbin.EncodeAnalysis), named <digest>.qca. A disk hit rebuilds
+// the analysis with analysis.AnalyzeStream, the builder every upload runs,
+// and checks the netlist's digest against the file name, so it returns
+// exactly what a fresh analysis of the digest's circuit returns, and an
+// image that fails to decode or to match its name is deleted and counts
+// as a miss.
 package store
 
 import (
@@ -46,8 +48,9 @@ type Options struct {
 	// MemEntries bounds the in-memory LRU; <=0 means DefaultMemEntries.
 	MemEntries int
 	// Dir, when non-empty, enables the disk tier: computed analyses are
-	// persisted there as <digest>.qca and reloaded on later misses (and
-	// after restarts). The directory is created if absent.
+	// persisted there as <digest>.qca, the .qcb netlist of their gates, and
+	// rebuilt on later misses (and after restarts). The directory is
+	// created if absent.
 	Dir string
 	// MaxDiskBytes caps the disk tier; <=0 means unbounded. When a write
 	// pushes the directory past the cap, oldest images (by modification
@@ -144,7 +147,7 @@ const (
 	// OutcomeHit: served by the memory tier (including lookups coalesced
 	// onto another caller's in-flight analysis by the single-flight gate).
 	OutcomeHit
-	// OutcomeDiskHit: decoded from a persisted .qca image.
+	// OutcomeDiskHit: rebuilt from a persisted image.
 	OutcomeDiskHit
 )
 
@@ -238,22 +241,6 @@ func (s *Store) lookup(ctx context.Context, digest string, miss func() (*analysi
 	return a, outcome, err
 }
 
-// Contains reports whether digest is resident in either tier, without
-// loading anything.
-func (s *Store) Contains(digest string) bool {
-	if validDigest(digest) != nil {
-		return false
-	}
-	if s.mem.Contains(digest) {
-		return true
-	}
-	if s.dir == "" {
-		return false
-	}
-	_, err := os.Stat(s.imagePath(digest))
-	return err == nil
-}
-
 // isImage reports whether a directory entry is a persisted image. A
 // .tmp-*.qca file is not: saveImage writes one before renaming it into
 // place, so a crash can leave it behind, and another process on the same
@@ -267,22 +254,30 @@ func (s *Store) imagePath(digest string) string {
 	return filepath.Join(s.dir, digest+".qca")
 }
 
-// loadImage tries the disk tier. A corrupt image is deleted and treated as
-// a miss — the analysis will be recomputed and rewritten.
+// loadImage tries the disk tier. An image that fails to rebuild or to
+// match its digest, a legacy image of another format among them, is
+// deleted and treated as a miss: the analysis will be recomputed and
+// rewritten.
 func (s *Store) loadImage(digest string) (*analysis.Analysis, bool) {
 	if s.dir == "" {
 		return nil, false
 	}
-	data, err := os.ReadFile(s.imagePath(digest))
+	path := s.imagePath(digest)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, false
 	}
-	a, err := qcbin.DecodeImage(data, digest[:12])
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, false
+	}
+	a, err := analyzeImage(f, digest)
 	if err != nil {
 		s.diskMu.Lock()
-		if rmErr := os.Remove(s.imagePath(digest)); rmErr == nil {
+		if rmErr := os.Remove(path); rmErr == nil {
 			s.mu.Lock()
-			s.diskBytes -= int64(len(data))
+			s.diskBytes -= info.Size()
 			s.diskEntries--
 			s.mu.Unlock()
 		}
@@ -290,6 +285,27 @@ func (s *Store) loadImage(digest string) (*analysis.Analysis, bool) {
 		return nil, false
 	}
 	return a, true
+}
+
+// analyzeImage rebuilds an analysis from its image and checks that the
+// image's netlist has the digest it is stored under.
+func analyzeImage(f *os.File, digest string) (*analysis.Analysis, error) {
+	sc, err := qcbin.NewScanner(f, "")
+	if err != nil {
+		return nil, err
+	}
+	a, err := analysis.AnalyzeStream(sc)
+	if err != nil {
+		return nil, err
+	}
+	got, err := qcbin.Digest(sc)
+	if err != nil {
+		return nil, err
+	}
+	if got != digest {
+		return nil, fmt.Errorf("store: image %s holds the netlist of digest %s", digest, got)
+	}
+	return a, nil
 }
 
 // saveImage persists a freshly computed analysis: atomic temp-write +
@@ -310,7 +326,7 @@ func (s *Store) saveImage(digest string, a *analysis.Analysis) {
 	if err != nil {
 		return
 	}
-	if err := qcbin.EncodeImage(tmp, a); err != nil {
+	if err := qcbin.EncodeAnalysis(tmp, a); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return

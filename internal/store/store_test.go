@@ -3,11 +3,13 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -63,11 +65,8 @@ func TestMemoryTier(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.DiskHits != 0 {
 		t.Errorf("stats = %s, want 1 hit / 1 miss", st)
 	}
-	if !s.Contains(d1) {
-		t.Error("Contains(digest) = false after store")
-	}
-	if _, err := s.Get(d1); err != nil {
-		t.Errorf("Get(%s): %v", d1, err)
+	if a, outcome, err := s.GetOutcome(d1); err != nil || a != a1 || outcome != OutcomeHit {
+		t.Errorf("GetOutcome(%s) = %v, %v; want the stored Analysis as a memory hit", d1, outcome, err)
 	}
 	if _, err := s.Get("deadbeef" + d1[8:]); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get(unknown) = %v, want ErrNotFound", err)
@@ -124,11 +123,11 @@ func TestDiskTier(t *testing.T) {
 	assertSameEstimate(t, c.Name, a1, a3)
 }
 
-// TestVersion1ImageIsAMiss: a version-1 or version-2 .qca image under the
-// store's directory fails its version check. GetOrAnalyzeOutcome counts it
-// as a miss, removes it, writes a version-3 image in its place and returns
-// a Result bitwise equal to a fresh analysis's; GetOutcome finds nothing
-// and removes it too. Neither ever misreads it.
+// TestVersion1ImageIsAMiss: a version-1, -2 or -3 .qca image, the
+// store's image format before images became .qcb netlists, fails the .qcb
+// magic check. GetOrAnalyzeOutcome counts it as a miss, removes it, writes
+// a .qcb image in its place and returns an analysis equal to a fresh one;
+// GetOutcome finds nothing and removes it too. Neither ever misreads it.
 func TestVersion1ImageIsAMiss(t *testing.T) {
 	c := genFT(t, "8bitadder")
 	fresh, err := analysis.Analyze(c)
@@ -139,17 +138,15 @@ func TestVersion1ImageIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{1, 2} {
-		// plant writes a version-v image of c's analysis into a new
-		// directory: a version-3 image with its version byte set to v,
-		// which is all the decoder reads before it stops.
+	for _, v := range []byte{1, 2, 3} {
+		// plant writes the header a version-v image of c's analysis opened
+		// with into a new directory: magic "\x9dQCA", the version byte, the
+		// name, the qubit and operation counts and the FT flag.
 		plant := func() (dir, path string) {
-			var buf bytes.Buffer
-			if err := qcbin.EncodeImage(&buf, fresh); err != nil {
-				t.Fatal(err)
-			}
-			img := buf.Bytes()
-			img[4] = v
+			img := append([]byte{0x9D, 'Q', 'C', 'A', v, byte(len(fresh.Name))}, fresh.Name...)
+			img = binary.AppendUvarint(img, uint64(fresh.Qubits))
+			img = binary.AppendUvarint(img, uint64(fresh.Operations))
+			img = append(img, 1)
 			dir = t.TempDir()
 			path = filepath.Join(dir, digest+".qca")
 			if err := os.WriteFile(path, img, 0o644); err != nil {
@@ -164,17 +161,17 @@ func TestVersion1ImageIsAMiss(t *testing.T) {
 		if err != nil || d != digest || outcome != OutcomeMiss {
 			t.Fatalf("GetOrAnalyzeOutcome over a v%d image = %v, %s, %v; want a miss on %s", v, outcome, d, err, digest)
 		}
-		if st := s.Stats(); st.DiskHits != 0 || st.Misses != 1 || st.Puts != 1 || st.DiskEntries != 1 {
-			t.Fatalf("v%d: stats = %s, want 1 miss, 1 put and the one rewritten image", v, st)
-		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("v%d: no image rewritten: %v", v, err)
 		}
-		if data[4] != qcbin.ImageVersion || qcbin.ImageVersion != 3 {
-			t.Fatalf("v%d: rewritten image has version %d, want 3", v, data[4])
+		if st := s.Stats(); st.DiskHits != 0 || st.Misses != 1 || st.Puts != 1 || st.DiskEntries != 1 || st.DiskBytes != int64(len(data)) {
+			t.Fatalf("v%d: stats = %s, want 1 miss, 1 put and the one rewritten image of %d B", v, st, len(data))
 		}
-		assertSameEstimate(t, c.Name, fresh, a)
+		if [4]byte(data) != qcbin.MagicQCB {
+			t.Fatalf("v%d: rewritten image opens with % x, want the .qcb magic", v, data[:4])
+		}
+		assertSameAnalysis(t, c.Name, fresh, a)
 
 		dir, path = plant()
 		s = newStore(t, Options{Dir: dir})
@@ -188,6 +185,81 @@ func TestVersion1ImageIsAMiss(t *testing.T) {
 			t.Fatalf("v%d: stats = %s, want an empty disk tier", v, st)
 		}
 	}
+}
+
+// TestCorruptImageIsAMiss: an image whose netlist is no longer the one its
+// digest names is a miss. One operand of the first gate's record moves to
+// another qubit, so the image still decodes to a valid circuit, but to a
+// different one. GetOutcome finds nothing and removes the image;
+// GetOrAnalyzeOutcome analyzes afresh and rewrites it. Neither returns an
+// analysis other than the fresh one.
+func TestCorruptImageIsAMiss(t *testing.T) {
+	c := genFT(t, "8bitadder")
+	fresh, err := analysis.Analyze(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	_, digest, err := newStore(t, Options{Dir: dir}).GetOrAnalyze(analysis.NewCircuitStream(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, digest+".qca")
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Locate the first three gate records, the opcode then one byte per
+	// operand (every qubit of the register is below 128), and move the
+	// first gate's last operand to a qubit it does not touch.
+	var recs []byte
+	for _, g := range c.Gates[:3] {
+		recs = append(recs, byte(g.Type))
+		for _, q := range g.Qubits() {
+			recs = append(recs, byte(q))
+		}
+	}
+	at := bytes.Index(img, recs)
+	if at < 0 {
+		t.Fatalf("no gate records % x in the image", recs)
+	}
+	first := c.Gates[0].Qubits()
+	at += len(first)
+	q := 0
+	for slices.Contains(first, q) {
+		q++
+	}
+	img[at] = byte(q)
+	corrupt := func() *Store {
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return newStore(t, Options{Dir: dir})
+	}
+
+	s := corrupt()
+	if a, outcome, err := s.GetOutcome(digest); !errors.Is(err, ErrNotFound) || a != nil || outcome != OutcomeMiss {
+		t.Fatalf("GetOutcome over a corrupt image = %v, %v; want a miss with ErrNotFound", outcome, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("corrupt image not removed: %v", err)
+	}
+	if st := s.Stats(); st.DiskHits != 0 || st.DiskEntries != 0 || st.DiskBytes != 0 {
+		t.Fatalf("stats = %s, want no disk hit and an empty disk tier", st)
+	}
+
+	s = corrupt()
+	a, d, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c))
+	if err != nil || d != digest || outcome != OutcomeMiss {
+		t.Fatalf("GetOrAnalyzeOutcome over a corrupt image = %v, %s, %v; want a miss on %s", outcome, d, err, digest)
+	}
+	assertSameAnalysis(t, c.Name, fresh, a)
+	assertSameEstimate(t, c.Name, fresh, a)
+	loaded, outcome, err := newStore(t, Options{Dir: dir}).GetOutcome(digest)
+	if err != nil || outcome != OutcomeDiskHit {
+		t.Fatalf("rewritten image: %v, %v; want a disk hit", outcome, err)
+	}
+	assertSameAnalysis(t, c.Name, fresh, loaded)
 }
 
 // assertSameEstimate checks two analyses produce bitwise-identical
@@ -211,23 +283,41 @@ func assertSameEstimate(t *testing.T, label string, a, b *analysis.Analysis) {
 	}
 }
 
-// TestAllBenchmarksBitwise sweeps every paper benchmark through the two
-// tiers and checks store hits are estimate-identical to fresh analyses.
+// assertSameAnalysis checks two analyses are equal whole: name, register,
+// operation count, FT flag, node records and IIG.
+func assertSameAnalysis(t *testing.T, label string, want, got *analysis.Analysis) {
+	t.Helper()
+	if got.Name != want.Name || got.Qubits != want.Qubits || got.Operations != want.Operations || got.FT != want.FT {
+		t.Fatalf("%s: metadata %q/%d/%d/%v, want %q/%d/%d/%v", label,
+			got.Name, got.Qubits, got.Operations, got.FT, want.Name, want.Qubits, want.Operations, want.FT)
+	}
+	if !slices.Equal(got.QODG.Nodes, want.QODG.Nodes) || got.QODG.NumQubits != want.QODG.NumQubits {
+		t.Fatalf("%s: node records differ", label)
+	}
+	if !reflect.DeepEqual(got.IIG, want.IIG) {
+		t.Fatalf("%s: IIG differs", label)
+	}
+}
+
+// TestAllBenchmarksBitwise sweeps every paper benchmark, and one of them
+// unnamed, through the two tiers and checks a disk hit rebuilds the whole
+// fresh analysis. An unnamed circuit's image has an empty name, which the
+// rebuilt analysis and the digest check must keep.
 func TestAllBenchmarksBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
+	var cs []*circuit.Circuit
+	for _, name := range benchgen.PaperBenchmarks {
+		cs = append(cs, genFT(t, name))
+	}
+	unnamed := cs[0].Clone()
+	unnamed.Name = ""
+	cs = append(cs, unnamed)
 	dir := t.TempDir()
 	s := newStore(t, Options{Dir: dir})
-	est, err := core.New(fabric.Default(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range benchgen.PaperBenchmarks {
-		c, err := benchgen.GenerateFT(name)
-		if err != nil {
-			t.Fatalf("GenerateFT(%s): %v", name, err)
-		}
+	for _, c := range cs {
+		name := c.Name
 		fresh, err := analysis.AnalyzeStream(analysis.NewCircuitStream(c))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -237,23 +327,11 @@ func TestAllBenchmarksBitwise(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		// Force the disk path: a fresh store shares only the directory.
-		s2 := newStore(t, Options{Dir: dir})
-		loaded, err := s2.Get(digest)
-		if err != nil {
-			t.Fatalf("%s: disk Get: %v", name, err)
+		loaded, outcome, err := newStore(t, Options{Dir: dir}).GetOutcome(digest)
+		if err != nil || outcome != OutcomeDiskHit {
+			t.Fatalf("%s: disk GetOutcome = %v, %v; want a disk hit", name, outcome, err)
 		}
-		want, err := est.EstimateAnalysis(fresh, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := est.EstimateAnalysis(loaded, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if want.EstimatedLatency != got.EstimatedLatency || want.CriticalPath.Length != got.CriticalPath.Length ||
-			want.LCNOTAvg != got.LCNOTAvg {
-			t.Errorf("%s: disk-loaded estimate %+v != fresh %+v", name, got, want)
-		}
+		assertSameAnalysis(t, name, fresh, loaded)
 	}
 }
 
@@ -325,8 +403,8 @@ func TestLRUEviction(t *testing.T) {
 	if st.Entries != 2 || st.Evictions != 1 {
 		t.Errorf("stats = %s, want 2 entries / 1 eviction", st)
 	}
-	if s.Contains(digests[0]) {
-		t.Error("oldest digest survived eviction")
+	if _, outcome, err := s.GetOutcome(digests[0]); !errors.Is(err, ErrNotFound) || outcome != OutcomeMiss {
+		t.Errorf("GetOutcome(oldest) = %v, %v; want it evicted", outcome, err)
 	}
 }
 
@@ -382,7 +460,7 @@ func TestOrphanTempImagesNotCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := qcbin.EncodeImage(&buf, a); err != nil {
+		if err := qcbin.EncodeAnalysis(&buf, a); err != nil {
 			t.Fatal(err)
 		}
 		total += int64(buf.Len())

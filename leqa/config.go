@@ -10,8 +10,9 @@ import (
 // content-addressed analysis store cmd/leqa and cmd/leqad attach (flags of
 // the same meaning override):
 //
-//   - LEQA_STORE_DIR — disk-tier directory for persisted .qca analysis
-//     images; empty keeps the store memory-only.
+//   - LEQA_STORE_DIR — disk-tier directory for persisted analysis images,
+//     the .qcb netlists of analyzed gates, rebuilt on load and checked
+//     against their digests; empty keeps the store memory-only.
 //   - LEQA_STORE_MEM — memory-tier LRU entry cap (0 selects the default).
 //   - LEQA_STORE_DISK_BYTES — disk-tier size cap in bytes (0 = unbounded).
 const (

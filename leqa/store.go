@@ -14,9 +14,11 @@ import (
 // Content-addressed analysis store, re-exported from internal/store. An
 // AnalysisStore attached to a Runner (SetAnalysisStore) turns the source
 // sweeps into "parse once, estimate forever" paths: every estimate first
-// digests the gate stream (SHA-256 of the canonical gate records) and a
-// resident analysis — memory LRU or persisted .qca image — skips the fused
-// graph build entirely. Store hits are bitwise identical to fresh analyses.
+// digests the gate stream (SHA-256 of the canonical gate records). A
+// memory-tier hit skips the graph build; a persisted image, the .qcb
+// netlist of the analyzed gates, is rebuilt by the same builder and
+// checked against its digest. Store hits are bitwise identical to fresh
+// analyses.
 type (
 	// AnalysisStore is the two-tier (memory LRU over optional disk
 	// directory) content-addressed analysis store.
