@@ -34,18 +34,11 @@
 //	-maxmem N         materialize .qc files up to N bytes; stream larger ones
 //	                  (and stdin) through the ingestion layer (default 64 MiB)
 //	-workers          sweep worker-pool size (default GOMAXPROCS)
-//	-store-dir DIR    content-addressed analysis store directory: each
-//	                  analysis persists as the .qcb netlist of its gates,
-//	                  which later runs rebuild with the analysis builder and
-//	                  check against its digest (env LEQA_STORE_DIR)
-//	-store-mem N      store memory-tier entry cap (env LEQA_STORE_MEM)
-//	-store-disk N     store disk byte cap, 0 = unbounded
-//	                  (env LEQA_STORE_DISK_BYTES)
 //	-timeout          abort the whole run after this duration (0 = none)
 //	-json/-csv        emit machine-readable results for baseline diffing
 //	-verbose          print model intermediates and cache statistics
 //	-trace            print the run's per-phase span breakdown (ingest,
-//	                  analyze with store outcomes and gate counts,
+//	                  analyze with gate counts,
 //	                  estimate) to stderr — the CLI view of the tracing
 //	                  layer leqad threads through every request
 //	-cpuprofile FILE  write a pprof CPU profile of the run
@@ -136,9 +129,6 @@ func run() error {
 		doDecompose  = flag.Bool("decompose", true, "lower reversible gates to the FT set first")
 		maxMem       = flag.Int64("maxmem", 64<<20, "materialize .qc files up to this many bytes; stream larger ones (and stdin)")
 		workers      = flag.Int("workers", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
-		storeDir     = flag.String("store-dir", "", "analysis store directory: persist each analysis as a .qcb netlist of its gates, rebuilt on load and checked against its digest (default $LEQA_STORE_DIR)")
-		storeMem     = flag.Int("store-mem", -1, "analysis store memory-tier entry cap (-1 = default or $LEQA_STORE_MEM)")
-		storeDisk    = flag.Int64("store-disk", -1, "analysis store disk byte cap, 0 = unbounded (-1 = default or $LEQA_STORE_DISK_BYTES)")
 		timeout      = flag.Duration("timeout", 0, "abort the run after this duration, e.g. 30s (0 = no limit)")
 		jsonOut      = flag.Bool("json", false, "emit results as JSON (for baseline diffing)")
 		csvOut       = flag.Bool("csv", false, "emit results as CSV (for baseline diffing)")
@@ -194,27 +184,11 @@ func run() error {
 		defer cancel()
 	}
 
-	// A store directory carries analyses across invocations: every input is
-	// digested and resolved against the persisted images, the .qcb netlists
-	// of analyzed gates, and a circuit seen before is rebuilt from its image
-	// and checked against its digest.
-	storeOpt, err := leqa.StoreOptionsFromEnv(leqa.AnalysisStoreOptions{})
-	if err != nil {
-		return err
-	}
-	if *storeDir != "" {
-		storeOpt.Dir = *storeDir
-	}
-	if *storeMem >= 0 {
-		storeOpt.MemEntries = *storeMem
-	}
-	if *storeDisk >= 0 {
-		storeOpt.MaxDiskBytes = *storeDisk
-	}
-
 	// Every input is one source of a single sweep: stdin and files over the
 	// materialization budget stream lazily, the rest load (and lower to the
-	// FT set) up front.
+	// FT set) up front. No analysis store is attached: every input is in
+	// hand, and a stored image is rebuilt by the same analysis, so a lookup
+	// would only add a digest pass.
 	sources := make([]leqa.Source, 0, flag.NArg())
 	for _, arg := range flag.Args() {
 		if src, ok, err := streamedInput(arg, *maxMem); err != nil {
@@ -236,15 +210,7 @@ func run() error {
 				return err
 			}
 		}
-		src := leqa.CircuitSource(c)
-		if storeOpt.Dir != "" {
-			// An in-memory CircuitSource bypasses the store; as a plain
-			// stream the circuit is digested and stored like a file.
-			src = leqa.Source{Name: c.Name, Open: func() (leqa.GateStream, error) {
-				return leqa.NewCircuitStream(c), nil
-			}}
-		}
-		sources = append(sources, src)
+		sources = append(sources, leqa.CircuitSource(c))
 	}
 
 	// The parameter matrix: grids × capacities × speeds, each axis falling
@@ -278,15 +244,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if storeOpt.Dir != "" {
-		st, err := leqa.NewAnalysisStore(storeOpt)
-		if err != nil {
-			return err
-		}
-		runner.SetAnalysisStore(st)
-	}
 	// -trace attaches a request-style trace to the run: the engine records
-	// ingest/analyze/estimate spans (with store outcomes and gate counts)
+	// ingest/analyze/estimate spans (with gate counts)
 	// exactly as leqad does per request, and the breakdown prints after the
 	// results.
 	var tr *trace.Trace
@@ -319,11 +278,6 @@ func run() error {
 	if len(cells) > 1 || *verbose {
 		st := leqa.ZoneModelCacheStats()
 		fmt.Fprintf(os.Stderr, "zone-model cache: %s\n", st)
-	}
-	if *verbose {
-		if st := runner.AnalysisStore(); st != nil {
-			fmt.Fprintf(os.Stderr, "analysis store: %+v\n", st.Stats())
-		}
 	}
 	return err
 }

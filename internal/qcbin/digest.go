@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"strings"
 
 	"repro/internal/analysis"
@@ -40,9 +41,7 @@ func DigestContext(ctx context.Context, src analysis.GateStream) (string, error)
 	if err := src.Rewind(); err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	h.Write([]byte(digestDomain))
-	var buf []byte
+	d := newDigester()
 	for n := 0; ; n++ {
 		if n%analysis.CtxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -52,19 +51,77 @@ func DigestContext(ctx context.Context, src analysis.GateStream) (string, error)
 		if !src.Scan() {
 			break
 		}
-		buf = appendGateRecord(buf[:0], src.Gate())
-		h.Write(buf)
+		d.gate(src.Gate())
 	}
 	if err := src.Err(); err != nil {
 		return "", err
 	}
-	buf = append(buf[:0], 0)
-	buf = binary.AppendUvarint(buf, uint64(src.NumQubits()))
-	name := src.Name()
-	buf = binary.AppendUvarint(buf, uint64(len(name)))
-	buf = append(buf, name...)
-	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return d.sum(src.NumQubits(), src.Name()), nil
+}
+
+// AnalyzeDigest is analysis.AnalyzeStreamContext over sc, without an arena
+// or the FT-only stop, that also returns the netlist's Digest: the scanner
+// hashes each gate as the counting pass reads it, so one pass over the
+// netlist does what Digest and AnalyzeStream do in two. Like AnalyzeStream
+// it reads sc from where it stands, so the digest is Digest's for a fresh
+// scanner.
+func AnalyzeDigest(ctx context.Context, sc *Scanner) (*analysis.Analysis, string, error) {
+	d := newDigester()
+	sc.dig = &d
+	defer func() { sc.dig = nil }()
+	a, err := analysis.AnalyzeStreamContext(ctx, sc, nil, false)
+	if err != nil {
+		return nil, "", err
+	}
+	return a, d.sum(sc.NumQubits(), sc.Name()), nil
+}
+
+// digestChunk is how many record bytes a digester gathers before each hash
+// write. Records are a few bytes each, a hash write apiece cost more than
+// the hashing, and the hash of the gathered bytes is the same.
+const digestChunk = 4 << 10
+
+// digester computes Digest incrementally: the domain tag, then each gate's
+// record as it arrives, then the terminator, register size and name.
+type digester struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newDigester() digester {
+	d := digester{h: sha256.New(), buf: make([]byte, 0, 2*digestChunk)}
+	d.buf = append(d.buf, digestDomain...)
+	return d
+}
+
+// gate appends g's record to the gathered bytes. The record is encoded
+// into the buffer's spare room and the buffer re-sliced over it, so no
+// pointer is stored per record (a digester may live on the heap, where a
+// stored pointer costs a write barrier while the GC marks). A record wider
+// than the room left is hashed after the gathered bytes instead.
+func (d *digester) gate(g circuit.Gate) {
+	n := len(d.buf)
+	rec := appendGateRecord(d.buf[n:n], g)
+	if len(rec) > cap(d.buf)-n {
+		d.h.Write(d.buf)
+		d.h.Write(rec)
+		d.buf = d.buf[:0]
+		return
+	}
+	d.buf = d.buf[:n+len(rec)]
+	if len(d.buf) >= digestChunk {
+		d.h.Write(d.buf)
+		d.buf = d.buf[:0]
+	}
+}
+
+func (d *digester) sum(numQubits int, name string) string {
+	d.buf = append(d.buf, 0)
+	d.buf = binary.AppendUvarint(d.buf, uint64(numQubits))
+	d.buf = binary.AppendUvarint(d.buf, uint64(len(name)))
+	d.buf = append(d.buf, name...)
+	d.h.Write(d.buf)
+	return hex.EncodeToString(d.h.Sum(nil))
 }
 
 // DigestCircuit is Digest over a materialized circuit.

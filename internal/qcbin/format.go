@@ -11,9 +11,9 @@
 //
 // The analysis store keeps each analysis as the .qcb netlist of its gate
 // records (EncodeAnalysis): the records are the QODG, and the IIG is a
-// function of them, so a disk hit scans the netlist and rebuilds the
-// analysis with analysis.AnalyzeStream, then checks the netlist's Digest
-// against the digest the file is named after.
+// function of them, so a disk hit scans the netlist once, rebuilding the
+// analysis and hashing the records as it goes (AnalyzeDigest), and checks
+// that digest against the one the file is named after.
 //
 // The format begins with a non-ASCII magic byte, so it can never be
 // confused with a textual .qc netlist; gzip wrapping is detected the same

@@ -3,6 +3,9 @@ package qcbin
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"slices"
@@ -186,6 +189,68 @@ func TestDigestContainerIndependent(t *testing.T) {
 	}
 }
 
+// TestDigestPinned pins the digest of one circuit whose records span
+// several hash chunks. Digests name stored images and the refs clients
+// hold, so every route that computes one must keep giving this value:
+// DigestCircuit, Digest over a .qcb scanner, and AnalyzeDigest.
+func TestDigestPinned(t *testing.T) {
+	const want = "eda7e28c52067f24bf73d6e252a4384debde23a368809f3d8bc05b3c4f64e598"
+	c, err := benchgen.GenerateFT("gf2^16mult")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := DigestCircuit(c); err != nil || d != want {
+		t.Errorf("DigestCircuit = %s, %v; want %s", d, err, want)
+	}
+	qcb := encodeQCB(t, c)
+	s, err := NewScanner(bytes.NewReader(qcb), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := Digest(s); err != nil || d != want {
+		t.Errorf("Digest(scanner) = %s, %v; want %s", d, err, want)
+	}
+	s, err = NewScanner(bytes.NewReader(qcb), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, d, err := AnalyzeDigest(context.Background(), s); err != nil || d != want {
+		t.Errorf("AnalyzeDigest = %s, %v; want %s", d, err, want)
+	}
+}
+
+// TestDigestWideRecord digests a netlist with one record wider than the
+// digester's buffer, among records that fill several hash chunks, and
+// checks it against SHA-256 over the whole canonical byte string at once.
+func TestDigestWideRecord(t *testing.T) {
+	const n = 6000
+	c := circuit.New("wide", n)
+	for i := 0; i < 3000; i++ {
+		c.Append(circuit.NewCNOT(i%n, (i+1)%n))
+	}
+	controls := make([]int, n-1)
+	for i := range controls {
+		controls[i] = i
+	}
+	c.Append(circuit.NewMCT(controls, n-1))
+	for i := 0; i < 3000; i++ {
+		c.Append(circuit.NewCNOT((i+1)%n, i%n))
+	}
+	all := []byte(digestDomain)
+	for _, g := range c.Gates {
+		all = appendGateRecord(all, g)
+	}
+	all = append(all, 0)
+	all = binary.AppendUvarint(all, n)
+	all = binary.AppendUvarint(all, uint64(len(c.Name)))
+	all = append(all, c.Name...)
+	sum := sha256.Sum256(all)
+	want := hex.EncodeToString(sum[:])
+	if got, err := DigestCircuit(c); err != nil || got != want {
+		t.Fatalf("DigestCircuit = %s, %v; want %s", got, err, want)
+	}
+}
+
 // TestDigestContextPolls checks the digest pass polls its context the way
 // the counting pass does: a done context fails it before the first gate,
 // and a cancellation mid-stream stops it within CtxCheckEvery gates.
@@ -351,8 +416,8 @@ func TestAnalyzeViaScanner(t *testing.T) {
 // inputs must re-encode and re-decode to the identical gate stream, and
 // nothing may panic. A clean decode of one- and two-qubit gates also takes
 // the analysis store's disk route: its analysis, written by EncodeAnalysis
-// and scanned back, must rebuild to identical node records, IIG and
-// metadata under the same digest.
+// and rebuilt by AnalyzeDigest as a disk hit is, must have identical node
+// records, IIG and metadata, and the digest Digest gives the decode.
 func FuzzQCBin(f *testing.F) {
 	for _, name := range []string{"mod1024adder", "ham15"} {
 		c, err := benchgen.Generate(name)
@@ -445,7 +510,7 @@ func FuzzQCBin(f *testing.F) {
 		if err != nil {
 			t.Fatalf("image: %v", err)
 		}
-		got, err := analysis.AnalyzeStream(si)
+		got, gd, err := AnalyzeDigest(context.Background(), si)
 		if err != nil {
 			t.Fatalf("image analysis: %v", err)
 		}
@@ -454,8 +519,8 @@ func FuzzQCBin(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gd, err := Digest(si); err != nil || gd != wd {
-			t.Fatalf("image digest %s (%v), want %s", gd, err, wd)
+		if gd != wd {
+			t.Fatalf("image digest %s, want %s", gd, wd)
 		}
 	})
 }

@@ -35,12 +35,15 @@ type Scanner struct {
 	win    []byte
 	winPos int
 
+	// gate is the current gate. Its operand slices are scratch arrays that
+	// each record re-slices in place (sizeOperands), so decoding a record
+	// stores no pointer and costs no GC write barrier.
 	gate      circuit.Gate
-	controls  []int
-	targets   []int
 	gateIndex int
-	err       error
-	closed    bool
+	// dig, while AnalyzeDigest runs, hashes every gate Scan yields.
+	dig    *digester
+	err    error
+	closed bool
 	// trusted is set once a pass has decoded the container start-to-EOF
 	// with every record validated; replay passes over the same seekable
 	// bytes then skip the per-gate structural validation.
@@ -230,8 +233,7 @@ func (s *Scanner) Scan() bool {
 		pos += n
 		nc = int(k)
 	}
-	s.controls = growInts(s.controls, nc)
-	s.targets = growInts(s.targets, shape.Targets)
+	s.sizeOperands(nc, shape.Targets)
 	numQ := uint64(s.reg.NumQubits())
 	for i := 0; i < nc+shape.Targets; i++ {
 		q, n := binary.Uvarint(p[pos:])
@@ -246,19 +248,43 @@ func (s *Scanner) Scan() bool {
 		}
 		pos += n
 		if i < nc {
-			s.controls[i] = int(q)
+			s.gate.Controls[i] = int(q)
 		} else {
-			s.targets[i-nc] = int(q)
+			s.gate.Targets[i-nc] = int(q)
 		}
 	}
 	s.winPos += pos
 	s.off += int64(pos)
-	s.gate = circuit.Gate{Type: t, Controls: s.controls, Targets: s.targets}
+	s.gate.Type = t
 	if !s.trusted && !s.checkDistinct(recOff, t) {
 		return false
 	}
+	return s.accept()
+}
+
+// accept completes a decoded record: the digester of a running
+// AnalyzeDigest hashes the gate, and the gate index advances.
+func (s *Scanner) accept() bool {
+	if s.dig != nil {
+		s.dig.gate(s.gate)
+	}
 	s.gateIndex++
 	return true
+}
+
+// sizeOperands sizes the current gate's operand slices for nc controls and
+// nt targets. A slice re-sliced into itself keeps its pointer, so only a
+// record wider than any before it stores one.
+func (s *Scanner) sizeOperands(nc, nt int) {
+	g := &s.gate
+	if cap(g.Controls) < nc {
+		g.Controls = make([]int, nc)
+	}
+	g.Controls = g.Controls[:nc]
+	if cap(g.Targets) < nt {
+		g.Targets = make([]int, nt)
+	}
+	g.Targets = g.Targets[:nt]
 }
 
 // checkDistinct rejects records with a repeated operand qubit. Together
@@ -267,22 +293,22 @@ func (s *Scanner) Scan() bool {
 // scanner yields only valid gates without paying a second full validation
 // per gate.
 func (s *Scanner) checkDistinct(recOff int64, t circuit.GateType) bool {
-	for i, q := range s.targets {
-		for _, p := range s.targets[:i] {
+	for i, q := range s.gate.Targets {
+		for _, p := range s.gate.Targets[:i] {
 			if p == q {
 				s.err = formatErr(s.name, recOff, "gate %d: gate %s: duplicate operand qubit %d", s.gateIndex+1, t, q)
 				return false
 			}
 		}
-		for _, p := range s.controls {
+		for _, p := range s.gate.Controls {
 			if p == q {
 				s.err = formatErr(s.name, recOff, "gate %d: gate %s: duplicate operand qubit %d", s.gateIndex+1, t, q)
 				return false
 			}
 		}
 	}
-	for i, q := range s.controls {
-		for _, p := range s.controls[:i] {
+	for i, q := range s.gate.Controls {
+		for _, p := range s.gate.Controls[:i] {
 			if p == q {
 				s.err = formatErr(s.name, recOff, "gate %d: gate %s: duplicate operand qubit %d", s.gateIndex+1, t, q)
 				return false
@@ -329,26 +355,24 @@ func (s *Scanner) scanBytewise() bool {
 		}
 		nc = k
 	}
-	s.controls = growInts(s.controls, nc)
-	for i := range s.controls {
-		if s.controls[i], err = s.readOperand(recOff, t); err != nil {
+	s.sizeOperands(nc, shape.Targets)
+	for i := range s.gate.Controls {
+		if s.gate.Controls[i], err = s.readOperand(recOff, t); err != nil {
 			s.err = err
 			return false
 		}
 	}
-	s.targets = growInts(s.targets, shape.Targets)
-	for i := range s.targets {
-		if s.targets[i], err = s.readOperand(recOff, t); err != nil {
+	for i := range s.gate.Targets {
+		if s.gate.Targets[i], err = s.readOperand(recOff, t); err != nil {
 			s.err = err
 			return false
 		}
 	}
-	s.gate = circuit.Gate{Type: t, Controls: s.controls, Targets: s.targets}
+	s.gate.Type = t
 	if !s.trusted && !s.checkDistinct(recOff, t) {
 		return false
 	}
-	s.gateIndex++
-	return true
+	return s.accept()
 }
 
 // Rewind restarts the gate stream (one seek back to the first record).
@@ -366,7 +390,7 @@ func (s *Scanner) Rewind() error {
 	s.br.Reset(s.rs)
 	s.win, s.winPos = nil, 0
 	s.off = s.headerLen
-	s.gate = circuit.Gate{}
+	s.gate = circuit.Gate{Controls: s.gate.Controls[:0], Targets: s.gate.Targets[:0]}
 	s.gateIndex = -1
 	return nil
 }
@@ -459,11 +483,4 @@ func noEOF(err error) error {
 		return errors.New("truncated input")
 	}
 	return err
-}
-
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
 }

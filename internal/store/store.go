@@ -12,10 +12,10 @@
 // oldest-first eviction. An image is the .qcb netlist of the analyzed
 // gates (qcbin.EncodeAnalysis), named <digest>.qca. A disk hit rebuilds
 // the analysis with analysis.AnalyzeStream, the builder every upload runs,
-// and checks the netlist's digest against the file name, so it returns
-// exactly what a fresh analysis of the digest's circuit returns, and an
-// image that fails to decode or to match its name is deleted and counts
-// as a miss.
+// hashing the netlist in the same pass, and checks that digest against the
+// file name, so it returns exactly what a fresh analysis of the digest's
+// circuit returns, and an image that fails to decode or to match its name
+// is deleted and counts as a miss.
 package store
 
 import (
@@ -222,19 +222,25 @@ func (s *Store) GetOutcome(digest string) (*analysis.Analysis, Outcome, error) {
 // lookup runs the memory tier with the caller's own compute: the disk
 // tier, then miss on a disk miss. It reports how the lookup was satisfied;
 // if its compute never runs, the digest was resident or another caller's
-// in-flight lookup was joined, a memory-tier hit either way. A joined
-// lookup's failure may be the owner's alone (its context, or a
-// by-reference lookup that came up empty), so a joiner whose owner failed
-// looks up once more with its own compute, unless ctx is done.
+// in-flight lookup was joined, a memory-tier hit either way. A disk
+// rebuild polls ctx; one that ctx stops fails with ctx's error and counts
+// as neither a disk hit nor a miss. A joined lookup's failure may be the
+// owner's alone (its context, or a by-reference lookup that came up
+// empty), so a joiner whose owner failed looks up once more with its own
+// compute, unless ctx is done.
 func (s *Store) lookup(ctx context.Context, digest string, miss func() (*analysis.Analysis, error)) (*analysis.Analysis, Outcome, error) {
 	outcome := OutcomeHit
 	a, err := s.mem.Do(ctx, digest, func() (*analysis.Analysis, error) {
-		if a, ok := s.loadImage(digest); ok {
+		outcome = OutcomeMiss
+		a, err := s.loadImage(ctx, digest)
+		if err != nil {
+			return nil, err
+		}
+		if a != nil {
 			outcome = OutcomeDiskHit
 			s.diskHits.Add(1)
 			return a, nil
 		}
-		outcome = OutcomeMiss
 		s.misses.Add(1)
 		return miss()
 	})
@@ -254,26 +260,30 @@ func (s *Store) imagePath(digest string) string {
 	return filepath.Join(s.dir, digest+".qca")
 }
 
-// loadImage tries the disk tier. An image that fails to rebuild or to
-// match its digest, a legacy image of another format among them, is
-// deleted and treated as a miss: the analysis will be recomputed and
-// rewritten.
-func (s *Store) loadImage(digest string) (*analysis.Analysis, bool) {
+// loadImage tries the disk tier: the rebuilt analysis, or nil when there is
+// no usable image. An image that fails to rebuild or to match its digest, a
+// legacy image of another format among them, is deleted: the analysis will
+// be recomputed and rewritten. A rebuild stopped by ctx returns ctx's error
+// and leaves the image alone, since the image is not at fault.
+func (s *Store) loadImage(ctx context.Context, digest string) (*analysis.Analysis, error) {
 	if s.dir == "" {
-		return nil, false
+		return nil, nil
 	}
 	path := s.imagePath(digest)
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, false
+		return nil, nil
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return nil, false
+		return nil, nil
 	}
-	a, err := analyzeImage(f, digest)
+	a, err := analyzeImage(ctx, f, digest)
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr
+		}
 		s.diskMu.Lock()
 		if rmErr := os.Remove(path); rmErr == nil {
 			s.mu.Lock()
@@ -282,23 +292,19 @@ func (s *Store) loadImage(digest string) (*analysis.Analysis, bool) {
 			s.mu.Unlock()
 		}
 		s.diskMu.Unlock()
-		return nil, false
+		return nil, nil
 	}
-	return a, true
+	return a, nil
 }
 
-// analyzeImage rebuilds an analysis from its image and checks that the
-// image's netlist has the digest it is stored under.
-func analyzeImage(f *os.File, digest string) (*analysis.Analysis, error) {
+// analyzeImage rebuilds an analysis from its image, hashing the netlist in
+// the same pass, and checks that it has the digest it is stored under.
+func analyzeImage(ctx context.Context, f *os.File, digest string) (*analysis.Analysis, error) {
 	sc, err := qcbin.NewScanner(f, "")
 	if err != nil {
 		return nil, err
 	}
-	a, err := analysis.AnalyzeStream(sc)
-	if err != nil {
-		return nil, err
-	}
-	got, err := qcbin.Digest(sc)
+	a, got, err := qcbin.AnalyzeDigest(ctx, sc)
 	if err != nil {
 		return nil, err
 	}

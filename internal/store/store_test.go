@@ -553,6 +553,51 @@ func TestCancelledAnalysisNotStored(t *testing.T) {
 	}
 }
 
+// cancelAtEnd cancels its context when a pass reaches the end of the
+// stream.
+type cancelAtEnd struct {
+	analysis.GateStream
+	cancel context.CancelFunc
+}
+
+func (s *cancelAtEnd) Scan() bool {
+	if s.GateStream.Scan() {
+		return true
+	}
+	s.cancel()
+	return false
+}
+
+// TestCancelledDiskRebuildKeepsImage cancels a lookup as its digest pass
+// ends, so the disk rebuild that follows runs under a done context. The
+// rebuild fails with the context's error, counts neither a disk hit nor a
+// miss, and leaves the image on disk for the next lookup to serve: a
+// cancelled rebuild is not a corrupt image.
+func TestCancelledDiskRebuildKeepsImage(t *testing.T) {
+	dir := t.TempDir()
+	c := genFT(t, "8bitadder")
+	_, digest, err := newStore(t, Options{Dir: dir}).GetOrAnalyze(analysis.NewCircuitStream(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(t, Options{Dir: dir})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelAtEnd{GateStream: analysis.NewCircuitStream(c), cancel: cancel}
+	if _, _, _, err := s.GetOrAnalyzeOutcome(ctx, src); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled from the disk rebuild", err)
+	}
+	if st := s.Stats(); st.Misses != 0 || st.DiskHits != 0 || st.Entries != 0 || st.DiskEntries != 1 {
+		t.Fatalf("stats after a cancelled rebuild = %s, want no miss, no disk hit, no entry and the image kept", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, digest+".qca")); err != nil {
+		t.Fatalf("image gone after a cancelled rebuild: %v", err)
+	}
+	if _, outcome, err := s.GetOutcome(digest); err != nil || outcome != OutcomeDiskHit {
+		t.Fatalf("lookup after a cancelled rebuild = %v, %v; want a disk hit", outcome, err)
+	}
+}
+
 // blockOnRewind parks its n-th Rewind: it closes reached, then waits for
 // release.
 type blockOnRewind struct {

@@ -7,8 +7,8 @@ import (
 )
 
 // Environment variables read by StoreOptionsFromEnv. They configure the
-// content-addressed analysis store cmd/leqa and cmd/leqad attach (flags of
-// the same meaning override):
+// content-addressed analysis store cmd/leqad attaches (flags of the same
+// meaning override):
 //
 //   - LEQA_STORE_DIR — disk-tier directory for persisted analysis images,
 //     the .qcb netlists of analyzed gates, rebuilt on load and checked

@@ -49,9 +49,6 @@ func NewAnalysisStore(opt AnalysisStoreOptions) (*AnalysisStore, error) {
 // the same node records and IIG rows a fresh analysis builds.
 func (r *Runner) SetAnalysisStore(s *AnalysisStore) { r.store = s }
 
-// AnalysisStore reports the attached store (nil when none).
-func (r *Runner) AnalysisStore() *AnalysisStore { return r.store }
-
 // CircuitDigest computes a circuit's content digest — the bare-hex SHA-256
 // of its canonical gate records — the key the analysis store and the leqad
 // circuit endpoints address by. The digest covers gate structure, qubit
