@@ -37,6 +37,7 @@ import (
 	"repro/internal/qodg"
 	"repro/internal/qspr"
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/zonemodel"
 	"repro/leqa"
 )
@@ -475,12 +476,11 @@ func BenchmarkAnalyzeStream(b *testing.B) {
 
 // BenchmarkIngestBinary compares parse+analyze across the netlist
 // containers on gf2^128mult — textual .qc, binary .qcb and gzipped .qcb,
-// all through the magic-byte sniffing entry point — then the
-// content-addressed store paths on top: a warm store hit (one digest pass
-// over the .qcb, no graph build) and a by-reference estimate (no ingest at
-// all), against the storeless cold cell that pays ingest+analyze+estimate
-// every time. The .qcb container parses and analyzes about 1.7× faster
-// than text.
+// all through the magic-byte sniffing entry point — then a by-reference
+// estimate from a stored analysis (no ingest at all) against the cold cell
+// that pays ingest+analyze+estimate every time. The .qcb container parses
+// and analyzes about 1.7× faster than text. BenchmarkCircuitPut times the
+// uploads that fill a store.
 func BenchmarkIngestBinary(b *testing.B) {
 	const name = "gf2^128mult"
 	c := ftCircuit(b, name)
@@ -559,16 +559,9 @@ func BenchmarkIngestBinary(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm.SetAnalysisStore(st)
-	seed, err := warm.SweepGridSources(ctx, qcbSource(), params)
-	if err != nil {
+	if _, _, err := st.GetOrAnalyze(analysis.NewCircuitStream(c)); err != nil {
 		b.Fatal(err)
 	}
-	if seed[0].Err != nil {
-		b.Fatal(seed[0].Err)
-	}
-	b.Run("StoreHitCellQCB", func(b *testing.B) { gridCell(b, warm, qcbSource) })
-
 	digest, err := leqa.CircuitDigest(c)
 	if err != nil {
 		b.Fatal(err)
@@ -579,6 +572,83 @@ func BenchmarkIngestBinary(b *testing.B) {
 	}
 	byRef := func() []leqa.Source { return []leqa.Source{leqa.AnalysisSource(name, a)} }
 	b.Run("ByRefCell", func(b *testing.B) { gridCell(b, warm, byRef) })
+}
+
+// BenchmarkCircuitPut times what PUT /v1/circuits runs, on three circuits:
+// a non-seekable body sniffed by ingest.NewAutoStream, then
+// store.GetOrAnalyzeOutcome, which analyzes it in one pass and takes the
+// digest from the analysis. Miss rows upload into an empty store and Hit
+// rows re-upload a stored circuit, each as a .qc and a .qcb body: a hit
+// pays the same pass as a miss, and is spared only the store's insert.
+// DiskHit rows rebuild a stored circuit from its disk image, as a by-ref
+// lookup does after a restart (store.Get with the memory tier purged).
+func BenchmarkCircuitPut(b *testing.B) {
+	ctx := context.Background()
+	for _, name := range []string{"hwb100ps", "gf2^64mult", "gf2^128mult"} {
+		c := ftCircuit(b, name)
+		var qc, qcb bytes.Buffer
+		if err := circuit.WriteQC(&qc, c); err != nil {
+			b.Fatal(err)
+		}
+		if err := qcbin.EncodeCircuit(&qcb, c); err != nil {
+			b.Fatal(err)
+		}
+		put := func(b *testing.B, st *store.Store, body []byte, want store.Outcome) {
+			sc, err := ingest.NewAutoStream(pipeReader{bytes.NewReader(body)}, name, ingest.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, _, outcome, err := st.GetOrAnalyzeOutcome(ctx, sc)
+			sc.Close()
+			if err != nil || outcome != want {
+				b.Fatalf("upload = %v, %v; want %v", outcome, err, want)
+			}
+		}
+		newStore := func(b *testing.B, opt store.Options) *store.Store {
+			st, err := store.New(opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return st
+		}
+		for _, body := range []struct {
+			label string
+			data  []byte
+		}{{"QC", qc.Bytes()}, {"QCB", qcb.Bytes()}} {
+			b.Run(sanitize(name)+"/Miss"+body.label, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(body.data)))
+				for i := 0; i < b.N; i++ {
+					put(b, newStore(b, store.Options{}), body.data, store.OutcomeMiss)
+				}
+			})
+			b.Run(sanitize(name)+"/Hit"+body.label, func(b *testing.B) {
+				st := newStore(b, store.Options{})
+				put(b, st, body.data, store.OutcomeMiss)
+				b.ReportAllocs()
+				b.SetBytes(int64(len(body.data)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					put(b, st, body.data, store.OutcomeHit)
+				}
+			})
+		}
+		b.Run(sanitize(name)+"/DiskHit", func(b *testing.B) {
+			st := newStore(b, store.Options{Dir: b.TempDir()})
+			_, digest, err := st.GetOrAnalyze(analysis.NewCircuitStream(c))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.Purge()
+				if _, outcome, err := st.GetOutcome(digest); err != nil || outcome != store.OutcomeDiskHit {
+					b.Fatalf("lookup = %v, %v; want a disk hit", outcome, err)
+				}
+			}
+		})
+	}
 }
 
 // coldUploads are cmd/leqabench's cold-upload circuits: the paper's

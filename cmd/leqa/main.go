@@ -187,8 +187,8 @@ func run() error {
 	// Every input is one source of a single sweep: stdin and files over the
 	// materialization budget stream lazily, the rest load (and lower to the
 	// FT set) up front. No analysis store is attached: every input is in
-	// hand, and a stored image is rebuilt by the same analysis, so a lookup
-	// would only add a digest pass.
+	// hand, and a store lookup analyzes its input as the estimate does, so
+	// it would only add the hash of the records.
 	sources := make([]leqa.Source, 0, flag.NArg())
 	for _, arg := range flag.Args() {
 		if src, ok, err := streamedInput(arg, *maxMem); err != nil {

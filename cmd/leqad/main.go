@@ -35,8 +35,10 @@
 //	-truncation      E[S_q] term limit (0 = paper's 20, -1 = exact)
 //	-no-congestion   disable the M/M/1 congestion model
 //	-max-body        JSON request body cap in bytes
-//	-max-spool       disk-spool cap for streamed raw .qc uploads (the 413
-//	                 limit for raw uploads; they never buffer in RAM)
+//	-max-spool       disk-spool cap for one streamed raw upload, estimate
+//	                 or PUT, of any container (the 413 limit for raw
+//	                 uploads, 422 for an inflated gzip body; they never
+//	                 buffer in RAM)
 //	-spool-dir       directory receiving upload spools (default TMPDIR)
 //	-max-gates       per-circuit operation cap (post-decomposition)
 //	-max-cells       circuits × paramSets cap per batch
@@ -128,7 +130,7 @@ func run() error {
 		truncation    = flag.Int("truncation", 0, "E[S_q] term limit (0 = paper's 20, -1 = exact)")
 		noCongestion  = flag.Bool("no-congestion", false, "disable the M/M/1 congestion model")
 		maxBody       = flag.Int64("max-body", server.DefaultMaxBodyBytes, "JSON request body cap in bytes")
-		maxSpool      = flag.Int64("max-spool", server.DefaultMaxSpoolBytes, "disk-spool cap for streamed raw .qc uploads")
+		maxSpool      = flag.Int64("max-spool", server.DefaultMaxSpoolBytes, "disk-spool cap in bytes for one streamed raw upload, estimate or PUT, of any container (.qc or .qcb, gzipped or not)")
 		spoolDir      = flag.String("spool-dir", "", "directory for upload spools (default TMPDIR)")
 		maxGates      = flag.Int("max-gates", server.DefaultMaxGates, "per-circuit operation cap")
 		maxCells      = flag.Int("max-cells", server.DefaultMaxCells, "circuits × paramSets cap per batch")

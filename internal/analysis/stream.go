@@ -13,10 +13,11 @@ import (
 
 // GateStream is the reader-driven gate source AnalyzeStream consumes: a
 // stream of validated gates, typically an ingest.Scanner over a .qc file or
-// pipe. AnalyzeStream reads it once; Rewind serves the consumers that need
-// another pass (digest-then-analyze, materialization). NumQubits may grow
-// while a pass runs (auto-declared qubits) and is final once a pass has
-// consumed the whole stream.
+// pipe. AnalyzeStream reads it once, and the analysis store takes its
+// digest from the analysis; Rewind serves the consumers that need another
+// pass (materialization, encoders). NumQubits may grow while a pass runs
+// (auto-declared qubits) and is final once a pass has consumed the whole
+// stream.
 type GateStream interface {
 	// Scan advances to the next gate; false at end of stream or error.
 	Scan() bool

@@ -5,16 +5,21 @@
 // plus one line plus the qubit register — independent of gate count — which
 // opens the beyond-memory workload class the ROADMAP names.
 //
-// The analysis reads a stream once: its counting pass records every gate
-// for its fill pass. A Scanner is still re-windable, for the consumers that
-// need a second pass — the materialized decompose fallback (Materialize),
-// digest-then-analyze, encoders:
+// An upload is read once. The analysis reads a stream in one pass (its
+// counting pass records every gate for its fill pass), and the analysis
+// store takes a stream's digest from the analysis's records. A stream is
+// still re-windable, for the consumers that need a second pass — the
+// materialized decompose fallback (Materialize), encoders, replays:
 //
 //   - sources that implement io.ReadSeeker (files) rewind with one Seek;
-//   - everything else (pipes, network bodies) is spooled to an anonymous
-//     temp file on the way through the first pass, and later passes replay
-//     the spool. An optional byte cap bounds the spool (ErrSpoolLimit), so
-//     a network service can move its request-size limit from RAM to disk.
+//   - everything else (pipes, network bodies) is read through one spool,
+//     whatever its container: a byte read from the source for the first
+//     time is also written to an anonymous temp file, and a seek back
+//     reads the file, then reads on from the source. Nothing is copied to
+//     disk ahead of the decoder. A gzip body's spool sits over the
+//     inflater, so it keeps the inflated netlist. An optional byte cap
+//     bounds the spool (ErrSpoolLimit; ErrInflateLimit for gzip), so a
+//     network service can move its request-size limit from RAM to disk.
 //
 // A stream enforces its own limits on every pass — the line cap, the
 // spool cap and the gate cap (Options.MaxGates, ErrGateLimit) — so a
@@ -80,13 +85,14 @@ type Options struct {
 	ChunkBytes int
 	// MaxLineBytes caps one .qc line; 0 means DefaultMaxLineBytes.
 	MaxLineBytes int
-	// SpoolDir receives the temp spool for non-seekable sources; "" means
-	// os.TempDir().
+	// SpoolDir receives the temp spool for non-seekable sources and gzip
+	// containers; "" means os.TempDir().
 	SpoolDir string
-	// MaxSpoolBytes caps the bytes spooled to disk for non-seekable
-	// sources; 0 means no cap. Exceeding it fails the scan with an error
-	// wrapping ErrSpoolLimit. Seekable sources never spool and are never
-	// capped here.
+	// MaxSpoolBytes caps the bytes one spool keeps on disk; 0 means no
+	// cap. Exceeding it fails the pass that meets it with an error
+	// wrapping ErrSpoolLimit, or ErrInflateLimit for the inflated netlist
+	// of a gzip container. A seekable plain source never spools and is
+	// never capped here.
 	MaxSpoolBytes int64
 	// MaxGates caps the gates of the netlist; 0 means no cap. Every pass,
 	// Materialize's included, stops when gate MaxGates+1 arrives, with a
@@ -119,56 +125,53 @@ type Scanner struct {
 	opt  Options
 	p    *circuit.LineParser
 
-	src    io.Reader
-	seeker io.ReadSeeker // non-nil when src can rewind itself
-	start  int64         // seek origin of the netlist within seeker
+	rs    io.ReadSeeker // the source, or the spool over one that cannot seek
+	start int64         // seek origin of the netlist within rs
+	sp    *spool        // rs when it is a spool: drained by Rewind, sized by BytesRead
 
-	spool     *os.File // lazily created for non-seekable sources
-	spooled   int64    // bytes written to the spool so far
-	spoolDone bool     // the source has been copied to the spool completely
-
-	lr        lineReader
-	started   bool  // startPass has run for the current pass
-	replaying bool  // current pass reads the spool, not the source
-	srcSize   int64 // max bytes consumed over source-reading passes
+	lr      lineReader
+	started bool // startPass has run for the current pass
 
 	gate      circuit.Gate
 	gateIndex int
 	err       error
 	closed    bool
-	ownsFile  *os.File    // set by Open; closed by Close
-	extra     []io.Closer // container resources (files, inflate spools) released by Close
-	inflated  int64       // bytes a gzip container inflated to disk on this stream's behalf
+	owns      []io.Closer // spools and files released by Close
 }
 
 // NewScanner returns a Scanner over r. name labels the netlist in
 // diagnostics and names the circuit. If r implements io.ReadSeeker the
-// scanner rewinds in place; otherwise the first pass spools the source to
-// disk under opt's spool settings.
+// scanner rewinds in place; otherwise it reads r through a spool under
+// opt's spool settings, which keeps what the first pass reads for the
+// next.
 func NewScanner(r io.Reader, name string, opt Options) *Scanner {
 	s := &Scanner{
 		name:      name,
 		opt:       opt,
 		p:         circuit.NewLineParser(name),
-		src:       r,
 		gateIndex: -1,
 	}
 	if rs, ok := r.(io.ReadSeeker); ok {
-		if pos, err := rs.Seek(0, io.SeekCurrent); err == nil {
-			s.seeker = rs
-			s.start = pos
-		}
 		// A seeker that cannot even report its position (exotic wrappers)
-		// falls back to the spool path.
+		// is spooled like any other reader.
+		if pos, err := rs.Seek(0, io.SeekCurrent); err == nil {
+			s.rs, s.start = rs, pos
+		}
 	}
+	if s.rs == nil {
+		sp := newSpool(r, name, opt, ErrSpoolLimit)
+		s.rs = sp
+		s.owns = append(s.owns, sp)
+	}
+	s.sp, _ = s.rs.(*spool)
 	return s
 }
 
 // Open returns a file-backed gate stream, naming the circuit after the
 // file the way circuit.LoadQCFile does. The container is detected by magic
 // bytes, not extension: textual .qc, binary .qcb and gzip-wrapped either
-// way all decode transparently. Close releases the file (and any inflate
-// spool).
+// way all decode transparently. Close releases the file (and the spool of
+// a gzip container).
 func Open(path string, opt Options) (Stream, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -199,21 +202,21 @@ func (s *Scanner) NumQubits() int { return s.p.NumQubits() }
 // first Scan of a pass).
 func (s *Scanner) GateIndex() int { return s.gateIndex }
 
-// BytesRead reports the number of netlist bytes consumed from the original
-// source (replay passes over the spool do not count twice). Once a pass has
-// reached end of stream — or a rewind has drained a non-seekable source to
-// the spool — it is the netlist's total size.
+// BytesRead reports the netlist bytes read from the source: by the last
+// pass, or over a spool by every pass. Once a pass has reached end of
+// stream it is the netlist's size, and so it is after a Rewind of a
+// spooled source, which drains the source first.
 func (s *Scanner) BytesRead() int64 {
-	if s.started && !s.replaying && s.lr.read > s.srcSize {
-		return s.lr.read
+	if s.sp != nil {
+		return s.sp.n
 	}
-	return s.srcSize
+	return s.lr.read
 }
 
 // SpooledBytes reports how many bytes went to disk on this stream's
-// behalf: the tee-spool for non-seekable sources plus any gzip inflate
-// spool (0 for plain seekable sources).
-func (s *Scanner) SpooledBytes() int64 { return s.spooled + s.inflated }
+// behalf: 0 for a seekable source, the netlist for one that cannot seek,
+// the inflated netlist for a gzip container.
+func (s *Scanner) SpooledBytes() int64 { return spooled(s.owns) }
 
 // Register exposes the scanner's qubit register as a gate-less circuit —
 // read-only, shared with the live parser.
@@ -241,14 +244,6 @@ func (s *Scanner) Scan() bool {
 	for {
 		line, err := s.lr.next()
 		if err == io.EOF {
-			if !s.replaying {
-				if s.seeker == nil {
-					s.spoolDone = true
-				}
-				if s.lr.read > s.srcSize {
-					s.srcSize = s.lr.read
-				}
-			}
 			return false
 		}
 		if err != nil {
@@ -280,10 +275,10 @@ func (s *Scanner) Scan() bool {
 	}
 }
 
-// Rewind restarts the gate stream so another pass can run. For seekable
-// sources it is one Seek; for spooled sources the remainder of the source
-// is drained to the spool first (enforcing the spool cap) and the next pass
-// replays the spool from the start.
+// Rewind restarts the gate stream so another pass can run: one seek back
+// to the netlist's start. Over a spool, once a pass has started, the rest
+// of the source is drained into the spool first (under the spool cap), so
+// BytesRead is the netlist's size.
 func (s *Scanner) Rewind() error {
 	if s.closed {
 		return fmt.Errorf("ingest: %s: scanner closed", s.name)
@@ -293,11 +288,10 @@ func (s *Scanner) Rewind() error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.seeker == nil && s.started && !s.spoolDone {
-		// Finish copying the source so the replay sees the whole netlist.
-		if err := s.drainToSpool(); err != nil {
-			s.err = err
-			return err
+	if s.sp != nil && s.started {
+		if err := s.sp.drain(); err != nil {
+			s.err = s.wrapIO(err)
+			return s.err
 		}
 	}
 	s.started = false
@@ -307,30 +301,26 @@ func (s *Scanner) Rewind() error {
 	return nil
 }
 
-// Close releases the spool (and the file when the scanner was built by
-// Open). The scanner is unusable afterwards.
+// Close releases the spool and the file Open opened. The scanner is
+// unusable afterwards.
 func (s *Scanner) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
+	err := closeAll(s.owns)
+	s.owns = nil
+	return err
+}
+
+// closeAll closes every resource, reporting the first failure.
+func closeAll(owns []io.Closer) error {
 	var err error
-	if s.spool != nil {
-		err = s.spool.Close()
-		s.spool = nil
-	}
-	if s.ownsFile != nil {
-		if cerr := s.ownsFile.Close(); err == nil {
-			err = cerr
-		}
-		s.ownsFile = nil
-	}
-	for _, c := range s.extra {
+	for _, c := range owns {
 		if cerr := c.Close(); err == nil {
 			err = cerr
 		}
 	}
-	s.extra = nil
 	return err
 }
 
@@ -358,80 +348,19 @@ func materialize(st Stream) (*circuit.Circuit, error) {
 	return c, nil
 }
 
-// startPass points the line reader at the right byte stream for the pass
-// that is about to run.
+// startPass seeks back to the netlist's start and points the line reader
+// at it for the pass that is about to run.
 func (s *Scanner) startPass() error {
-	defer func() { s.started = true }()
-	if s.seeker != nil {
-		if _, err := s.seeker.Seek(s.start, io.SeekStart); err != nil {
-			return s.wrapIO(err)
-		}
-		s.replaying = false
-		s.lr.reset(s.seeker, s.opt.chunk(), s.opt.maxLine())
-		return nil
-	}
-	if s.spoolDone {
-		// Replay pass: the whole netlist sits in the spool.
-		if _, err := s.spool.Seek(0, io.SeekStart); err != nil {
-			return s.wrapIO(err)
-		}
-		s.replaying = true
-		s.lr.reset(s.spool, s.opt.chunk(), s.opt.maxLine())
-		return nil
-	}
-	// First pass over a non-seekable source: tee every chunk into the
-	// spool as it is parsed.
-	if s.spool == nil {
-		f, err := os.CreateTemp(s.opt.SpoolDir, "leqa-ingest-*.spool")
-		if err != nil {
-			return fmt.Errorf("ingest: %s: creating spool: %w", s.name, err)
-		}
-		// Unlink immediately: the spool is anonymous scratch, reclaimed by
-		// the OS even if the process dies without Close.
-		os.Remove(f.Name())
-		s.spool = f
-	}
-	s.replaying = false
-	s.lr.reset(io.TeeReader(s.src, (*spoolWriter)(s)), s.opt.chunk(), s.opt.maxLine())
-	return nil
-}
-
-// drainToSpool copies the unread remainder of a non-seekable source into
-// the spool so a replay pass sees the complete netlist.
-func (s *Scanner) drainToSpool() error {
-	if s.spool == nil {
-		if err := s.startPass(); err != nil {
-			return err
-		}
-	}
-	// Unparsed bytes still sitting in the line reader went through the tee
-	// already; only the source's remainder is missing.
-	if _, err := io.Copy((*spoolWriter)(s), s.src); err != nil {
+	s.started = true
+	if _, err := s.rs.Seek(s.start, io.SeekStart); err != nil {
 		return s.wrapIO(err)
 	}
-	s.spoolDone = true
-	// Every source byte has passed through the spool writer, so the spool
-	// size is the netlist size — record it for BytesRead even though the
-	// parsing pass never reached EOF.
-	s.srcSize = s.spooled
+	s.lr.reset(s.rs, s.opt.chunk(), s.opt.maxLine())
 	return nil
 }
 
 func (s *Scanner) wrapIO(err error) error {
 	return fmt.Errorf("ingest: %s: %w", s.name, err)
-}
-
-// spoolWriter adapts the scanner into the spool's capped io.Writer.
-type spoolWriter Scanner
-
-func (w *spoolWriter) Write(p []byte) (int, error) {
-	s := (*Scanner)(w)
-	if max := s.opt.MaxSpoolBytes; max > 0 && s.spooled+int64(len(p)) > max {
-		return 0, fmt.Errorf("%w: netlist %q exceeds the %d-byte spool cap", ErrSpoolLimit, s.name, max)
-	}
-	n, err := s.spool.Write(p)
-	s.spooled += int64(n)
-	return n, err
 }
 
 // lineReader delivers one line at a time out of fixed-size chunked reads.

@@ -1,12 +1,10 @@
 package ingest
 
 import (
-	"bytes"
 	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -48,17 +46,23 @@ func netlistName(path string) string {
 }
 
 // sniffSeekable routes a positioned seekable source to the right decoder
-// by magic bytes: RFC 1952 gzip (inflated to an anonymous spool, then
-// sniffed again), the .qcb binary netlist, or the textual .qc parser for
-// everything else. owns lists resources the returned stream must release
-// on Close; on error the caller keeps that responsibility.
+// by magic bytes: RFC 1952 gzip (a spool over the inflater, sniffed
+// again), the .qcb binary netlist, or the textual .qc parser for
+// everything else. This is the one container switch: NewAutoStream puts a
+// source that cannot seek behind a spool and comes here too. owns lists
+// resources the returned stream must release on Close; on error the caller
+// keeps that responsibility.
 func sniffSeekable(rs io.ReadSeeker, name string, opt Options, allowGzip bool, owns ...io.Closer) (Stream, error) {
 	pos, err := rs.Seek(0, io.SeekCurrent)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: %s: %w", name, err)
 	}
+	sp, _ := rs.(*spool)
 	var magic [4]byte
-	n, _ := io.ReadFull(rs, magic[:])
+	n, err := io.ReadFull(rs, magic[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, sp.explain(name, fmt.Errorf("ingest: %s: %w", name, err))
+	}
 	if _, err := rs.Seek(pos, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("ingest: %s: %w", name, err)
 	}
@@ -67,175 +71,72 @@ func sniffSeekable(rs io.ReadSeeker, name string, opt Options, allowGzip bool, o
 		if !allowGzip {
 			return nil, fmt.Errorf("ingest: %s: nested gzip container", name)
 		}
-		spool, size, err := inflateToSpool(rs, name, opt)
+		// The inflater reads the body once, from here on: the spool over it
+		// keeps the inflated netlist, so a spool under it keeps no more.
+		if sp != nil {
+			sp.through = true
+		}
+		zr, err := gzip.NewReader(rs)
 		if err != nil {
+			return nil, sp.explain(name, fmt.Errorf("ingest: %s: gzip: %w", name, err))
+		}
+		inflated := newSpool(zr, name, opt, ErrInflateLimit)
+		st, err := sniffSeekable(inflated, name, opt, false, append(owns, inflated)...)
+		if err != nil {
+			inflated.Close()
 			return nil, err
 		}
-		st, err := sniffSeekable(spool, name, opt, false, append(owns, spool)...)
-		if err != nil {
-			spool.Close()
-			return nil, err
-		}
-		return setInflated(st, size), nil
+		return st, nil
 	case n == 4 && [4]byte(magic[:]) == qcbin.MagicQCB:
 		sc, err := qcbin.NewScanner(rs, name)
 		if err != nil {
-			return nil, err
+			return nil, sp.explain(name, err)
 		}
-		return &binStream{Scanner: sc, owns: owns, maxGates: opt.MaxGates}, nil
+		return &binStream{Scanner: sc, sp: sp, owns: owns, maxGates: opt.MaxGates}, nil
 	default:
 		s := NewScanner(rs, name, opt)
-		s.extra = owns
+		s.owns = owns // rs seeks, so s spooled nothing of its own
 		return s, nil
 	}
 }
 
-// setInflated records the inflate-spool footprint on a sniffed stream so
-// SpooledBytes accounts for the disk the container actually used.
-func setInflated(st Stream, size int64) Stream {
-	switch v := st.(type) {
-	case *Scanner:
-		v.inflated = size
-	case *binStream:
-		v.spooled = size
-	}
-	return st
-}
-
-// inflateToSpool decompresses one gzip member stream into an anonymous
-// temp file, enforcing opt.MaxSpoolBytes on the inflated size
-// (ErrInflateLimit). The returned file is positioned at the start.
-func inflateToSpool(r io.Reader, name string, opt Options) (*os.File, int64, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, 0, fmt.Errorf("ingest: %s: gzip: %w", name, err)
-	}
-	f, err := os.CreateTemp(opt.SpoolDir, "leqa-inflate-*.spool")
-	if err != nil {
-		return nil, 0, fmt.Errorf("ingest: %s: creating inflate spool: %w", name, err)
-	}
-	os.Remove(f.Name())
-	cw := &cappedFileWriter{f: f}
-	if max := opt.MaxSpoolBytes; max > 0 {
-		cw.max = max
-		cw.overErr = fmt.Errorf("%w: gzipped netlist %q inflates past the %d-byte spool cap", ErrInflateLimit, name, max)
-	}
-	if _, err := io.Copy(cw, zr); err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	if err := zr.Close(); err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("ingest: %s: gzip: %w", name, err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("ingest: %s: %w", name, err)
-	}
-	return f, cw.n, nil
-}
-
-// spoolAll copies a non-seekable source to an anonymous temp file in full,
-// enforcing opt.MaxSpoolBytes on the raw size (ErrSpoolLimit) — the .qcb
-// decoder needs a seekable container.
-func spoolAll(r io.Reader, name string, opt Options) (*os.File, int64, error) {
-	f, err := os.CreateTemp(opt.SpoolDir, "leqa-ingest-*.spool")
-	if err != nil {
-		return nil, 0, fmt.Errorf("ingest: %s: creating spool: %w", name, err)
-	}
-	os.Remove(f.Name())
-	cw := &cappedFileWriter{f: f}
-	if max := opt.MaxSpoolBytes; max > 0 {
-		cw.max = max
-		cw.overErr = fmt.Errorf("%w: netlist %q exceeds the %d-byte spool cap", ErrSpoolLimit, name, max)
-	}
-	if _, err := io.Copy(cw, r); err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("ingest: %s: %w", name, err)
-	}
-	return f, cw.n, nil
-}
-
-// cappedFileWriter counts bytes into a temp file, failing with overErr
-// once max is exceeded.
-type cappedFileWriter struct {
-	f       *os.File
-	n       int64
-	max     int64
-	overErr error
-}
-
-func (w *cappedFileWriter) Write(p []byte) (int, error) {
-	if w.max > 0 && w.n+int64(len(p)) > w.max {
-		return 0, w.overErr
-	}
-	n, err := w.f.Write(p)
-	w.n += int64(n)
-	return n, err
-}
-
 // NewAutoStream sniffs r by magic bytes and returns the right decoder for
-// its container: gzip (transparently inflated), binary .qcb, or textual
-// .qc — the upload-body counterpart of Open. Non-seekable binary sources
-// are spooled to disk first (the decoder needs to seek); non-seekable text
-// flows through the Scanner's own tee-spool machinery unchanged.
+// its container: gzip (inflated as the decoder reads), binary .qcb, or
+// textual .qc — the upload-body counterpart of Open. A source that cannot
+// seek is read once, as it arrives, through a spool that keeps what it
+// reads for a later pass: the raw netlist, or for gzip the inflated one.
+// Nothing is copied to disk ahead of the decoder, so a spool cap or a
+// truncated gzip body fails the first pass that meets it.
 func NewAutoStream(r io.Reader, name string, opt Options) (Stream, error) {
 	if rs, ok := r.(io.ReadSeeker); ok {
 		if _, err := rs.Seek(0, io.SeekCurrent); err == nil {
 			return sniffSeekable(rs, name, opt, true)
 		}
 	}
-	var magic [4]byte
-	n, err := io.ReadFull(r, magic[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("ingest: %s: %w", name, err)
+	sp := newSpool(r, name, opt, ErrSpoolLimit)
+	st, err := sniffSeekable(sp, name, opt, true, sp)
+	if err != nil {
+		sp.Close()
+		return nil, err
 	}
-	src := io.MultiReader(bytes.NewReader(magic[:n]), r)
-	switch {
-	case n >= 2 && magic[0] == qcbin.MagicGzip[0] && magic[1] == qcbin.MagicGzip[1]:
-		spool, size, err := inflateToSpool(src, name, opt)
-		if err != nil {
-			return nil, err
-		}
-		st, err := sniffSeekable(spool, name, opt, false, spool)
-		if err != nil {
-			spool.Close()
-			return nil, err
-		}
-		return setInflated(st, size), nil
-	case n == 4 && [4]byte(magic[:]) == qcbin.MagicQCB:
-		spool, size, err := spoolAll(src, name, opt)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := qcbin.NewScanner(spool, name)
-		if err != nil {
-			spool.Close()
-			return nil, err
-		}
-		return &binStream{Scanner: sc, owns: []io.Closer{spool}, spooled: size, maxGates: opt.MaxGates}, nil
-	default:
-		return NewScanner(src, name, opt), nil
-	}
+	return st, nil
 }
 
-// binStream adapts the .qcb decoder to the ingest Stream contract: spool
-// accounting, the gate cap, and ownership of the containers opened on its
-// behalf.
+// binStream adapts the .qcb decoder to the ingest Stream contract: the
+// spool it reads, the gate cap, and ownership of the containers opened on
+// its behalf.
 type binStream struct {
 	*qcbin.Scanner
+	sp       *spool // the decoder's source when it is a spool
 	owns     []io.Closer
-	spooled  int64
 	maxGates int   // Options.MaxGates
-	err      error // the gate cap's error, sticky like a decode error
+	started  bool  // Scan has run since the last Rewind
+	err      error // the gate cap's or the spool's error, sticky like a decode error
 }
 
 // Scan is the decoder's Scan under Options.MaxGates.
 func (b *binStream) Scan() bool {
+	b.started = true
 	if b.err != nil || !b.Scanner.Scan() {
 		return false
 	}
@@ -246,36 +147,54 @@ func (b *binStream) Scan() bool {
 	return true
 }
 
-// Err reports the gate cap's error, else the decoder's.
+// Err reports the gate cap's error, else the spool's, else the decoder's:
+// a spool that failed under the decoder explains its truncation.
 func (b *binStream) Err() error {
 	if b.err != nil {
 		return b.err
 	}
-	return b.Scanner.Err()
+	return b.sp.explain(b.Name(), b.Scanner.Err())
 }
 
-// Rewind restarts the decoder unless the gate cap stopped the stream.
+// Rewind restarts the decoder unless the stream failed. Over a spool, once
+// a pass has started, the rest of the source is drained into the spool
+// first, so BytesRead is the netlist's size.
 func (b *binStream) Rewind() error {
-	if b.err != nil {
-		return b.err
+	if err := b.Err(); err != nil {
+		return err
 	}
+	if b.sp != nil && b.started {
+		if err := b.sp.drain(); err != nil {
+			b.err = fmt.Errorf("ingest: %s: %w", b.Name(), err)
+			return b.err
+		}
+	}
+	b.started = false
 	return b.Scanner.Rewind()
+}
+
+// BytesRead reports the netlist bytes read from a spooled source, the
+// whole netlist once a pass has reached its end or a Rewind has drained
+// it, else the bytes the decoder consumed on this pass.
+func (b *binStream) BytesRead() int64 {
+	if b.sp != nil {
+		return b.sp.n
+	}
+	return b.Scanner.BytesRead()
 }
 
 // Materialize replays the capped stream into a circuit.
 func (b *binStream) Materialize() (*circuit.Circuit, error) { return materialize(b) }
 
-// SpooledBytes reports the disk spool footprint of the binary container
-// (0 when it was decoded in place from a seekable source).
-func (b *binStream) SpooledBytes() int64 { return b.spooled }
+// SpooledBytes reports the bytes the stream's spools keep on disk (0 when
+// it was decoded in place from a seekable source).
+func (b *binStream) SpooledBytes() int64 { return spooled(b.owns) }
 
 // Close releases the decoder and every container resource it owns.
 func (b *binStream) Close() error {
 	err := b.Scanner.Close()
-	for _, c := range b.owns {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := closeAll(b.owns); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -59,21 +59,18 @@ func DigestContext(ctx context.Context, src analysis.GateStream) (string, error)
 	return d.sum(src.NumQubits(), src.Name()), nil
 }
 
-// AnalyzeDigest is analysis.AnalyzeStreamContext over sc, without an arena
-// or the FT-only stop, that also returns the netlist's Digest: the scanner
-// hashes each gate as the counting pass reads it, so one pass over the
-// netlist does what Digest and AnalyzeStream do in two. Like AnalyzeStream
-// it reads sc from where it stands, so the digest is Digest's for a fresh
-// scanner.
-func AnalyzeDigest(ctx context.Context, sc *Scanner) (*analysis.Analysis, string, error) {
+// DigestAnalysis is the Digest of the stream an analysis was built from,
+// taken from its node records: the nodes are that stream's gates, in
+// order, so hashing each node's gate record, then a.Qubits and a.Name,
+// gives Digest's value without reading the stream again. The store keys
+// an upload by it after the upload's one analysis pass.
+func DigestAnalysis(a *analysis.Analysis) string {
 	d := newDigester()
-	sc.dig = &d
-	defer func() { sc.dig = nil }()
-	a, err := analysis.AnalyzeStreamContext(ctx, sc, nil, false)
-	if err != nil {
-		return nil, "", err
+	var ops [2]int
+	for _, n := range a.QODG.Nodes[1 : len(a.QODG.Nodes)-1] {
+		d.gate(nodeGate(n, &ops))
 	}
-	return a, d.sum(sc.NumQubits(), sc.Name()), nil
+	return d.sum(a.Qubits, a.Name)
 }
 
 // digestChunk is how many record bytes a digester gathers before each hash

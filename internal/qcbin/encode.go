@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/circuit"
+	"repro/internal/qodg"
 )
 
 // registerProvider is the optional interface gate streams with a real qubit
@@ -80,7 +81,8 @@ func EncodeCircuit(w io.Writer, c *circuit.Circuit) error {
 // records: its name, a register of a.Qubits q<i> names, then one gate
 // record per QODG node in program order. The nodes are the gates the
 // analysis was built from, so the netlist has the digest of the analyzed
-// stream, and analysis.AnalyzeStream over it rebuilds the same analysis.
+// stream (DigestAnalysis), and analysis.AnalyzeStream over it rebuilds the
+// same analysis.
 func EncodeAnalysis(w io.Writer, a *analysis.Analysis) error {
 	bw := bufio.NewWriter(w)
 	if err := writeHeader(bw, a.Name, a.Qubits, nil); err != nil {
@@ -89,15 +91,21 @@ func EncodeAnalysis(w io.Writer, a *analysis.Analysis) error {
 	var ops [2]int
 	var buf []byte
 	for _, n := range a.QODG.Nodes[1 : len(a.QODG.Nodes)-1] {
-		s, _ := n.Op.Type.Shape()
-		ops[0], ops[1] = int(n.A), int(n.B)
-		g := circuit.Gate{Type: n.Op.Type, Controls: ops[:s.Controls], Targets: ops[s.Controls : s.Controls+s.Targets]}
-		buf = appendGateRecord(buf[:0], g)
+		buf = appendGateRecord(buf[:0], nodeGate(n, &ops))
 		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// nodeGate is the gate of a QODG node, its operands held in ops. An
+// analysis holds only gates of one or two qubits, so a node's type, A and
+// B fix the gate, controls first, as they fix its record.
+func nodeGate(n qodg.Node, ops *[2]int) circuit.Gate {
+	s, _ := n.Op.Type.Shape()
+	ops[0], ops[1] = int(n.A), int(n.B)
+	return circuit.Gate{Type: n.Op.Type, Controls: ops[:s.Controls], Targets: ops[s.Controls : s.Controls+s.Targets]}
 }
 
 // writeHeader emits the .qcb preamble: magic, version, circuit name and the

@@ -11,9 +11,13 @@
 //
 // The analysis store keeps each analysis as the .qcb netlist of its gate
 // records (EncodeAnalysis): the records are the QODG, and the IIG is a
-// function of them, so a disk hit scans the netlist once, rebuilding the
-// analysis and hashing the records as it goes (AnalyzeDigest), and checks
-// that digest against the one the file is named after.
+// function of them. The records also fix the netlist's digest, so a
+// stream's digest comes from its analysis (DigestAnalysis): an upload is
+// analyzed in its one pass and keyed by the hash of the records, and a
+// disk hit rebuilds the analysis the same way and checks that digest
+// against the one the file is named after. Digest and DigestContext hash
+// a stream directly, for netlists no analysis accepts (gates wider than
+// two qubits).
 //
 // The format begins with a non-ASCII magic byte, so it can never be
 // confused with a textual .qc netlist; gzip wrapping is detected the same

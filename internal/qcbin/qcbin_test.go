@@ -102,17 +102,14 @@ func TestRoundTrip(t *testing.T) {
 			if err := s.Rewind(); err != nil {
 				t.Fatalf("Rewind: %v", err)
 			}
-			if again := scanAll(t, s); len(again) != len(gates) {
+			again := scanAll(t, s)
+			if len(again) != len(gates) {
 				t.Fatalf("rewind pass decoded %d gates, want %d", len(again), len(gates))
 			}
-			// Materialize must equal the source circuit.
-			m, err := s.Materialize()
-			if err != nil {
-				t.Fatalf("Materialize: %v", err)
-			}
-			if m.Name != c.Name || m.NumQubits() != c.NumQubits() || len(m.Gates) != len(c.Gates) {
-				t.Fatalf("Materialize = %s/%d/%d, want %s/%d/%d",
-					m.Name, m.NumQubits(), len(m.Gates), c.Name, c.NumQubits(), len(c.Gates))
+			for i, g := range again {
+				if !gatesEqual(g, gates[i]) {
+					t.Fatalf("rewind pass gate %d = %v, want %v", i, g, gates[i])
+				}
 			}
 		})
 	}
@@ -192,7 +189,8 @@ func TestDigestContainerIndependent(t *testing.T) {
 // TestDigestPinned pins the digest of one circuit whose records span
 // several hash chunks. Digests name stored images and the refs clients
 // hold, so every route that computes one must keep giving this value:
-// DigestCircuit, Digest over a .qcb scanner, and AnalyzeDigest.
+// DigestCircuit, Digest over a .qcb scanner, and DigestAnalysis of the
+// scanner's analysis.
 func TestDigestPinned(t *testing.T) {
 	const want = "eda7e28c52067f24bf73d6e252a4384debde23a368809f3d8bc05b3c4f64e598"
 	c, err := benchgen.GenerateFT("gf2^16mult")
@@ -214,8 +212,12 @@ func TestDigestPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, d, err := AnalyzeDigest(context.Background(), s); err != nil || d != want {
-		t.Errorf("AnalyzeDigest = %s, %v; want %s", d, err, want)
+	a, err := analysis.AnalyzeStream(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := DigestAnalysis(a); d != want {
+		t.Errorf("DigestAnalysis = %s; want %s", d, want)
 	}
 }
 
@@ -415,9 +417,10 @@ func TestAnalyzeViaScanner(t *testing.T) {
 // FuzzQCBin throws arbitrary bytes at the binary netlist decoder; decodable
 // inputs must re-encode and re-decode to the identical gate stream, and
 // nothing may panic. A clean decode of one- and two-qubit gates also takes
-// the analysis store's disk route: its analysis, written by EncodeAnalysis
-// and rebuilt by AnalyzeDigest as a disk hit is, must have identical node
-// records, IIG and metadata, and the digest Digest gives the decode.
+// the analysis store's routes: DigestAnalysis of its analysis must be the
+// digest Digest gives the decode, and the analysis, written by
+// EncodeAnalysis and rebuilt by AnalyzeStream and DigestAnalysis as a disk
+// hit is, must have identical node records, IIG, metadata and digest.
 func FuzzQCBin(f *testing.F) {
 	for _, name := range []string{"mod1024adder", "ham15"} {
 		c, err := benchgen.Generate(name)
@@ -467,10 +470,8 @@ func FuzzQCBin(f *testing.F) {
 		}
 		// Clean decode: round-trip through the encoder must reproduce the
 		// same gates bit-for-bit at the gate level.
-		m, err := s.Materialize()
-		if err != nil {
-			t.Fatalf("clean stream failed to materialize: %v", err)
-		}
+		m := s.Register().Clone()
+		m.Gates = gates
 		var buf bytes.Buffer
 		if err := EncodeCircuit(&buf, m); err != nil {
 			t.Fatalf("re-encode: %v", err)
@@ -510,7 +511,7 @@ func FuzzQCBin(f *testing.F) {
 		if err != nil {
 			t.Fatalf("image: %v", err)
 		}
-		got, gd, err := AnalyzeDigest(context.Background(), si)
+		got, err := analysis.AnalyzeStream(si)
 		if err != nil {
 			t.Fatalf("image analysis: %v", err)
 		}
@@ -519,8 +520,11 @@ func FuzzQCBin(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gd != wd {
-			t.Fatalf("image digest %s, want %s", gd, wd)
+		if d := DigestAnalysis(want); d != wd {
+			t.Fatalf("analysis digest %s, want %s", d, wd)
+		}
+		if d := DigestAnalysis(got); d != wd {
+			t.Fatalf("image digest %s, want %s", d, wd)
 		}
 	})
 }

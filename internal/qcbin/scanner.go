@@ -40,14 +40,8 @@ type Scanner struct {
 	// stores no pointer and costs no GC write barrier.
 	gate      circuit.Gate
 	gateIndex int
-	// dig, while AnalyzeDigest runs, hashes every gate Scan yields.
-	dig    *digester
-	err    error
-	closed bool
-	// trusted is set once a pass has decoded the container start-to-EOF
-	// with every record validated; replay passes over the same seekable
-	// bytes then skip the per-gate structural validation.
-	trusted bool
+	err       error
+	closed    bool
 }
 
 // NewScanner parses the .qcb header of rs (positioned at the container
@@ -169,19 +163,15 @@ const scanPeek = 64
 
 // refill hands the consumed window prefix back to the buffered reader and
 // peeks the next full window. It reports false at end of input — clean EOF
-// (marking the pass trusted) or a read error — and true when at least one
-// byte is available to decode.
+// or a read error — and true when at least one byte is available to
+// decode.
 func (s *Scanner) refill() bool {
 	s.br.Discard(s.winPos)
 	s.winPos = 0
 	var perr error
 	s.win, perr = s.br.Peek(s.br.Size())
 	if len(s.win) == 0 {
-		if perr == nil || perr == io.EOF {
-			// A pass that decoded the whole container validated every
-			// record; replays over the same bytes can skip re-validation.
-			s.trusted = true
-		} else {
+		if perr != nil && perr != io.EOF {
 			s.err = formatErr(s.name, s.off, "reading opcode: %v", perr)
 		}
 		return false
@@ -256,17 +246,8 @@ func (s *Scanner) Scan() bool {
 	s.winPos += pos
 	s.off += int64(pos)
 	s.gate.Type = t
-	if !s.trusted && !s.checkDistinct(recOff, t) {
+	if !s.checkDistinct(recOff, t) {
 		return false
-	}
-	return s.accept()
-}
-
-// accept completes a decoded record: the digester of a running
-// AnalyzeDigest hashes the gate, and the gate index advances.
-func (s *Scanner) accept() bool {
-	if s.dig != nil {
-		s.dig.gate(s.gate)
 	}
 	s.gateIndex++
 	return true
@@ -326,7 +307,6 @@ func (s *Scanner) checkDistinct(recOff int64, t circuit.GateType) bool {
 func (s *Scanner) scanBytewise() bool {
 	op, err := s.br.ReadByte()
 	if err == io.EOF {
-		s.trusted = true
 		return false
 	}
 	if err != nil {
@@ -369,10 +349,11 @@ func (s *Scanner) scanBytewise() bool {
 		}
 	}
 	s.gate.Type = t
-	if !s.trusted && !s.checkDistinct(recOff, t) {
+	if !s.checkDistinct(recOff, t) {
 		return false
 	}
-	return s.accept()
+	s.gateIndex++
+	return true
 }
 
 // Rewind restarts the gate stream (one seek back to the first record).
@@ -400,24 +381,6 @@ func (s *Scanner) Rewind() error {
 func (s *Scanner) Close() error {
 	s.closed = true
 	return nil
-}
-
-// Materialize replays the stream into a fully materialized Circuit — the
-// same escape hatch ingest.Scanner offers. The scanner remains usable.
-func (s *Scanner) Materialize() (*circuit.Circuit, error) {
-	if err := s.Rewind(); err != nil {
-		return nil, err
-	}
-	var gates []circuit.Gate
-	for s.Scan() {
-		gates = append(gates, s.gate.Clone())
-	}
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	c := s.reg.Clone()
-	c.Gates = gates
-	return c, nil
 }
 
 func (s *Scanner) readOperand(recOff int64, t circuit.GateType) (int, error) {

@@ -12,12 +12,15 @@ import (
 
 // handleCircuitPut ingests a netlist upload (.qc text or binary .qcb,
 // either gzipped — sniffed by magic bytes, never by name) into the
-// analysis store and replies with its content digest. The operation is
-// idempotent: re-uploading a stored circuit is a store hit, whatever
-// container it arrives in this time, because the digest covers the
-// canonical gate stream rather than the bytes on the wire. An upload the
+// analysis store and replies with its content digest. The body is read
+// once: the store analyzes it as it arrives and takes the digest from the
+// analysis's records. The operation is idempotent: re-uploading a stored
+// circuit is a store hit, whatever container it arrives in this time,
+// because the digest covers the canonical gate stream rather than the
+// bytes on the wire; the hit still pays the one analysis pass, and HEAD
+// /v1/circuits/{digest} answers existence without a body. An upload the
 // client abandons, or one still running when the server aborts, stops at
-// the store's next context poll and stores nothing.
+// the analysis's next context poll and stores nothing.
 func (s *Server) handleCircuitPut(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {

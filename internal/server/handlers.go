@@ -65,14 +65,15 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 // handleEstimateQC estimates a raw netlist upload through the streaming
 // ingestion path: the body is sniffed by magic bytes (.qc text, binary
-// .qcb, either gzipped) and parsed gate by gate, once — the analysis
-// records each gate for its fill pass — so a chunked upload far past
-// MaxBodyBytes estimates in O(analysis) memory. The body is also spooled
-// to disk, not RAM. The spool backs only the rewind of the materialized
-// decompose fallback, and its cap (MaxSpoolBytes) is the 413 limit for
-// raw uploads; a gzip body inflating past it is a 422. The stream itself
-// stops at gate MaxGates+1 on every pass. MaxBodyBytes keeps bounding the
-// JSON endpoints and the decompose fallback.
+// .qcb, either gzipped) and read once, decoded gate by gate as it arrives
+// — the analysis records each gate for its fill pass — so a chunked upload
+// far past MaxBodyBytes estimates in O(analysis) memory. What the pass
+// reads also goes to one disk spool, not RAM: the netlist, inflated for
+// gzip. The spool backs only the rewind of the materialized decompose
+// fallback, and its cap (MaxSpoolBytes) is the 413 limit for raw uploads;
+// a gzip body inflating past it is a 422. The stream itself stops at gate
+// MaxGates+1 on every pass. MaxBodyBytes keeps bounding the JSON endpoints
+// and the decompose fallback.
 func (s *Server) handleEstimateQC(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	ps, err := paramSpecFromQuery(q)
@@ -135,9 +136,11 @@ func (s *Server) handleEstimateQC(w http.ResponseWriter, r *http.Request) {
 // up to MaxBodyBytes — the cap that bounded materialized uploads before
 // streaming existed — take the materialized decompose path; larger ones
 // are refused. The scan may have stopped at the first non-FT gate with
-// most of the body unread, so the true size is only known after finishing
-// the spool (disk, still bounded by MaxSpoolBytes): materialization is
-// gated on that total, never on the bytes consumed so far.
+// most of the body unread, so the true size is only known once the rewind
+// has drained the body into its spool (disk, still bounded by
+// MaxSpoolBytes): materialization is gated on that total, the netlist's
+// size in every container, inflated for gzip, never on the bytes on the
+// wire or consumed so far.
 func (s *Server) tryDecomposeFallback(ctx context.Context, sc ingest.Stream, name string, p leqa.Params) (*leqa.EstimateResult, error) {
 	if err := sc.Rewind(); err != nil {
 		return nil, err

@@ -193,7 +193,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(bw, "# TYPE leqad_batches_canceled_total counter\n")
 	fmt.Fprintf(bw, "leqad_batches_canceled_total %d\n", s.batchesCanceled.Load())
 
-	fmt.Fprintf(bw, "# HELP leqad_spooled_uploads_total Raw .qc uploads that went through the disk spool.\n")
+	fmt.Fprintf(bw, "# HELP leqad_spooled_uploads_total Raw netlist uploads that went through the disk spool.\n")
 	fmt.Fprintf(bw, "# TYPE leqad_spooled_uploads_total counter\n")
 	fmt.Fprintf(bw, "leqad_spooled_uploads_total %d\n", s.spooledUploads.Load())
 	fmt.Fprintf(bw, "# HELP leqad_spooled_bytes_total Netlist bytes written to upload spools.\n")

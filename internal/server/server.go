@@ -11,12 +11,14 @@
 //	GET  /healthz        build info + zone-model cache statistics
 //	GET  /metrics        Prometheus-style per-endpoint request/row/latency
 //
-// Raw .qc uploads stream through internal/ingest: gates are parsed once
-// and analyzed as the body flows, so chunked uploads far past MaxBodyBytes
-// estimate in O(analysis) memory. The body is teed to an on-disk spool
-// (never RAM) under the MaxSpoolBytes cap — the 413 limit for raw uploads —
-// which backs only the rewind of the materialized decompose fallback for
-// non-FT uploads.
+// Raw netlist uploads (.qc or .qcb, either gzipped) stream through
+// internal/ingest: an upload is read once, gates parsed and analyzed as
+// the body flows, so chunked uploads far past MaxBodyBytes estimate in
+// O(analysis) memory, and PUT /v1/circuits keys the stored analysis by the
+// digest of its records. The body passes through one on-disk spool (never
+// RAM) under the MaxSpoolBytes cap — the 413 limit for raw uploads, 422
+// for a gzip body whose inflated netlist outgrows it — which backs only
+// the rewind of the materialized decompose fallback for non-FT uploads.
 //
 // The batch endpoints stream one leqa.ResultRecord per row — NDJSON by
 // default, server-sent events when the client asks for text/event-stream —
@@ -50,9 +52,9 @@ const (
 	DefaultMaxGates      = 2_000_000
 	DefaultMaxCells      = 4096
 	DefaultMaxConcurrent = 16
-	// DefaultMaxSpoolBytes caps the on-disk spool a streamed raw .qc
-	// upload may occupy — the streaming successor of MaxBodyBytes, which
-	// bounds RAM. 256 MiB of netlist is ~10M operations.
+	// DefaultMaxSpoolBytes caps the on-disk spool a streamed raw upload
+	// may occupy — the streaming successor of MaxBodyBytes, which bounds
+	// RAM. 256 MiB of .qc netlist is ~10M operations.
 	DefaultMaxSpoolBytes = 256 << 20
 )
 
@@ -69,9 +71,10 @@ type Config struct {
 	// MaxBodyBytes caps every JSON request body (and the materialized
 	// decompose fallback of raw uploads); exceeding it is a 413.
 	MaxBodyBytes int64
-	// MaxSpoolBytes caps the disk spool of one streamed raw .qc upload;
-	// exceeding it is a 413. Raw uploads stream past MaxBodyBytes up to
-	// this cap without ever occupying RAM.
+	// MaxSpoolBytes caps the disk spool of one streamed raw upload, of any
+	// container and to either endpoint; exceeding it is a 413 (a 422 for
+	// the inflated netlist of a gzip body). Raw uploads stream past
+	// MaxBodyBytes up to this cap without ever occupying RAM.
 	MaxSpoolBytes int64
 	// SpoolDir receives upload spools; empty means os.TempDir().
 	SpoolDir string

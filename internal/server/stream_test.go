@@ -126,6 +126,82 @@ func TestEstimateUploadNonFTFirstGateTooLarge(t *testing.T) {
 	}
 }
 
+// containerBodies renders c in all four upload containers.
+func containerBodies(t *testing.T, c *leqa.Circuit) map[string][]byte {
+	t.Helper()
+	var qc, qcb bytes.Buffer
+	if err := circuit.WriteQC(&qc, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := leqa.WriteQCB(&qcb, c); err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{
+		"qc":     qc.Bytes(),
+		"qcb":    qcb.Bytes(),
+		"qc.gz":  gzipBytes(t, qc.Bytes()),
+		"qcb.gz": gzipBytes(t, qcb.Bytes()),
+	}
+}
+
+// TestDecomposeFallbackCapEveryContainer holds the decompose fallback's
+// MaxBodyBytes cap on the netlist's size in every container, inflated for
+// gzip, whatever the bytes on the wire. A chunked non-FT netlist over the
+// cap gets a 422 naming the decomposition cap, whether its first gate or
+// its last is the non-FT one, even when its .qcb or gzip body is far
+// smaller than the cap; one under the cap is decomposed and estimated as
+// Estimate(Decompose(c)) is.
+func TestDecomposeFallbackCapEveryContainer(t *testing.T) {
+	const maxBody = 1 << 10
+	_, c := newTestServer(t, server.Config{MaxBodyBytes: maxBody})
+	ft, _ := bigFTCircuit(t, "big", 8*maxBody)
+	tail := ft.Clone()
+	tail.Name = "tail"
+	tail.Append(circuit.NewToffoli(0, 1, 2))
+	head := circuit.New("head", ft.NumQubits())
+	head.Append(circuit.NewToffoli(0, 1, 2))
+	head.Append(ft.Gates...)
+	for _, over := range []*leqa.Circuit{head, tail} {
+		for container, body := range containerBodies(t, over) {
+			if container == "qcb" && len(body) <= maxBody {
+				t.Fatalf("%s .qcb netlist only %d bytes, need > %d", over.Name, len(body), maxBody)
+			}
+			_, err := c.EstimateQC(context.Background(), over.Name, chunked{bytes.NewReader(body)}, nil)
+			var apiErr *client.APIError
+			if !asAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("%s as %s (%d B on the wire): err = %v, want 422", over.Name, container, len(body), err)
+			}
+			if !strings.Contains(apiErr.Message, "decomposition cap") {
+				t.Fatalf("%s as %s: message %q does not explain the decomposition cap", over.Name, container, apiErr.Message)
+			}
+		}
+	}
+
+	small, err := leqa.Parse(strings.NewReader(uploadQC), "small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.Append(circuit.NewToffoli(0, 1, 2))
+	dc, err := leqa.Decompose(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := leqa.Estimate(dc, leqa.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for container, body := range containerBodies(t, small) {
+		rec, err := c.EstimateQC(context.Background(), "small", chunked{bytes.NewReader(body)}, nil)
+		if err != nil {
+			t.Fatalf("small as %s: %v", container, err)
+		}
+		if rec.Operations != dc.NumGates() || rec.EstimatedLatencyUs != want.EstimatedLatency {
+			t.Fatalf("small as %s: %d operations, D = %v; want %d, %v",
+				container, rec.Operations, rec.EstimatedLatencyUs, dc.NumGates(), want.EstimatedLatency)
+		}
+	}
+}
+
 // TestEstimateUploadEmptyBody keeps the pre-streaming 400 for empty raw
 // uploads.
 func TestEstimateUploadEmptyBody(t *testing.T) {

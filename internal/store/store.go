@@ -3,19 +3,24 @@
 // digest of the canonical gate stream (internal/qcbin), held in an
 // in-memory single-flight LRU over an optional disk directory of images.
 //
+// An upload is read once: GetOrAnalyzeOutcome analyzes its stream in one
+// pass and takes the digest from the analysis's node records
+// (qcbin.DigestAnalysis), which are the stream's gates, so a stream that
+// cannot be rewound is stored as readily as a file.
+//
 // The memory tier is an internal/lru cache, like the zone-model memo and
 // the result memo, under that package's rules on failed computes,
 // cancelled waiters and Purge: lookups of a digest being computed join
-// that computation, so N concurrent estimates of the same circuit analyze
-// it once. The disk tier persists every computed analysis as an atomic
+// that computation, so N concurrent uploads of the same circuit store one
+// analysis. The disk tier persists every stored analysis as an atomic
 // write-renamed image, survives process restarts, and is size-capped with
 // oldest-first eviction. An image is the .qcb netlist of the analyzed
 // gates (qcbin.EncodeAnalysis), named <digest>.qca. A disk hit rebuilds
-// the analysis with analysis.AnalyzeStream, the builder every upload runs,
-// hashing the netlist in the same pass, and checks that digest against the
-// file name, so it returns exactly what a fresh analysis of the digest's
-// circuit returns, and an image that fails to decode or to match its name
-// is deleted and counts as a miss.
+// the analysis as an upload is analyzed, with analysis.AnalyzeStream and
+// qcbin.DigestAnalysis, and checks that digest against the file name, so
+// it returns exactly what a fresh analysis of the digest's circuit
+// returns, and an image that fails to decode or to match its name is
+// deleted and counts as a miss.
 package store
 
 import (
@@ -61,8 +66,10 @@ type Options struct {
 // Stats is a snapshot of a store's cumulative counters.
 type Stats struct {
 	// Hits counts lookups answered by the memory tier; DiskHits those that
-	// fell through to a persisted image; Misses those that required a full
-	// analysis (or, for by-reference lookups, had nothing to offer).
+	// fell through to a persisted image; Misses those whose digest neither
+	// tier held: an upload's analysis was stored, or a by-reference lookup
+	// had nothing to offer. An upload is analyzed before its lookup, so a
+	// hit spares it only the insert and the image write.
 	Hits, Misses, DiskHits uint64
 	// Puts counts images written to the disk tier.
 	Puts uint64
@@ -142,10 +149,11 @@ func (s *Store) Dir() string { return s.dir }
 type Outcome uint8
 
 const (
-	// OutcomeMiss: neither tier had the digest; a full analysis ran.
+	// OutcomeMiss: neither tier held the digest; an upload's analysis was
+	// stored.
 	OutcomeMiss Outcome = iota
 	// OutcomeHit: served by the memory tier (including lookups coalesced
-	// onto another caller's in-flight analysis by the single-flight gate).
+	// onto another caller's in-flight lookup by the single-flight gate).
 	OutcomeHit
 	// OutcomeDiskHit: rebuilt from a persisted image.
 	OutcomeDiskHit
@@ -165,37 +173,34 @@ func (o Outcome) String() string {
 }
 
 // GetOrAnalyze returns the analysis of src's netlist and its content
-// digest (bare hex), analyzing at most once per digest across all
-// concurrent callers. The stream is consumed (one digest pass, plus the
-// analysis pass on a full miss).
+// digest (bare hex), storing it unless a tier already holds the digest.
+// The stream is read once, from where it stands.
 func (s *Store) GetOrAnalyze(src analysis.GateStream) (*analysis.Analysis, string, error) {
 	a, digest, _, err := s.GetOrAnalyzeOutcome(context.Background(), src)
 	return a, digest, err
 }
 
 // GetOrAnalyzeOutcome is GetOrAnalyze reporting how the lookup was
-// satisfied (memory hit, disk image, full analysis) — the hook request
-// tracing uses to attribute analyze time. Its digest pass and its analysis
-// pass poll ctx and stop with its error; a failed analysis is never
-// stored. Like every lookup, it never inherits the failure of another
-// caller's in-flight analysis it joined (see lookup).
+// satisfied (memory hit, disk image, new analysis) — the hook request
+// tracing uses to attribute analyze time. It analyzes src in one pass,
+// takes the digest from the analysis's node records
+// (qcbin.DigestAnalysis), and then looks the digest up: a digest neither
+// tier holds stores and persists this analysis; otherwise the stored one
+// is returned. The pass polls ctx and stops with its error before any
+// lookup, and a failed analysis is never stored. Like every lookup, it
+// never inherits the failure of another caller's in-flight lookup it
+// joined (see lookup).
 func (s *Store) GetOrAnalyzeOutcome(ctx context.Context, src analysis.GateStream) (*analysis.Analysis, string, Outcome, error) {
-	digest, err := qcbin.DigestContext(ctx, src)
+	a, err := analysis.AnalyzeStreamContext(ctx, src, nil, false)
 	if err != nil {
 		return nil, "", OutcomeMiss, err
 	}
-	a, outcome, err := s.lookup(ctx, digest, func() (*analysis.Analysis, error) {
-		if err := src.Rewind(); err != nil {
-			return nil, err
-		}
-		a, err := analysis.AnalyzeStreamContext(ctx, src, nil, false)
-		if err != nil {
-			return nil, err
-		}
+	digest := qcbin.DigestAnalysis(a)
+	stored, outcome, err := s.lookup(ctx, digest, func() (*analysis.Analysis, error) {
 		s.saveImage(digest, a)
 		return a, nil
 	})
-	return a, digest, outcome, err
+	return stored, digest, outcome, err
 }
 
 // Get returns the stored analysis for a bare hex digest, consulting both
@@ -208,7 +213,7 @@ func (s *Store) Get(digest string) (*analysis.Analysis, error) {
 // GetOutcome is Get reporting which tier answered — OutcomeHit from
 // memory (including a coalesced single-flight wait), OutcomeDiskHit from
 // a persisted image, OutcomeMiss with ErrNotFound. A lookup that joins
-// another caller's failed analysis looks the digest up again rather than
+// another caller's failed lookup looks the digest up again rather than
 // return that caller's error (see lookup).
 func (s *Store) GetOutcome(digest string) (*analysis.Analysis, Outcome, error) {
 	if err := validDigest(digest); err != nil {
@@ -297,18 +302,19 @@ func (s *Store) loadImage(ctx context.Context, digest string) (*analysis.Analysi
 	return a, nil
 }
 
-// analyzeImage rebuilds an analysis from its image, hashing the netlist in
-// the same pass, and checks that it has the digest it is stored under.
+// analyzeImage rebuilds an analysis from its image, the way an upload is
+// analyzed, and checks that its records have the digest it is stored
+// under.
 func analyzeImage(ctx context.Context, f *os.File, digest string) (*analysis.Analysis, error) {
 	sc, err := qcbin.NewScanner(f, "")
 	if err != nil {
 		return nil, err
 	}
-	a, got, err := qcbin.AnalyzeDigest(ctx, sc)
+	a, err := analysis.AnalyzeStreamContext(ctx, sc, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	if got != digest {
+	if got := qcbin.DigestAnalysis(a); got != digest {
 		return nil, fmt.Errorf("store: image %s holds the netlist of digest %s", digest, got)
 	}
 	return a, nil

@@ -355,7 +355,8 @@ func TestStoredAnalysisExactSlab(t *testing.T) {
 	}
 }
 
-// TestSingleFlight: concurrent GetOrAnalyze of one digest analyzes once.
+// TestSingleFlight: concurrent GetOrAnalyze of one digest stores one
+// analysis, and every caller gets that one.
 func TestSingleFlight(t *testing.T) {
 	s := newStore(t, Options{})
 	c := genFT(t, "8bitadder")
@@ -517,39 +518,96 @@ func TestFailedComputeRetries(t *testing.T) {
 	}
 }
 
-// cancelOnRewind cancels its context when the stream is rewound the n-th
-// time.
-type cancelOnRewind struct {
+// cancelAtScan cancels its context on the stream's scan number at.
+type cancelAtScan struct {
 	analysis.GateStream
-	n, rewinds int
-	cancel     context.CancelFunc
+	at, scans int
+	cancel    context.CancelFunc
 }
 
-func (s *cancelOnRewind) Rewind() error {
-	if s.rewinds++; s.rewinds == s.n {
+func (s *cancelAtScan) Scan() bool {
+	if s.scans++; s.scans == s.at {
 		s.cancel()
+	}
+	return s.GateStream.Scan()
+}
+
+// longCircuit has three context-poll intervals of gates.
+func longCircuit() *circuit.Circuit {
+	c := circuit.New("long", 2)
+	for i := 0; i < 3*analysis.CtxCheckEvery; i++ {
+		c.Append(circuit.NewCNOT(i%2, 1-i%2))
+	}
+	return c
+}
+
+// TestCancelledAnalysisNotStored cancels a GetOrAnalyzeOutcome during its
+// analysis pass: the pass polls the context and fails with its error
+// before any lookup, so it counts no miss and stores nothing, and the
+// digest stays computable by the next caller.
+func TestCancelledAnalysisNotStored(t *testing.T) {
+	s := newStore(t, Options{})
+	c := longCircuit()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelAtScan{GateStream: analysis.NewCircuitStream(c), at: 100, cancel: cancel}
+	if _, _, _, err := s.GetOrAnalyzeOutcome(ctx, src); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled from the analysis pass", err)
+	}
+	if st := s.Stats(); st.Entries != 0 || st.Misses != 0 || st.Hits != 0 {
+		t.Fatalf("stats after a cancelled analysis = %s, want no entry and no lookup", st)
+	}
+	if _, _, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c)); err != nil || outcome != OutcomeMiss {
+		t.Fatalf("retry = %v, %v; want a fresh analysis", outcome, err)
+	}
+}
+
+// onePass is a stream that can be read once: any Rewind after its first
+// Scan fails, as a request body's would with nothing to replay it from.
+type onePass struct {
+	analysis.GateStream
+	scanned bool
+}
+
+func (s *onePass) Scan() bool {
+	s.scanned = true
+	return s.GateStream.Scan()
+}
+
+func (s *onePass) Rewind() error {
+	if s.scanned {
+		return errors.New("onePass: rewound after a pass started")
 	}
 	return s.GateStream.Rewind()
 }
 
-// TestCancelledAnalysisNotStored cancels a lookup between its digest pass
-// and its analysis pass: the analysis polls the context, fails with its
-// error, and the digest stays computable by the next caller.
-func TestCancelledAnalysisNotStored(t *testing.T) {
-	s := newStore(t, Options{})
+// TestGetOrAnalyzeReadsOnce: GetOrAnalyzeOutcome reads its stream once.
+// A stream that cannot be rewound once a pass has started is analyzed,
+// stored under the digest of its netlist and persisted, and a second such
+// stream of the same netlist is a memory hit.
+func TestGetOrAnalyzeReadsOnce(t *testing.T) {
+	dir := t.TempDir()
+	s := newStore(t, Options{Dir: dir})
 	c := genFT(t, "8bitadder")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Rewind 1 starts the digest pass, rewind 2 the analysis pass.
-	src := &cancelOnRewind{GateStream: analysis.NewCircuitStream(c), n: 2, cancel: cancel}
-	if _, _, _, err := s.GetOrAnalyzeOutcome(ctx, src); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled from the analysis pass", err)
+	want, err := qcbin.DigestCircuit(c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Entries != 0 || st.Misses != 1 {
-		t.Fatalf("stats after a cancelled analysis = %s, want no entry and 1 miss", st)
+	a, digest, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), &onePass{GateStream: analysis.NewCircuitStream(c)})
+	if err != nil || outcome != OutcomeMiss || digest != want {
+		t.Fatalf("GetOrAnalyzeOutcome = %s, %v, %v; want a miss storing digest %s", digest, outcome, err, want)
 	}
-	if _, _, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c)); err != nil || outcome != OutcomeMiss {
-		t.Fatalf("retry = %v, %v; want a fresh analysis", outcome, err)
+	fresh, err := analysis.Analyze(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameEstimate(t, c.Name, fresh, a)
+	if st := s.Stats(); st.Entries != 1 || st.Puts != 1 {
+		t.Fatalf("stats = %s, want the analysis stored and persisted", st)
+	}
+	again, _, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), &onePass{GateStream: analysis.NewCircuitStream(c.Clone())})
+	if err != nil || outcome != OutcomeHit || again != a {
+		t.Fatalf("re-upload = %v, %v; want the stored analysis as a memory hit", outcome, err)
 	}
 }
 
@@ -568,8 +626,8 @@ func (s *cancelAtEnd) Scan() bool {
 	return false
 }
 
-// TestCancelledDiskRebuildKeepsImage cancels a lookup as its digest pass
-// ends, so the disk rebuild that follows runs under a done context. The
+// TestCancelledDiskRebuildKeepsImage cancels a lookup as its analysis
+// pass ends, so the disk rebuild that follows runs under a done context. The
 // rebuild fails with the context's error, counts neither a disk hit nor a
 // miss, and leaves the image on disk for the next lookup to serve: a
 // cancelled rebuild is not a corrupt image.
@@ -598,30 +656,38 @@ func TestCancelledDiskRebuildKeepsImage(t *testing.T) {
 	}
 }
 
-// blockOnRewind parks its n-th Rewind: it closes reached, then waits for
-// release.
-type blockOnRewind struct {
-	analysis.GateStream
-	n, rewinds       int
-	reached, release chan struct{}
-}
-
-func (s *blockOnRewind) Rewind() error {
-	if s.rewinds++; s.rewinds == s.n {
-		close(s.reached)
-		<-s.release
-	}
-	return s.GateStream.Rewind()
+// parkOwner starts the owner of a lookup of digest whose compute parks
+// inside lookup: it closes reached and waits for release, then fails with
+// ctx's error if ctx is done, as a disk rebuild that polls ctx does, and
+// stores a otherwise. done receives the owner's error.
+func parkOwner(s *Store, ctx context.Context, digest string, a *analysis.Analysis) (reached, release chan struct{}, done chan error) {
+	reached, release, done = make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, _, err := s.lookup(ctx, digest, func() (*analysis.Analysis, error) {
+			close(reached)
+			<-release
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			return a, nil
+		})
+		done <- err
+	}()
+	return reached, release, done
 }
 
 // TestJoinerOutlivesCancelledOwner: a lookup that joins another caller's
-// in-flight analysis does not inherit that caller's cancellation. The
-// owner is cancelled while its analysis pass is parked. A joining
-// GetOrAnalyzeOutcome, whose own context is live, analyzes the digest
-// itself; a joining by-reference GetOutcome looks the digest up again and
-// finds the analysis or nothing, never the owner's context.Canceled.
+// in-flight lookup does not inherit that caller's cancellation. The owner
+// is cancelled while its compute is parked. A joining
+// GetOrAnalyzeOutcome, whose own context is live, stores its own
+// analysis; a joining by-reference GetOutcome looks the digest up again
+// and finds the analysis or nothing, never the owner's context.Canceled.
 func TestJoinerOutlivesCancelledOwner(t *testing.T) {
 	c := genFT(t, "8bitadder")
+	a, err := analysis.Analyze(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		join func(s *Store, digest string) (*analysis.Analysis, error)
@@ -645,22 +711,11 @@ func TestJoinerOutlivesCancelledOwner(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newStore(t, Options{})
-			digest, err := qcbin.Digest(analysis.NewCircuitStream(c))
-			if err != nil {
-				t.Fatal(err)
-			}
+			digest := qcbin.DigestAnalysis(a)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			// Rewind 1 starts the owner's digest pass, rewind 2 its analysis
-			// pass.
-			owner := &blockOnRewind{GateStream: analysis.NewCircuitStream(c), n: 2,
-				reached: make(chan struct{}), release: make(chan struct{})}
-			ownerErr := make(chan error, 1)
-			go func() {
-				_, _, _, err := s.GetOrAnalyzeOutcome(ctx, owner)
-				ownerErr <- err
-			}()
-			<-owner.reached
+			reached, release, ownerErr := parkOwner(s, ctx, digest, a)
+			<-reached
 
 			type result struct {
 				a   *analysis.Analysis
@@ -677,7 +732,7 @@ func TestJoinerOutlivesCancelledOwner(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			cancel()
-			close(owner.release)
+			close(release)
 
 			if err := <-ownerErr; !errors.Is(err, context.Canceled) {
 				t.Fatalf("owner err = %v, want context.Canceled", err)
@@ -691,21 +746,18 @@ func TestJoinerOutlivesCancelledOwner(t *testing.T) {
 }
 
 // TestCancelledJoinerStopsWaiting: a GetOrAnalyzeOutcome that joins
-// another caller's in-flight analysis returns its own context's error as
-// soon as that context ends, while the owner's analysis is still parked;
+// another caller's in-flight lookup returns its own context's error as
+// soon as that context ends, while the owner's compute is still parked;
 // the owner then finishes and stores the analysis.
 func TestCancelledJoinerStopsWaiting(t *testing.T) {
 	s := newStore(t, Options{})
 	c := genFT(t, "8bitadder")
-	// Rewind 1 starts the owner's digest pass, rewind 2 its analysis pass.
-	owner := &blockOnRewind{GateStream: analysis.NewCircuitStream(c), n: 2,
-		reached: make(chan struct{}), release: make(chan struct{})}
-	ownerErr := make(chan error, 1)
-	go func() {
-		_, _, _, err := s.GetOrAnalyzeOutcome(context.Background(), owner)
-		ownerErr <- err
-	}()
-	<-owner.reached
+	a, err := analysis.Analyze(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached, release, ownerErr := parkOwner(s, context.Background(), qcbin.DigestAnalysis(a), a)
+	<-reached
 
 	ctx, cancel := context.WithCancel(context.Background())
 	joinErr := make(chan error, 1)
@@ -726,7 +778,7 @@ func TestCancelledJoinerStopsWaiting(t *testing.T) {
 		t.Fatalf("owner finished (%v) before its release", err)
 	default:
 	}
-	close(owner.release)
+	close(release)
 	if err := <-ownerErr; err != nil {
 		t.Fatalf("owner err = %v", err)
 	}

@@ -27,10 +27,10 @@ type (
 	// per-gate re-validation. A caller's wrapper that passes gates through
 	// unchanged should forward it.
 	PrevalidatedStream = analysis.PrevalidatedStream
-	// IngestOptions tunes the streaming .qc scanner: chunk size, line cap,
-	// gate cap, and the on-disk spool (directory, byte cap) non-seekable
-	// sources use to support a second pass (a store's digest-then-analyze,
-	// or materialization).
+	// IngestOptions tunes the streaming netlist decoders: chunk size, line
+	// cap, gate cap, and the on-disk spool (directory, byte cap) that a
+	// source which cannot seek, or a gzip container, is read through once,
+	// so that a second pass (materialization, a replay) can read it again.
 	IngestOptions = ingest.Options
 	// NonFTError marks a circuit or gate stream containing gates outside
 	// the fault-tolerant set; the streaming paths report it gate by gate,
@@ -81,9 +81,9 @@ type Source struct {
 	circuit *Circuit
 }
 
-// FileSource streams a .qc file, naming the circuit after the file. The
-// file is opened lazily (and seeked, never spooled) when a worker claims
-// it.
+// FileSource streams a netlist file, naming the circuit after the file.
+// The file is opened lazily when a worker claims it, and seeked; only a
+// gzip file's inflated netlist is spooled.
 func FileSource(path string, opt IngestOptions) Source {
 	return Source{Name: circuit.QCBaseName(path), Open: func() (GateStream, error) {
 		return ingest.Open(path, opt)
@@ -92,8 +92,9 @@ func FileSource(path string, opt IngestOptions) Source {
 
 // ReaderSource streams a netlist from an arbitrary reader (stdin, a
 // network body) — textual .qc or binary .qcb, either gzipped, sniffed by
-// magic bytes — spooling to disk when r cannot seek, for the second pass
-// an attached store's digest-then-analyze makes. The reader is consumed;
+// magic bytes. A reader that cannot seek is read once, as it arrives,
+// through a disk spool that keeps it for a later pass; the analysis, and
+// an attached store's digest, need only the one. The reader is consumed;
 // the source can be opened once.
 func ReaderSource(name string, r io.Reader, opt IngestOptions) Source {
 	return Source{Name: name, Open: func() (GateStream, error) {

@@ -11,12 +11,12 @@ import (
 	"repro/leqa/trace"
 )
 
-// Content-addressed analysis store, re-exported from internal/store. An
-// AnalysisStore attached to a Runner (SetAnalysisStore) turns the source
-// sweeps into "parse once, estimate forever" paths: every estimate first
-// digests the gate stream (SHA-256 of the canonical gate records). A
-// memory-tier hit skips the graph build; a persisted image, the .qcb
-// netlist of the analyzed gates, is rebuilt by the same builder and
+// Content-addressed analysis store, re-exported from internal/store. A
+// stream is read once: the store analyzes it in one pass and keys it by
+// the digest of the analysis's gate records (SHA-256 of the canonical
+// records), so a digest costs no second read of the netlist. A stored
+// analysis is estimated by reference from then on; a persisted image, the
+// .qcb netlist of the analyzed gates, is rebuilt by the same builder and
 // checked against its digest. Store hits are bitwise identical to fresh
 // analyses.
 type (
@@ -43,10 +43,11 @@ func NewAnalysisStore(opt AnalysisStoreOptions) (*AnalysisStore, error) {
 
 // SetAnalysisStore attaches a content-addressed analysis store to the
 // runner's streamed sources (SweepGridSources and the stream beneath it):
-// each is digested on open, and a store hit skips analysis. nil detaches.
-// Set before concurrent runs start; the field is read unsynchronized on the
-// estimate path. Attaching a store never changes results — a hit returns
-// the same node records and IIG rows a fresh analysis builds.
+// each is analyzed once and stored under the digest of its records, and a
+// store hit returns the stored analysis. nil detaches. Set before
+// concurrent runs start; the field is read unsynchronized on the estimate
+// path. Attaching a store never changes results — a hit returns the same
+// node records and IIG rows a fresh analysis builds.
 func (r *Runner) SetAnalysisStore(s *AnalysisStore) { r.store = s }
 
 // CircuitDigest computes a circuit's content digest — the bare-hex SHA-256
@@ -75,10 +76,11 @@ func WriteQCB(w io.Writer, c *Circuit) error { return qcbin.EncodeCircuit(w, c) 
 
 // analyzeSource produces one source's analysis: directly from an
 // Analysis-backed source; in ar for an in-memory circuit; through the
-// attached store for a streamed source when one is set (a hit skips the
-// graph build; a miss analyzes and persists); otherwise by streaming the
-// source into ar through the FT-only counting pass. Every pass over the
-// stream polls ctx. An arena analysis is borrowed until ar's next use.
+// attached store for a streamed source when one is set (the stream is
+// analyzed once; a miss stores and persists the analysis, a hit returns
+// the stored one); otherwise by streaming the source into ar through the
+// FT-only counting pass. Every pass over the stream polls ctx. An arena
+// analysis is borrowed until ar's next use.
 func (r *Runner) analyzeSource(ctx context.Context, s Source, ar *analysis.Arena) (*analysis.Analysis, error) {
 	if s.Analysis != nil {
 		// By-reference resolution: no ingest or graph build happened, but a
