@@ -280,16 +280,16 @@ func BenchmarkLongestPath(b *testing.B) {
 
 // BenchmarkLongestPathMulti isolates the multi-weight kernel against its
 // per-column baseline: K columns relaxed in one adjacency traversal (SoA
-// dist/from slabs) versus K one-column sweeps that each stream the graph
-// again. Multi reads each node's K weights from a packed per-node slab
-// (LongestPathMultiStrided, the kernel cmd/leqabench replays); ByType
-// reads them from a (gate type × column) table, the estimator's batched
-// path, with no per-node weights at all; PerColumn runs LongestPath once
-// per column of the same table. One traversal saves the K-1 adjacency
-// re-reads but touches K-wide rows per node, so whether it beats PerColumn
-// on one core depends on the host's memory system: BENCH_9 (1 CPU) has
-// Multi/K6 at 2.17× PerColumn, while on a 2-CPU host at -cpu 1 the two
-// were level (16.5–18.1 vs 16.7–17.2 ms).
+// predecessor and per-qubit distance rows) versus K one-column sweeps that
+// each stream the graph again. Multi reads each node's K weights from a
+// packed per-node slab (LongestPathMultiStrided, the kernel cmd/leqabench
+// replays); ByType reads them from a (gate type × column) table, the
+// estimator's batched path, with no per-node weights at all; PerColumn
+// runs LongestPath once per column of the same table. One traversal saves
+// the K-1 adjacency re-reads but touches K-wide rows per node, so whether
+// it beats PerColumn on one core depends on the host's memory system:
+// BENCH_9 (1 CPU) has Multi/K6 at 2.17× PerColumn, while on a 2-CPU host
+// at -cpu 1 the two were level (16.5–18.1 vs 16.7–17.2 ms).
 func BenchmarkLongestPathMulti(b *testing.B) {
 	g := qodgOf(b, ftCircuit(b, "gf2^128mult"))
 	const rows = int(circuit.CNOT) + 1 // row 0 weighs the pseudo-nodes: 0
@@ -580,8 +580,11 @@ func BenchmarkIngestBinary(b *testing.B) {
 // digest from the analysis. Miss rows upload into an empty store and Hit
 // rows re-upload a stored circuit, each as a .qc and a .qcb body: a hit
 // pays the same pass as a miss, and is spared only the store's insert.
-// DiskHit rows rebuild a stored circuit from its disk image, as a by-ref
-// lookup does after a restart (store.Get with the memory tier purged).
+// DiskHitQCB rows re-upload a circuit whose image is on disk but not in
+// memory (the memory tier purged), as after a restart: the image is
+// checked against the upload's analysis, not analyzed again. DiskHit rows
+// rebuild a stored circuit from its disk image, as a by-ref lookup does
+// after a restart (store.Get with the memory tier purged).
 func BenchmarkCircuitPut(b *testing.B) {
 	ctx := context.Background()
 	for _, name := range []string{"hwb100ps", "gf2^64mult", "gf2^128mult"} {
@@ -633,6 +636,17 @@ func BenchmarkCircuitPut(b *testing.B) {
 				}
 			})
 		}
+		b.Run(sanitize(name)+"/DiskHitQCB", func(b *testing.B) {
+			st := newStore(b, store.Options{Dir: b.TempDir()})
+			put(b, st, qcb.Bytes(), store.OutcomeMiss)
+			b.ReportAllocs()
+			b.SetBytes(int64(qcb.Len()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.Purge()
+				put(b, st, qcb.Bytes(), store.OutcomeDiskHit)
+			}
+		})
 		b.Run(sanitize(name)+"/DiskHit", func(b *testing.B) {
 			st := newStore(b, store.Options{Dir: b.TempDir()})
 			_, digest, err := st.GetOrAnalyze(analysis.NewCircuitStream(c))
@@ -898,6 +912,65 @@ func BenchmarkSweepGridBatched(b *testing.B) {
 			runGrid(b, r)
 		}
 	})
+}
+
+// BenchmarkSweepGridRunner times a whole grid through a 2-worker Runner:
+// by-ref analyses of leqabench's design-sweep circuits, gf2^64mult,
+// hwb100ps, mod1048576adder and gf2^100mult in that order, × 8 parameter
+// columns, with no result memo, so every cell is estimated. gf2^100mult,
+// the largest row by far, comes last in input order and starts first, so
+// the two workers finish together rather than one idling while the other
+// runs it. first-row-ms and last-row-ms are the mean times from the
+// start of the grid to its first and last emitted cell.
+func BenchmarkSweepGridRunner(b *testing.B) {
+	names := []string{"gf2^64mult", "hwb100ps", "mod1048576adder", "gf2^100mult"}
+	sources := make([]leqa.Source, len(names))
+	for i, name := range names {
+		a, err := analysis.Analyze(ftCircuit(b, name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sources[i] = leqa.AnalysisSource(name, a)
+	}
+	paramSets := make([]fabric.Params, 8)
+	for j := range paramSets {
+		p := fabric.Default()
+		p.Grid = fabric.Grid{Width: 40 + 20*j, Height: 40 + 20*j}
+		p.ChannelCapacity = 1 + j
+		paramSets[j] = p
+	}
+	r, err := leqa.NewRunner(fabric.Default(), core.Options{}, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var first, last time.Duration
+	grid := func() {
+		start := time.Now()
+		cells := 0
+		err := r.SweepGridSourcesStream(ctx, sources, paramSets, func(cell leqa.GridCell) error {
+			if cell.Err != nil {
+				return cell.Err
+			}
+			if cells++; cells == 1 {
+				first += time.Since(start)
+			}
+			return nil
+		})
+		last += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	grid() // warm the runner's arenas and the zone-model memo
+	first, last = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		grid()
+	}
+	b.ReportMetric(first.Seconds()*1e3/float64(b.N), "first-row-ms")
+	b.ReportMetric(last.Seconds()*1e3/float64(b.N), "last-row-ms")
 }
 
 // BenchmarkFigure5QueueModel times the M/M/1 evaluation (Eq. 8–11) — the

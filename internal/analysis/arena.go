@@ -15,10 +15,11 @@ const ShardThreshold = math.MaxInt
 // Arena is the reusable scratch state of the estimate hot path: every
 // buffer the analysis passes and the critical-path sweep would otherwise
 // allocate per call — the QODG's node slab, the IIG's degree array and
-// incidence, and the longest-path dist/from and last-writer slabs — owned
-// once and recycled across circuits. A zero Arena is ready to use; buffers
-// grow to the largest circuit seen and stay warm, so a steady-state worker
-// analyzes and estimates with near-zero heap allocation.
+// incidence, and the longest-path predecessor slab and per-qubit state —
+// owned once and recycled across circuits. A zero Arena is ready to use;
+// buffers grow to the largest circuit seen and stay warm, so a
+// steady-state worker analyzes and estimates with near-zero heap
+// allocation.
 //
 // An Arena is not safe for concurrent use. The Analysis returned by
 // (*Arena).Analyze or (*Arena).AnalyzeStream aliases arena memory and is

@@ -45,6 +45,10 @@ func netlistName(path string) string {
 	return strings.TrimSuffix(name, ".qc")
 }
 
+// sniffLen is how many bytes the container sniff reads: the .qcb magic's
+// length, the longest of the magics.
+const sniffLen = len(qcbin.MagicQCB)
+
 // sniffSeekable routes a positioned seekable source to the right decoder
 // by magic bytes: RFC 1952 gzip (a spool over the inflater, sniffed
 // again), the .qcb binary netlist, or the textual .qc parser for
@@ -58,7 +62,7 @@ func sniffSeekable(rs io.ReadSeeker, name string, opt Options, allowGzip bool, o
 		return nil, fmt.Errorf("ingest: %s: %w", name, err)
 	}
 	sp, _ := rs.(*spool)
-	var magic [4]byte
+	var magic [sniffLen]byte
 	n, err := io.ReadFull(rs, magic[:])
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, sp.explain(name, fmt.Errorf("ingest: %s: %w", name, err))
@@ -87,7 +91,7 @@ func sniffSeekable(rs io.ReadSeeker, name string, opt Options, allowGzip bool, o
 			return nil, err
 		}
 		return st, nil
-	case n == 4 && [4]byte(magic[:]) == qcbin.MagicQCB:
+	case n == 4 && magic == qcbin.MagicQCB:
 		sc, err := qcbin.NewScanner(rs, name)
 		if err != nil {
 			return nil, sp.explain(name, err)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchgen"
 	"repro/internal/circuit"
 	"repro/internal/qcbin"
 )
@@ -236,6 +237,43 @@ func TestSpooledBytesAccounting(t *testing.T) {
 		}
 		if st.SpooledBytes() != tc.want {
 			t.Errorf("%s: SpooledBytes = %d, want %d", tc.label, st.SpooledBytes(), tc.want)
+		}
+		st.Close()
+	}
+}
+
+// TestPipedGzipSpoolsOnlyInflated: a gzip body that cannot seek keeps on
+// disk its inflated netlist and nothing else — the magic bytes the sniff
+// reads stay in memory — so SpooledBytes is the netlist's size, for the
+// sample and for a netlist of thousands of gates, as .qc.gz and .qcb.gz.
+func TestPipedGzipSpoolsOnlyInflated(t *testing.T) {
+	big, err := benchgen.GenerateFT("gf2^16mult")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bigQC, bigQCB bytes.Buffer
+	if err := circuit.WriteQC(&bigQC, big); err != nil {
+		t.Fatal(err)
+	}
+	if err := qcbin.EncodeCircuit(&bigQCB, big); err != nil {
+		t.Fatal(err)
+	}
+	small := containers(t)
+	for _, tc := range []struct {
+		label   string
+		netlist []byte
+	}{
+		{"sample qc.gz", small["qc"]},
+		{"sample qcb.gz", small["qcb"]},
+		{"gf2^16mult qc.gz", bigQC.Bytes()},
+		{"gf2^16mult qcb.gz", bigQCB.Bytes()},
+	} {
+		st, err := firstPass(nonSeeker{bytes.NewReader(gzipped(tc.netlist))}, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		if got, want := st.SpooledBytes(), int64(len(tc.netlist)); got != want {
+			t.Errorf("%s: SpooledBytes = %d, want the inflated netlist's %d", tc.label, got, want)
 		}
 		st.Close()
 	}

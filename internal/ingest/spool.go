@@ -9,12 +9,15 @@ import (
 
 // spool makes a source that cannot seek an io.ReadSeeker, so an upload is
 // read once, as it arrives, and can still be read again. A byte read from
-// the source for the first time is also appended to one anonymous temp
-// file; a seek back reads the file, then reads on from the source. The
-// file is created on the first byte kept and capped at max bytes (0: no
-// cap), past which the read fails with limit: ErrSpoolLimit over a request
-// body, ErrInflateLimit over a gzip decoder. The source's error and the
-// cap's are sticky. Not safe for concurrent use.
+// the source for the first time is also kept; a seek back reads the kept
+// bytes, then reads on from the source. The first sniffLen bytes, which
+// the container sniff reads, are kept in memory; past them, everything is
+// kept in one anonymous temp file, created when the first byte past them
+// is kept. So a gzip body, whose inflater reads the rest through once,
+// costs no file. Kept bytes are capped at max (0: no cap), past which the
+// read fails with limit: ErrSpoolLimit over a request body,
+// ErrInflateLimit over a gzip decoder. The source's error and the cap's
+// are sticky. Not safe for concurrent use.
 type spool struct {
 	src   io.Reader
 	name  string // the netlist, for the cap's error
@@ -22,12 +25,13 @@ type spool struct {
 	max   int64
 	limit error
 
-	f       *os.File
-	n       int64 // bytes taken from src, all of them in f unless through
-	pos     int64 // read offset
-	eof     bool  // src is exhausted
-	err     error // src's failure or the cap's
-	through bool  // bytes past n are read through, not kept: a reader that takes the rest once leaves nothing to replay
+	head    [sniffLen]byte // the bytes kept while f is nil
+	f       *os.File       // every kept byte once created, head included
+	n       int64          // bytes taken from src, all of them kept unless through
+	pos     int64          // read offset
+	eof     bool           // src is exhausted
+	err     error          // src's failure or the cap's
+	through bool           // bytes past n are read through, not kept: a reader that takes the rest once leaves nothing to replay
 }
 
 func newSpool(src io.Reader, name string, opt Options, limit error) *spool {
@@ -38,7 +42,13 @@ func newSpool(src io.Reader, name string, opt Options, limit error) *spool {
 // what it reads.
 func (sp *spool) Read(p []byte) (int, error) {
 	if sp.pos < sp.n {
-		k, err := sp.f.ReadAt(p[:min(int64(len(p)), sp.n-sp.pos)], sp.pos)
+		p = p[:min(int64(len(p)), sp.n-sp.pos)]
+		if sp.f == nil {
+			k := copy(p, sp.head[sp.pos:sp.n])
+			sp.pos += int64(k)
+			return k, nil
+		}
+		k, err := sp.f.ReadAt(p, sp.pos)
 		sp.pos += int64(k)
 		return k, err
 	}
@@ -63,10 +73,15 @@ func (sp *spool) Read(p []byte) (int, error) {
 	return k, err
 }
 
-// keep appends b to the file, creating it on the first byte, under the cap.
+// keep appends b to the kept bytes under the cap: to head while they fit
+// there, else to the file, which is created with head's bytes first.
 func (sp *spool) keep(b []byte) error {
 	if sp.max > 0 && sp.n+int64(len(b)) > sp.max {
 		return fmt.Errorf("%w: netlist %q exceeds the %d-byte spool cap", sp.limit, sp.name, sp.max)
+	}
+	if sp.f == nil && sp.n+int64(len(b)) <= int64(len(sp.head)) {
+		sp.n += int64(copy(sp.head[sp.n:], b))
+		return nil
 	}
 	if sp.f == nil {
 		f, err := os.CreateTemp(sp.dir, "leqa-ingest-*.spool")
@@ -77,6 +92,9 @@ func (sp *spool) keep(b []byte) error {
 		// OS even if the process dies without Close.
 		os.Remove(f.Name())
 		sp.f = f
+		if _, err := f.Write(sp.head[:sp.n]); err != nil {
+			return err
+		}
 	}
 	k, err := sp.f.Write(b)
 	sp.n += int64(k)
@@ -133,7 +151,7 @@ func (sp *spool) explain(name string, err error) error {
 func spooled(owns []io.Closer) int64 {
 	var n int64
 	for _, c := range owns {
-		if sp, ok := c.(*spool); ok {
+		if sp, ok := c.(*spool); ok && sp.f != nil {
 			n += sp.n
 		}
 	}

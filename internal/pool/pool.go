@@ -68,17 +68,22 @@ type indexed[T any] struct {
 	v T
 }
 
-// ForEachOrdered runs fn(i) for every i in [0, n) across a bounded worker
-// pool and hands each result to emit in strict index order, as soon as the
-// contiguous prefix through that index has completed — the primitive behind
-// the streaming sweep engines: result 0 is emitted while later indices are
-// still computing. emit runs on the caller's goroutine, so it may safely
-// write to non-thread-safe sinks (an http.ResponseWriter, a bufio.Writer).
-// A non-nil emit error stops the feed — fn is then not called for indices
-// not yet started — and is returned after in-flight work drains, so no
-// worker goroutine outlives the call. workers ≤ 0 selects GOMAXPROCS.
-func ForEachOrdered[T any](n, workers int, fn func(i int) T, emit func(v T) error) error {
-	if n <= 0 {
+// ForEachOrdered runs fn(i) for every index i of order across a bounded
+// worker pool and hands each result to emit in strict index order, as soon
+// as the contiguous prefix through that index has completed — the primitive
+// behind the streaming sweep engines: result 0 is emitted while later
+// indices are still computing. order is a permutation of [0, len(order))
+// and sets the order in which indices start: a caller that knows which
+// items run longest starts them first, so the pool does not end on one
+// long item while the other workers idle, and emission order does not
+// change. emit runs on the caller's goroutine, so it may safely write to
+// non-thread-safe sinks (an http.ResponseWriter, a bufio.Writer). A non-nil
+// emit error stops the feed — fn is then not called for indices not yet
+// started — and is returned after in-flight work drains, so no worker
+// goroutine outlives the call. workers ≤ 0 selects GOMAXPROCS.
+func ForEachOrdered[T any](order []int, workers int, fn func(i int) T, emit func(v T) error) error {
+	n := len(order)
+	if n == 0 {
 		return nil
 	}
 	if workers <= 0 {
@@ -104,7 +109,7 @@ func ForEachOrdered[T any](n, workers int, fn func(i int) T, emit func(v T) erro
 		}()
 	}
 	go func() {
-		for i := 0; i < n; i++ {
+		for _, i := range order {
 			if stopped.Load() {
 				break
 			}

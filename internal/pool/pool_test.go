@@ -2,8 +2,11 @@ package pool
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachRunsEveryIndex(t *testing.T) {
@@ -93,7 +96,7 @@ func TestForEachDefaultWorkers(t *testing.T) {
 func TestForEachOrderedEmitsInOrder(t *testing.T) {
 	const n = 200
 	var got []int
-	err := ForEachOrdered(n, 8, func(i int) int { return i }, func(v int) error {
+	err := ForEachOrdered(seq(n), 8, func(i int) int { return i }, func(v int) error {
 		got = append(got, v)
 		return nil
 	})
@@ -119,7 +122,7 @@ func TestForEachOrderedStreamsBeforeCompletion(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		var seen []int
-		err := ForEachOrdered(3, 2, func(i int) int {
+		err := ForEachOrdered(seq(3), 2, func(i int) int {
 			if i > 0 {
 				<-release // 1 and 2 cannot finish until the test saw row 0
 			}
@@ -145,23 +148,97 @@ func TestForEachOrderedStreamsBeforeCompletion(t *testing.T) {
 	}
 }
 
+// TestForEachOrderedEmitErrorStopsFeed: a failing emit stops the feed,
+// in index order and in a start order that runs index 0 first and the
+// rest from the top down.
 func TestForEachOrderedEmitErrorStopsFeed(t *testing.T) {
-	boom := errors.New("boom")
-	var ran atomic.Int32
-	err := ForEachOrdered(1000, 1, func(i int) int {
-		ran.Add(1)
-		return i
-	}, func(v int) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the emit error", err)
+	const n = 1000
+	down := append([]int{0}, rev(n)[:n-1]...)
+	for _, order := range [][]int{seq(n), down} {
+		boom := errors.New("boom")
+		var ran atomic.Int32
+		err := ForEachOrdered(order, 1, func(i int) int {
+			ran.Add(1)
+			return i
+		}, func(v int) error { return boom })
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want the emit error", err)
+		}
+		if got := ran.Load(); got >= n {
+			t.Errorf("all %d indices ran despite the emit failure", got)
+		}
 	}
-	if got := ran.Load(); got >= 1000 {
-		t.Errorf("all %d indices ran despite the emit failure", got)
+}
+
+// seq is the identity start order over n indices.
+func seq(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// rev is the start order n-1, …, 0.
+func rev(n int) []int {
+	order := seq(n)
+	slices.Reverse(order)
+	return order
+}
+
+// TestForEachOrderedStartsInGivenOrder: with one worker, fn runs in
+// exactly the start order given, and emission is still in index order.
+func TestForEachOrderedStartsInGivenOrder(t *testing.T) {
+	order := rand.New(rand.NewSource(1)).Perm(50)
+	var started, emitted []int
+	err := ForEachOrdered(order, 1, func(i int) int {
+		started = append(started, i)
+		return i
+	}, func(v int) error {
+		emitted = append(emitted, v)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(started, order) {
+		t.Errorf("fn ran in order %v, want %v", started, order)
+	}
+	if !slices.Equal(emitted, seq(len(order))) {
+		t.Errorf("emitted %v, want index order", emitted)
+	}
+}
+
+// TestForEachOrderedEmitsInIndexOrderAnyStartOrder: whatever the start
+// order and the worker count, every result is emitted once, in index
+// order, even when fn's run times differ by index.
+func TestForEachOrderedEmitsInIndexOrderAnyStartOrder(t *testing.T) {
+	const n = 64
+	rng := rand.New(rand.NewSource(2))
+	for _, order := range [][]int{seq(n), rev(n), rng.Perm(n)} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			var emitted []int
+			err := ForEachOrdered(order, workers, func(i int) int {
+				if i%7 == 0 {
+					time.Sleep(time.Millisecond) // finish out of order
+				}
+				return i
+			}, func(v int) error {
+				emitted = append(emitted, v)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(emitted, seq(n)) {
+				t.Fatalf("start order %v, %d workers: emitted %v, want index order", order[:4], workers, emitted)
+			}
+		}
 	}
 }
 
 func TestForEachOrderedZeroItems(t *testing.T) {
-	err := ForEachOrdered(0, 4, func(i int) int { return i }, func(int) error {
+	err := ForEachOrdered(nil, 4, func(i int) int { return i }, func(int) error {
 		return errors.New("never")
 	})
 	if err != nil {
@@ -171,7 +248,7 @@ func TestForEachOrderedZeroItems(t *testing.T) {
 
 func TestForEachOrderedDefaultWorkers(t *testing.T) {
 	var emitted int
-	if err := ForEachOrdered(10, 0, func(i int) int { return i }, func(int) error {
+	if err := ForEachOrdered(seq(10), 0, func(i int) int { return i }, func(int) error {
 		emitted++
 		return nil
 	}); err != nil {

@@ -1,13 +1,15 @@
 package qodg
 
 // SweepState exposes the scratch's relaxation state after a K-column sweep
-// — column c of node v at [v*K+c] — so the suite can compare it with the
-// oracle's, which is strictly stronger than comparing recovered paths. The
-// 32-bit predecessor slab is widened to NodeIDs.
-func (s *PathScratch) SweepState() (dist []float64, from []NodeID) {
+// so the suite can compare it with the oracle's, which is strictly stronger
+// than comparing recovered paths: column c of node v's predecessor at
+// [v*K+c], widened to NodeIDs; column c of qubit q's final distance, the
+// distance of q's last writer, at [q*K+c]; and the end node's distance in
+// each column.
+func (s *PathScratch) SweepState() (from []NodeID, qubitDist, end []float64) {
 	ids := make([]NodeID, len(s.from))
 	for i, p := range s.from {
 		ids[i] = NodeID(p)
 	}
-	return s.dist, ids
+	return ids, s.qdist, s.end
 }

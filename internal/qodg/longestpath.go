@@ -13,22 +13,26 @@ import (
 const ParallelThreshold = math.MaxInt
 
 // PathScratch carries the reusable state of a critical-path sweep: the
-// dist/from relaxation slabs and the per-qubit last-writer array. A zero
-// PathScratch is ready to use; buffers grow to the largest sweep seen and
-// are reused across calls, so a warm scratch performs no allocation. Not
-// safe for concurrent use; pool one per worker.
+// per-node predecessor slab, each qubit's last writer and distance, and the
+// end node's distances. A zero PathScratch is ready to use; buffers grow to
+// the largest sweep seen and are reused across calls, so a warm scratch
+// performs no allocation. Not safe for concurrent use; pool one per worker.
 type PathScratch struct {
 	// MaxWorkers is ignored: the sweep is serial. It is kept only because
 	// cmd/leqabench compiles against it.
 	MaxWorkers int
 
-	// Column c of node v sits at [v*K+c] of dist and from, so K = 1 is the
-	// plain per-node layout. Predecessors are held as int32, as node
-	// operands are.
-	dist  []float64
+	// Column c of node v's predecessor sits at [v*K+c] of from, and column
+	// c of qubit q's distance at [q*K+c] of qdist, so K = 1 is the plain
+	// layout. Predecessors are held as int32, as node operands are. Only
+	// the path recovery reads a node's state back, and it reads from alone,
+	// so a distance is kept per qubit, not per node: the distance of the
+	// qubit's last writer so far in the sweep.
 	from  []int32
-	last  []int32 // each qubit's last writer so far in the sweep
-	nodes int     // node count of the largest graph swept
+	qdist []float64
+	last  []int32   // each qubit's last writer so far in the sweep
+	end   []float64 // the end node's distance per column
+	nodes int       // node count of the largest graph swept
 }
 
 // Nodes reports the node count of the largest graph the scratch has swept;
@@ -100,34 +104,41 @@ func (g *Graph) missingRow(v, rows, k int) error {
 }
 
 // relax runs the pull relaxation of all k ≥ 1 columns of w into the
-// scratch's slabs: the scalar loop for one column, the row loop for more.
-// Each pull writes every node's state, so the slabs need no clearing; the
-// last-writer array starts every qubit at the start anchor.
+// scratch: the scalar loop for one column, the row loop for more. Each pull
+// writes every node's predecessor, so the from slab needs no clearing;
+// every qubit starts at the start anchor, its last writer, with distance 0.
 func (g *Graph) relax(w weightRows, k int, s *PathScratch) error {
 	n := len(g.Nodes)
 	s.nodes = max(s.nodes, n)
-	s.dist = grow(s.dist, n*k)
 	s.from = grow(s.from, n*k)
+	s.qdist = grow(s.qdist, g.NumQubits*k)
 	s.last = grow(s.last, g.NumQubits)
+	s.end = grow(s.end, k)
+	clear(s.qdist)
 	clear(s.last)
+	clear(s.end)
 	if k == 1 {
-		return g.relaxScalar(w, s.dist, s.from, s.last)
+		return g.relaxScalar(w, s)
 	}
-	return g.relaxRows(w, k, s.dist, s.from, s.last)
+	return g.relaxRows(w, k, s)
 }
 
 // relaxScalar is the one-column pull. Node IDs are topologically ordered,
-// so by the time the loop reaches v every predecessor's state is final and
-// v takes the max of their offers dist[p]+w[v]. A gate's predecessors come
-// from preds in ascending order: the first offer is taken and the second
-// only when strictly greater. The end node's offers come in qubit order,
-// and it keeps the largest, the lowest ID among equal ones. Both match the
-// order, float expression and tie rule of the push relaxation the tests
-// check against (internal/oracle), which hands ties to the lowest-ID
-// predecessor, so dist and from equal the push's bitwise. A node without
-// predecessors gets the ground state, dist 0 and from -1.
-func (g *Graph) relaxScalar(w weightRows, dist []float64, from, last []int32) error {
-	tab := w.tab
+// so by the time the loop reaches v every predecessor's distance is final
+// and v takes the max of their offers dist[p]+w[v]. Every edge is a
+// last-writer edge, so dist[p] is the distance the sweep holds for the
+// operand p last wrote, and v's distance replaces it for both operands:
+// one distance per qubit stands in for one per node. A gate's offers come
+// in ascending predecessor order: the first is taken and the second only
+// when strictly greater. The end node's offers come in qubit order, and it
+// keeps the largest, the lowest ID among equal ones. Both match the order,
+// float expression and tie rule of the push relaxation the tests check
+// against (internal/oracle), which hands ties to the lowest-ID
+// predecessor, so from and the end distance equal the push's bitwise. A
+// node without predecessors gets from -1, and the end node of a register
+// without qubits distance 0.
+func (g *Graph) relaxScalar(w weightRows, s *PathScratch) error {
+	tab, from, last, qd := w.tab, s.from, s.last, s.qdist
 	end := len(g.Nodes) - 1
 	for v, n := range g.Nodes {
 		r := w.index(n, v)
@@ -137,21 +148,28 @@ func (g *Graph) relaxScalar(w weightRows, dist []float64, from, last []int32) er
 		wv := tab[r]
 		switch {
 		case v == 0:
-			dist[v], from[v] = 0, -1
+			from[v] = -1
 		case v < end:
-			p0, p1 := preds(last, n, int32(v))
-			best, bestFrom := dist[p0]+wv, p0
-			if p1 >= 0 {
-				if cand := dist[p1] + wv; cand > best {
-					best, bestFrom = cand, p1
+			a := n.A
+			pa := last[a]
+			best, bestFrom := qd[a]+wv, pa
+			if b := n.B; b >= 0 {
+				// b's offer comes first when its writer is the older, and
+				// then wins ties; one shared writer makes one offer.
+				pb := last[b]
+				if cand := qd[b] + wv; pb < pa && !(best > cand) || pb > pa && cand > best {
+					best, bestFrom = cand, pb
 				}
+				qd[b], last[b] = best, int32(v)
 			}
-			dist[v], from[v] = best, bestFrom
+			from[v] = bestFrom
+			qd[a], last[a] = best, int32(v)
 		default:
-			dist[v], from[v] = 0, -1
+			from[v] = -1
+			ev := s.end[:1]
 			for q, p := range last {
-				if cand := dist[p] + wv; q == 0 || cand > dist[v] || cand == dist[v] && p < from[v] {
-					dist[v], from[v] = cand, p
+				if cand := qd[q] + wv; q == 0 || cand > ev[0] || cand == ev[0] && p < from[v] {
+					ev[0], from[v] = cand, p
 				}
 			}
 		}
@@ -165,11 +183,12 @@ func (g *Graph) relaxScalar(w weightRows, dist []float64, from, last []int32) er
 const numGateTypes = int(circuit.Swap) + 1
 
 // recoverPath reads column col of a k-column sweep's critical path out of
-// the scratch: node v's distance and predecessor sit at [v*k+col]. One walk
-// down the from-chain, from the end node back to the start, counts gate
-// types in a fixed array, and CountByType is built from the non-zero
-// counts. The path's nodes themselves are not kept: the estimate reads
-// only its length and counts.
+// the scratch: node v's predecessor sits at [v*k+col], and the path's
+// length is the end node's distance in column col. One walk down the
+// from-chain, from the end node back to the start, counts gate types in a
+// fixed array, and CountByType is built from the non-zero counts. The
+// path's nodes themselves are not kept: the estimate reads only its length
+// and counts.
 func recoverPath(g *Graph, s *PathScratch, k, col int) CriticalPath {
 	var counts [numGateTypes]int
 	for v := g.End(); ; {
@@ -189,7 +208,7 @@ func recoverPath(g *Graph, s *PathScratch, k, col int) CriticalPath {
 		}
 	}
 	cp := CriticalPath{
-		Length:      s.dist[int(g.End())*k+col],
+		Length:      s.end[col],
 		CountByType: make(map[circuit.GateType]int, types),
 	}
 	for t, c := range counts {

@@ -134,14 +134,51 @@ type oracleColumn struct {
 	path qodg.CriticalPath
 }
 
+// lastWriters returns each qubit's last writer in c, the node of the last
+// gate that touches it, or 0 (the start anchor) for an idle qubit. It reads
+// the circuit's gates, not the graph under test.
+func lastWriters(c *circuit.Circuit) []int {
+	last := make([]int, c.NumQubits())
+	for i, gate := range c.Gates {
+		for _, q := range gate.Qubits() {
+			last[q] = i + 1
+		}
+	}
+	return last
+}
+
+// checkSweepState compares the scratch's state after a k-column sweep with
+// the oracle's sweep of column col bitwise. The sweep keeps a predecessor
+// per node but a distance per qubit, so it checks every node's from, each
+// qubit's final distance against the oracle's distance at that qubit's
+// last writer (last, from lastWriters), and the end node's distance.
+func checkSweepState(t *testing.T, at string, s *qodg.PathScratch, k, col int, last []int, want oracleColumn) {
+	t.Helper()
+	from, qdist, end := s.SweepState()
+	for v := range want.from {
+		if from[v*k+col] != want.from[v] {
+			t.Fatalf("%s: from[%d] = %d, oracle %d", at, v, from[v*k+col], want.from[v])
+		}
+	}
+	for q, p := range last {
+		if got := qdist[q*k+col]; math.Float64bits(got) != math.Float64bits(want.dist[p]) {
+			t.Fatalf("%s: qubit %d's distance = %v, oracle %v at its last writer %d", at, q, got, want.dist[p], p)
+		}
+	}
+	e := len(want.dist) - 1
+	if math.Float64bits(end[col]) != math.Float64bits(want.dist[e]) {
+		t.Fatalf("%s: end distance = %v, oracle %v", at, end[col], want.dist[e])
+	}
+}
+
 // checkEntries runs every entry over columnTable(K) on c's QODG and
-// compares each column with the oracle's sweep of c bitwise: the full
-// dist/from state when s is non-nil, and the recovered path. Column c's
-// oracle sweep is shared by every entry, since its weights do not depend
-// on K.
+// compares each column with the oracle's sweep of c bitwise: the sweep
+// state (checkSweepState) when s is non-nil, and the recovered path.
+// Column c's oracle sweep is shared by every entry, since its weights do
+// not depend on K.
 func checkEntries(t *testing.T, label string, c *circuit.Circuit, s *qodg.PathScratch) {
 	t.Helper()
-	g, ref := build(t, c), oracleGraph(t, c)
+	g, ref, last := build(t, c), oracleGraph(t, c), lastWriters(c)
 	var want []oracleColumn
 	for _, e := range entries() {
 		tab := columnTable(e.k)
@@ -166,15 +203,7 @@ func checkEntries(t *testing.T, label string, c *circuit.Circuit, s *qodg.PathSc
 			}
 			at := fmt.Sprintf("%s/%s col %d", label, e.name, c)
 			if s != nil {
-				dist, from := s.SweepState()
-				for v := range want[c].dist {
-					if math.Float64bits(dist[v*e.k+c]) != math.Float64bits(want[c].dist[v]) {
-						t.Fatalf("%s: dist[%d] = %v, oracle %v", at, v, dist[v*e.k+c], want[c].dist[v])
-					}
-					if from[v*e.k+c] != want[c].from[v] {
-						t.Fatalf("%s: from[%d] = %d, oracle %d", at, v, from[v*e.k+c], want[c].from[v])
-					}
-				}
+				checkSweepState(t, at, s, e.k, c, last, want[c])
 			}
 			assertPathsBitwiseEqual(t, at, got[c], want[c].path)
 		}
@@ -204,10 +233,11 @@ func randomCircuit(rng *rand.Rand, qubits, gates int) *circuit.Circuit {
 // TestLongestPathMultiMatchesSerialOnPaperBenchmarks is the critical-path
 // contract: on every paper benchmark, every entry point at every width —
 // LongestPath, and the by-type and per-node slab entries at K columns —
-// reproduces the serial push oracle bitwise: dist, from, path nodes,
-// length and per-type counts. One scratch serves every graph and width in
-// turn; the pull writes every node instead of clearing first, so stale
-// state from a wider sweep must not leak into a narrower one.
+// reproduces the serial push oracle bitwise: every node's from, each
+// qubit's final distance, the end distance, length and per-type counts.
+// One scratch serves every graph and width in turn; the pull writes every
+// node instead of clearing first, so stale state from a wider sweep must
+// not leak into a narrower one.
 func TestLongestPathMultiMatchesSerialOnPaperBenchmarks(t *testing.T) {
 	shared := new(qodg.PathScratch)
 	for _, name := range paperSuite(t) {
@@ -285,8 +315,9 @@ func tieSlab(rng *rand.Rand, g *qodg.Graph, k int) []float64 {
 // checkGangs runs LongestPathMultiStrided over the K-column slab wm once
 // per gang size, through one shared scratch whose MaxWorkers asks for that
 // many workers, and compares every column with the serial oracle's sweep
-// of ref bitwise: the full dist/from state and the recovered path.
-func checkGangs(t *testing.T, label string, g *qodg.Graph, ref *oracle.Graph, wm []float64, k int, gangs []int, s *qodg.PathScratch) {
+// of ref bitwise: the sweep state (checkSweepState, with last the
+// circuit's lastWriters) and the recovered path.
+func checkGangs(t *testing.T, label string, g *qodg.Graph, ref *oracle.Graph, last []int, wm []float64, k int, gangs []int, s *qodg.PathScratch) {
 	t.Helper()
 	want := make([]oracleColumn, k)
 	for c := range want {
@@ -310,17 +341,9 @@ func checkGangs(t *testing.T, label string, g *qodg.Graph, ref *oracle.Graph, wm
 		if err != nil {
 			t.Fatalf("%s/K%d/gang%d: %v", label, k, gang, err)
 		}
-		dist, from := s.SweepState()
 		for c := range want {
 			at := fmt.Sprintf("%s/K%d/gang%d col %d", label, k, gang, c)
-			for v := range want[c].dist {
-				if math.Float64bits(dist[v*k+c]) != math.Float64bits(want[c].dist[v]) {
-					t.Fatalf("%s: dist[%d] = %v, oracle %v", at, v, dist[v*k+c], want[c].dist[v])
-				}
-				if from[v*k+c] != want[c].from[v] {
-					t.Fatalf("%s: from[%d] = %d, oracle %d", at, v, from[v*k+c], want[c].from[v])
-				}
-			}
+			checkSweepState(t, at, s, k, c, last, want[c])
 			assertPathsBitwiseEqual(t, at, got[c], want[c].path)
 		}
 	}
@@ -330,7 +353,7 @@ func checkGangs(t *testing.T, label string, g *qodg.Graph, ref *oracle.Graph, wm
 // replay hands LongestPathMultiStrided a scratch whose MaxWorkers is its
 // gang size. The sweep is serial and ignores the field, so on every paper
 // benchmark, with per-node tie-heavy weights, a scratch asking for 1, 2, 4
-// or 7 workers gives the serial oracle's dist, from and path bitwise. One
+// or 7 workers gives the serial oracle's sweep state and path bitwise. One
 // scratch is shared across every circuit, so stale state must not leak.
 func TestLongestPathParallelMatchesSerialOnPaperBenchmarks(t *testing.T) {
 	shared := new(qodg.PathScratch)
@@ -341,7 +364,7 @@ func TestLongestPathParallelMatchesSerialOnPaperBenchmarks(t *testing.T) {
 		}
 		g := build(t, c)
 		wm := tieSlab(rand.New(rand.NewSource(int64(i))), g, 1)
-		checkGangs(t, name, g, oracleGraph(t, c), wm, 1, []int{1, 2, 4, 7}, shared)
+		checkGangs(t, name, g, oracleGraph(t, c), lastWriters(c), wm, 1, []int{1, 2, 4, 7}, shared)
 	}
 }
 
@@ -361,16 +384,16 @@ func TestLongestPathParallelMatchesSerialOnRandomDAGs(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		shape := shapes[int(seed)%len(shapes)]
 		c := randomCircuit(rng, shape.qubits, shape.gates)
-		g, ref := build(t, c), oracleGraph(t, c)
+		g, ref, last := build(t, c), oracleGraph(t, c), lastWriters(c)
 		for _, k := range []int{1, 3} {
-			checkGangs(t, fmt.Sprintf("rand/seed%d", seed), g, ref, tieSlab(rng, g, k), k, []int{2, 3, 8}, shared)
+			checkGangs(t, fmt.Sprintf("rand/seed%d", seed), g, ref, last, tieSlab(rng, g, k), k, []int{2, 3, 8}, shared)
 		}
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range specialShapes() {
-		g, ref := build(t, c), oracleGraph(t, c)
+		g, ref, last := build(t, c), oracleGraph(t, c), lastWriters(c)
 		for _, k := range []int{1, 3} {
-			checkGangs(t, c.Name, g, ref, tieSlab(rng, g, k), k, []int{2}, shared)
+			checkGangs(t, c.Name, g, ref, last, tieSlab(rng, g, k), k, []int{2}, shared)
 		}
 	}
 }

@@ -6,12 +6,12 @@ import "fmt"
 // in one traversal. A circuit × K-params grid row re-weights the same QODG K
 // times; K one-column sweeps would stream the node records through cache
 // once per column. The row loop keeps the sweep state in SoA layout —
-// column c of node v at [v*K+c] for distance and predecessor alike — so one
-// node's K states share cache lines and the inner loop is
-// column-contiguous, and derives every edge exactly once, relaxing all K
-// columns against it. A node's K weights are one K-row of a weight source:
-// row v of a per-node slab (LongestPathMultiStrided), or row
-// Nodes[v].Op.Type of a per-type table (LongestPathMultiByType) — the
+// column c of node v's predecessor at [v*K+c], column c of qubit q's
+// distance at [q*K+c] — so one node's K states share cache lines and the
+// inner loop is column-contiguous, and derives every edge exactly once,
+// relaxing all K columns against it. A node's K weights are one K-row of
+// a weight source: row v of a per-node slab (LongestPathMultiStrided), or
+// row Nodes[v].Op.Type of a per-type table (LongestPathMultiByType) — the
 // estimator's shape, whose weights depend on the gate type alone, so a
 // batch reads a few hundred bytes of weights in place of an N×K slab. One
 // column takes LongestPath's scalar loop instead, which runs in about half
@@ -64,11 +64,13 @@ func (g *Graph) sweep(w weightRows, k int, s *PathScratch) ([]CriticalPath, erro
 }
 
 // relaxRows is the K-column pull, k ≥ 2: relaxScalar's visit order,
-// predecessors and tie rule with one K-row of weights and state per node.
-// Every row the loop touches — v's weights, v's state, each predecessor's
-// distances — is a K-contiguous slice, so the node visit streams whole
-// cache lines.
-func (g *Graph) relaxRows(w weightRows, k int, dist []float64, from, last []int32) error {
+// offers and tie rule with one K-row of weights and predecessors per node
+// and one K-row of distances per qubit. Every row the loop touches — v's
+// weights and predecessors, each operand's distances — is a K-contiguous
+// slice, so the node visit streams whole cache lines, and the per-qubit
+// rows stay in cache however far back a predecessor lies.
+func (g *Graph) relaxRows(w weightRows, k int, s *PathScratch) error {
+	from, last, qd, ev := s.from, s.last, s.qdist, s.end[:k]
 	rows := len(w.tab) / k
 	end := len(g.Nodes) - 1
 	for v, n := range g.Nodes {
@@ -77,49 +79,55 @@ func (g *Graph) relaxRows(w weightRows, k int, dist []float64, from, last []int3
 			return g.missingRow(v, rows, k)
 		}
 		wv := w.tab[r*k : r*k+k]
-		dv := dist[v*k : v*k+k]
 		fv := from[v*k : v*k+k]
 		switch {
 		case v == 0:
-			ground(dv, fv)
-		case v < end:
-			p0, p1 := preds(last, n, int32(v))
-			dp := dist[int(p0)*k : int(p0)*k+k]
-			for c, wc := range wv {
-				dv[c] = dp[c] + wc
-				fv[c] = p0
+			for c := range fv {
+				fv[c] = -1
 			}
-			if p1 < 0 {
+		case v < end:
+			a, b := n.A, n.B
+			da, pa := qd[int(a)*k:int(a)*k+k], last[a]
+			last[a] = int32(v)
+			if b < 0 {
+				for c, wc := range wv {
+					da[c] += wc
+					fv[c] = pa
+				}
 				continue
 			}
-			dp = dist[int(p1)*k : int(p1)*k+k]
-			for c, wc := range wv {
-				if cand := dp[c] + wc; cand > dv[c] {
-					dv[c] = cand
-					fv[c] = p1
+			db, pb := qd[int(b)*k:int(b)*k+k], last[b]
+			last[b] = int32(v)
+			if pa == pb { // one predecessor, one merged edge
+				for c, wc := range wv {
+					d := da[c] + wc
+					da[c], db[c], fv[c] = d, d, pa
 				}
+				continue
+			}
+			if pb < pa { // offers in ascending predecessor order
+				da, db, pa, pb = db, da, pb, pa
+			}
+			for c, wc := range wv {
+				best, bestFrom := da[c]+wc, pa
+				if cand := db[c] + wc; cand > best {
+					best, bestFrom = cand, pb
+				}
+				da[c], db[c], fv[c] = best, best, bestFrom
 			}
 		default:
-			ground(dv, fv)
+			for c := range fv {
+				fv[c] = -1
+			}
 			for q, p := range last {
-				dp := dist[int(p)*k : int(p)*k+k]
+				dq := qd[q*k : q*k+k]
 				for c, wc := range wv {
-					if cand := dp[c] + wc; q == 0 || cand > dv[c] || cand == dv[c] && p < fv[c] {
-						dv[c] = cand
-						fv[c] = p
+					if cand := dq[c] + wc; q == 0 || cand > ev[c] || cand == ev[c] && p < fv[c] {
+						ev[c], fv[c] = cand, p
 					}
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// ground gives every column of a node the state of a node without
-// predecessors: dist 0, from -1.
-func ground(dv []float64, fv []int32) {
-	for c := range dv {
-		dv[c] = 0
-		fv[c] = -1
-	}
 }

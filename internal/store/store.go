@@ -15,18 +15,22 @@
 // analysis. The disk tier persists every stored analysis as an atomic
 // write-renamed image, survives process restarts, and is size-capped with
 // oldest-first eviction. An image is the .qcb netlist of the analyzed
-// gates (qcbin.EncodeAnalysis), named <digest>.qca. A disk hit rebuilds
-// the analysis as an upload is analyzed, with analysis.AnalyzeStream and
-// qcbin.DigestAnalysis, and checks that digest against the file name, so
-// it returns exactly what a fresh analysis of the digest's circuit
-// returns, and an image that fails to decode or to match its name is
-// deleted and counts as a miss.
+// gates (qcbin.EncodeAnalysis), named <digest>.qca. A by-reference disk hit
+// rebuilds the analysis as an upload is analyzed, with
+// analysis.AnalyzeStream and qcbin.DigestAnalysis, and checks that digest
+// against the file name; an upload, whose analysis is already in hand,
+// checks the image against that analysis's encoding instead. Either way a
+// disk hit returns exactly what a fresh analysis of the digest's circuit
+// returns, and an image that fails the check is deleted and counts as a
+// miss.
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -184,19 +188,23 @@ func (s *Store) GetOrAnalyze(src analysis.GateStream) (*analysis.Analysis, strin
 // satisfied (memory hit, disk image, new analysis) — the hook request
 // tracing uses to attribute analyze time. It analyzes src in one pass,
 // takes the digest from the analysis's node records
-// (qcbin.DigestAnalysis), and then looks the digest up: a digest neither
-// tier holds stores and persists this analysis; otherwise the stored one
-// is returned. The pass polls ctx and stops with its error before any
-// lookup, and a failed analysis is never stored. Like every lookup, it
-// never inherits the failure of another caller's in-flight lookup it
-// joined (see lookup).
+// (qcbin.DigestAnalysis), and then looks the digest up. An image on disk
+// is not analyzed again: it is a disk hit when it holds exactly
+// qcbin.EncodeAnalysis of this analysis, which is then stored in memory,
+// and otherwise it is replaced. A digest neither tier holds stores and
+// persists this analysis; otherwise the stored one is returned. The pass
+// polls ctx and stops with its error before any lookup, and a failed
+// analysis is never stored. Like every lookup, it never inherits the
+// failure of another caller's in-flight lookup it joined (see lookup).
 func (s *Store) GetOrAnalyzeOutcome(ctx context.Context, src analysis.GateStream) (*analysis.Analysis, string, Outcome, error) {
 	a, err := analysis.AnalyzeStreamContext(ctx, src, nil, false)
 	if err != nil {
 		return nil, "", OutcomeMiss, err
 	}
 	digest := qcbin.DigestAnalysis(a)
-	stored, outcome, err := s.lookup(ctx, digest, func() (*analysis.Analysis, error) {
+	stored, outcome, err := s.lookup(ctx, digest, func(f *os.File) (*analysis.Analysis, error) {
+		return a, holdsEncoding(ctx, f, a)
+	}, func() (*analysis.Analysis, error) {
 		s.saveImage(digest, a)
 		return a, nil
 	})
@@ -219,25 +227,28 @@ func (s *Store) GetOutcome(digest string) (*analysis.Analysis, Outcome, error) {
 	if err := validDigest(digest); err != nil {
 		return nil, OutcomeMiss, err
 	}
-	return s.lookup(context.Background(), digest, func() (*analysis.Analysis, error) {
+	ctx := context.Background()
+	return s.lookup(ctx, digest, func(f *os.File) (*analysis.Analysis, error) {
+		return analyzeImage(ctx, f, digest)
+	}, func() (*analysis.Analysis, error) {
 		return nil, ErrNotFound
 	})
 }
 
 // lookup runs the memory tier with the caller's own compute: the disk
-// tier, then miss on a disk miss. It reports how the lookup was satisfied;
-// if its compute never runs, the digest was resident or another caller's
-// in-flight lookup was joined, a memory-tier hit either way. A disk
-// rebuild polls ctx; one that ctx stops fails with ctx's error and counts
-// as neither a disk hit nor a miss. A joined lookup's failure may be the
-// owner's alone (its context, or a by-reference lookup that came up
-// empty), so a joiner whose owner failed looks up once more with its own
-// compute, unless ctx is done.
-func (s *Store) lookup(ctx context.Context, digest string, miss func() (*analysis.Analysis, error)) (*analysis.Analysis, Outcome, error) {
+// tier, whose image read gives the analysis, then miss on a disk miss. It
+// reports how the lookup was satisfied; if its compute never runs, the
+// digest was resident or another caller's in-flight lookup was joined, a
+// memory-tier hit either way. A read that ctx stops fails with ctx's error
+// and counts as neither a disk hit nor a miss. A joined lookup's failure
+// may be the owner's alone (its context, or a by-reference lookup that
+// came up empty), so a joiner whose owner failed looks up once more with
+// its own compute, unless ctx is done.
+func (s *Store) lookup(ctx context.Context, digest string, read func(*os.File) (*analysis.Analysis, error), miss func() (*analysis.Analysis, error)) (*analysis.Analysis, Outcome, error) {
 	outcome := OutcomeHit
 	a, err := s.mem.Do(ctx, digest, func() (*analysis.Analysis, error) {
 		outcome = OutcomeMiss
-		a, err := s.loadImage(ctx, digest)
+		a, err := s.loadImage(ctx, digest, read)
 		if err != nil {
 			return nil, err
 		}
@@ -265,12 +276,14 @@ func (s *Store) imagePath(digest string) string {
 	return filepath.Join(s.dir, digest+".qca")
 }
 
-// loadImage tries the disk tier: the rebuilt analysis, or nil when there is
-// no usable image. An image that fails to rebuild or to match its digest, a
-// legacy image of another format among them, is deleted: the analysis will
-// be recomputed and rewritten. A rebuild stopped by ctx returns ctx's error
-// and leaves the image alone, since the image is not at fault.
-func (s *Store) loadImage(ctx context.Context, digest string) (*analysis.Analysis, error) {
+// loadImage tries the disk tier: it opens the digest's image and returns
+// the analysis read makes of it, or nil when there is no usable image. An
+// image read rejects — one that fails to rebuild, to match its digest or to
+// equal the upload's encoding, a legacy image of another format among them
+// — is deleted: the analysis will be recomputed and rewritten. A read
+// stopped by ctx returns ctx's error and leaves the image alone, since the
+// image is not at fault.
+func (s *Store) loadImage(ctx context.Context, digest string, read func(*os.File) (*analysis.Analysis, error)) (*analysis.Analysis, error) {
 	if s.dir == "" {
 		return nil, nil
 	}
@@ -284,7 +297,7 @@ func (s *Store) loadImage(ctx context.Context, digest string) (*analysis.Analysi
 	if err != nil {
 		return nil, nil
 	}
-	a, err := analyzeImage(ctx, f, digest)
+	a, err := read(f)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
@@ -318,6 +331,45 @@ func analyzeImage(ctx context.Context, f *os.File, digest string) (*analysis.Ana
 		return nil, fmt.Errorf("store: image %s holds the netlist of digest %s", digest, got)
 	}
 	return a, nil
+}
+
+// holdsEncoding checks that f holds exactly qcbin.EncodeAnalysis(a), by
+// comparing the encoding with the file as it is written, without a copy of
+// either. It fails with ctx's error if ctx is done, as a rebuild would.
+func holdsEncoding(ctx context.Context, f *os.File, a *analysis.Analysis) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	w := &sameBytes{r: f}
+	if err := qcbin.EncodeAnalysis(w, a); err != nil {
+		return err
+	}
+	if n, _ := f.Read(w.buf[:1]); n != 0 {
+		return errImageDiffers
+	}
+	return nil
+}
+
+// errImageDiffers rejects an image that is not the encoding of the
+// analysis it is checked against.
+var errImageDiffers = errors.New("store: image differs from the analysis's encoding")
+
+// sameBytes is an io.Writer that accepts only the bytes r reads next: a
+// write fails at the first byte that differs or that r lacks.
+type sameBytes struct {
+	r   io.Reader
+	buf [4096]byte
+}
+
+func (w *sameBytes) Write(p []byte) (int, error) {
+	for n := 0; n < len(p); {
+		want := p[n:min(len(p), n+len(w.buf))]
+		if _, err := io.ReadFull(w.r, w.buf[:len(want)]); err != nil || !bytes.Equal(w.buf[:len(want)], want) {
+			return n, errImageDiffers
+		}
+		n += len(want)
+	}
+	return len(p), nil
 }
 
 // saveImage persists a freshly computed analysis: atomic temp-write +

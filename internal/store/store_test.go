@@ -299,6 +299,44 @@ func assertSameAnalysis(t *testing.T, label string, want, got *analysis.Analysis
 	}
 }
 
+// TestPutOverDiskImageIsADiskHit: an upload whose digest has an image on
+// disk, but no memory-tier entry, is a disk hit when the image is the
+// encoding of its analysis. The image is left as it was, nothing is
+// written or counted as a miss, the analysis returned equals a fresh one,
+// and the next upload of the circuit is a memory hit.
+func TestPutOverDiskImageIsADiskHit(t *testing.T) {
+	c := genFT(t, "gf2^16mult")
+	fresh, err := analysis.Analyze(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	_, digest, err := newStore(t, Options{Dir: dir}).GetOrAnalyze(analysis.NewCircuitStream(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, digest+".qca")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(t, Options{Dir: dir})
+	a, d, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c))
+	if err != nil || d != digest || outcome != OutcomeDiskHit {
+		t.Fatalf("upload over its image = %v, %s, %v; want a disk hit on %s", outcome, d, err, digest)
+	}
+	assertSameAnalysis(t, c.Name, fresh, a)
+	if st := s.Stats(); st.DiskHits != 1 || st.Misses != 0 || st.Puts != 0 || st.Entries != 1 || st.DiskEntries != 1 {
+		t.Fatalf("stats = %s, want 1 disk hit, no miss, no put and one entry", st)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("image changed by a disk hit (err %v)", err)
+	}
+	if _, _, outcome, err := s.GetOrAnalyzeOutcome(context.Background(), analysis.NewCircuitStream(c)); err != nil || outcome != OutcomeHit {
+		t.Fatalf("second upload = %v, %v; want a memory hit", outcome, err)
+	}
+}
+
 // TestAllBenchmarksBitwise sweeps every paper benchmark, and one of them
 // unnamed, through the two tiers and checks a disk hit rebuilds the whole
 // fresh analysis. An unnamed circuit's image has an empty name, which the
@@ -627,10 +665,11 @@ func (s *cancelAtEnd) Scan() bool {
 }
 
 // TestCancelledDiskRebuildKeepsImage cancels a lookup as its analysis
-// pass ends, so the disk rebuild that follows runs under a done context. The
-// rebuild fails with the context's error, counts neither a disk hit nor a
-// miss, and leaves the image on disk for the next lookup to serve: a
-// cancelled rebuild is not a corrupt image.
+// pass ends, so the disk probe that follows, the check of the image
+// against the upload's analysis, runs under a done context. The probe
+// fails with the context's error, counts neither a disk hit nor a miss,
+// and leaves the image on disk for the next lookup to serve: a cancelled
+// probe is not a corrupt image.
 func TestCancelledDiskRebuildKeepsImage(t *testing.T) {
 	dir := t.TempDir()
 	c := genFT(t, "8bitadder")
@@ -663,7 +702,8 @@ func TestCancelledDiskRebuildKeepsImage(t *testing.T) {
 func parkOwner(s *Store, ctx context.Context, digest string, a *analysis.Analysis) (reached, release chan struct{}, done chan error) {
 	reached, release, done = make(chan struct{}), make(chan struct{}), make(chan error, 1)
 	go func() {
-		_, _, err := s.lookup(ctx, digest, func() (*analysis.Analysis, error) {
+		// A memory-only store reads no image, so the lookup needs no read.
+		_, _, err := s.lookup(ctx, digest, nil, func() (*analysis.Analysis, error) {
 			close(reached)
 			<-release
 			if err := ctx.Err(); err != nil {

@@ -22,7 +22,6 @@ package zonemodel
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/fabric"
 	"repro/internal/queuemodel"
@@ -142,20 +141,14 @@ func ZoneSide(grid fabric.Grid, avgZoneArea float64) int {
 func CoverProfile(n, s int) []float64 {
 	f := make([]float64, n+1)
 	for x := 1; x <= n; x++ {
-		v := x
-		if n-x+1 < v {
-			v = n - x + 1
-		}
-		if s < v {
-			v = s
-		}
-		if n-s+1 < v {
-			v = n - s + 1
-		}
-		f[x] = float64(v)
+		f[x] = float64(cover(n, s, x))
 	}
 	return f
 }
+
+// cover is f[x] of CoverProfile: the count of side-s zone placements along
+// a length-n axis that cover coordinate x.
+func cover(n, s, x int) int { return min(x, n-x+1, s, n-s+1) }
 
 // CoverageProbability exposes Eq. 5 for a single ULB — used by the Fig. 3/4
 // regenerations and tests. x and y are 1-based.
@@ -172,38 +165,52 @@ func CoverageProbability(grid fabric.Grid, zoneSide, x, y int) float64 {
 	return px[x] * py[y] / denom
 }
 
-// productHistogram collapses the P_{x,y} field to its distinct numerator
-// products v = px[x]·py[y] with multiplicities, sorted ascending so the
-// downstream float accumulation is deterministic.
+// productBin is one distinct numerator product v = px[x]·py[y] of the
+// P_{x,y} field, with its multiplicity. expectedSurfaces fills in the rest:
+// the bin's coverage probability P and, for 0 < P < 1, log P and log(1−P).
 type productBin struct {
 	product float64 // px·py numerator (an integer value)
 	count   float64 // number of cells sharing it
+
+	p, logP, log1mP float64
 }
 
+// productHistogram collapses the P_{x,y} field to its distinct numerator
+// products with multiplicities, in ascending product order so the
+// downstream float accumulation is deterministic. Each profile value is at
+// most m = min(s, n−s+1), so the products index a dense count array of
+// mx·my+1 slots, read back in ascending order with no sort.
 func productHistogram(grid fabric.Grid, side int) []productBin {
 	hx := profileHistogram(grid.Width, side)
 	hy := profileHistogram(grid.Height, side)
-	acc := make(map[int]int, len(hx)*len(hy))
-	for vx, cx := range hx {
-		for vy, cy := range hy {
-			acc[vx*vy] += cx * cy
+	acc := make([]int, (len(hx)-1)*(len(hy)-1)+1)
+	for vx := 1; vx < len(hx); vx++ {
+		for vy := 1; vy < len(hy); vy++ {
+			acc[vx*vy] += hx[vx] * hy[vy]
 		}
 	}
-	bins := make([]productBin, 0, len(acc))
-	for v, c := range acc {
-		bins = append(bins, productBin{product: float64(v), count: float64(c)})
+	distinct := 0
+	for _, c := range acc {
+		if c > 0 {
+			distinct++
+		}
 	}
-	sort.Slice(bins, func(i, j int) bool { return bins[i].product < bins[j].product })
+	bins := make([]productBin, 0, distinct)
+	for v, c := range acc {
+		if c > 0 {
+			bins = append(bins, productBin{product: float64(v), count: float64(c)})
+		}
+	}
 	return bins
 }
 
-// profileHistogram counts how many coordinates share each distinct profile
-// value. The profile takes at most min(s, n−s+1) distinct values.
-func profileHistogram(n, s int) map[int]int {
-	f := CoverProfile(n, s)
-	h := make(map[int]int)
+// profileHistogram counts how many coordinates of a length-n axis share
+// each profile value: h[v] for v in 1..min(s, n−s+1), the most values the
+// profile takes. Index 0 is unused.
+func profileHistogram(n, s int) []int {
+	h := make([]int, min(s, n-s+1)+1)
 	for x := 1; x <= n; x++ {
-		h[int(f[x])]++
+		h[cover(n, s, x)]++
 	}
 	return h
 }
@@ -211,27 +218,34 @@ func profileHistogram(n, s int) map[int]int {
 // expectedSurfaces fills esq[1..kmax] with E[S_q] (Eq. 4) via the product
 // histogram. The binomial coefficient is built incrementally in log space
 // (the paper's Eq. 18 recurrence); cells with P = 1 contribute only to the
-// q = Q term and cells with P = 0 only to q = 0.
+// q = Q term and cells with P = 0 only to q = 0. Each bin's log P and
+// log(1−P) do not depend on k, so they are taken once, not once per k.
 func expectedSurfaces(esq []float64, grid fabric.Grid, side, qubits, kmax int) {
 	bins := productHistogram(grid, side)
 	denom := float64(grid.Width-side+1) * float64(grid.Height-side+1)
+	for i := range bins {
+		b := &bins[i]
+		if b.p = b.product / denom; b.p > 0 && b.p < 1 {
+			b.logP, b.log1mP = math.Log(b.p), math.Log1p(-b.p)
+		}
+	}
 	fQ := float64(qubits)
 	logC := 0.0 // log C(Q,0)
 	for k := 1; k <= kmax; k++ {
 		logC += math.Log((fQ - float64(k) + 1) / float64(k))
 		sum := 0.0
-		for _, bin := range bins {
-			p := bin.product / denom
+		for i := range bins {
+			b := &bins[i]
 			switch {
-			case p <= 0:
+			case b.p <= 0:
 				// covered by no placement: contributes only to q=0
-			case p >= 1:
+			case b.p >= 1:
 				// always covered: contributes only to q=Q
 				if k == qubits {
-					sum += bin.count
+					sum += b.count
 				}
 			default:
-				sum += bin.count * math.Exp(logC+float64(k)*math.Log(p)+(fQ-float64(k))*math.Log1p(-p))
+				sum += b.count * math.Exp(logC+float64(k)*b.logP+(fQ-float64(k))*b.log1mP)
 			}
 		}
 		esq[k] = sum

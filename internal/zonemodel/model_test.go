@@ -2,6 +2,7 @@ package zonemodel
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/fabric"
@@ -45,6 +46,84 @@ func TestHistogramMatchesCellScan(t *testing.T) {
 			if diff/scale > 1e-9 {
 				t.Errorf("%dx%d side=%d Q=%d: E[S_%d] histogram %v vs cell scan %v",
 					tc.grid.Width, tc.grid.Height, tc.side, tc.q, k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// frozenExpectedSurfaces is expectedSurfaces as it stood before the
+// histograms became slices: map-built profile and product histograms,
+// sorted by product, and log P and log(1−P) taken again for every k. Kept
+// in test code so the production path can be checked against it bitwise.
+func frozenExpectedSurfaces(grid fabric.Grid, side, qubits, kmax int) []float64 {
+	hist := func(n int) map[int]int {
+		f := CoverProfile(n, side)
+		h := make(map[int]int)
+		for x := 1; x <= n; x++ {
+			h[int(f[x])]++
+		}
+		return h
+	}
+	hx, hy := hist(grid.Width), hist(grid.Height)
+	acc := make(map[int]int)
+	for vx, cx := range hx {
+		for vy, cy := range hy {
+			acc[vx*vy] += cx * cy
+		}
+	}
+	products := make([]int, 0, len(acc))
+	for v := range acc {
+		products = append(products, v)
+	}
+	sort.Ints(products)
+	denom := float64(grid.Width-side+1) * float64(grid.Height-side+1)
+	esq := make([]float64, kmax+1)
+	fQ := float64(qubits)
+	logC := 0.0
+	for k := 1; k <= kmax; k++ {
+		logC += math.Log((fQ - float64(k) + 1) / float64(k))
+		sum := 0.0
+		for _, v := range products {
+			p, count := float64(v)/denom, float64(acc[v])
+			switch {
+			case p <= 0:
+			case p >= 1:
+				if k == qubits {
+					sum += count
+				}
+			default:
+				sum += count * math.Exp(logC+float64(k)*math.Log(p)+(fQ-float64(k))*math.Log1p(-p))
+			}
+		}
+		esq[k] = sum
+	}
+	return esq
+}
+
+// TestExpectedSurfacesBitwiseFrozen: Compute's E[S_q] equals the frozen
+// map-and-sort evaluation bit for bit, across square and skewed fabrics,
+// zone sides from 1 to the full fabric, and Q below, at and above Kmax.
+func TestExpectedSurfacesBitwiseFrozen(t *testing.T) {
+	sizes := []int{1, 2, 7, 13, 40, 97, 200}
+	for _, w := range sizes {
+		for _, h := range []int{1, 6, 40, 131} {
+			grid := fabric.Grid{Width: w, Height: h}
+			for _, side := range []int{1, 2, 3, 5, 11, 40, min(w, h)} {
+				if side > min(w, h) {
+					continue
+				}
+				for _, q := range []int{3, 20, 133} {
+					m, err := Compute(testKey(grid, side, q, 20))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, want := m.ESq(), frozenExpectedSurfaces(grid, side, q, 20)
+					for k := 1; k <= 20; k++ {
+						if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+							t.Fatalf("%dx%d side=%d Q=%d: E[S_%d] = %v, frozen %v", w, h, side, q, k, got[k], want[k])
+						}
+					}
+				}
 			}
 		}
 	}

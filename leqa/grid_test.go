@@ -1,9 +1,13 @@
 package leqa
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,6 +127,147 @@ func TestSweepGridCancellation(t *testing.T) {
 		}
 		if cell.Result != nil {
 			t.Errorf("cell %d carries a result despite pre-cancelled context", k)
+		}
+	}
+}
+
+// smallestFirstGrid builds a five-row grid whose sources arrive
+// smallest-first: by-ref analyses at both ends, in-memory circuits at 1
+// and 3, and one streamed .qc body in the middle, the only source whose
+// size is unknown until it is read. fresh makes the sources again, since a
+// streamed source can be opened once.
+func smallestFirstGrid(t *testing.T) (fresh func() []Source, wantStart []int) {
+	t.Helper()
+	circuits := make([]*Circuit, 0, 5)
+	for _, name := range []string{"ham7", "4bitadder", "mod16adder", "8bitadder", "gf2^16mult"} {
+		c, err := GenerateFT(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	slices.SortStableFunc(circuits, func(a, b *Circuit) int { return cmp.Compare(a.NumGates(), b.NumGates()) })
+	var body bytes.Buffer
+	if err := circuit.WriteQC(&body, circuits[2]); err != nil {
+		t.Fatal(err)
+	}
+	byRef := func(c *Circuit) Source {
+		a, err := Analyze(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return AnalysisSource(c.Name, a)
+	}
+	first, last := byRef(circuits[0]), byRef(circuits[4])
+	return func() []Source {
+		return []Source{
+			first,
+			CircuitSource(circuits[1]),
+			ReaderSource(circuits[2].Name, bytes.NewReader(body.Bytes()), IngestOptions{}),
+			CircuitSource(circuits[3]),
+			last,
+		}
+	}, []int{2, 4, 3, 1, 0}
+}
+
+// TestSweepGridLargestFirstMatchesRowsAlone: rows start largest-first —
+// the unread stream first, then by size — and the grid still emits, in
+// input order, the cells each row gives when it is estimated alone,
+// bitwise, with one worker and with two.
+func TestSweepGridLargestFirstMatchesRowsAlone(t *testing.T) {
+	fresh, wantStart := smallestFirstGrid(t)
+	if got := startOrder(fresh()); !slices.Equal(got, wantStart) {
+		t.Fatalf("start order %v, want %v", got, wantStart)
+	}
+	paramSets := gridParamSets()
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		r, err := NewRunner(DefaultParams(), EstimateOptions{}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells []GridCell
+		err = r.SweepGridSourcesStream(ctx, fresh(), paramSets, func(c GridCell) error {
+			cells = append(cells, c)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := fresh()
+		if len(cells) != len(alone)*len(paramSets) {
+			t.Fatalf("%d workers: %d cells, want %d", workers, len(cells), len(alone)*len(paramSets))
+		}
+		for i, src := range alone {
+			want, err := r.SweepGridSources(ctx, []Source{src}, paramSets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, w := range want {
+				g := cells[i*len(paramSets)+j]
+				if g.CircuitIndex != i || g.ParamsIndex != j || g.Name != src.Name {
+					t.Fatalf("%d workers: cell %d is (%d,%d,%q), want (%d,%d,%q)", workers,
+						i*len(paramSets)+j, g.CircuitIndex, g.ParamsIndex, g.Name, i, j, src.Name)
+				}
+				if g.Err != nil || w.Err != nil {
+					t.Fatalf("%d workers: %s col %d: grid err %v, alone err %v", workers, src.Name, j, g.Err, w.Err)
+				}
+				if math.Float64bits(g.Result.EstimatedLatency) != math.Float64bits(w.Result.EstimatedLatency) ||
+					!reflect.DeepEqual(g.Result, w.Result) {
+					t.Errorf("%d workers: %s col %d: grid cell differs from the row alone (%.17g vs %.17g µs)",
+						workers, src.Name, j, g.Result.EstimatedLatency, w.Result.EstimatedLatency)
+				}
+			}
+		}
+	}
+}
+
+// TestSweepGridLargestFirstCancellation: a grid cancelled as its first
+// row starts, when the streamed source opens, still accounts for every
+// cell, in input order, each with a result or the context's error, and
+// returns that error.
+func TestSweepGridLargestFirstCancellation(t *testing.T) {
+	fresh, wantStart := smallestFirstGrid(t)
+	paramSets := gridParamSets()
+	for _, workers := range []int{1, 2} {
+		r, err := NewRunner(DefaultParams(), EstimateOptions{}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		sources := fresh()
+		stream := &sources[wantStart[0]]
+		open := stream.Open
+		stream.Open = func() (GateStream, error) {
+			cancel()
+			return open()
+		}
+		var cells []GridCell
+		err = r.SweepGridSourcesStream(ctx, sources, paramSets, func(c GridCell) error {
+			cells = append(cells, c)
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d workers: err = %v, want context.Canceled", workers, err)
+		}
+		if want := 5 * len(paramSets); len(cells) != want {
+			t.Fatalf("%d workers: %d cells, want %d (every slot must be accounted for)", workers, len(cells), want)
+		}
+		cancelled := 0
+		for k, cell := range cells {
+			if cell.CircuitIndex != k/len(paramSets) || cell.ParamsIndex != k%len(paramSets) {
+				t.Fatalf("%d workers: cell %d is (%d,%d), out of input order", workers, k, cell.CircuitIndex, cell.ParamsIndex)
+			}
+			switch {
+			case cell.Err == nil && cell.Result != nil:
+			case errors.Is(cell.Err, context.Canceled) && cell.Result == nil:
+				cancelled++
+			default:
+				t.Errorf("%d workers: cell %d: result %v, err %v; want a result or context.Canceled", workers, k, cell.Result != nil, cell.Err)
+			}
+		}
+		if cancelled == 0 {
+			t.Errorf("%d workers: no cell carries the cancellation", workers)
 		}
 	}
 }

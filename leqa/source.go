@@ -1,9 +1,12 @@
 package leqa
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/analysis"
@@ -216,7 +219,10 @@ func (r *Runner) SweepGridSources(ctx context.Context, sources []Source, paramSe
 // SweepGridSourcesStream estimates the sources × paramSets cross product —
 // the one engine behind every single estimate, sweep and grid — delivering
 // each GridCell to emit in source-major input order as soon as its row
-// completes. Each worker owns one source's whole row: it consults the
+// completes. Rows start largest first (startOrder), so the longest row
+// does not run alone at the end of the grid while the other workers idle;
+// emission keeps input order, so an early row can wait on a larger later
+// one. Each worker owns one source's whole row: it consults the
 // result memo first (when attached and the source's digest is known),
 // analyzes the source once (through the attached store for streamed
 // sources, in its own arena otherwise) and estimates every remaining
@@ -238,7 +244,7 @@ func (r *Runner) SweepGridSourcesStream(ctx context.Context, sources []Source, p
 		return err
 	}
 	cols := newGridColumns(paramSets)
-	err = pool.ForEachOrdered(len(sources), r.workers, func(i int) []GridCell {
+	err = pool.ForEachOrdered(startOrder(sources), r.workers, func(i int) []GridCell {
 		s := sources[i]
 		row := make([]GridCell, len(paramSets))
 		for j := range row {
@@ -266,4 +272,33 @@ func (r *Runner) SweepGridSourcesStream(ctx context.Context, sources []Source, p
 		return err
 	}
 	return ctx.Err()
+}
+
+// startOrder is the order in which a grid's rows start: sources whose size
+// is unknown until they are read (streams, benchmark names) first, in
+// input order, then the rest largest first, ties in input order. A row's
+// work grows with its circuit, whatever its columns, so the longest rows
+// start while the pool is full.
+func startOrder(sources []Source) []int {
+	order := make([]int, len(sources))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int {
+		return cmp.Compare(sources[j].size(), sources[i].size())
+	})
+	return order
+}
+
+// size is the work of a source's row: the node count of a stored analysis,
+// the gate count of an in-memory circuit, or math.MaxInt when the size is
+// unknown until the source is read.
+func (s Source) size() int {
+	switch {
+	case s.Analysis != nil:
+		return s.Analysis.QODG.NumNodes()
+	case s.circuit != nil:
+		return s.circuit.NumGates()
+	}
+	return math.MaxInt
 }

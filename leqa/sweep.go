@@ -54,14 +54,18 @@ func (r *Runner) arena() *analysis.Arena {
 
 // maxIdleArenaGates is the largest circuit, in gates, whose arena the free
 // list keeps, whether the arena analyzed the circuit or only swept its
-// graph. An arena holds about 35–51 B of slabs per gate after one analysis
-// and estimate: 35–36 after an in-memory circuit, 41–51 after a streamed
+// graph. An arena holds about 27–43 B of slabs per gate after one analysis
+// and estimate: 27–28 after an in-memory circuit, 33–43 after a streamed
 // one, whose node slab grows by doubling (hwb100ps, hwb200ps,
-// gf2^128mult). So an idle arena holds at most about 13 MiB. Every
-// circuit of the paper's suite up to gf2^128mult (246,141 gates) keeps its
-// slabs warm; the arena of a larger upload, such as gf2^256mult or a
-// MaxGates-scale netlist, goes back to the GC when its estimate ends
-// instead of staying for the life of the process.
+// gf2^128mult). The sweep keeps a distance per qubit, not per node, so
+// its per-node slab is the 4-byte predecessor of each column: an arena
+// that only swept an 8-column by-ref row holds 32 B per gate. So an idle
+// arena holds at most about 11 MiB after a one-column estimate, and 8 MiB
+// after an 8-column row. Every circuit of the paper's suite up to
+// gf2^128mult (246,141 gates) keeps its slabs warm; the arena of a larger
+// upload, such as gf2^256mult or a MaxGates-scale netlist, goes back to
+// the GC when its estimate ends instead of staying for the life of the
+// process.
 const maxIdleArenaGates = 1 << 18
 
 // release returns an arena to the free list once every borrow of its
